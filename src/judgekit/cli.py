@@ -247,7 +247,11 @@ def _derive_ndt(ds, which, report):
         return
     if which == "forall":
         y = min(1, ds.doctrine.n)
-        qp = quantifier_package(ds, y)
+        try:
+            qp = quantifier_package(ds, y)
+        except ValueError as e:
+            report.check(f"quantifier adjunctions (sort {y})", [str(e)])
+            return
         report.check(f"quantifier adjunctions (sort {y})", qp.diagnostics)
         qr = forall_rules(ds, y)
         report.check("universal introduction", qr.diagnostics)

@@ -37,6 +37,7 @@ class FinCategory:
     compose: dict
     _hom: dict = field(default=None, repr=False, compare=False)
     _into: dict = field(default=None, repr=False, compare=False)
+    _out: dict = field(default=None, repr=False, compare=False)
 
     def id_of(self, obj):
         return self.identity[obj]
@@ -48,23 +49,27 @@ class FinCategory:
     def is_identity(self, m):
         return self.identity.get(self.src[m]) == m
 
+    def _indexed(self, attr, key, at):
+        table = getattr(self, attr)
+        if table is None:
+            table = {}
+            for m in self.sorted_morphisms():
+                table.setdefault(key(m), []).append(m)
+            setattr(self, attr, table)
+        return table.get(at, [])
+
     def hom(self, a, b):
         """All morphisms a → b, deterministically ordered."""
-        if self._hom is None:
-            table = {}
-            for m in sorted(self.morphisms, key=sort_key):
-                table.setdefault((self.src[m], self.tgt[m]), []).append(m)
-            self._hom = table
-        return self._hom.get((a, b), [])
+        return self._indexed("_hom", lambda m: (self.src[m], self.tgt[m]),
+                             (a, b))
 
     def into(self, b):
         """All morphisms with target b, deterministically ordered."""
-        if self._into is None:
-            table = {}
-            for m in sorted(self.morphisms, key=sort_key):
-                table.setdefault(self.tgt[m], []).append(m)
-            self._into = table
-        return self._into.get(b, [])
+        return self._indexed("_into", self.tgt.__getitem__, b)
+
+    def out_of(self, a):
+        """All morphisms with source a, deterministically ordered."""
+        return self._indexed("_out", self.src.__getitem__, a)
 
     def sorted_objects(self):
         return sorted(self.objects, key=sort_key)
@@ -72,17 +77,9 @@ class FinCategory:
     def sorted_morphisms(self):
         return sorted(self.morphisms, key=sort_key)
 
-    def composable_pairs(self):
-        for f in self.morphisms:
-            for g in self.into_from(self.tgt[f]):
-                yield g, f
-
-    def into_from(self, a):
-        """All morphisms with source a."""
-        return [m for m in self.morphisms if self.src[m] == a]
-
 
 def make_category(name, objects, morphisms, src, tgt, identity, compose):
+    """A category from literal tables, composition included."""
     return FinCategory(
         name=name,
         objects=frozenset(objects),
@@ -92,6 +89,56 @@ def make_category(name, objects, morphisms, src, tgt, identity, compose):
         identity=dict(identity),
         compose=dict(compose),
     )
+
+
+def category_from(name, objects, morphisms, src, tgt, identity, compose_fn):
+    """A category whose composition table holds ``compose_fn(g, f)`` for
+    exactly the composable pairs ``(g, f)`` (g after f).
+
+    The table dicts are taken over, not copied.  Keys and composites are
+    the identifiers in ``morphisms`` themselves, so the table holds no
+    rebuilt copy of an identifier, and comparing composites mostly stops
+    at an identity test.
+    """
+    out_of, canon = {}, {}
+    for m in morphisms:
+        out_of.setdefault(src[m], []).append(m)
+        canon[m] = m
+    compose = {}
+    for f in morphisms:
+        for g in out_of.get(tgt[f], ()):
+            h = compose_fn(g, f)
+            compose[(g, f)] = canon.get(h, h)
+    return FinCategory(name, frozenset(objects), frozenset(morphisms),
+                       src, tgt, identity, compose)
+
+
+def subcategory(c: FinCategory, objects, keep, name) -> FinCategory:
+    """The subcategory of c on ``objects`` and the morphisms between them
+    that satisfy ``keep``.  Composition entries are kept where both factors
+    and the composite are kept; the caller chooses ``keep`` closed under
+    identities and composites."""
+    objs = set(objects)
+    mors = [m for m in c.morphisms
+            if c.src[m] in objs and c.tgt[m] in objs and keep(m)]
+    kept = set(mors)
+    return make_category(name, objs, mors,
+                         {m: c.src[m] for m in mors},
+                         {m: c.tgt[m] for m in mors},
+                         {o: c.identity[o] for o in objs},
+                         {gf: h for gf, h in c.compose.items()
+                          if gf[0] in kept and gf[1] in kept and h in kept})
+
+
+def opposite(c: FinCategory, name=None) -> FinCategory:
+    """The opposite category: endpoints swapped, ``g ∘ᵒᵖ f = f ∘ g``.
+
+    The composition table is transposed entry by entry, so the opposite of
+    a table that breaks a law breaks it at the same entries.
+    """
+    return FinCategory(name or f"{c.name}ᵒᵖ", c.objects, c.morphisms,
+                       c.tgt, c.src, c.identity,
+                       {(f, g): h for (g, f), h in c.compose.items()})
 
 
 def validate_category(c: FinCategory) -> list:
@@ -121,8 +168,8 @@ def validate_category(c: FinCategory) -> list:
         elif c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
             bad.append(f"{c.name}: composite of ({g!r}, {f!r}) has wrong endpoints")
     for f in c.morphisms:
-        for g in c.morphisms:
-            if c.tgt[f] == c.src[g] and (g, f) not in c.compose:
+        for g in c.out_of(c.tgt[f]):
+            if (g, f) not in c.compose:
                 bad.append(f"{c.name}: composition missing for ({g!r}, {f!r})")
     if bad:
         return bad
@@ -133,13 +180,10 @@ def validate_category(c: FinCategory) -> list:
         if c.comp(c.identity[c.tgt[f]], f) != f:
             bad.append(f"{c.name}: left unit law fails at {f!r}")
     # Associativity.
-    by_src = {}
-    for m in c.morphisms:
-        by_src.setdefault(c.src[m], []).append(m)
     for f in c.morphisms:
-        for g in by_src.get(c.tgt[f], ()):
+        for g in c.out_of(c.tgt[f]):
             gf = c.comp(g, f)
-            for h in by_src.get(c.tgt[g], ()):
+            for h in c.out_of(c.tgt[g]):
                 if c.comp(h, gf) != c.comp(c.comp(h, g), f):
                     bad.append(f"{c.name}: associativity fails at ({h!r}, {g!r}, {f!r})")
     return bad

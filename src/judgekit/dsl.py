@@ -106,6 +106,12 @@ def _want(cond, lineno, msg, expected=None):
         raise JtSyntaxError(lineno, 1, msg, expected)
 
 
+def _int_args(toks, lineno):
+    for t in toks:
+        _want(t.isdecimal(), lineno, f"argument {t!r} is not a natural number")
+    return [int(t) for t in toks]
+
+
 def _parse_head(kind, toks, lineno) -> Decl:
     if kind in ("category",):
         _want(len(toks) == 2, lineno, "category takes a single name")
@@ -141,12 +147,12 @@ def _parse_head(kind, toks, lineno) -> Decl:
         _want(len(toks) >= 5 and toks[2] == "=", lineno,
               "doctrine header is `doctrine D = powerset N`")
         return Decl(kind, toks[1], lineno,
-                    {"family": toks[3], "args": [int(a) for a in toks[4:]]})
+                    {"family": toks[3], "args": _int_args(toks[4:], lineno)})
     if kind == "instance":
         _want(len(toks) >= 4 and toks[2] == "=", lineno,
               "instance header is `instance I = <builtin> [args]`")
         return Decl(kind, toks[1], lineno,
-                    {"builtin": toks[3], "args": [int(a) for a in toks[4:]]})
+                    {"builtin": toks[3], "args": _int_args(toks[4:], lineno)})
     if kind == "constructor":
         _want(len(toks) == 4 and toks[2] == "mode" and
               toks[3] in ("strict", "weak"), lineno,
@@ -331,7 +337,10 @@ def _load_category(d: Decl, err):
                                f"composition")
                     break
             else:
-                compose[(g, f)] = h
+                first = compose.setdefault((g, f), h)
+                if first != h:
+                    err.append(f"line {ln}: conflicting composites for "
+                               f"({g} ∘ {f}): {first} and {h}")
     # Unit compositions are implicit.
     for m in mors:
         compose.setdefault((m, identity[src[m]]), m)
@@ -339,8 +348,8 @@ def _load_category(d: Decl, err):
     cat = make_category(d.name, objs, mors, src, tgt, identity, compose)
     if any(k == "complete" for (_, k, _) in d.items):
         for f in mors:
-            for g in mors:
-                if tgt[f] == src[g] and (g, f) not in compose:
+            for g in cat.out_of(tgt[f]):
+                if (g, f) not in compose:
                     err.append(f"line {d.line}: category {d.name} declared "
                                f"complete but ({g} ∘ {f}) is missing")
     return cat

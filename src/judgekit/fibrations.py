@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (FinCategory, FunctorMap, NatTrans, make_category,
-                   sort_key, validate_functor)
+from .core import (FinCategory, FunctorMap, NatTrans, category_from,
+                   opposite, sort_key, subcategory, validate_functor)
 
 
 @dataclass
@@ -32,19 +32,20 @@ class Classifier:
 
     def fiber_category(self, gamma) -> FinCategory:
         """The fiber over an object: vertical morphisms only."""
-        objs = set(self.fiber_objects(gamma))
         vid = self.base.identity[gamma]
-        mors = [m for m in self.total.morphisms
-                if self.total.src[m] in objs and self.proj.mor_map[m] == vid]
-        kept = set(mors)
-        compose = {(g, f): h for (g, f), h in self.total.compose.items()
-                   if g in kept and f in kept}
-        return make_category(
-            f"{self.name}({gamma})", objs, mors,
-            {m: self.total.src[m] for m in mors},
-            {m: self.total.tgt[m] for m in mors},
-            {o: self.total.identity[o] for o in objs},
-            compose)
+        return subcategory(self.total, self.fiber_objects(gamma),
+                           lambda m: self.proj.mor_map[m] == vid,
+                           f"{self.name}({gamma})")
+
+
+def opposite_classifier(cl: Classifier) -> Classifier:
+    """``projᵒᵖ : totalᵒᵖ → baseᵒᵖ``.  Its cartesian morphisms are the
+    cocartesian morphisms of ``cl``: an opfibration is a fibration of the
+    opposite functor."""
+    total, base = opposite(cl.total), opposite(cl.base)
+    proj = FunctorMap(f"{cl.proj.name}ᵒᵖ", total, base,
+                      cl.proj.obj_map, cl.proj.mor_map)
+    return Classifier(f"{cl.name}ᵒᵖ", total, base, proj)
 
 
 def is_cartesian(cl: Classifier, m) -> bool:
@@ -66,29 +67,6 @@ def is_cartesian(cl: Classifier, m) -> bool:
             hits = 0
             for h in total.hom(E2, E):
                 if P.mor_map[h] == g and total.comp(m, h) == m2:
-                    hits += 1
-            if hits != 1:
-                return False
-    return True
-
-
-def is_cocartesian(cl: Classifier, m) -> bool:
-    """Dual of :func:`is_cartesian` (pushforward along m)."""
-    total, base, P = cl.total, cl.base, cl.proj
-    E, F = total.src[m], total.tgt[m]
-    sigma = P.mor_map[m]
-    gamma = base.tgt[sigma]
-    for m2 in total.morphisms:
-        if total.src[m2] != E:
-            continue
-        F2 = total.tgt[m2]
-        pm2 = P.mor_map[m2]
-        for g in base.hom(gamma, P.obj_map[F2]):
-            if base.comp(g, sigma) != pm2:
-                continue
-            hits = 0
-            for h in total.hom(F, F2):
-                if P.mor_map[h] == g and total.comp(h, m) == m2:
                     hits += 1
             if hits != 1:
                 return False
@@ -120,27 +98,10 @@ def compute_cleavage(cl: Classifier):
 
 
 def compute_op_cleavage(cl: Classifier):
-    """Dual of :func:`compute_cleavage` (cocartesian lifts)."""
-    total, base, P = cl.total, cl.base, cl.proj
-    cleavage, bad = {}, []
-    out_of = {}
-    for m in total.sorted_morphisms():
-        out_of.setdefault(total.src[m], []).append(m)
-    for E in total.sorted_objects():
-        theta = P.obj_map[E]
-        for sigma in base.morphisms:
-            if base.src[sigma] != theta:
-                continue
-            if base.is_identity(sigma):
-                cleavage[(E, sigma)] = total.identity[E]
-                continue
-            cands = [m for m in out_of.get(E, ())
-                     if P.mor_map[m] == sigma and is_cocartesian(cl, m)]
-            if not cands:
-                bad.append(f"{cl.name}: no cocartesian lift of {sigma!r} at {E!r}")
-            else:
-                cleavage[(E, sigma)] = min(cands, key=sort_key)
-    return cleavage, bad
+    """Choose a cocartesian lift for every (object, arrow-out-of-it) pair:
+    the cleavage of the opposite classifier.  Returns
+    ``(op_cleavage, diagnostics)``."""
+    return compute_cleavage(opposite_classifier(cl))
 
 
 def cartesian_lift(cl: Classifier, obj, sigma):
@@ -158,10 +119,7 @@ def is_discrete(cl: Classifier) -> list:
     total, base, P = cl.total, cl.base, cl.proj
     bad = []
     for F in total.objects:
-        gamma = P.obj_map[F]
-        for sigma in base.morphisms:
-            if base.tgt[sigma] != gamma:
-                continue
+        for sigma in base.into(P.obj_map[F]):
             lifts = [m for m in total.into(F) if P.mor_map[m] == sigma]
             if len(lifts) != 1:
                 bad.append(f"{cl.name}: {len(lifts)} lifts of {sigma!r} at {F!r}")
@@ -285,20 +243,16 @@ def grothendieck_construct(ix: IndexedData, name=None) -> Classifier:
     for (gamma, phi) in objs:
         identity[(gamma, phi)] = (base.identity[gamma], phi,
                                   ix.fibers[gamma].identity[phi])
-    compose = {}
-    by_src = {}
-    for m in mors:
-        by_src.setdefault(src[m], []).append(m)
-    for m in mors:  # m = (τ, ψ, β): (Ξ,χ) → (Θ,ψ)
-        tau, psi, beta = m
-        xi = base.src[tau]
-        rt = ix.restrictions[tau]
-        fib_xi = ix.fibers[xi]
-        for m2 in by_src.get(tgt[m], ()):  # m2 = (σ, φ, α): (Θ,ψ) → (Γ,φ)
-            sigma, phi, alpha = m2
-            compose[(m2, m)] = (base.comp(sigma, tau), phi,
-                                fib_xi.comp(rt.mor_map[alpha], beta))
-    total = make_category(nm, objs, mors, src, tgt, identity, compose)
+
+    def compose(m2, m):
+        # m = (τ, ψ, β): (Ξ,χ) → (Θ,ψ),  m2 = (σ, φ, α): (Θ,ψ) → (Γ,φ)
+        tau, _, beta = m
+        sigma, phi, alpha = m2
+        return (base.comp(sigma, tau), phi,
+                ix.fibers[base.src[tau]].comp(
+                    ix.restrictions[tau].mor_map[alpha], beta))
+
+    total = category_from(nm, objs, mors, src, tgt, identity, compose)
     proj = FunctorMap(f"{nm}.p", total, base,
                       {o: o[0] for o in objs}, {m: m[0] for m in mors})
     cl = Classifier(nm, total, base, proj, kind="fibration")
@@ -310,6 +264,12 @@ def grothendieck_construct(ix: IndexedData, name=None) -> Classifier:
             cl.cleavage[((gamma, phi), sigma)] = \
                 (sigma, phi, ix.fibers[theta].identity[rphi])
     return cl
+
+
+def over_base_comp(base: FinCategory):
+    """Composition of morphisms written ``(source, target, σ)`` with σ an
+    arrow of base: ``(b, c, τ) ∘ (a, b, σ) = (a, c, τ∘σ)``."""
+    return lambda g, f: (f[0], g[1], base.comp(g[2], f[2]))
 
 
 def slice_classifier(ctx: FinCategory, gamma, name=None) -> Classifier:
@@ -329,16 +289,8 @@ def slice_classifier(ctx: FinCategory, gamma, name=None) -> Classifier:
                     src[m] = s1
                     tgt[m] = s2
     identity = {s: (s, s, ctx.identity[ctx.src[s]]) for s in objs}
-    compose = {}
-    by_src = {}
-    for m in mors:
-        by_src.setdefault(src[m], []).append(m)
-    for m in mors:
-        (s1, s2, tau) = m
-        for m2 in by_src.get(s2, ()):
-            (_, s3, tau2) = m2
-            compose[(m2, m)] = (s1, s3, ctx.comp(tau2, tau))
-    total = make_category(nm, objs, mors, src, tgt, identity, compose)
+    total = category_from(nm, objs, mors, src, tgt, identity,
+                          over_base_comp(ctx))
     proj = FunctorMap(f"{nm}.dom", total, ctx,
                       {s: ctx.src[s] for s in objs}, {m: m[2] for m in mors})
     return Classifier(nm, total, ctx, proj, kind="discrete")
@@ -347,7 +299,7 @@ def slice_classifier(ctx: FinCategory, gamma, name=None) -> Classifier:
 def coslice_classifier(ctx: FinCategory, gamma, name=None) -> Classifier:
     """The coslice ctx_{Γ/} with its codomain projection."""
     nm = name or f"{gamma}\\{ctx.name}"
-    objs = [m for m in ctx.sorted_morphisms() if ctx.src[m] == gamma]
+    objs = list(ctx.out_of(gamma))
     mors, src, tgt = [], {}, {}
     for s1 in objs:
         for s2 in objs:
@@ -358,16 +310,8 @@ def coslice_classifier(ctx: FinCategory, gamma, name=None) -> Classifier:
                     src[m] = s1
                     tgt[m] = s2
     identity = {s: (s, s, ctx.identity[ctx.tgt[s]]) for s in objs}
-    compose = {}
-    by_src = {}
-    for m in mors:
-        by_src.setdefault(src[m], []).append(m)
-    for m in mors:
-        (s1, s2, tau) = m
-        for m2 in by_src.get(s2, ()):
-            (_, s3, tau2) = m2
-            compose[(m2, m)] = (s1, s3, ctx.comp(tau2, tau))
-    total = make_category(nm, objs, mors, src, tgt, identity, compose)
+    total = category_from(nm, objs, mors, src, tgt, identity,
+                          over_base_comp(ctx))
     proj = FunctorMap(f"{nm}.cod", total, ctx,
                       {s: ctx.tgt[s] for s in objs}, {m: m[2] for m in mors})
     return Classifier(nm, total, ctx, proj, kind="functor")

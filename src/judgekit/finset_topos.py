@@ -10,10 +10,8 @@ are computed pointwise from the Boolean structure of Ω.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import FunctorMap, NatTrans, identity_functor, make_category
-from .fibrations import Classifier
+from .core import FunctorMap, NatTrans, category_from, identity_functor
+from .fibrations import Classifier, over_base_comp
 from .theory import PreJudgementalTheory, close_pullback
 from .dtt import (ConstructorData, DependencyRules, JdttData,
                   make_id_constructor, make_pi_constructor,
@@ -44,16 +42,8 @@ def _types_category(ctx):
             src[mor] = a
             tgt[mor] = b
     identity = {o: (o, o, ctx.identity[o[1]]) for o in objs}
-    compose = {}
-    by_src = {}
-    for mor in mors:
-        by_src.setdefault(src[mor], []).append(mor)
-    for mor in mors:
-        (a, b, m) = mor
-        for mor2 in by_src.get(b, ()):
-            (_, c, m2) = mor2
-            compose[(mor2, mor)] = (a, c, ctx.comp(m2, m))
-    return make_category("𝕌", objs, mors, src, tgt, identity, compose)
+    return category_from("𝕌", objs, mors, src, tgt, identity,
+                         over_base_comp(ctx))
 
 
 def _terms_category(ctx):
@@ -62,16 +52,8 @@ def _terms_category(ctx):
     src = {mor: mor[0] for mor in mors}
     tgt = {mor: mor[1] for mor in mors}
     identity = {o: (o, o, ctx.identity[o[1]]) for o in objs}
-    compose = {}
-    by_src = {}
-    for mor in mors:
-        by_src.setdefault(src[mor], []).append(mor)
-    for mor in mors:
-        (a, b, m) = mor
-        for mor2 in by_src.get(b, ()):
-            (_, c, m2) = mor2
-            compose[(mor2, mor)] = (a, c, ctx.comp(m2, m))
-    return make_category("𝕌̇", objs, mors, src, tgt, identity, compose)
+    return category_from("𝕌̇", objs, mors, src, tgt, identity,
+                         over_base_comp(ctx))
 
 
 def _delta_map(sigma, s_src, s_tgt):
@@ -230,10 +212,8 @@ def make_weak_constructor_example(J: JdttData) -> ConstructorData:
     src = {(i, m): (i, Y.src[m]) for (i, m) in mors}
     tgt = {(i, m): (i, Y.tgt[m]) for (i, m) in mors}
     identity = {(i, y): (i, Y.identity[y]) for (i, y) in objs}
-    compose = {(((i, m2), (i2, m))): (i, Y.comp(m2, m))
-               for (i, m2) in mors for (i2, m) in mors
-               if i == i2 and Y.src[m2] == Y.tgt[m]}
-    Yw = make_category("𝕐w", objs, mors, src, tgt, identity, compose)
+    Yw = category_from("𝕐w", objs, mors, src, tgt, identity,
+                       lambda g, f: (g[0], Y.comp(g[1], f[1])))
     base = instantiate_constructor(J, "id")
     Phi_w = FunctorMap("Idw", Yw, J.u.total,
                        {(i, y): base.Phi.obj_map[y] for (i, y) in objs},

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .core import make_category
+from .core import category_from
 
 
 def mk_map(x: int, y: int, images) -> tuple:
@@ -44,15 +44,9 @@ def fin_skeleton(n: int, name=None):
                 src[m] = x
                 tgt[m] = y
     identity = {x: ("f", x, x, tuple(range(x))) for x in objs}
-    compose = {}
-    by_src = {}
-    for m in mors:
-        by_src.setdefault(src[m], []).append(m)
-    for f in mors:
-        for g in by_src.get(tgt[f], ()):
-            compose[(g, f)] = ("f", src[f], tgt[g],
-                               tuple(g[3][i] for i in f[3]))
-    return make_category(nm, objs, mors, src, tgt, identity, compose)
+    return category_from(nm, objs, mors, src, tgt, identity,
+                         lambda g, f: ("f", f[1], g[2],
+                                       tuple(g[3][i] for i in f[3])))
 
 
 def pair_index(i: int, j: int, y: int) -> int:

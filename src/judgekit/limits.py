@@ -8,8 +8,9 @@ construction twice yields identical tables.
 
 from __future__ import annotations
 
-from .core import (FinCategory, FunctorMap, make_category, compose_functors,
-                   same_functor, all_functors, validate_functor)
+from .core import (FinCategory, FunctorMap, all_functors, category_from,
+                   compose_functors, make_category, same_functor, subcategory,
+                   validate_functor)
 
 
 def terminal_category(name="𝟙") -> FinCategory:
@@ -58,18 +59,13 @@ def pullback_category(F: FunctorMap, G: FunctorMap, name=None):
     mors, src, tgt = [], {}, {}
     for m in A.morphisms:
         for n in by_image_mor.get(F.mor_map[m], ()):
-            mors.append((m, n))
-            src[(m, n)] = (A.src[m], B.src[n])
-            tgt[(m, n)] = (A.tgt[m], B.tgt[n])
+            mn = (m, n)
+            mors.append(mn)
+            src[mn] = (A.src[m], B.src[n])
+            tgt[mn] = (A.tgt[m], B.tgt[n])
     identity = {(a, b): (A.identity[a], B.identity[b]) for (a, b) in objs}
-    compose = {}
-    by_src = {}
-    for mn in mors:
-        by_src.setdefault(src[mn], []).append(mn)
-    for (m, n) in mors:
-        for (m2, n2) in by_src.get(tgt[(m, n)], ()):
-            compose[((m2, n2), (m, n))] = (A.comp(m2, m), B.comp(n2, n))
-    cat = make_category(nm, objs, mors, src, tgt, identity, compose)
+    cat = category_from(nm, objs, mors, src, tgt, identity,
+                        lambda g, f: (A.comp(g[0], f[0]), B.comp(g[1], f[1])))
     p1 = FunctorMap(f"{nm}.π1", cat, A,
                     {o: o[0] for o in objs}, {mn: mn[0] for mn in mors})
     p2 = FunctorMap(f"{nm}.π2", cat, B,
@@ -88,21 +84,9 @@ def equalizer_category(F: FunctorMap, G: FunctorMap, name=None):
     A = F.dom
     nm = name or f"EQ({F.name},{G.name})"
     objs = [o for o in A.objects if F.obj_map[o] == G.obj_map[o]]
-    keep = set(objs)
-    mors = [m for m in A.morphisms
-            if A.src[m] in keep and A.tgt[m] in keep
-            and F.mor_map[m] == G.mor_map[m]]
-    kept = set(mors)
-    src = {m: A.src[m] for m in mors}
-    tgt = {m: A.tgt[m] for m in mors}
-    identity = {o: A.identity[o] for o in objs}
-    compose = {(g, f): A.comp(g, f) for (g, f) in A.compose
-               if g in kept and f in kept and A.comp(g, f) in kept}
-    # Closure sanity: composites of kept morphisms equalize F and G again,
-    # so they are always kept.
-    cat = make_category(nm, objs, mors, src, tgt, identity, compose)
+    cat = subcategory(A, objs, lambda m: F.mor_map[m] == G.mor_map[m], nm)
     incl = FunctorMap(f"{nm}.ι", cat, A,
-                      {o: o for o in objs}, {m: m for m in mors})
+                      {o: o for o in objs}, {m: m for m in cat.morphisms})
     return cat, incl
 
 
@@ -122,14 +106,8 @@ def power_category(c: FinCategory, n: int, name=None):
     src = {t: tuple(c.src[m] for m in t) for t in mors}
     tgt = {t: tuple(c.tgt[m] for m in t) for t in mors}
     identity = {t: tuple(c.identity[o] for o in t) for t in objs}
-    compose = {}
-    by_src = {}
-    for t in mors:
-        by_src.setdefault(src[t], []).append(t)
-    for t in mors:
-        for t2 in by_src.get(tgt[t], ()):
-            compose[(t2, t)] = tuple(c.comp(a, b) for a, b in zip(t2, t))
-    cat = make_category(nm, objs, mors, src, tgt, identity, compose)
+    cat = category_from(nm, objs, mors, src, tgt, identity,
+                        lambda g, f: tuple(map(c.comp, g, f)))
     projs = [FunctorMap(f"{nm}.π{i+1}", cat, c,
                         {o: o[i] for o in objs}, {m: m[i] for m in mors})
              for i in range(n)]
@@ -144,14 +122,8 @@ def product_category(a: FinCategory, b: FinCategory, name=None):
     src = {(m, n): (a.src[m], b.src[n]) for (m, n) in mors}
     tgt = {(m, n): (a.tgt[m], b.tgt[n]) for (m, n) in mors}
     identity = {(x, y): (a.identity[x], b.identity[y]) for (x, y) in objs}
-    compose = {}
-    by_src = {}
-    for t in mors:
-        by_src.setdefault(src[t], []).append(t)
-    for t in mors:
-        for t2 in by_src.get(tgt[t], ()):
-            compose[(t2, t)] = (a.comp(t2[0], t[0]), b.comp(t2[1], t[1]))
-    cat = make_category(nm, objs, mors, src, tgt, identity, compose)
+    cat = category_from(nm, objs, mors, src, tgt, identity,
+                        lambda g, f: (a.comp(g[0], f[0]), b.comp(g[1], f[1])))
     p1 = FunctorMap(f"{nm}.π1", cat, a, {o: o[0] for o in objs}, {m: m[0] for m in mors})
     p2 = FunctorMap(f"{nm}.π2", cat, b, {o: o[1] for o in objs}, {m: m[1] for m in mors})
     return cat, p1, p2
@@ -177,15 +149,9 @@ def arrow_category(c: FinCategory, name=None):
                         src[sq] = f
                         tgt[sq] = g
     identity = {f: (f, f, c.identity[c.src[f]], c.identity[c.tgt[f]]) for f in objs}
-    compose = {}
-    by_src = {}
-    for sq in mors:
-        by_src.setdefault(src[sq], []).append(sq)
-    for sq in mors:
-        (f, g, a, b) = sq
-        for (g1, h, a2, b2) in by_src.get(g, ()):
-            compose[((g1, h, a2, b2), sq)] = (f, h, c.comp(a2, a), c.comp(b2, b))
-    cat = make_category(nm, objs, mors, src, tgt, identity, compose)
+    cat = category_from(nm, objs, mors, src, tgt, identity,
+                        lambda sq2, sq: (sq[0], sq2[1], c.comp(sq2[2], sq[2]),
+                                         c.comp(sq2[3], sq[3])))
     dom_f = FunctorMap(f"{nm}.dom", cat, c,
                        {f: c.src[f] for f in objs},
                        {sq: sq[2] for sq in mors})
@@ -231,16 +197,9 @@ def comma_category(F: FunctorMap, G: FunctorMap, name=None):
                         tgt[m] = o2
     identity = {(a, b, s): ((a, b, s), (a, b, s), A.identity[a], B.identity[b])
                 for (a, b, s) in objs}
-    compose = {}
-    by_src = {}
-    for m in mors:
-        by_src.setdefault(src[m], []).append(m)
-    for m in mors:
-        (o1, o2, t, u) = m
-        for m2 in by_src.get(o2, ()):
-            (_, o3, t2, u2) = m2
-            compose[(m2, m)] = (o1, o3, A.comp(t2, t), B.comp(u2, u))
-    cat = make_category(nm, objs, mors, src, tgt, identity, compose)
+    cat = category_from(nm, objs, mors, src, tgt, identity,
+                        lambda m2, m: (m[0], m2[1], A.comp(m2[2], m[2]),
+                                       B.comp(m2[3], m[3])))
     pa = FunctorMap(f"{nm}.πA", cat, A,
                     {o: o[0] for o in objs}, {m: m[2] for m in mors})
     pb = FunctorMap(f"{nm}.πB", cat, B,

@@ -30,7 +30,7 @@ from itertools import product as iproduct
 
 from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
                    check_adjunction, check_category_iso, compose_functors,
-                   identity_functor, make_category, same_functor,
+                   identity_functor, category_from, same_functor, subcategory,
                    validate_category, validate_functor, validate_nat_trans,
                    whisker_left, whisker_right, vertical_compose,
                    identity_nat_trans)
@@ -111,12 +111,8 @@ def _poset_category(name, tag, elements, leq) -> FinCategory:
                 src[m] = a
                 tgt[m] = b
     identity = {a: ("≤", tag, a, a) for a in elements}
-    compose = {}
-    for (_, _, a, b) in mors:
-        for (_, _, b2, c) in mors:
-            if b2 == b:
-                compose[(("≤", tag, b, c), ("≤", tag, a, b))] = ("≤", tag, a, c)
-    return make_category(name, elements, mors, src, tgt, identity, compose)
+    return category_from(name, elements, mors, src, tgt, identity,
+                         lambda g, f: ("≤", tag, f[2], g[3]))
 
 
 def proposition_classifier(doc, name="𝔽") -> Classifier:
@@ -450,19 +446,15 @@ def sequent_monad(ds: DeductionSystem) -> SequentMonad:
             src[k] = total.src[m]
             tgt[k] = e2
     identity = {e: ("kl", e, unit.components[e]) for e in objs}
-    compose = {}
-    by_src = {}
-    for k in mors:
-        by_src.setdefault(src[k], []).append(k)
-    for k in mors:
-        _, e2, m = k
-        for k2 in by_src.get(e2, ()):
-            _, e3, m2 = k2
-            comp = total.comp(mult.components[e3],
-                              total.comp(S.mor_map[m2], m))
-            compose[(k2, k)] = ("kl", e3, comp)
-    kleisli = make_category(f"Kl(S;{doc.name})", objs, mors, src, tgt,
-                            identity, compose)
+
+    def kleisli_comp(k2, k):
+        # k : e → S e2 and k2 : e2 → S e3 compose to μ_e3 ∘ S k2 ∘ k.
+        (_, e3, m2), m = k2, k[2]
+        return ("kl", e3, total.comp(mult.components[e3],
+                                     total.comp(S.mor_map[m2], m)))
+
+    kleisli = category_from(f"Kl(S;{doc.name})", objs, mors, src, tgt,
+                            identity, kleisli_comp)
     bad += validate_category(kleisli)
     return SequentMonad(S, unit, mult, kleisli, idempotent, bad)
 
@@ -470,6 +462,11 @@ def sequent_monad(ds: DeductionSystem) -> SequentMonad:
 # --------------------------------------------------------------------------
 # Proposition pairs (the simple construction on 𝔽) and the comparison.
 # --------------------------------------------------------------------------
+
+def _pair_morphism_comp(ctx: FinCategory, tag):
+    """Composition of morphisms ``(tag, σ, source pair, target pair)``."""
+    return lambda g, f: (tag, ctx.comp(g[1], f[1]), f[2], g[3])
+
 
 def pair_classifier(ds: DeductionSystem, name="s𝔽") -> Classifier:
     """The category of proposition pairs (φ, φ′) in a common fiber; a
@@ -490,30 +487,11 @@ def pair_classifier(ds: DeductionSystem, name="s𝔽") -> Classifier:
                     src[m] = (theta, (a1, b1))
                     tgt[m] = (x, (a, b))
     identity = {(x, p): ("s", ctx.identity[x], p, p) for (x, p) in objs}
-    compose = {}
-    by_src = {}
-    for m in mors:
-        by_src.setdefault(src[m], []).append(m)
-    for m in mors:
-        for m2 in by_src.get(tgt[m], ()):
-            compose[(m2, m)] = ("s", ctx.comp(m2[1], m[1]), m[2], m2[3])
-    cat = make_category(name, objs, mors, src, tgt, identity, compose)
+    cat = category_from(name, objs, mors, src, tgt, identity,
+                        _pair_morphism_comp(ctx, "s"))
     proj = FunctorMap(f"{name}.p", cat, ctx,
                       {o: o[0] for o in objs}, {m: m[1] for m in mors})
     return Classifier(name, cat, ctx, proj)
-
-
-def full_subcategory(cat: FinCategory, objs, name) -> FinCategory:
-    keep = set(objs)
-    mors = [m for m in cat.morphisms
-            if cat.src[m] in keep and cat.tgt[m] in keep]
-    kept = set(mors)
-    compose = {(g, f): h for (g, f), h in cat.compose.items()
-               if g in kept and f in kept}
-    return make_category(name, objs, mors,
-                         {m: cat.src[m] for m in mors},
-                         {m: cat.tgt[m] for m in mors},
-                         {o: cat.identity[o] for o in objs}, compose)
 
 
 def _find_iso(cat: FinCategory, a, b):
@@ -539,7 +517,8 @@ def skeleton_category(cat: FinCategory, name=None):
         else:
             reps.append(o)
             data[o] = (o, cat.identity[o], cat.identity[o])
-    return full_subcategory(cat, reps, name or f"sk({cat.name})"), data
+    return subcategory(cat, reps, lambda m: True,
+                       name or f"sk({cat.name})"), data
 
 
 @dataclass
@@ -582,7 +561,7 @@ def pair_comparison(ds: DeductionSystem, mon: SequentMonad) -> PairComparison:
     # component, and that inclusion is an isomorphism onto its image.
     top_objs = [(x, (a, doc.top(x))) for x in ds.ctx.objects
                 for a in doc.formulas(x)]
-    top_part = full_subcategory(sp.total, top_objs, f"{sp.name}⊤")
+    top_part = subcategory(sp.total, top_objs, lambda m: True, f"{sp.name}⊤")
     top_cl = Classifier(top_part.name, top_part, ds.ctx,
                         FunctorMap(f"{top_part.name}.p", top_part, ds.ctx,
                                    {o: o[0] for o in top_objs},
@@ -774,14 +753,8 @@ def hypothesis_classifier(ds: DeductionSystem, y: int,
                     src[m] = (theta, (g1, f1))
                     tgt[m] = (x, (g, f))
     identity = {(x, p): ("a", ctx.identity[x], p, p) for (x, p) in objs}
-    compose = {}
-    by_src = {}
-    for m in mors:
-        by_src.setdefault(src[m], []).append(m)
-    for m in mors:
-        for m2 in by_src.get(tgt[m], ()):
-            compose[(m2, m)] = ("a", ctx.comp(m2[1], m[1]), m[2], m2[3])
-    cat = make_category(nm, objs, mors, src, tgt, identity, compose)
+    cat = category_from(nm, objs, mors, src, tgt, identity,
+                        _pair_morphism_comp(ctx, "a"))
     proj = FunctorMap(f"{nm}.p", cat, ctx,
                       {o: o[0] for o in objs}, {m: m[1] for m in mors})
     return Classifier(nm, cat, ctx, proj)

@@ -13,7 +13,7 @@ mathematical symbol to an ASCII spelling.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fibrations import Classifier
 from .theory import DerivedRule, PreJudgementalTheory, expand_nested

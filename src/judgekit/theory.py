@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (FinCategory, FunctorMap, NatTrans, make_category,
-                   compose_functors, identity_functor, same_functor,
-                   validate_functor, validate_nat_trans, whisker_left,
-                   whisker_right)
-from .limits import (arrow_category, equalizer_category, power_category,
-                     pullback_category, terminal_category)
+                   compose_functors, same_functor, terminal_objects,
+                   validate_category, validate_functor, validate_nat_trans,
+                   whisker_left, whisker_right)
+from .limits import arrow_category, equalizer_category, pullback_category
 from .fibrations import (Classifier, cartesian_lift, is_cartesian,
                          verify_kind, yoneda_fiber_functor)
 
@@ -169,18 +168,6 @@ def close_arrow(T: PreJudgementalTheory, cat: FinCategory):
     return arr, domf, codf
 
 
-def close_power(T: PreJudgementalTheory, cat: FinCategory, n: int):
-    key = f"POW({cat.name},{n})"
-    if key in T.registry:
-        e = T.registry[key]
-        return e.value, e.extras["projs"]
-    pw, projs = power_category(cat, n, name=key)
-    T.register(key, RegistryEntry("category", pw,
-                                  ConstructionTerm("POW", (cat.name, n)),
-                                  extras={"projs": projs}))
-    return pw, projs
-
-
 def eager_close(T: PreJudgementalTheory, depth: int = 1) -> list:
     """Bounded eager closure: repeatedly close pullbacks of rule pairs
     with common codomain and equalizers of parallel rule pairs, feeding
@@ -304,58 +291,6 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
     return SharpLiftResult(rule, lifted, P1, P2, (p1f, p1h), (p2g, p2h), bad)
 
 
-def sharp_olift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
-                g: FunctorMap, pol: NatTrans, R: Classifier) -> SharpLiftResult:
-    """Dual ♯-lift of a covariant policy (components f(F) → g(λF)) along an
-    opfibration, using cocartesian lifts out of H."""
-    bad = []
-    P1, p1f, p1h = close_pullback(T, f, R.proj)
-    P2, p2g, p2h = close_pullback(T, g, R.proj)
-    total = R.total
-    if R.op_cleavage is None:
-        from .fibrations import compute_op_cleavage
-        R.op_cleavage, obad = compute_op_cleavage(R)
-        if obad:
-            return SharpLiftResult(None, None, P1, P2, (p1f, p1h), (p2g, p2h), obad)
-    obj_map, lift_at = {}, {}
-    for (F, H) in P1.objects:
-        m = R.op_cleavage[(H, pol.components[F])]
-        obj_map[(F, H)] = (lam.obj_map[F], total.tgt[m])
-        lift_at[(F, H)] = m
-    mor_map = {}
-    for (phi, eta) in P1.morphisms:
-        F, H = P1.src[(phi, eta)]
-        F2, H2 = P1.tgt[(phi, eta)]
-        m, m2 = lift_at[(F, H)], lift_at[(F2, H2)]
-        want_proj = g.mor_map[lam.mor_map[phi]]
-        lhs = total.comp(m2, eta)
-        hits = [h for h in total.hom(total.tgt[m], total.tgt[m2])
-                if R.proj.mor_map[h] == want_proj and total.comp(h, m) == lhs]
-        if len(hits) != 1:
-            bad.append(f"♯-olift of {pol.name}: {len(hits)} factorizations at "
-                       f"({phi!r},{eta!r})")
-            mor_map[(phi, eta)] = None
-        else:
-            mor_map[(phi, eta)] = (lam.mor_map[phi], hits[0])
-    key = f"OSHARP({pol.name},{R.name})"
-    rule = FunctorMap(key, P1, P2, obj_map, mor_map)
-    if not bad:
-        bad += validate_functor(rule)
-    lifted = NatTrans(f"{pol.name}♯", p1h, compose_functors(p2h, rule),
-                      {o: lift_at[o] for o in P1.objects})
-    if not bad:
-        bad += validate_nat_trans(lifted)
-        if not same_functor(compose_functors(p2g, rule),
-                            compose_functors(lam, p1f)):
-            bad.append(f"♯-olift of {pol.name}: square over {lam.name} does "
-                       f"not commute strictly")
-    if not bad:
-        T.register(key, RegistryEntry(
-            "rule", rule, ConstructionTerm("OSHARP", (pol.name, R.name)),
-            extras={"policy": lifted}))
-    return SharpLiftResult(rule, lifted, P1, P2, (p1f, p1h), (p2g, p2h), bad)
-
-
 def whisker_policy(T: PreJudgementalTheory, pol_name: str, F: FunctorMap,
                    side: str) -> NatTrans:
     """Whisker a registered policy with a rule on the left (post-compose)
@@ -381,13 +316,10 @@ def check_axioms(T: PreJudgementalTheory, variances=None) -> list:
     * every judgement is a fibration/opfibration/discrete fibration as its
       declared variance demands.
     """
-    from .core import validate_category
     bad = validate_category(T.ctx)
     if bad:
         return bad
-    terminals = [t for t in T.ctx.sorted_objects()
-                 if all(len(T.ctx.hom(a, t)) == 1 for a in T.ctx.objects)]
-    if not terminals:
+    if not terminal_objects(T.ctx):
         bad.append(f"{T.name}: ctx has no terminal object")
     empty_classifier(T)
     variances = variances or {}

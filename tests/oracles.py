@@ -124,3 +124,46 @@ def valid(seq_obj):
     antecedent entails the consequent pointwise."""
     _, (a, c) = seq_obj
     return dec(a) <= dec(c)
+
+
+# --------------------------------------------------------------------------
+# Cocartesian morphisms by brute force over the raw tables.
+#
+# Only the ``src``/``tgt``/``compose`` dicts and the functor's maps are
+# read; the library's indexes, cartesian tests and opposite categories are
+# not used, so this checks the derived op-cleavage independently.
+# --------------------------------------------------------------------------
+
+def naive_is_cocartesian(cl, m):
+    """m : E → F over σ is cocartesian when every m2 : E → F2 whose image
+    is g∘σ factors as h∘m through exactly one h : F → F2 over g."""
+    tot, base = cl.total, cl.base
+    pobj, pmor = cl.proj.obj_map, cl.proj.mor_map
+    E, F, sigma = tot.src[m], tot.tgt[m], pmor[m]
+    for m2 in tot.morphisms:
+        if tot.src[m2] != E:
+            continue
+        F2 = tot.tgt[m2]
+        for g in base.morphisms:
+            if base.src[g] != base.tgt[sigma] or base.tgt[g] != pobj[F2]:
+                continue
+            if base.compose[(g, sigma)] != pmor[m2]:
+                continue
+            hits = [h for h in tot.morphisms
+                    if tot.src[h] == F and tot.tgt[h] == F2
+                    and pmor[h] == g and tot.compose[(h, m)] == m2]
+            if len(hits) != 1:
+                return False
+    return True
+
+
+def naive_cocartesian_lifts(cl):
+    """{(E, σ): cocartesian lifts of σ out of E} for every object E and
+    every base arrow σ leaving its image."""
+    tot, base = cl.total, cl.base
+    pobj, pmor = cl.proj.obj_map, cl.proj.mor_map
+    return {(E, sigma): [m for m in tot.morphisms
+                         if tot.src[m] == E and pmor[m] == sigma
+                         and naive_is_cocartesian(cl, m)]
+            for E in tot.objects for sigma in base.morphisms
+            if base.src[sigma] == pobj[E]}

@@ -104,6 +104,25 @@ def test_derive_forall(capsys):
     assert "(∀I)" in out
 
 
+def test_derive_forall_on_a_chain_doctrine_fails_in_the_report(tmp_path,
+                                                               capsys):
+    f = tmp_path / "chain.jt"
+    f.write_text("doctrine D = chain 2 1\n")
+    code, out = run(capsys, "derive", "--rule", "forall", str(f))
+    assert code == 1
+    assert "check quantifier adjunctions (sort 1): FAIL" in out
+    assert "quantifiers need a powerset doctrine" in out
+    assert out.rstrip().endswith("status: fail")
+
+
+def test_check_non_numeric_doctrine_argument(tmp_path, capsys):
+    f = tmp_path / "bad.jt"
+    f.write_text("doctrine D = powerset x\n")
+    code, out = run(capsys, "check", str(f))
+    assert code == 1
+    assert f"check parse {f}: FAIL" in out
+
+
 def test_render_latex(capsys):
     code, out = run(capsys, "render", "--rule", "Cut", "--format", "latex")
     assert code == 0

@@ -131,3 +131,26 @@ def test_instance_blocks_record_builtin_and_args():
     assert loaded.errors == []
     builtin, args, _ = loaded.instances["dtt2"]
     assert builtin == "dtt-finset" and args == [2]
+
+
+@pytest.mark.parametrize("header", ["doctrine D = powerset x",
+                                    "doctrine D = chain 2 -1",
+                                    "instance I = dtt-finset two"])
+def test_non_numeric_header_argument_is_a_syntax_error(header):
+    with pytest.raises(JtSyntaxError) as ei:
+        parse_dsl("category C\n  object a\n\n" + header + "\n")
+    assert ei.value.line == 4
+    assert "not a natural number" in str(ei.value)
+
+
+def test_conflicting_composites_are_a_load_error():
+    doc = parse_dsl("""category M
+  object a
+  morphism f : a -> a
+  f o f = f
+  f o f = id_a
+  complete
+""")
+    loaded = load_document(doc)
+    assert loaded.errors == [
+        "line 5: conflicting composites for (f ∘ f): f and id_a"]

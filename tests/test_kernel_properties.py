@@ -1,0 +1,94 @@
+"""Properties of the category builder, the validators and the cleavages
+derived from opposite classifiers."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from judgekit.core import (make_category, opposite, validate_category)
+from judgekit.fibrations import (compute_op_cleavage, coslice_classifier,
+                                 slice_classifier)
+from judgekit.finsets import fin_skeleton
+from judgekit.limits import (power_category, pullback_category,
+                             walking_arrow_category)
+from judgekit.ndt import PowersetDoctrine, proposition_classifier
+
+from oracles import naive_cocartesian_lifts
+
+P1 = proposition_classifier(PowersetDoctrine(1))
+
+# Outputs of the shared builder, one per construction family.
+BUILT = {
+    "skeleton": fin_skeleton(2),
+    "power": power_category(walking_arrow_category(), 2)[0],
+    "pullback": pullback_category(P1.proj, P1.proj)[0],
+    "slice": slice_classifier(fin_skeleton(2), 2).total,
+}
+
+
+def _with_table(c, compose):
+    return make_category(c.name, c.objects, c.morphisms, c.src, c.tgt,
+                         c.identity, compose)
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_built_categories_are_valid_and_so_are_their_opposites(name):
+    c = BUILT[name]
+    assert validate_category(c) == []
+    op = opposite(c)
+    assert validate_category(op) == []
+    assert opposite(op).compose == c.compose
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(BUILT)), data=st.data())
+def test_deleting_a_composite_is_flagged_missing(name, data):
+    c = BUILT[name]
+    keys = sorted(c.compose, key=repr)
+    gone = data.draw(st.sampled_from(keys))
+    broken = _with_table(c, {k: v for k, v in c.compose.items() if k != gone})
+    g, f = gone
+    assert f"{c.name}: composition missing for ({g!r}, {f!r})" \
+        in validate_category(broken)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(BUILT)), data=st.data())
+def test_an_entry_on_a_non_composable_pair_is_flagged(name, data):
+    c = BUILT[name]
+    mors = sorted(c.morphisms, key=repr)
+    pairs = [(g, f) for g in mors for f in mors if c.tgt[f] != c.src[g]]
+    g, f = data.draw(st.sampled_from(pairs))
+    h = data.draw(st.sampled_from(mors))
+    broken = _with_table(c, {**c.compose, (g, f): h})
+    assert f"{c.name}: composition defined on non-composable pair " \
+        f"({g!r}, {f!r})" in validate_category(broken)
+
+
+OP_CASES = {
+    "slice": lambda: slice_classifier(fin_skeleton(2), 2),
+    "coslice": lambda: coslice_classifier(fin_skeleton(2), 0),
+    "powerset": lambda: proposition_classifier(PowersetDoctrine(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_cleavage_picks_cocartesian_lifts_and_reports_the_rest(name):
+    cl = OP_CASES[name]()
+    cleavage, bad = compute_op_cleavage(cl)
+    lifts = naive_cocartesian_lifts(cl)
+    for key, found in lifts.items():
+        if found:
+            assert cleavage[key] in found, key
+        else:
+            assert key not in cleavage, key
+    holes = {f"{cl.name}ᵒᵖ: no cartesian lift of {sigma!r} at {E!r}"
+             for (E, sigma), found in lifts.items() if not found}
+    assert sorted(bad) == sorted(holes)
+    assert set(cleavage) <= set(lifts)
+
+
+def test_the_cases_cover_both_outcomes():
+    """The slice is no opfibration; the coslice and the powerset are."""
+    assert compute_op_cleavage(OP_CASES["slice"]())[1]
+    assert not compute_op_cleavage(OP_CASES["coslice"]())[1]
+    assert not compute_op_cleavage(OP_CASES["powerset"]())[1]
