@@ -230,7 +230,8 @@ def _derive_dtt(J, which, report):
 
 
 def _derive_ndt(ds, which, report):
-    from .ndt import derive_structural, forall_rules, quantifier_package
+    from .ndt import (PowersetDoctrine, derive_structural, forall_rules,
+                      quantifier_package)
     if which == "cut":
         st = derive_structural(ds)
         report.check("structural derivations", st.diagnostics)
@@ -247,11 +248,11 @@ def _derive_ndt(ds, which, report):
         return
     if which == "forall":
         y = min(1, ds.doctrine.n)
-        try:
-            qp = quantifier_package(ds, y)
-        except ValueError as e:
-            report.check(f"quantifier adjunctions (sort {y})", [str(e)])
+        if not isinstance(ds.doctrine, PowersetDoctrine):
+            report.check(f"quantifier adjunctions (sort {y})",
+                         ["quantifiers need a powerset doctrine"])
             return
+        qp = quantifier_package(ds, y)
         report.check(f"quantifier adjunctions (sort {y})", qp.diagnostics)
         qr = forall_rules(ds, y)
         report.check("universal introduction", qr.diagnostics)

@@ -130,13 +130,13 @@ def subcategory(c: FinCategory, objects, keep, name) -> FinCategory:
                           if gf[0] in kept and gf[1] in kept and h in kept})
 
 
-def opposite(c: FinCategory, name=None) -> FinCategory:
+def opposite(c: FinCategory) -> FinCategory:
     """The opposite category: endpoints swapped, ``g ∘ᵒᵖ f = f ∘ g``.
 
     The composition table is transposed entry by entry, so the opposite of
     a table that breaks a law breaks it at the same entries.
     """
-    return FinCategory(name or f"{c.name}ᵒᵖ", c.objects, c.morphisms,
+    return FinCategory(f"{c.name}ᵒᵖ", c.objects, c.morphisms,
                        c.tgt, c.src, c.identity,
                        {(f, g): h for (g, f), h in c.compose.items()})
 

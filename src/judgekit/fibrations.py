@@ -24,7 +24,6 @@ class Classifier:
     proj: FunctorMap
     kind: str = "functor"     # "fibration", "opfibration", "discrete", "functor"
     cleavage: dict = field(default=None, repr=False)    # (obj, base mor) -> mor
-    op_cleavage: dict = field(default=None, repr=False)
 
     def fiber_objects(self, gamma):
         return [o for o in self.total.sorted_objects()
@@ -152,10 +151,9 @@ def verify_kind(cl: Classifier, expect=None, check_thin=False) -> list:
     if not fib_bad:
         kinds.append("fibration")
         cl.cleavage = cleavage
-    opcleavage, opfib_bad = compute_op_cleavage(cl)
+    _, opfib_bad = compute_op_cleavage(cl)
     if not opfib_bad:
         kinds.append("opfibration")
-        cl.op_cleavage = opcleavage
     if not is_discrete(cl):
         kinds.append("discrete")
     if check_thin or (expect and "thin" in expect):

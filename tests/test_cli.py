@@ -54,10 +54,13 @@ def test_check_json_failure_carries_diagnostics(capsys):
 
 def test_check_syntax_error(tmp_path, capsys):
     f = tmp_path / "bad.jt"
-    f.write_text("category C\n  object\n")
-    code, out = run(capsys, "check", str(f))
-    assert code == 1
-    assert "line 2" in out
+    for text, line in [("category C\n  object\n", 2),
+                       ("doctrine D = powerset x\n", 1)]:
+        f.write_text(text)
+        code, out = run(capsys, "check", str(f))
+        assert code == 1
+        assert f"check parse {f}: FAIL" in out
+        assert f"line {line}" in out
 
 
 def test_demo_toy(capsys):
@@ -113,14 +116,6 @@ def test_derive_forall_on_a_chain_doctrine_fails_in_the_report(tmp_path,
     assert "check quantifier adjunctions (sort 1): FAIL" in out
     assert "quantifiers need a powerset doctrine" in out
     assert out.rstrip().endswith("status: fail")
-
-
-def test_check_non_numeric_doctrine_argument(tmp_path, capsys):
-    f = tmp_path / "bad.jt"
-    f.write_text("doctrine D = powerset x\n")
-    code, out = run(capsys, "check", str(f))
-    assert code == 1
-    assert f"check parse {f}: FAIL" in out
 
 
 def test_render_latex(capsys):
