@@ -223,7 +223,9 @@ def identity_functor(c: FinCategory, name=None) -> FunctorMap:
 
 
 def compose_functors(g: FunctorMap, f: FunctorMap, name=None) -> FunctorMap:
-    if f.cod.name != g.dom.name:
+    mid, dom = f.cod, g.dom
+    if mid is not dom and (mid.objects != dom.objects
+                           or mid.morphisms != dom.morphisms):
         raise ValueError(f"cannot compose {g.name} after {f.name}: middle categories differ")
     return FunctorMap(
         name=name or f"({g.name}∘{f.name})",

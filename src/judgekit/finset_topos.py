@@ -16,8 +16,7 @@ from .theory import PreJudgementalTheory, close_pullback
 from .dtt import (ConstructorData, DependencyRules, JdttData,
                   make_id_constructor, make_pi_constructor,
                   make_sum_constructor)
-from .finsets import (canonical_inclusion, fin_skeleton, subsets, subset_leq,
-                      preimage)
+from .finsets import canonical_inclusion, fin_skeleton, subsets, preimage
 
 
 def _ty(x, s):
@@ -227,26 +226,6 @@ def make_weak_constructor_example(J: JdttData) -> ConstructorData:
                          {((i, m), tm): tm for ((i, m), tm) in pb.morphisms})
     return ConstructorData("Idw", base.X, Yw, Lambda_w, Phi_w, base.Psi,
                            mode="weak", section=section)
-
-
-def pi_adjunction_oracle(n: int) -> list:
-    """Independent check that Π is right adjoint to restriction along the
-    display map: for all X, S ⊆ X, T ⊆ X.S, C ⊆ X,
-    C·δ_S ⊆ T  ⇔  C ⊆ Π_S T (pure subset computation, no categories)."""
-    bad = []
-    for x in range(n + 1):
-        for s in subsets(x):
-            index = {v: i for i, v in enumerate(s)}
-            for t in subsets(len(s)):
-                pi = _pi_subset(x, s, t)
-                for c in subsets(x):
-                    restricted = tuple(index[v] for v in c if v in index)
-                    lhs = subset_leq(restricted, t)
-                    rhs = subset_leq(c, pi)
-                    if lhs != rhs:
-                        bad.append(f"Π adjunction fails at x={x} S={s} "
-                                   f"T={t} C={c}")
-    return bad
 
 
 def mb_translate(obj, style="prop") -> str:

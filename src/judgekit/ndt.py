@@ -14,13 +14,17 @@ the tautological policy α : d ⇒ c.  Everything deductive is then
 * the sequent endofunctor S carries an idempotent monad structure whose
   Kleisli category is equivalent to the category of proposition pairs
   (the comparison is an isomorphism on skeletons);
-* for powerset doctrines the quantifiers arise as fiberwise adjoints
-  ∃ ⊣ w ⊣ ∀ of weakening, with introduction/elimination rules and the
-  trivial-substitution law.
+* for doctrines with quantifiers (the powerset doctrines) these arise
+  as fiberwise adjoints ∃ ⊣ w ⊣ ∀ of weakening, with introduction and
+  elimination rules and the trivial-substitution law.
 
-Exhaustive object-level sweeps (the ``*_oracle`` functions) re-derive
-the same facts by direct subset computation, independently of the
-categorical machinery, so the two can be played against each other.
+Every fibration is ``proposition_classifier`` of a doctrine: 𝔽 of the
+doctrine itself, 𝔼 of its ``SequentDoctrine`` and 𝔽·y of its extension
+``doc.extend(y)``.  A doctrine supplies ``ctx``, ``tag``, ``formulas``,
+``leq``, ``meet``, ``top`` and ``restrict`` (the fibration needs only
+``ctx``, ``tag``, ``formulas``, ``leq`` and ``restrict``); one with
+quantifiers also supplies ``extend``, ``weaken``, ``forall`` and
+``exists``.
 """
 
 from __future__ import annotations
@@ -43,17 +47,22 @@ from .theory import (PreJudgementalTheory, close_pullback, empty_classifier,
 
 
 # --------------------------------------------------------------------------
-# Doctrines: a poset of propositions over every context, restricted
-# contravariantly along context morphisms.
+# Doctrines: a poset of formulas over every context, restricted
+# contravariantly along context morphisms.  ``tag(x)`` names the fiber
+# over x inside the identifiers of its order morphisms.
 # --------------------------------------------------------------------------
 
 class PowersetDoctrine:
-    """Subsets of each finite context, restricted by preimage."""
+    """Subsets of each finite context, restricted by preimage, with the
+    quantifiers ∃ ⊣ w ⊣ ∀ along the projections x·y → x."""
 
     def __init__(self, n: int):
         self.n = n
         self.name = f"powerset({n})"
         self.ctx = fin_skeleton(n)
+
+    def tag(self, x):
+        return x
 
     def formulas(self, x):
         return subsets(x)
@@ -70,6 +79,41 @@ class PowersetDoctrine:
     def restrict(self, sigma, a):
         return preimage(sigma, a)
 
+    def extend(self, y):
+        return ExtensionDoctrine(self, y)
+
+    def weaken(self, x, y, s):
+        """w_y(s): restrict a subset of x along the projection x·y → x."""
+        return self.restrict(
+            ("f", x * y, x, tuple(k // y for k in range(x * y))), s)
+
+    def forall(self, x, y, s):
+        """∀_y(s): the i with (i, j) ∈ s for every j."""
+        keep = set(s)
+        return tuple(i for i in range(x)
+                     if all(pair_index(i, j, y) in keep for j in range(y)))
+
+    def exists(self, x, y, s):
+        """∃_y(s): the i with (i, j) ∈ s for some j."""
+        keep = set(s)
+        return tuple(i for i in range(x)
+                     if any(pair_index(i, j, y) in keep for j in range(y)))
+
+    def substitute(self, x, y, t, f):
+        """φ[t/y]: restrict a subset of x·y along the graph of t : x → y."""
+        return self.restrict(graph_map(x, t), f)
+
+    def forall_elim(self, x, y, t, gamma, f):
+        """One instance of universal elimination: from Γ ≤ ∀_y φ conclude
+        the sequent Γ ⊢ φ[t/y].  Returns the conclusion, raising if
+        unsound."""
+        if not self.leq(x, gamma, self.forall(x, y, f)):
+            raise ValueError("universal elimination applied without its premise")
+        concl = self.substitute(x, y, t, f)
+        if not self.leq(x, gamma, concl):
+            raise ValueError("universal elimination produced an invalid sequent")
+        return (x, (gamma, concl))
+
 
 class ChainDoctrine:
     """A constant chain 0 ≤ 1 ≤ … ≤ k of truth degrees over every context."""
@@ -79,6 +123,9 @@ class ChainDoctrine:
         self.n = n
         self.name = f"chain({k},{n})"
         self.ctx = fin_skeleton(n)
+
+    def tag(self, x):
+        return x
 
     def formulas(self, x):
         return list(range(self.k + 1))
@@ -96,8 +143,55 @@ class ChainDoctrine:
         return a
 
 
+class SequentDoctrine:
+    """Sequents of a doctrine: over x, the pairs a ≤ b of its formulas,
+    ordered and restricted componentwise (the fiberwise arrow poset)."""
+
+    def __init__(self, doc):
+        self.doc = doc
+        self.ctx = doc.ctx
+
+    def tag(self, x):
+        return ("⊢", x)
+
+    def formulas(self, x):
+        doc = self.doc
+        return [(a, b) for a in doc.formulas(x) for b in doc.formulas(x)
+                if doc.leq(x, a, b)]
+
+    def leq(self, x, p, q):
+        return self.doc.leq(x, p[0], q[0]) and self.doc.leq(x, p[1], q[1])
+
+    def restrict(self, sigma, p):
+        return (self.doc.restrict(sigma, p[0]), self.doc.restrict(sigma, p[1]))
+
+
+class ExtensionDoctrine:
+    """A doctrine in contexts extended by a variable of sort y: over x, the
+    formulas over x·y, restricted along σ × id_y."""
+
+    def __init__(self, doc, y: int):
+        self.doc = doc
+        self.y = y
+        self.ctx = doc.ctx
+        self._id_y = ("f", y, y, tuple(range(y)))
+
+    def tag(self, x):
+        return ("×", x, self.y)
+
+    def formulas(self, x):
+        return self.doc.formulas(x * self.y)
+
+    def leq(self, x, a, b):
+        return self.doc.leq(x * self.y, a, b)
+
+    def restrict(self, sigma, a):
+        return self.doc.restrict(cross_map(sigma, self._id_y), a)
+
+
 # --------------------------------------------------------------------------
-# The two generating classifiers: propositions 𝔽 and sequents 𝔼.
+# The fibration of a doctrine: propositions 𝔽, sequents 𝔼 and the
+# extended propositions 𝔽·y are all built here.
 # --------------------------------------------------------------------------
 
 def _poset_category(name, tag, elements, leq) -> FinCategory:
@@ -116,46 +210,18 @@ def _poset_category(name, tag, elements, leq) -> FinCategory:
 
 
 def proposition_classifier(doc, name="𝔽") -> Classifier:
-    """The fibration of propositions: fiber over x is the doctrine poset."""
+    """The Grothendieck fibration of a doctrine: the fiber over x is the
+    poset of formulas over x, reindexed by the doctrine's restriction."""
     ctx = doc.ctx
-    fibers = {x: _poset_category(f"{name}({x})", x, doc.formulas(x),
+    fibers = {x: _poset_category(f"{name}({x})", doc.tag(x), doc.formulas(x),
                                  lambda a, b, x=x: doc.leq(x, a, b))
               for x in ctx.objects}
     restrictions = {}
     for sigma in ctx.morphisms:
         theta, x = ctx.src[sigma], ctx.tgt[sigma]
+        tag = doc.tag(theta)
         obj_map = {a: doc.restrict(sigma, a) for a in doc.formulas(x)}
-        mor_map = {("≤", x, a, b): ("≤", theta, obj_map[a], obj_map[b])
-                   for (_, _, a, b) in fibers[x].morphisms}
-        restrictions[sigma] = FunctorMap(f"{name}*{sigma}", fibers[x],
-                                         fibers[theta], obj_map, mor_map)
-    ix = IndexedData(name, ctx, fibers, restrictions)
-    bad = validate_indexed(ix)
-    if bad:
-        raise ValueError(bad[0])
-    return grothendieck_construct(ix, name=name)
-
-
-def sequent_classifier(doc, name="𝔼") -> Classifier:
-    """The fibration of sequents: fiber over x is the poset of pairs
-    (antecedent, consequent) with antecedent ≤ consequent, ordered
-    componentwise (the fiberwise arrow category of the propositions)."""
-    ctx = doc.ctx
-
-    def pairs(x):
-        return [(a, b) for a in doc.formulas(x) for b in doc.formulas(x)
-                if doc.leq(x, a, b)]
-
-    fibers = {x: _poset_category(
-        f"{name}({x})", ("⊢", x), pairs(x),
-        lambda p, q, x=x: doc.leq(x, p[0], q[0]) and doc.leq(x, p[1], q[1]))
-        for x in ctx.objects}
-    restrictions = {}
-    for sigma in ctx.morphisms:
-        theta, x = ctx.src[sigma], ctx.tgt[sigma]
-        obj_map = {p: (doc.restrict(sigma, p[0]), doc.restrict(sigma, p[1]))
-                   for p in pairs(x)}
-        mor_map = {m: ("≤", ("⊢", theta), obj_map[m[2]], obj_map[m[3]])
+        mor_map = {m: ("≤", tag, obj_map[m[2]], obj_map[m[3]])
                    for m in fibers[x].morphisms}
         restrictions[sigma] = FunctorMap(f"{name}*{sigma}", fibers[x],
                                          fibers[theta], obj_map, mor_map)
@@ -176,6 +242,11 @@ def _unique_over(cl: Classifier, src, tgt, sigma):
     return hits[0]
 
 
+def _vertical(cl: Classifier, src, tgt):
+    """The unique morphism src → tgt over the identity of their base."""
+    return _unique_over(cl, src, tgt, cl.base.identity[cl.proj.obj_map[src]])
+
+
 def thin_rule(name, dom_cat: FinCategory, target: Classifier,
               obj_fn, base_fn) -> FunctorMap:
     """Build a rule into a thin-per-base classifier from its object
@@ -186,6 +257,24 @@ def thin_rule(name, dom_cat: FinCategory, target: Classifier,
         mor_map[m] = _unique_over(target, obj_map[dom_cat.src[m]],
                                   obj_map[dom_cat.tgt[m]], base_fn(m))
     return FunctorMap(name, dom_cat, target.total, obj_map, mor_map)
+
+
+def _thin_adjunction(left: FunctorMap, right: FunctorMap,
+                     A: Classifier, B: Classifier) -> AdjunctionData:
+    """left ⊣ right for left : A → B and right : B → A over the identity
+    of the base of two thin-per-base classifiers.  Unit and counit are
+    the vertical morphisms, forced by thinness; raises when one does not
+    exist.  ``check_adjunction`` still checks the result."""
+    name = f"{left.name}⊣{right.name}"
+    unit = NatTrans(f"η({name})", identity_functor(A.total),
+                    compose_functors(right, left),
+                    {o: _vertical(A, o, right.obj_map[left.obj_map[o]])
+                     for o in A.total.objects})
+    counit = NatTrans(f"ε({name})", compose_functors(left, right),
+                      identity_functor(B.total),
+                      {o: _vertical(B, left.obj_map[right.obj_map[o]], o)
+                       for o in B.total.objects})
+    return AdjunctionData(name, left, right, unit, counit)
 
 
 # --------------------------------------------------------------------------
@@ -215,25 +304,16 @@ def build_deduction_system(doc) -> DeductionSystem:
     ctx = doc.ctx
     T = PreJudgementalTheory(f"ndt({doc.name})", ctx)
     P = T.add_judgement(proposition_classifier(doc))
-    E = T.add_judgement(sequent_classifier(doc))
-
-    d_obj = {e: (e[0], e[1][0]) for e in E.total.objects}
-    c_obj = {e: (e[0], e[1][1]) for e in E.total.objects}
-    d_mor, c_mor = {}, {}
-    for m in E.total.morphisms:
-        sigma, (a, b), beta = m
-        theta = ctx.src[sigma]
-        (a1, b1) = beta[2]
-        d_mor[m] = (sigma, a, ("≤", theta, a1, doc.restrict(sigma, a)))
-        c_mor[m] = (sigma, b, ("≤", theta, b1, doc.restrict(sigma, b)))
-    d = T.add_rule(FunctorMap("d", E.total, P.total, d_obj, d_mor))
-    c = T.add_rule(FunctorMap("c", E.total, P.total, c_obj, c_mor))
+    E = T.add_judgement(proposition_classifier(SequentDoctrine(doc), "𝔼"))
+    d = T.add_rule(thin_rule("d", E.total, P, lambda e: (e[0], e[1][0]),
+                             lambda m: m[0]))
+    c = T.add_rule(thin_rule("c", E.total, P, lambda e: (e[0], e[1][1]),
+                             lambda m: m[0]))
     q = compose_functors(P.proj, d, name="q")
     T.add_rule(q)
 
-    alpha = NatTrans("α", d, c, {
-        e: (ctx.identity[e[0]], e[1][1], ("≤", e[0], e[1][0], e[1][1]))
-        for e in E.total.objects})
+    alpha = NatTrans("α", d, c, {e: _vertical(P, d.obj_map[e], c.obj_map[e])
+                                 for e in E.total.objects})
     T.add_policy(alpha, "covariant")
 
     pp, pp1, pp2 = close_pullback(T, P.proj, P.proj)
@@ -409,14 +489,11 @@ def sequent_monad(ds: DeductionSystem) -> SequentMonad:
     bad += validate_functor(S)
     total = E.total
 
-    def vert(a, b):
-        return _unique_over(E, a, b, ds.ctx.identity[a[0]])
-
     SS = compose_functors(S, S, name="SS")
     unit = NatTrans("ηS", identity_functor(total), S,
-                    {e: vert(e, S.obj_map[e]) for e in total.objects})
+                    {e: _vertical(E, e, S.obj_map[e]) for e in total.objects})
     mult = NatTrans("μS", SS, S,
-                    {e: vert(SS.obj_map[e], S.obj_map[e])
+                    {e: _vertical(E, SS.obj_map[e], S.obj_map[e])
                      for e in total.objects})
     bad += validate_nat_trans(unit) + validate_nat_trans(mult)
 
@@ -463,35 +540,42 @@ def sequent_monad(ds: DeductionSystem) -> SequentMonad:
 # Proposition pairs (the simple construction on 𝔽) and the comparison.
 # --------------------------------------------------------------------------
 
-def _pair_morphism_comp(ctx: FinCategory, tag):
-    """Composition of morphisms ``(tag, σ, source pair, target pair)``."""
-    return lambda g, f: (tag, ctx.comp(g[1], f[1]), f[2], g[3])
+def _pair_classifier(name, tag, ctx: FinCategory, pairs, restrict,
+                     leq) -> Classifier:
+    """A thin-per-base classifier of pairs: objects (x, p) for p in
+    ``pairs(x)``, and one morphism ``(tag, σ, p1, p)`` : (θ, p1) → (x, p)
+    over σ : θ → x exactly when ``leq(θ, p1, restrict(σ, p))``."""
+    over = {x: pairs(x) for x in ctx.objects}
+    objs = [(x, p) for x in ctx.objects for p in over[x]]
+    mors, src, tgt = [], {}, {}
+    for sigma in ctx.morphisms:
+        theta, x = ctx.src[sigma], ctx.tgt[sigma]
+        for p in over[x]:
+            rp = restrict(sigma, p)
+            for p1 in over[theta]:
+                if leq(theta, p1, rp):
+                    m = (tag, sigma, p1, p)
+                    mors.append(m)
+                    src[m] = (theta, p1)
+                    tgt[m] = (x, p)
+    identity = {(x, p): (tag, ctx.identity[x], p, p) for (x, p) in objs}
+    cat = category_from(name, objs, mors, src, tgt, identity,
+                        lambda g, f: (tag, ctx.comp(g[1], f[1]), f[2], g[3]))
+    proj = FunctorMap(f"{name}.p", cat, ctx,
+                      {o: o[0] for o in objs}, {m: m[1] for m in mors})
+    return Classifier(name, cat, ctx, proj)
 
 
 def pair_classifier(ds: DeductionSystem, name="s𝔽") -> Classifier:
     """The category of proposition pairs (φ, φ′) in a common fiber; a
     morphism over σ is a pair (φ ≤ σ*ψ, φ∧φ′ ≤ σ*ψ′)."""
-    doc, ctx = ds.doctrine, ds.ctx
-    objs = [(x, (a, b)) for x in ctx.objects
-            for a in doc.formulas(x) for b in doc.formulas(x)]
-    mors, src, tgt = [], {}, {}
-    for sigma in ctx.morphisms:
-        theta, x = ctx.src[sigma], ctx.tgt[sigma]
-        for (a, b) in iproduct(doc.formulas(x), repeat=2):
-            ra, rb = doc.restrict(sigma, a), doc.restrict(sigma, b)
-            for (a1, b1) in iproduct(doc.formulas(theta), repeat=2):
-                if doc.leq(theta, a1, ra) and \
-                   doc.leq(theta, doc.meet(theta, a1, b1), rb):
-                    m = ("s", sigma, (a1, b1), (a, b))
-                    mors.append(m)
-                    src[m] = (theta, (a1, b1))
-                    tgt[m] = (x, (a, b))
-    identity = {(x, p): ("s", ctx.identity[x], p, p) for (x, p) in objs}
-    cat = category_from(name, objs, mors, src, tgt, identity,
-                        _pair_morphism_comp(ctx, "s"))
-    proj = FunctorMap(f"{name}.p", cat, ctx,
-                      {o: o[0] for o in objs}, {m: m[1] for m in mors})
-    return Classifier(name, cat, ctx, proj)
+    doc = ds.doctrine
+    return _pair_classifier(
+        name, "s", ds.ctx,
+        lambda x: list(iproduct(doc.formulas(x), repeat=2)),
+        lambda sigma, p: (doc.restrict(sigma, p[0]), doc.restrict(sigma, p[1])),
+        lambda x, p1, q: (doc.leq(x, p1[0], q[0]) and
+                          doc.leq(x, doc.meet(x, p1[0], p1[1]), q[1])))
 
 
 def _find_iso(cat: FinCategory, a, b):
@@ -599,58 +683,8 @@ def pair_comparison(ds: DeductionSystem, mon: SequentMonad) -> PairComparison:
 
 
 # --------------------------------------------------------------------------
-# Quantifiers (powerset doctrines): fiberwise adjoints of weakening.
+# Quantifiers: fiberwise adjoints of weakening, for doctrines with extend.
 # --------------------------------------------------------------------------
-
-def _proj1_map(x, y):
-    """First projection x·y → x under the chosen pairing."""
-    return ("f", x * y, x, tuple(k // y for k in range(x * y)) if y else ())
-
-
-def weaken_set(x, y, s):
-    """w_y(s): pull a subset of x back along the projection x·y → x."""
-    return preimage(_proj1_map(x, y), s)
-
-
-def forall_set(x, y, s):
-    """∀_y(s): the i with (i, j) ∈ s for every j."""
-    return tuple(i for i in range(x)
-                 if all(pair_index(i, j, y) in set(s) for j in range(y)))
-
-
-def exists_set(x, y, s):
-    """∃_y(s): the i with (i, j) ∈ s for some j."""
-    keep = set(s)
-    return tuple(i for i in range(x)
-                 if any(pair_index(i, j, y) in keep for j in range(y)))
-
-
-def extension_classifier(ds: DeductionSystem, y: int) -> Classifier:
-    """Propositions in a context extended by a fixed variable of sort y:
-    the fiber over x is the powerset of x·y, restriction is preimage
-    along σ × id_y."""
-    if not isinstance(ds.doctrine, PowersetDoctrine):
-        raise ValueError("quantifiers need a powerset doctrine")
-    ctx = ds.ctx
-    name = f"𝔽·{y}"
-    fibers = {x: _poset_category(f"{name}({x})", ("×", x, y), subsets(x * y),
-                                 lambda a, b: subset_leq(a, b))
-              for x in ctx.objects}
-    restrictions = {}
-    for sigma in ctx.morphisms:
-        theta, x = ctx.src[sigma], ctx.tgt[sigma]
-        cm = cross_map(sigma, ("f", y, y, tuple(range(y))))
-        obj_map = {a: preimage(cm, a) for a in subsets(x * y)}
-        mor_map = {m: ("≤", ("×", theta, y), obj_map[m[2]], obj_map[m[3]])
-                   for m in fibers[x].morphisms}
-        restrictions[sigma] = FunctorMap(f"{name}*{sigma}", fibers[x],
-                                         fibers[theta], obj_map, mor_map)
-    ix = IndexedData(name, ctx, fibers, restrictions)
-    bad = validate_indexed(ix)
-    if bad:
-        raise ValueError(bad[0])
-    return grothendieck_construct(ix, name=name)
-
 
 @dataclass
 class QuantifierPackage:
@@ -673,48 +707,23 @@ def quantifier_package(ds: DeductionSystem, y: int) -> QuantifierPackage:
     along arbitrary maps of the extended context, which is why the
     extension keeps the variable sort fixed.
     """
-    ext = extension_classifier(ds, y)
-    P = ds.P
+    doc, P = ds.doctrine, ds.P
+    ext = proposition_classifier(doc.extend(y), f"𝔽·{y}")
     bad = []
     weaken = thin_rule(f"w{y}", P.total, ext,
-                       lambda o: (o[0], weaken_set(o[0], y, o[1])),
+                       lambda o: (o[0], doc.weaken(o[0], y, o[1])),
                        lambda m: m[0])
     forall = thin_rule(f"∀{y}", ext.total, P,
-                       lambda o: (o[0], forall_set(o[0], y, o[1])),
+                       lambda o: (o[0], doc.forall(o[0], y, o[1])),
                        lambda m: m[0])
     exists_ = thin_rule(f"∃{y}", ext.total, P,
-                        lambda o: (o[0], exists_set(o[0], y, o[1])),
+                        lambda o: (o[0], doc.exists(o[0], y, o[1])),
                         lambda m: m[0])
     for r in (weaken, forall, exists_):
         bad += validate_functor(r)
-
-    def vert(cl, a, b):
-        return _unique_over(cl, a, b, ds.ctx.identity[a[0]])
-
-    unit_l = NatTrans(f"η(∃{y}⊣w{y})", identity_functor(ext.total),
-                      compose_functors(weaken, exists_),
-                      {o: vert(ext, o, weaken.obj_map[exists_.obj_map[o]])
-                       for o in ext.total.objects})
-    counit_l = NatTrans(f"ε(∃{y}⊣w{y})",
-                        compose_functors(exists_, weaken),
-                        identity_functor(P.total),
-                        {o: vert(P, exists_.obj_map[weaken.obj_map[o]], o)
-                         for o in P.total.objects})
-    adj_l = AdjunctionData(f"∃{y}⊣w{y}", exists_, weaken, unit_l, counit_l)
-    bad += check_adjunction(adj_l)
-
-    unit_r = NatTrans(f"η(w{y}⊣∀{y})", identity_functor(P.total),
-                      compose_functors(forall, weaken),
-                      {o: vert(P, o, forall.obj_map[weaken.obj_map[o]])
-                       for o in P.total.objects})
-    counit_r = NatTrans(f"ε(w{y}⊣∀{y})",
-                        compose_functors(weaken, forall),
-                        identity_functor(ext.total),
-                        {o: vert(ext, weaken.obj_map[forall.obj_map[o]], o)
-                         for o in ext.total.objects})
-    adj_r = AdjunctionData(f"w{y}⊣∀{y}", weaken, forall, unit_r, counit_r)
-    bad += check_adjunction(adj_r)
-
+    adj_l = _thin_adjunction(exists_, weaken, ext, P)
+    adj_r = _thin_adjunction(weaken, forall, P, ext)
+    bad += check_adjunction(adj_l) + check_adjunction(adj_r)
     bad += is_cartesian_functor(weaken, P, ext)
     bad += is_cartesian_functor(forall, ext, P)
     bad += is_cartesian_functor(exists_, ext, P)
@@ -727,37 +736,14 @@ def hypothesis_classifier(ds: DeductionSystem, y: int,
     """Hypothetical judgements over an extended context: objects are
     (Γ over x, φ over x·y) with w_y Γ ≤ φ; morphisms over σ restrict
     both components (along σ and σ × id_y respectively)."""
-    ctx = ds.ctx
-    nm = name or f"𝔸{y}"
-    objs = []
-    for x in ctx.objects:
-        for g in subsets(x):
-            wg = set(weaken_set(x, y, g))
-            for f in subsets(x * y):
-                if wg <= set(f):
-                    objs.append((x, (g, f)))
-    mors, src, tgt = [], {}, {}
-    for sigma in ctx.morphisms:
-        theta, x = ctx.src[sigma], ctx.tgt[sigma]
-        cm = cross_map(sigma, ("f", y, y, tuple(range(y))))
-        for (xo, (g, f)) in objs:
-            if xo != x:
-                continue
-            rg, rf = preimage(sigma, g), preimage(cm, f)
-            for (to, (g1, f1)) in objs:
-                if to != theta:
-                    continue
-                if subset_leq(g1, rg) and subset_leq(f1, rf):
-                    m = ("a", sigma, (g1, f1), (g, f))
-                    mors.append(m)
-                    src[m] = (theta, (g1, f1))
-                    tgt[m] = (x, (g, f))
-    identity = {(x, p): ("a", ctx.identity[x], p, p) for (x, p) in objs}
-    cat = category_from(nm, objs, mors, src, tgt, identity,
-                        _pair_morphism_comp(ctx, "a"))
-    proj = FunctorMap(f"{nm}.p", cat, ctx,
-                      {o: o[0] for o in objs}, {m: m[1] for m in mors})
-    return Classifier(nm, cat, ctx, proj)
+    doc = ds.doctrine
+    ext = doc.extend(y)
+    return _pair_classifier(
+        name or f"𝔸{y}", "a", ds.ctx,
+        lambda x: [(g, f) for g in doc.formulas(x) for f in ext.formulas(x)
+                   if ext.leq(x, doc.weaken(x, y, g), f)],
+        lambda sigma, p: (doc.restrict(sigma, p[0]), ext.restrict(sigma, p[1])),
+        lambda x, p1, q: doc.leq(x, p1[0], q[0]) and ext.leq(x, p1[1], q[1]))
 
 
 @dataclass
@@ -775,175 +761,16 @@ def forall_rules(ds: DeductionSystem, y: int) -> QuantifierRules:
     on hypothetical judgements, together with the reverse direction
     witnessing that the rule is invertible (the two composites agree on
     the nose in one direction and up to entailment in the other)."""
+    doc = ds.doctrine
     A = hypothesis_classifier(ds, y)
     bad = validate_category(A.total) + verify_kind(A, expect="fibration")
     intro = thin_rule(f"∀I{y}", A.total, ds.E,
-                      lambda o: (o[0], (o[1][0], forall_set(o[0], y, o[1][1]))),
+                      lambda o: (o[0], (o[1][0], doc.forall(o[0], y, o[1][1]))),
                       lambda m: m[1])
     resume = thin_rule(f"∀I{y}⁻", ds.E.total, A,
-                       lambda e: (e[0], (e[1][0],
-                                         weaken_set(e[0], y, e[1][1]))),
+                       lambda e: (e[0], (e[1][0], doc.weaken(e[0], y, e[1][1]))),
                        lambda m: m[0])
     bad += validate_functor(intro) + validate_functor(resume)
     invertible = same_functor(compose_functors(intro, resume),
                               identity_functor(ds.E.total)) if y >= 1 else False
     return QuantifierRules(y, A, intro, resume, invertible, bad)
-
-
-def substitute_set(x, y, t, f):
-    """φ[t/y]: pull a subset of x·y back along the graph of t : x → y."""
-    return preimage(graph_map(x, t), f)
-
-
-def forall_elim(x, y, t, gamma, f):
-    """One instance of universal elimination: from Γ ≤ ∀_y φ conclude the
-    sequent Γ ⊢ φ[t/y].  Returns the conclusion, raising if unsound."""
-    if not subset_leq(gamma, forall_set(x, y, f)):
-        raise ValueError("universal elimination applied without its premise")
-    concl = substitute_set(x, y, t, f)
-    if not subset_leq(gamma, concl):
-        raise ValueError("universal elimination produced an invalid sequent")
-    return (x, (gamma, concl))
-
-
-# --------------------------------------------------------------------------
-# Independent object-level sweeps: the same laws by raw subset computation.
-# --------------------------------------------------------------------------
-
-def structural_oracle(n: int) -> list:
-    """Assumption, weakening, contraction, exchange, cut, and stability
-    of all five under restriction, for every context of size ≤ n."""
-    bad = []
-    for x in range(n + 1):
-        subs = subsets(x)
-        for g, f, p in iproduct(subs, repeat=3):
-            gf = set_meet(g, f)
-            if not subset_leq(gf, f):
-                bad.append(f"assumption fails at {x}:{g}:{f}")
-            if subset_leq(g, p) and not subset_leq(gf, p):
-                bad.append(f"weakening fails at {x}:{g}:{f}:{p}")
-            if set_meet(gf, f) != gf:
-                bad.append(f"contraction fails at {x}:{g}:{f}")
-            if gf != set_meet(f, g):
-                bad.append(f"exchange fails at {x}:{g}:{f}")
-            if subset_leq(g, f) and subset_leq(f, p) and not subset_leq(g, p):
-                bad.append(f"cut fails at {x}:{g}:{f}:{p}")
-        for theta in range(n + 1):
-            for images in iproduct(range(x), repeat=theta) if x else [()]:
-                if theta and not x:
-                    continue
-                sigma = ("f", theta, x, tuple(images))
-                for g, f in iproduct(subs, repeat=2):
-                    if subset_leq(g, f) and not subset_leq(
-                            preimage(sigma, g), preimage(sigma, f)):
-                        bad.append(f"restriction breaks a sequent at {sigma}")
-    return bad
-
-
-def cut_reindex_oracle(n: int) -> list:
-    """The object formula behind the re-indexed cut: pulling a sequent
-    (a ⊢ c) over x back along a proposition morphism (σ, ψ ≤ σ*a) yields
-    (ψ ⊢ σ*c), which is a valid sequent and the largest re-indexing of
-    the consequent compatible with the antecedent."""
-    bad = []
-    for x in range(n + 1):
-        for theta in range(n + 1):
-            if theta and not x:
-                continue
-            choices = iproduct(range(x), repeat=theta) if x else [()]
-            for images in choices:
-                sigma = ("f", theta, x, tuple(images))
-                for a, cc in iproduct(subsets(x), repeat=2):
-                    if not subset_leq(a, cc):
-                        continue
-                    ra, rc = preimage(sigma, a), preimage(sigma, cc)
-                    for psi in subsets(theta):
-                        if not subset_leq(psi, ra):
-                            continue
-                        if not subset_leq(psi, rc):
-                            bad.append(f"re-indexed sequent invalid at "
-                                       f"{sigma}:{psi}:{a}:{cc}")
-                        best = max((c2 for c2 in subsets(theta)
-                                    if subset_leq(psi, c2)
-                                    and subset_leq(c2, rc)),
-                                   key=len)
-                        if best != rc:
-                            bad.append(f"re-indexing not maximal at "
-                                       f"{sigma}:{psi}:{a}:{cc}")
-    return bad
-
-
-def quantifier_oracle(n: int) -> list:
-    """Both quantifier adjunctions as biconditionals on raw subsets, plus
-    their exchange with restriction along σ × id (the squares for which
-    the quantifiers are required to be stable)."""
-    bad = []
-    for x in range(n + 1):
-        for y in range(n + 1):
-            for f in subsets(x * y):
-                fa, ex = forall_set(x, y, f), exists_set(x, y, f)
-                for g in subsets(x):
-                    lhs = subset_leq(weaken_set(x, y, g), f)
-                    if lhs != subset_leq(g, fa):
-                        bad.append(f"∀ adjunction fails at {x}×{y}:{g}:{f}")
-                    lhs = subset_leq(f, weaken_set(x, y, g))
-                    if lhs != subset_leq(ex, g):
-                        bad.append(f"∃ adjunction fails at {x}×{y}:{g}:{f}")
-                for theta in range(n + 1):
-                    if theta and not x:
-                        continue
-                    choices = iproduct(range(x), repeat=theta) if x else [()]
-                    for images in choices:
-                        sigma = ("f", theta, x, tuple(images))
-                        cm = cross_map(sigma, ("f", y, y, tuple(range(y))))
-                        if forall_set(theta, y, preimage(cm, f)) != \
-                                preimage(sigma, fa):
-                            bad.append(f"∀ unstable along {sigma}×id at {f}")
-                        if exists_set(theta, y, preimage(cm, f)) != \
-                                preimage(sigma, ex):
-                            bad.append(f"∃ unstable along {sigma}×id at {f}")
-    return bad
-
-
-def quantifier_full_stability_failures(n: int) -> list:
-    """Witnesses that ∀ does *not* commute with restriction along maps
-    that move the quantified variable (σ × τ with τ non-surjective) —
-    the reason the quantifier rules keep the variable sort fixed."""
-    out = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            for y2 in range(1, n + 1):
-                for timages in iproduct(range(y2), repeat=y):
-                    tau = ("f", y, y2, tuple(timages))
-                    if set(timages) == set(range(y2)):
-                        continue
-                    for f in subsets(x * y2):
-                        cm = cross_map(("f", x, x, tuple(range(x))), tau)
-                        lhs = forall_set(x, y, preimage(cm, f))
-                        rhs = forall_set(x, y2, f)
-                        if lhs != rhs:
-                            out.append((x, y, y2, tau, f, lhs, rhs))
-                            break
-    return out
-
-
-def substitution_oracle(n: int) -> list:
-    """Trivial substitution (w_y ψ)[t/y] = ψ and soundness of universal
-    elimination, swept over every term t : x → y with x, y ≤ n."""
-    bad = []
-    for x in range(n + 1):
-        for y in range(1, n + 1):
-            terms = [("f", x, y, tuple(im))
-                     for im in (iproduct(range(y), repeat=x) if x else [()])]
-            for t in terms:
-                for s in subsets(x):
-                    if substitute_set(x, y, t, weaken_set(x, y, s)) != s:
-                        bad.append(f"trivial substitution fails at {t}:{s}")
-                for f in subsets(x * y):
-                    fa = forall_set(x, y, f)
-                    for g in subsets(x):
-                        if not subset_leq(g, fa):
-                            continue
-                        if not subset_leq(g, substitute_set(x, y, t, f)):
-                            bad.append(f"∀-elimination unsound at {t}:{g}:{f}")
-    return bad

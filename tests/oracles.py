@@ -50,6 +50,17 @@ def naive_substitute(x, y, t, f):
     return frozenset(i for i in range(x) if pair(i, t[i], y) in f)
 
 
+def naive_restrict(images, s):
+    """σ*s: the preimage of s under the map with the given images."""
+    return frozenset(i for i, v in enumerate(images) if v in s)
+
+
+def naive_restrict_extended(images, y, f):
+    """(σ × id_y)*f for f ⊆ x·y: the (i, j) with (σ(i), j) ∈ f."""
+    return frozenset(pair(i, j, y) for i, v in enumerate(images)
+                     for j in range(y) if pair(v, j, y) in f)
+
+
 def all_maps(x, y):
     """Every function {0..x-1} → {0..y-1} as a tuple of images."""
     if x == 0:
@@ -167,3 +178,160 @@ def naive_cocartesian_lifts(cl):
                          and naive_is_cocartesian(cl, m)]
             for E in tot.objects for sigma in base.morphisms
             if base.src[sigma] == pobj[E]}
+
+
+# --------------------------------------------------------------------------
+# Exhaustive object-level sweeps: the laws of the derived rules by raw
+# set computation over every context of size ≤ n.  Each returns a list of
+# diagnostics ([] = every law holds).
+# --------------------------------------------------------------------------
+
+def context_maps(n):
+    """Every map θ → x between contexts of size ≤ n as (θ, x, images)."""
+    return [(theta, x, im) for x in range(n + 1) for theta in range(n + 1)
+            for im in all_maps(theta, x)]
+
+
+def structural_oracle(n):
+    """Assumption, weakening, contraction, exchange, cut, and stability
+    of sequents under restriction, for every context of size ≤ n."""
+    bad = []
+    for x in range(n + 1):
+        for g, f, p in product(all_subsets(x), repeat=3):
+            gf = g & f
+            if not gf <= f:
+                bad.append(f"assumption fails at {x}:{enc(g)}:{enc(f)}")
+            if g <= p and not gf <= p:
+                bad.append(f"weakening fails at {x}:{enc(g)}:{enc(f)}:{enc(p)}")
+            if gf & f != gf:
+                bad.append(f"contraction fails at {x}:{enc(g)}:{enc(f)}")
+            if gf != f & g:
+                bad.append(f"exchange fails at {x}:{enc(g)}:{enc(f)}")
+            if g <= f <= p and not g <= p:
+                bad.append(f"cut fails at {x}:{enc(g)}:{enc(f)}:{enc(p)}")
+    for theta, x, im in context_maps(n):
+        for g, f in product(all_subsets(x), repeat=2):
+            if g <= f and not naive_restrict(im, g) <= naive_restrict(im, f):
+                bad.append(f"restriction breaks a sequent at "
+                           f"{skeleton_map(theta, x, im)}")
+    return bad
+
+
+def cut_reindex_oracle(n):
+    """The object formula behind the re-indexed cut: pulling a sequent
+    (a ⊢ c) over x back along a proposition morphism (σ, ψ ≤ σ*a) yields
+    (ψ ⊢ σ*c), which is a valid sequent and the largest re-indexing of
+    the consequent compatible with the antecedent."""
+    bad = []
+    for theta, x, im in context_maps(n):
+        sigma = skeleton_map(theta, x, im)
+        for a, cc in product(all_subsets(x), repeat=2):
+            if not a <= cc:
+                continue
+            ra, rc = naive_restrict(im, a), naive_restrict(im, cc)
+            for psi in all_subsets(theta):
+                if not psi <= ra:
+                    continue
+                where = f"{sigma}:{enc(psi)}:{enc(a)}:{enc(cc)}"
+                if not psi <= rc:
+                    bad.append(f"re-indexed sequent invalid at {where}")
+                best = max((c2 for c2 in all_subsets(theta)
+                            if psi <= c2 <= rc), key=len)
+                if best != rc:
+                    bad.append(f"re-indexing not maximal at {where}")
+    return bad
+
+
+def quantifier_oracle(n):
+    """Both quantifier adjunctions as biconditionals on raw subsets, plus
+    their exchange with restriction along σ × id (the squares for which
+    the quantifiers are required to be stable)."""
+    bad = []
+    maps = context_maps(n)
+    for x in range(n + 1):
+        for y in range(n + 1):
+            for f in all_subsets(x * y):
+                fa, ex = naive_forall(x, y, f), naive_exists(x, y, f)
+                for g in all_subsets(x):
+                    where = f"{x}×{y}:{enc(g)}:{enc(f)}"
+                    if (naive_weaken(x, y, g) <= f) != (g <= fa):
+                        bad.append(f"∀ adjunction fails at {where}")
+                    if (f <= naive_weaken(x, y, g)) != (ex <= g):
+                        bad.append(f"∃ adjunction fails at {where}")
+                for theta, x2, im in maps:
+                    if x2 != x:
+                        continue
+                    rf = naive_restrict_extended(im, y, f)
+                    sigma = skeleton_map(theta, x, im)
+                    if naive_forall(theta, y, rf) != naive_restrict(im, fa):
+                        bad.append(f"∀ unstable along {sigma}×id at {enc(f)}")
+                    if naive_exists(theta, y, rf) != naive_restrict(im, ex):
+                        bad.append(f"∃ unstable along {sigma}×id at {enc(f)}")
+    return bad
+
+
+def quantifier_full_stability_failures(n):
+    """Witnesses that ∀ does *not* commute with restriction along maps
+    that move the quantified variable (id × τ with τ non-surjective) —
+    the reason the quantifier rules keep the variable sort fixed.  Each
+    witness is (x, y, y2, τ, f, ∀_y (id × τ)*f, ∀_y2 f), one per x, y, y2
+    and τ that has one."""
+    out = []
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            for y2 in range(1, n + 1):
+                for timages in all_maps(y, y2):
+                    if set(timages) == set(range(y2)):
+                        continue
+                    for f in all_subsets(x * y2):
+                        pulled = frozenset(
+                            pair(i, j, y) for i in range(x) for j in range(y)
+                            if pair(i, timages[j], y2) in f)
+                        lhs = naive_forall(x, y, pulled)
+                        rhs = naive_forall(x, y2, f)
+                        if lhs != rhs:
+                            out.append((x, y, y2,
+                                        skeleton_map(y, y2, timages),
+                                        f, lhs, rhs))
+                            break
+    return out
+
+
+def substitution_oracle(n):
+    """Trivial substitution (w_y ψ)[t/y] = ψ and soundness of universal
+    elimination, swept over every term t : x → y with x, y ≤ n."""
+    bad = []
+    for x in range(n + 1):
+        for y in range(1, n + 1):
+            for t in all_maps(x, y):
+                term = skeleton_map(x, y, t)
+                for s in all_subsets(x):
+                    if naive_substitute(x, y, t, naive_weaken(x, y, s)) != s:
+                        bad.append(f"trivial substitution fails at "
+                                   f"{term}:{enc(s)}")
+                for f in all_subsets(x * y):
+                    fa = naive_forall(x, y, f)
+                    sub = naive_substitute(x, y, t, f)
+                    for g in all_subsets(x):
+                        if g <= fa and not g <= sub:
+                            bad.append(f"∀-elimination unsound at "
+                                       f"{term}:{enc(g)}:{enc(f)}")
+    return bad
+
+
+def pi_adjunction_oracle(n, pi):
+    """Π right adjoint to restriction along the display map: for all
+    x, S ⊆ x, T ⊆ |S| and C ⊆ x, C·δ_S ⊆ T  ⇔  C ⊆ Π_S T, where
+    ``pi(x, s, t)`` computes Π_S T (s a sorted tuple, t a frozenset of
+    positions in s) and C·δ_S is the positions in s of C ∩ S."""
+    bad = []
+    for x in range(n + 1):
+        for s in map(enc, all_subsets(x)):
+            for t in all_subsets(len(s)):
+                p = pi(x, s, t)
+                for c in all_subsets(x):
+                    restricted = frozenset(k for k, v in enumerate(s) if v in c)
+                    if (restricted <= t) != (c <= p):
+                        bad.append(f"Π adjunction fails at x={x} S={s} "
+                                   f"T={enc(t)} C={enc(c)}")
+    return bad

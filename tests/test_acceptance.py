@@ -26,15 +26,15 @@ from judgekit.limits import (bang_functor, equalizer_category,
                              verify_equalizer_universal,
                              verify_pullback_universal,
                              walking_arrow_category)
-from judgekit.ndt import (cut_reindex_oracle, derive_connectives,
+from judgekit.ndt import (PowersetDoctrine, derive_connectives,
                           derive_structural, forall_rules, pair_comparison,
-                          quantifier_oracle, quantifier_package,
-                          sequent_monad, structural_oracle,
-                          substitution_oracle)
+                          quantifier_package, sequent_monad)
 from judgekit.render import derived_rule, render_rule_tree
 
-from oracles import (all_maps, dec, naive_forall, naive_substitute,
-                     rule_tables, skeleton_map, valid)
+from oracles import (all_maps, cut_reindex_oracle, dec, naive_forall,
+                     naive_substitute, quantifier_oracle, rule_tables,
+                     skeleton_map, structural_oracle, substitution_oracle,
+                     valid)
 
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -179,16 +179,16 @@ def test_criterion_7_sequent_rules_vs_subset_semantics(ds2):
             bad.append(f"∀I formula wrong at ({x},{g},{f})")
     # ∀E: substitution instances over all terms, contexts ≤ 3.
     from judgekit.finsets import subset_leq, subsets
-    from judgekit.ndt import forall_set, substitute_set
+    doc = PowersetDoctrine(3)
     for x in range(4):
         for y in range(1, 4):
             for im in all_maps(x, y):
                 t = skeleton_map(x, y, im)
                 for f in subsets(x * y):
-                    sub = substitute_set(x, y, t, f)
+                    sub = doc.substitute(x, y, t, f)
                     if dec(sub) != naive_substitute(x, y, im, dec(f)):
                         bad.append(f"∀E substitution wrong at {t}:{f}")
-                    if not subset_leq(forall_set(x, y, f), sub):
+                    if not subset_leq(doc.forall(x, y, f), sub):
                         bad.append(f"∀E unsound at {t}:{f}")
     bad += structural_oracle(3)
     bad += cut_reindex_oracle(3)

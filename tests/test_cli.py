@@ -63,6 +63,65 @@ def test_check_syntax_error(tmp_path, capsys):
         assert f"line {line}" in out
 
 
+INCOMPLETE_M = """category M
+  object a
+  object b
+  morphism f : a -> b
+  morphism g : b -> b
+"""
+
+
+@pytest.mark.parametrize("text, label", [
+    # A classifier whose total category lacks g ∘ f.
+    (INCOMPLETE_M + """
+category A
+  object x
+  object y
+  morphism s : x -> y
+  complete
+
+functor P : M -> A
+  object a |-> x
+  object b |-> y
+  morphism f |-> s
+  morphism g |-> id_y
+
+classifier U : P kind fibration
+""", "classifier U"),
+    # A functor into a category that lacks a composite.
+    (INCOMPLETE_M + """
+category D
+  object x
+  object y
+  morphism s : x -> y
+  morphism e : y -> y
+  e ∘ s = s
+  e ∘ e = e
+  complete
+
+functor F : D -> M
+  object x |-> a
+  object y |-> b
+  morphism s |-> f
+  morphism e |-> g
+""", "functor F"),
+    # A theory over it.
+    (INCOMPLETE_M + """
+theory T over M
+""", "theory T: shape"),
+], ids=["classifier", "functor", "theory"])
+def test_check_never_runs_over_a_broken_category(tmp_path, capsys, text,
+                                                   label):
+    f = tmp_path / "broken.jt"
+    f.write_text(text)
+    code, out = run(capsys, "check", str(f))
+    assert code == 1
+    assert "check category M: FAIL" in out
+    assert f"check {label}: FAIL\n  - uses category M, which failed its " \
+        "check\n" in out
+    assert out.rstrip().endswith("status: fail")
+
+
 def test_demo_toy(capsys):
     code, out = run(capsys, "demo", "toy")
     assert code == 0

@@ -165,3 +165,22 @@ def test_sort_key_is_total_on_mixed_identifiers():
     items = [("f", 0, 1, (0,)), 3, "x", ("id", 0), (0, (1, 2))]
     ordered = sorted(items, key=sort_key)
     assert sorted(ordered, key=sort_key) == ordered
+
+
+def _discrete(name, objects):
+    ids = {o: f"id_{o}" for o in objects}
+    return make_category(name, objects, ids.values(),
+                         {i: o for o, i in ids.items()},
+                         {i: o for o, i in ids.items()}, ids,
+                         {(i, i): i for i in ids.values()})
+
+
+def test_compose_functors_compares_middle_categories_not_names():
+    # Two different categories that share the name Z.
+    f = identity_functor(_discrete("Z", ["a"]), name="f")
+    g = identity_functor(_discrete("Z", ["b"]), name="g")
+    with pytest.raises(ValueError, match="cannot compose g after f"):
+        compose_functors(g, f)
+    # A distinct but equal copy of the middle category is accepted.
+    h = identity_functor(_discrete("Z′", ["a"]), name="h")
+    assert compose_functors(h, f).obj_map == {"a": "a"}

@@ -5,13 +5,13 @@ from judgekit.dtt import (context_extension, derive_dependency,
                           phi_check, phi_derive, to_comprehension_category,
                           validate_jdtt, validate_natural_model)
 from judgekit.fibrations import is_cartesian
-from judgekit.finset_topos import (build_finset_topos,
+from judgekit.finset_topos import (_pi_subset, build_finset_topos,
                                    instantiate_constructor,
                                    make_weak_constructor_example,
-                                   mb_translate, pi_adjunction_oracle)
+                                   mb_translate)
 from judgekit.finsets import preimage
 
-from oracles import dec
+from oracles import dec, enc, pi_adjunction_oracle
 
 
 def test_finset_model_is_well_formed(topos2):
@@ -149,8 +149,10 @@ def test_id_extensionality(topos2):
 
 
 def test_pi_adjunction_oracle():
-    assert pi_adjunction_oracle(2) == []
-    assert pi_adjunction_oracle(3) == []
+    def pi(x, s, t):
+        return dec(_pi_subset(x, s, enc(t)))
+    assert pi_adjunction_oracle(2, pi) == []
+    assert pi_adjunction_oracle(3, pi) == []
 
 
 def test_mb_translate():

@@ -4,16 +4,17 @@ from judgekit.core import (check_adjunction, check_category_iso,
                            compose_functors, identity_functor, same_functor,
                            validate_category, validate_functor)
 from judgekit.fibrations import Classifier, is_cartesian
-from judgekit.ndt import (cut_reindex_oracle, derive_connectives,
-                          derive_structural, forall_elim, forall_rules,
-                          pair_comparison,
-                          quantifier_full_stability_failures,
-                          quantifier_oracle, quantifier_package,
-                          sequent_monad, structural_oracle,
-                          substitution_oracle, validate_system)
+from judgekit.finsets import cross_map, preimage
+from judgekit.ndt import (PowersetDoctrine, derive_connectives,
+                          derive_structural, forall_rules, pair_comparison,
+                          quantifier_package, sequent_monad, validate_system)
 
-from oracles import (dec, naive_forall, naive_substitute, naive_weaken,
-                     rule_tables, valid)
+from oracles import (all_maps, all_subsets, context_maps, cut_reindex_oracle,
+                     dec, enc, naive_exists, naive_forall, naive_restrict,
+                     naive_restrict_extended, naive_substitute, naive_weaken,
+                     quantifier_full_stability_failures, quantifier_oracle,
+                     rule_tables, skeleton_map, structural_oracle,
+                     substitution_oracle, valid)
 
 
 def test_system_is_well_formed(ds2):
@@ -150,18 +151,48 @@ def test_forall_rules_invertible(ds2):
 
 def test_forall_elimination():
     # ∀-elimination at a concrete instance and its failure mode.
+    doc = PowersetDoctrine(2)
     f = (0, 1, 2, 3)                   # the full subset of 2·2
-    assert forall_elim(2, 2, ("f", 2, 2, (1, 0)), (0,), f) == (2, ((0,), (0, 1)))
+    assert doc.forall_elim(2, 2, ("f", 2, 2, (1, 0)), (0,), f) == \
+        (2, ((0,), (0, 1)))
     with pytest.raises(ValueError):
-        forall_elim(2, 2, ("f", 2, 2, (0, 0)), (0, 1), (0,))
+        doc.forall_elim(2, 2, ("f", 2, 2, (0, 0)), (0, 1), (0,))
 
 
 def test_substitution_matches_naive():
-    from judgekit.ndt import substitute_set
+    doc = PowersetDoctrine(1)
     for t in ((0,), (1,)):
         for f in ((), (0,), (1,), (0, 1)):
-            got = substitute_set(1, 2, ("f", 1, 2, t), f)
+            got = doc.substitute(1, 2, ("f", 1, 2, t), f)
             assert dec(got) == naive_substitute(1, 2, t, frozenset(f))
+
+
+def test_doctrine_helpers_match_naive_at_three():
+    """The doctrine's own weaken, forall, exists, substitute and restrict
+    against the naive set versions, over the sweep of the oracles."""
+    doc = PowersetDoctrine(3)
+    maps = context_maps(3)
+    for x in range(4):
+        for y in range(4):
+            ext = doc.extend(y)
+            for s in all_subsets(x):
+                assert dec(doc.weaken(x, y, enc(s))) == naive_weaken(x, y, s)
+            for f in all_subsets(x * y):
+                assert dec(doc.forall(x, y, enc(f))) == naive_forall(x, y, f)
+                assert dec(doc.exists(x, y, enc(f))) == naive_exists(x, y, f)
+                for t in all_maps(x, y):
+                    got = doc.substitute(x, y, skeleton_map(x, y, t), enc(f))
+                    assert dec(got) == naive_substitute(x, y, t, f)
+            for theta, x2, im in maps:
+                if x2 != x:
+                    continue
+                sigma = skeleton_map(theta, x, im)
+                for s in all_subsets(x):
+                    assert dec(doc.restrict(sigma, enc(s))) == \
+                        naive_restrict(im, s)
+                for f in all_subsets(x * y):
+                    assert dec(ext.restrict(sigma, enc(f))) == \
+                        naive_restrict_extended(im, y, f)
 
 
 def test_quantifier_oracles():
@@ -173,10 +204,9 @@ def test_full_stability_fails_without_fixed_variable_sort():
     wit = quantifier_full_stability_failures(2)
     assert len(wit) == 8
     # Each witness really is a counterexample to the unrestricted square.
-    from judgekit.finsets import cross_map, preimage
-    from judgekit.ndt import forall_set
+    doc = PowersetDoctrine(2)
     for (x, y, y2, tau, f, lhs, rhs) in wit:
         cm = cross_map(("f", x, x, tuple(range(x))), tau)
-        assert forall_set(x, y, preimage(cm, f)) == lhs
-        assert forall_set(x, y2, f) == rhs
+        assert dec(doc.forall(x, y, preimage(cm, enc(f)))) == lhs
+        assert dec(doc.forall(x, y2, enc(f))) == rhs
         assert lhs != rhs
