@@ -1,13 +1,16 @@
-"""Explicit finite categories with total composition tables.
+"""Explicit finite categories with total composition.
 
 Everything downstream (limits, fibrations, derived deduction rules) is
 built on four kinds of data: finite categories, functors between them,
 natural transformations, and adjunctions.  All of them are plain tables,
-and all laws are checked by exhaustive enumeration.
+except that a category built from factors (a pullback, product or power)
+may compute its composites from theirs instead of storing them.  All laws
+are checked by exhaustive enumeration.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -24,8 +27,9 @@ class FinCategory:
     * ``objects`` and ``morphisms`` are sets of hashable identifiers.
     * ``src``/``tgt`` assign endpoints to every morphism.
     * ``identity`` maps each object to its identity morphism.
-    * ``compose`` maps every composable pair ``(g, f)`` (meaning g after f)
-      to the composite morphism.
+    * ``compose`` is a read-only ``Mapping`` from every composable pair
+      ``(g, f)`` (meaning g after f) to the composite morphism: a dict, or
+      a ``Composition`` that computes each composite when it is asked for.
     """
 
     name: str
@@ -34,7 +38,7 @@ class FinCategory:
     src: dict
     tgt: dict
     identity: dict
-    compose: dict
+    compose: Mapping
     _hom: dict = field(default=None, repr=False, compare=False)
     _into: dict = field(default=None, repr=False, compare=False)
     _out: dict = field(default=None, repr=False, compare=False)
@@ -111,6 +115,65 @@ def category_from(name, objects, morphisms, src, tgt, identity, compose_fn):
             compose[(g, f)] = canon.get(h, h)
     return FinCategory(name, frozenset(objects), frozenset(morphisms),
                        src, tgt, identity, compose)
+
+
+class Composition(Mapping):
+    """Composition computed when it is asked for: ``self[(g, f)]`` is
+    ``fn(g, f)`` for each composable pair and a ``KeyError`` otherwise,
+    as with a table.  Iteration walks exactly the composable pairs,
+    through ``by_src``, the morphisms grouped by source object."""
+
+    def __init__(self, src, tgt, by_src, fn):
+        self.src, self.tgt, self.by_src, self.fn = src, tgt, by_src, fn
+        self._len = sum(len(by_src.get(t, ())) for t in tgt.values())
+
+    def __getitem__(self, gf):
+        if gf not in self:
+            raise KeyError(gf)
+        g, f = gf
+        return self.fn(g, f)
+
+    def __contains__(self, gf):
+        try:
+            g, f = gf
+            return self.tgt[f] == self.src[g]
+        except KeyError:
+            return False
+
+    def __iter__(self):
+        by_src = self.by_src
+        for f, t in self.tgt.items():
+            for g in by_src.get(t, ()):
+                yield g, f
+
+    def __len__(self):
+        return self._len
+
+    def items(self):
+        return _ComposedItems(self)
+
+
+class _ComposedItems(ItemsView):
+    """Pairs from the by-source index are composable, so each composite is
+    computed without the check that ``__getitem__`` makes."""
+
+    def __iter__(self):
+        fn = self._mapping.fn
+        for g, f in self._mapping:
+            yield (g, f), fn(g, f)
+
+
+def computed_category(name, objects, morphisms, src, tgt, identity, compose_fn):
+    """Like ``category_from``, but the composition is a ``Composition``:
+    each composite is ``compose_fn(g, f)`` when it is asked for, and no
+    table is kept.  For categories whose composites are cheap to compute
+    from factors that keep their own tables."""
+    by_src = {}
+    for m in morphisms:
+        by_src.setdefault(src[m], []).append(m)
+    return FinCategory(name, frozenset(objects), frozenset(morphisms),
+                       src, tgt, identity,
+                       Composition(src, tgt, by_src, compose_fn))
 
 
 def subcategory(c: FinCategory, objects, keep, name) -> FinCategory:
@@ -271,6 +334,8 @@ def same_functor(F: FunctorMap, G: FunctorMap) -> bool:
     """Table equality of two functors (strict identifier equality)."""
     return (F.dom.objects == G.dom.objects
             and F.dom.morphisms == G.dom.morphisms
+            and (F.cod is G.cod or (F.cod.objects == G.cod.objects
+                                    and F.cod.morphisms == G.cod.morphisms))
             and F.obj_map == G.obj_map
             and F.mor_map == G.mor_map)
 

@@ -1,16 +1,22 @@
 """Finite-limit constructions on explicit categories.
 
-Pullbacks, equalizers, powers, arrow categories and comma categories are
-all computed as tables whose objects and morphisms are tuples of the
-input identifiers, so results are strictly canonical: running the same
-construction twice yields identical tables.
+Pullbacks, equalizers, powers, arrow categories and comma categories
+have objects and morphisms that are tuples of the input identifiers, so
+results are strictly canonical: running the same construction twice
+yields identical tables.
+
+Pullbacks, products and powers compose componentwise through their
+factors when a composite is asked for, and keep no composition table of
+their own.  The table of a pullback grows with the product of its
+factors' tables, while each lookup costs only one lookup per factor.
+Equalizers, arrow and comma categories keep a table.
 """
 
 from __future__ import annotations
 
 from .core import (FinCategory, FunctorMap, all_functors, category_from,
-                   compose_functors, make_category, same_functor, subcategory,
-                   validate_functor)
+                   compose_functors, computed_category, make_category,
+                   same_functor, subcategory, validate_functor)
 
 
 def terminal_category(name="𝟙") -> FinCategory:
@@ -64,8 +70,9 @@ def pullback_category(F: FunctorMap, G: FunctorMap, name=None):
             src[mn] = (A.src[m], B.src[n])
             tgt[mn] = (A.tgt[m], B.tgt[n])
     identity = {(a, b): (A.identity[a], B.identity[b]) for (a, b) in objs}
-    cat = category_from(nm, objs, mors, src, tgt, identity,
-                        lambda g, f: (A.comp(g[0], f[0]), B.comp(g[1], f[1])))
+    ac, bc = A.compose, B.compose
+    cat = computed_category(nm, objs, mors, src, tgt, identity,
+                            lambda g, f: (ac[g[0], f[0]], bc[g[1], f[1]]))
     p1 = FunctorMap(f"{nm}.π1", cat, A,
                     {o: o[0] for o in objs}, {mn: mn[0] for mn in mors})
     p2 = FunctorMap(f"{nm}.π2", cat, B,
@@ -106,8 +113,9 @@ def power_category(c: FinCategory, n: int, name=None):
     src = {t: tuple(c.src[m] for m in t) for t in mors}
     tgt = {t: tuple(c.tgt[m] for m in t) for t in mors}
     identity = {t: tuple(c.identity[o] for o in t) for t in objs}
-    cat = category_from(nm, objs, mors, src, tgt, identity,
-                        lambda g, f: tuple(map(c.comp, g, f)))
+    cc = c.compose
+    cat = computed_category(nm, objs, mors, src, tgt, identity,
+                            lambda g, f: tuple(cc[gf] for gf in zip(g, f)))
     projs = [FunctorMap(f"{nm}.π{i+1}", cat, c,
                         {o: o[i] for o in objs}, {m: m[i] for m in mors})
              for i in range(n)]
@@ -122,8 +130,9 @@ def product_category(a: FinCategory, b: FinCategory, name=None):
     src = {(m, n): (a.src[m], b.src[n]) for (m, n) in mors}
     tgt = {(m, n): (a.tgt[m], b.tgt[n]) for (m, n) in mors}
     identity = {(x, y): (a.identity[x], b.identity[y]) for (x, y) in objs}
-    cat = category_from(nm, objs, mors, src, tgt, identity,
-                        lambda g, f: (a.comp(g[0], f[0]), b.comp(g[1], f[1])))
+    ac, bc = a.compose, b.compose
+    cat = computed_category(nm, objs, mors, src, tgt, identity,
+                            lambda g, f: (ac[g[0], f[0]], bc[g[1], f[1]]))
     p1 = FunctorMap(f"{nm}.π1", cat, a, {o: o[0] for o in objs}, {m: m[0] for m in mors})
     p2 = FunctorMap(f"{nm}.π2", cat, b, {o: o[1] for o in objs}, {m: m[1] for m in mors})
     return cat, p1, p2

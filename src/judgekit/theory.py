@@ -128,6 +128,17 @@ def _pb_name(a, b):
     return f"PB({a},{b})"
 
 
+def _memo_hit(T: PreJudgementalTheory, key, f: FunctorMap, g: FunctorMap):
+    """The registry entry under ``key``, provided it was built from these
+    very legs: a key holds only names, and two functors may share one."""
+    e = T.registry[key]
+    for old, new in zip(e.extras["legs"], (f, g)):
+        if old is not new and not same_functor(old, new):
+            raise ValueError(f"{key} is registered for other functors "
+                             f"of the same names")
+    return e
+
+
 def close_pullback(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap):
     """Register (memoized) the pullback of two rules with common codomain.
 
@@ -135,7 +146,7 @@ def close_pullback(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap):
     """
     key = _pb_name(f.name, g.name)
     if key in T.registry:
-        e = T.registry[key]
+        e = _memo_hit(T, key, f, g)
         return e.value, e.extras["p1"], e.extras["p2"]
     cat, p1, p2 = pullback_category(f, g, name=key)
     T.register(key, RegistryEntry("category", cat,
@@ -147,7 +158,7 @@ def close_pullback(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap):
 def close_equalizer(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap):
     key = f"EQ({f.name},{g.name})"
     if key in T.registry:
-        e = T.registry[key]
+        e = _memo_hit(T, key, f, g)
         return e.value, e.extras["incl"]
     cat, incl = equalizer_category(f, g, name=key)
     T.register(key, RegistryEntry("category", cat,

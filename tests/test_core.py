@@ -184,3 +184,18 @@ def test_compose_functors_compares_middle_categories_not_names():
     # A distinct but equal copy of the middle category is accepted.
     h = identity_functor(_discrete("Z′", ["a"]), name="h")
     assert compose_functors(h, f).obj_map == {"a": "a"}
+
+
+def test_same_functor_compares_codomains():
+    one = terminal_category()
+    two = walking_arrow_category()
+    # Same name and same maps as F's codomain, but one object fewer.
+    point = make_category("𝟚", [0], [("id", 0)], {("id", 0): 0},
+                          {("id", 0): 0}, {0: ("id", 0)},
+                          {(("id", 0), ("id", 0)): ("id", 0)})
+    obj_map, mor_map = {"•": 0}, {("id", "•"): ("id", 0)}
+    F = FunctorMap("pick0", one, two, obj_map, mor_map)
+    G = FunctorMap("pick0", one, point, obj_map, mor_map)
+    assert not same_functor(F, G)
+    copy = walking_arrow_category()
+    assert same_functor(F, FunctorMap("pick0", one, copy, obj_map, mor_map))

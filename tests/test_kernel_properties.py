@@ -1,16 +1,18 @@
-"""Properties of the category builder, the validators and the cleavages
+"""Properties of the category builders, the validators and the cleavages
 derived from opposite classifiers."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from judgekit.core import (make_category, opposite, validate_category)
+from judgekit.core import (Composition, category_from, computed_category,
+                           make_category, opposite, validate_category)
 from judgekit.fibrations import (compute_op_cleavage, coslice_classifier,
                                  slice_classifier)
 from judgekit.finsets import fin_skeleton
-from judgekit.limits import (power_category, pullback_category,
-                             walking_arrow_category)
-from judgekit.ndt import PowersetDoctrine, proposition_classifier
+from judgekit.limits import (power_category, product_category,
+                             pullback_category, walking_arrow_category)
+from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
+                          build_deduction_system, proposition_classifier)
 
 from oracles import naive_cocartesian_lifts
 
@@ -22,6 +24,18 @@ BUILT = {
     "power": power_category(walking_arrow_category(), 2)[0],
     "pullback": pullback_category(P1.proj, P1.proj)[0],
     "slice": slice_classifier(fin_skeleton(2), 2).total,
+}
+
+
+C21 = build_deduction_system(ChainDoctrine(2, 1))
+TWO = walking_arrow_category()
+
+# Categories that compose through their factors and keep no table.
+COMPUTED = {
+    "pullback": BUILT["pullback"],
+    "pullback of pullbacks": pullback_category(C21.conj, C21.d)[0],
+    "product": product_category(TWO, TWO)[0],
+    "power": BUILT["power"],
 }
 
 
@@ -62,6 +76,41 @@ def test_an_entry_on_a_non_composable_pair_is_flagged(name, data):
     broken = _with_table(c, {**c.compose, (g, f): h})
     assert f"{c.name}: composition defined on non-composable pair " \
         f"({g!r}, {f!r})" in validate_category(broken)
+
+
+@pytest.mark.parametrize("name", sorted(COMPUTED))
+def test_computed_composition_is_the_table_it_replaces(name):
+    c = COMPUTED[name]
+    assert isinstance(c.compose, Composition)
+    table = category_from(c.name, c.objects, c.morphisms, c.src, c.tgt,
+                          c.identity, c.compose.fn).compose
+    assert dict(c.compose.items()) == table
+    pairs = {(g, f) for f in c.morphisms for g in c.morphisms
+             if c.tgt[f] == c.src[g]}
+    assert set(c.compose) == pairs
+    assert len(c.compose) == len(pairs)
+    assert all(gf in c.compose for gf in pairs)
+
+
+@pytest.mark.parametrize("name", sorted(COMPUTED))
+def test_computed_composition_refuses_what_a_table_lacks(name):
+    c = COMPUTED[name]
+    mors = sorted(c.morphisms, key=repr)
+    g, f = next((g, f) for g in mors for f in mors if c.tgt[f] != c.src[g])
+    for gf in ((g, f), (g, "alien"), ("alien", f)):
+        assert gf not in c.compose
+        with pytest.raises(KeyError):
+            c.compose[gf]
+
+
+@pytest.mark.parametrize("name", sorted(COMPUTED))
+def test_a_wrong_computed_composition_is_flagged(name):
+    c = COMPUTED[name]
+    wrong = computed_category("wrong", c.objects, c.morphisms, c.src, c.tgt,
+                              c.identity, lambda g, f: g)
+    assert any(d.startswith("wrong: composite of (")
+               and d.endswith(") has wrong endpoints")
+               for d in validate_category(wrong))
 
 
 OP_CASES = {

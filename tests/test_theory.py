@@ -1,7 +1,11 @@
+import pytest
+
 from judgekit.core import (FunctorMap, compose_functors, identity_functor,
                            same_functor, validate_functor)
 from judgekit.fibrations import is_cartesian
 from judgekit.finsets import fin_skeleton, preimage
+from judgekit.limits import (bang_functor, terminal_category,
+                             walking_arrow_category)
 from judgekit.theory import (PreJudgementalTheory, check_axioms,
                              check_substitutionality, close_equalizer,
                              close_pullback, eager_close, empty_classifier,
@@ -120,3 +124,22 @@ def test_validate_prejt_rejects_rule_into_ctx_that_is_no_judgement():
     T.add_rule(identity_functor(ctx, name="sneak"))
     diags = validate_prejt(T)
     assert any("lands in ctx" in d for d in diags)
+
+
+def test_memo_refuses_other_functors_of_the_same_name():
+    one, two = terminal_category(), walking_arrow_category()
+    T = PreJudgementalTheory("memo", one)
+    f, g = bang_functor(two, one, name="f"), bang_functor(two, one, name="g")
+    pb = close_pullback(T, f, f)[0]
+    assert len(pb.objects) == 4
+    eq = close_equalizer(T, f, g)[0]
+    # An equal copy of a leg is the same functor, so it hits the memo.
+    f_copy = bang_functor(walking_arrow_category(), one, name="f")
+    assert close_pullback(T, f_copy, f_copy)[0] is pb
+    assert close_equalizer(T, f_copy, g)[0] is eq
+    # Other functors under the same names are refused, not served PB(f,f).
+    f1, g1 = identity_functor(one, name="f"), identity_functor(one, name="g")
+    with pytest.raises(ValueError, match=r"^PB\(f,f\) is registered"):
+        close_pullback(T, f1, f1)
+    with pytest.raises(ValueError, match=r"^EQ\(f,g\) is registered"):
+        close_equalizer(T, f1, g1)
