@@ -4,13 +4,21 @@ Everything downstream (limits, fibrations, derived deduction rules) is
 built on four kinds of data: finite categories, functors between them,
 natural transformations, and adjunctions.  All of them are plain tables,
 except that a category built from factors (a pullback, product or power)
-may compute its composites from theirs instead of storing them.  All laws
-are checked by exhaustive enumeration.
+keeps its factors and composes through them instead of storing a table.
+All laws are checked by exhaustive enumeration.
+
+``validate_category`` and ``validate_functor`` first check the tables on
+identifiers (endpoints, identities, a composite for exactly the
+composable pairs).  They then number the morphisms of the categories
+they read, once per call, and sweep the unit, associativity and
+composition laws on those integer codes; a category built from factors
+composes codes through its factors' codes.  Failures are reported in
+``sort_key`` order, so a report does not depend on hash order.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -118,20 +126,25 @@ def category_from(name, objects, morphisms, src, tgt, identity, compose_fn):
 
 
 class Composition(Mapping):
-    """Composition computed when it is asked for: ``self[(g, f)]`` is
-    ``fn(g, f)`` for each composable pair and a ``KeyError`` otherwise,
-    as with a table.  Iteration walks exactly the composable pairs,
-    through ``by_src``, the morphisms grouped by source object."""
+    """The composition of a category whose morphisms are tuples of
+    morphisms of its ``factors``, composed componentwise: ``self[(g, f)]``
+    is the tuple of the factors' composites ``g[k] ∘ f[k]`` for each
+    composable pair and a ``KeyError`` otherwise, as with a table.
+    Iteration walks exactly the composable pairs, through ``by_src``, the
+    morphisms grouped by source object.  ``code_rows`` composes the same
+    way on the integer codes that the validators sweep."""
 
-    def __init__(self, src, tgt, by_src, fn):
-        self.src, self.tgt, self.by_src, self.fn = src, tgt, by_src, fn
+    def __init__(self, src, tgt, by_src, factors):
+        self.src, self.tgt, self.by_src = src, tgt, by_src
+        self.factors = tuple(factors)
         self._len = sum(len(by_src.get(t, ())) for t in tgt.values())
 
     def __getitem__(self, gf):
         if gf not in self:
             raise KeyError(gf)
         g, f = gf
-        return self.fn(g, f)
+        return tuple(x.compose[gk, fk]
+                     for x, gk, fk in zip(self.factors, g, f))
 
     def __contains__(self, gf):
         try:
@@ -149,31 +162,90 @@ class Composition(Mapping):
     def __len__(self):
         return self._len
 
-    def items(self):
-        return _ComposedItems(self)
+    def code_rows(self, mors, code, factors):
+        """Composition on codes: ``rows[i][j]`` is the code of
+        ``mors[j] ∘ mors[i]``, where ``code`` numbers ``mors`` and
+        ``factors`` holds the factors' ``_Codes``.  A factor that is
+        itself composed componentwise is read through its own factors, so
+        every composite is looked up by the tuple of its components' codes
+        in tables."""
+        leaves, columns = [], []
+        for k, x in enumerate(factors):
+            codes = [x.code[m[k]] for m in mors]
+            if isinstance(x.rows, _ComponentRows):
+                leaves += x.rows.leaves
+                columns += zip(*[x.rows.parts[i] for i in codes])
+            else:
+                leaves.append(x.rows)
+                columns.append(codes)
+        parts = list(zip(*columns))
+        after = {}
+        for o, ms in self.by_src.items():
+            js = [code[m] for m in ms]
+            after[o] = js, list(zip(*[parts[j] for j in js]))
+        return _ComponentRows([after[self.tgt[m]] for m in mors], parts,
+                              dict(zip(parts, range(len(mors)))), leaves)
 
 
-class _ComposedItems(ItemsView):
-    """Pairs from the by-source index are composable, so each composite is
-    computed without the check that ``__getitem__`` makes."""
+class _ComponentRows:
+    """The rows of a componentwise composition on codes.  ``parts[i]``
+    holds the codes of the components of i in the tables ``leaves``, and
+    ``after[i]`` the codes j composable after i with, per leaf, the
+    column of their components.  Row i is computed from the leaves' rows
+    each time it is read and never kept: kept rows would add up to the
+    table that the category does without."""
 
-    def __iter__(self):
-        fn = self._mapping.fn
-        for g, f in self._mapping:
-            yield (g, f), fn(g, f)
+    def __init__(self, after, parts, key, leaves):
+        self.after, self.parts, self.key = after, parts, key
+        self.leaves = leaves
+
+    def __getitem__(self, i):
+        js, columns = self.after[i]
+        rs = [rows[p].__getitem__
+              for rows, p in zip(self.leaves, self.parts[i])]
+        return dict(zip(js, map(self.key.__getitem__,
+                                zip(*map(map, rs, columns)))))
 
 
-def computed_category(name, objects, morphisms, src, tgt, identity, compose_fn):
-    """Like ``category_from``, but the composition is a ``Composition``:
-    each composite is ``compose_fn(g, f)`` when it is asked for, and no
-    table is kept.  For categories whose composites are cheap to compute
-    from factors that keep their own tables."""
+def computed_category(name, objects, morphisms, src, tgt, identity, factors):
+    """Like ``category_from``, for a category whose morphisms are tuples
+    of morphisms of ``factors`` (a pullback, product or power): the
+    composition is a ``Composition`` that composes componentwise through
+    the factors when asked, and no table is kept."""
     by_src = {}
     for m in morphisms:
         by_src.setdefault(src[m], []).append(m)
     return FinCategory(name, frozenset(objects), frozenset(morphisms),
                        src, tgt, identity,
-                       Composition(src, tgt, by_src, compose_fn))
+                       Composition(src, tgt, by_src, factors))
+
+
+class _Codes:
+    """The morphisms of one category numbered 0..M-1, for the law sweeps
+    of one validator call; it is dropped with the call.  ``mors[i]`` is
+    the morphism with code i, ``code`` the inverse, and ``rows[i][j]`` is
+    the code of ``mors[j] ∘ mors[i]``: integer rows filled from a table,
+    or computed from the factors' codes for a ``Composition``."""
+
+    def __init__(self, c: FinCategory, memo: dict):
+        self.mors = mors = list(c.morphisms)
+        self.code = code = dict(zip(mors, range(len(mors))))
+        if isinstance(c.compose, Composition):
+            self.rows = c.compose.code_rows(
+                mors, code, [_codes(x, memo) for x in c.compose.factors])
+        else:
+            self.rows = rows = [{} for _ in mors]
+            for (g, f), h in c.compose.items():
+                rows[code[f]][code[g]] = code[h]
+
+
+def _codes(c: FinCategory, memo: dict) -> _Codes:
+    """The numbering of c, built once per validator call: ``memo`` shares
+    it between a functor's domain and codomain and down nested factors."""
+    n = memo.get(id(c))
+    if n is None:
+        n = memo[id(c)] = _Codes(c, memo)
+    return n
 
 
 def subcategory(c: FinCategory, objects, keep, name) -> FinCategory:
@@ -236,19 +308,31 @@ def validate_category(c: FinCategory) -> list:
                 bad.append(f"{c.name}: composition missing for ({g!r}, {f!r})")
     if bad:
         return bad
-    # Unit laws.
-    for f in c.morphisms:
-        if c.comp(f, c.identity[c.src[f]]) != f:
-            bad.append(f"{c.name}: right unit law fails at {f!r}")
-        if c.comp(c.identity[c.tgt[f]], f) != f:
-            bad.append(f"{c.name}: left unit law fails at {f!r}")
-    # Associativity.
-    for f in c.morphisms:
-        for g in c.out_of(c.tgt[f]):
-            gf = c.comp(g, f)
-            for h in c.out_of(c.tgt[g]):
-                if c.comp(h, gf) != c.comp(c.comp(h, g), f):
-                    bad.append(f"{c.name}: associativity fails at ({h!r}, {g!r}, {f!r})")
+    # Unit and associativity laws, swept on codes.
+    n = _codes(c, {})
+    mors, rows, code = n.mors, n.rows, n.code
+    ident = {o: code[m] for o, m in c.identity.items()}
+    units = []
+    for i, f in enumerate(mors):
+        if rows[ident[c.src[f]]][i] != i:
+            units.append((f, "right"))
+        if rows[i][ident[c.tgt[f]]] != i:
+            units.append((f, "left"))
+    triples = []
+    for i in range(len(mors)):
+        row_f = rows[i]
+        for j, gf in row_f.items():
+            row_gf = rows[gf]
+            for k, hg in rows[j].items():
+                if row_gf[k] != row_f[hg]:
+                    triples.append((mors[k], mors[j], mors[i]))
+    if units:
+        units.sort(key=lambda u: sort_key(u[0]))
+        bad += [f"{c.name}: {side} unit law fails at {f!r}" for f, side in units]
+    if triples:
+        triples.sort(key=sort_key)
+        bad += [f"{c.name}: associativity fails at ({h!r}, {g!r}, {f!r})"
+                for h, g, f in triples]
     return bad
 
 
@@ -324,9 +408,25 @@ def validate_functor(F: FunctorMap) -> list:
     for o in c.objects:
         if F.mor_map[c.identity[o]] != d.identity[F.obj_map[o]]:
             bad.append(f"{F.name}: identity of {o!r} not preserved")
-    for (g, f), h in c.compose.items():
-        if d.comp(F.mor_map[g], F.mor_map[f]) != F.mor_map[h]:
-            bad.append(f"{F.name}: composition not preserved at ({g!r}, {f!r})")
+    # Composition preservation, swept on codes.
+    memo = {}
+    cn, dn = _codes(c, memo), _codes(d, memo)
+    image = [dn.code[F.mor_map[m]] for m in cn.mors]
+    rows_c, rows_d = cn.rows, dn.rows
+    by_image = {}
+    for i, fi in enumerate(image):
+        by_image.setdefault(fi, []).append(i)
+    pairs = []
+    for fi, sources in by_image.items():
+        row_d = rows_d[fi]
+        for i in sources:
+            for j, k in rows_c[i].items():
+                if row_d[image[j]] != image[k]:
+                    pairs.append((cn.mors[j], cn.mors[i]))
+    if pairs:
+        pairs.sort(key=sort_key)
+        bad += [f"{F.name}: composition not preserved at ({g!r}, {f!r})"
+                for g, f in pairs]
     return bad
 
 
@@ -368,12 +468,12 @@ def validate_nat_trans(t: NatTrans) -> list:
             bad.append(f"{t.name}: component at {o!r} has wrong endpoints")
     if bad:
         return bad
-    for f in c.morphisms:
-        a, b = c.src[f], c.tgt[f]
-        left = d.comp(t.components[b], F.mor_map[f])
-        right = d.comp(G.mor_map[f], t.components[a])
-        if left != right:
-            bad.append(f"{t.name}: naturality square fails at {f!r}")
+    squares = [f for f in c.morphisms
+               if d.comp(t.components[c.tgt[f]], F.mor_map[f])
+               != d.comp(G.mor_map[f], t.components[c.src[f]])]
+    if squares:
+        squares.sort(key=sort_key)
+        bad += [f"{t.name}: naturality square fails at {f!r}" for f in squares]
     return bad
 
 

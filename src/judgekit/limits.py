@@ -5,11 +5,13 @@ have objects and morphisms that are tuples of the input identifiers, so
 results are strictly canonical: running the same construction twice
 yields identical tables.
 
-Pullbacks, products and powers compose componentwise through their
-factors when a composite is asked for, and keep no composition table of
-their own.  The table of a pullback grows with the product of its
-factors' tables, while each lookup costs only one lookup per factor.
-Equalizers, arrow and comma categories keep a table.
+Pullbacks, products and powers are defined by their factors: their
+composition is a ``Composition`` over the factor categories, which
+composes componentwise, on identifiers when a composite is asked for
+and on integer codes when a validator sweeps the laws.  They keep no
+composition table of their own.  The table of a pullback grows with the
+product of its factors' tables, while each lookup costs only one lookup
+per factor.  Equalizers, arrow and comma categories keep a table.
 """
 
 from __future__ import annotations
@@ -70,9 +72,7 @@ def pullback_category(F: FunctorMap, G: FunctorMap, name=None):
             src[mn] = (A.src[m], B.src[n])
             tgt[mn] = (A.tgt[m], B.tgt[n])
     identity = {(a, b): (A.identity[a], B.identity[b]) for (a, b) in objs}
-    ac, bc = A.compose, B.compose
-    cat = computed_category(nm, objs, mors, src, tgt, identity,
-                            lambda g, f: (ac[g[0], f[0]], bc[g[1], f[1]]))
+    cat = computed_category(nm, objs, mors, src, tgt, identity, (A, B))
     p1 = FunctorMap(f"{nm}.π1", cat, A,
                     {o: o[0] for o in objs}, {mn: mn[0] for mn in mors})
     p2 = FunctorMap(f"{nm}.π2", cat, B,
@@ -113,9 +113,7 @@ def power_category(c: FinCategory, n: int, name=None):
     src = {t: tuple(c.src[m] for m in t) for t in mors}
     tgt = {t: tuple(c.tgt[m] for m in t) for t in mors}
     identity = {t: tuple(c.identity[o] for o in t) for t in objs}
-    cc = c.compose
-    cat = computed_category(nm, objs, mors, src, tgt, identity,
-                            lambda g, f: tuple(cc[gf] for gf in zip(g, f)))
+    cat = computed_category(nm, objs, mors, src, tgt, identity, (c,) * n)
     projs = [FunctorMap(f"{nm}.π{i+1}", cat, c,
                         {o: o[i] for o in objs}, {m: m[i] for m in mors})
              for i in range(n)]
@@ -130,9 +128,7 @@ def product_category(a: FinCategory, b: FinCategory, name=None):
     src = {(m, n): (a.src[m], b.src[n]) for (m, n) in mors}
     tgt = {(m, n): (a.tgt[m], b.tgt[n]) for (m, n) in mors}
     identity = {(x, y): (a.identity[x], b.identity[y]) for (x, y) in objs}
-    ac, bc = a.compose, b.compose
-    cat = computed_category(nm, objs, mors, src, tgt, identity,
-                            lambda g, f: (ac[g[0], f[0]], bc[g[1], f[1]]))
+    cat = computed_category(nm, objs, mors, src, tgt, identity, (a, b))
     p1 = FunctorMap(f"{nm}.π1", cat, a, {o: o[0] for o in objs}, {m: m[0] for m in mors})
     p2 = FunctorMap(f"{nm}.π2", cat, b, {o: o[1] for o in objs}, {m: m[1] for m in mors})
     return cat, p1, p2

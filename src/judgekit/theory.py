@@ -128,14 +128,20 @@ def _pb_name(a, b):
     return f"PB({a},{b})"
 
 
-def _memo_hit(T: PreJudgementalTheory, key, f: FunctorMap, g: FunctorMap):
-    """The registry entry under ``key``, provided it was built from these
-    very legs: a key holds only names, and two functors may share one."""
-    e = T.registry[key]
-    for old, new in zip(e.extras["legs"], (f, g)):
+def _refuse_others(key, olds, news):
+    """A registry key holds only names, and two functors may share one:
+    raise unless the functors registered under ``key`` are the new ones."""
+    for old, new in zip(olds, news):
         if old is not new and not same_functor(old, new):
             raise ValueError(f"{key} is registered for other functors "
                              f"of the same names")
+
+
+def _memo_hit(T: PreJudgementalTheory, key, f: FunctorMap, g: FunctorMap):
+    """The registry entry under ``key``, provided it was built from these
+    very legs."""
+    e = T.registry[key]
+    _refuse_others(key, e.extras["legs"], (f, g))
     return e
 
 
@@ -201,15 +207,15 @@ def eager_close(T: PreJudgementalTheory, depth: int = 1) -> list:
                         f.cod.morphisms == g.cod.morphisms:
                     key = _pb_name(f.name, g.name)
                     if key not in T.registry:
-                        close_pullback(T, f, g)
                         added.append(key)
+                    close_pullback(T, f, g)
                     if f.name != g.name and \
                             f.dom.objects == g.dom.objects and \
                             f.dom.morphisms == g.dom.morphisms:
                         key = f"EQ({f.name},{g.name})"
                         if key not in T.registry:
-                            close_equalizer(T, f, g)
                             added.append(key)
+                        close_equalizer(T, f, g)
         new += added
         if not added:
             break
@@ -295,7 +301,9 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
                 if not is_cartesian(R, m):
                     bad.append(f"♯-lift of {pol.name}: component at {o!r} "
                                f"is not cartesian")
-    if not bad:
+    if not bad and key in T.registry:
+        _refuse_others(key, (T.registry[key].value,), (rule,))
+    elif not bad:
         T.register(key, RegistryEntry(
             "rule", rule, ConstructionTerm("SHARP", (pol.name, R.name)),
             extras={"policy": lifted}))

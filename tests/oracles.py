@@ -335,3 +335,40 @@ def pi_adjunction_oracle(n, pi):
                         bad.append(f"Π adjunction fails at x={x} S={s} "
                                    f"T={enc(t)} C={enc(c)}")
     return bad
+
+
+# --------------------------------------------------------------------------
+# The category and functor laws by identifier lookups: the sweeps the
+# validators made before they numbered morphisms.  Each composite is
+# looked up by its pair of identifiers in ``compose``.  Only for
+# categories that pass the well-formedness checks (endpoints, identities,
+# a composite for exactly the composable pairs).
+# --------------------------------------------------------------------------
+
+def naive_category_laws(c):
+    """Unit and associativity diagnostics, in the validator's wording."""
+    comp, bad = c.compose, []
+    out = {}
+    for m in c.morphisms:
+        out.setdefault(c.src[m], []).append(m)
+    for f in c.morphisms:
+        if comp[f, c.identity[c.src[f]]] != f:
+            bad.append(f"{c.name}: right unit law fails at {f!r}")
+        if comp[c.identity[c.tgt[f]], f] != f:
+            bad.append(f"{c.name}: left unit law fails at {f!r}")
+    for f in c.morphisms:
+        for g in out[c.tgt[f]]:
+            for h in out[c.tgt[g]]:
+                if comp[h, comp[g, f]] != comp[comp[h, g], f]:
+                    bad.append(f"{c.name}: associativity fails at "
+                               f"({h!r}, {g!r}, {f!r})")
+    return bad
+
+
+def naive_composition_preserved(F):
+    """Composition-preservation diagnostics of a functor whose images
+    have the right endpoints, in the validator's wording."""
+    image, cod = F.mor_map, F.cod.compose
+    return [f"{F.name}: composition not preserved at ({g!r}, {f!r})"
+            for (g, f), h in F.dom.compose.items()
+            if cod[image[g], image[f]] != image[h]]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -197,3 +201,47 @@ def test_close_reports_new_keys(capsys):
 def test_parser_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def _law_breaks_document():
+    """A category whose composition x ∘ y = x - y (mod 4) is total but
+    breaks associativity at many triples, and, in the monoid of maps on
+    {0, 1, 2}, a transformation whose component is a constant map, so
+    that naturality fails at every map that moves 0."""
+    names = "abcd"
+    lines = ["category M", "  object *"]
+    lines += [f"  morphism {x} : * -> *" for x in names]
+    lines += [f"  {x} ∘ {y} = {names[(i - j) % 4]}"
+              for i, x in enumerate(names) for j, y in enumerate(names)]
+    lines += ["  complete", "", "category E", "  object *"]
+    maps = [m for m in product(range(3), repeat=3) if m != (0, 1, 2)]
+
+    def name(m):
+        return "id_*" if m == (0, 1, 2) else "m" + "".join(map(str, m))
+    lines += [f"  morphism {name(m)} : * -> *" for m in maps]
+    lines += [f"  {name(g)} ∘ {name(f)} = {name(tuple(g[i] for i in f))}"
+              for g in maps for f in maps]
+    lines += ["  complete", "", "functor I : E -> E", "  object * |-> *"]
+    lines += [f"  morphism {name(m)} |-> {name(m)}" for m in maps]
+    lines += ["", "nat k : I => I", "  at * = m000", ""]
+    return "\n".join(lines)
+
+
+def test_check_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    f = tmp_path / "breaks.jt"
+    f.write_text(_law_breaks_document())
+    src = str(Path(__file__).parent.parent / "src")
+    outs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "judgekit.cli", "check",
+                              str(f)], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        outs.add(run.stdout)
+    assert len(outs) == 1
+    out = outs.pop()
+    assert out.count("associativity fails") > 10
+    assert out.count("naturality square fails") == 18

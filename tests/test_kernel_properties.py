@@ -4,17 +4,21 @@ derived from opposite classifiers."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from judgekit.core import (Composition, category_from, computed_category,
-                           make_category, opposite, validate_category)
+from judgekit.core import (Composition, FunctorMap, category_from,
+                           computed_category, identity_functor,
+                           make_category, opposite, validate_category,
+                           validate_functor)
 from judgekit.fibrations import (compute_op_cleavage, coslice_classifier,
                                  slice_classifier)
 from judgekit.finsets import fin_skeleton
-from judgekit.limits import (power_category, product_category,
-                             pullback_category, walking_arrow_category)
+from judgekit.limits import (bang_functor, power_category, product_category,
+                             pullback_category, terminal_category,
+                             walking_arrow_category)
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
                           build_deduction_system, proposition_classifier)
 
-from oracles import naive_cocartesian_lifts
+from oracles import (naive_category_laws, naive_cocartesian_lifts,
+                     naive_composition_preserved)
 
 P1 = proposition_classifier(PowersetDoctrine(1))
 
@@ -82,8 +86,11 @@ def test_an_entry_on_a_non_composable_pair_is_flagged(name, data):
 def test_computed_composition_is_the_table_it_replaces(name):
     c = COMPUTED[name]
     assert isinstance(c.compose, Composition)
-    table = category_from(c.name, c.objects, c.morphisms, c.src, c.tgt,
-                          c.identity, c.compose.fn).compose
+    factors = c.compose.factors
+    table = category_from(
+        c.name, c.objects, c.morphisms, c.src, c.tgt, c.identity,
+        lambda g, f: tuple(x.comp(*gf) for x, *gf in zip(factors, g, f))
+    ).compose
     assert dict(c.compose.items()) == table
     pairs = {(g, f) for f in c.morphisms for g in c.morphisms
              if c.tgt[f] == c.src[g]}
@@ -106,11 +113,84 @@ def test_computed_composition_refuses_what_a_table_lacks(name):
 @pytest.mark.parametrize("name", sorted(COMPUTED))
 def test_a_wrong_computed_composition_is_flagged(name):
     c = COMPUTED[name]
-    wrong = computed_category("wrong", c.objects, c.morphisms, c.src, c.tgt,
-                              c.identity, lambda g, f: g)
+    # Each factor becomes a literal table whose composite of (g, f) is g.
+    wrong = computed_category(
+        "wrong", c.objects, c.morphisms, c.src, c.tgt, c.identity,
+        [_with_table(x, {(g, f): g for g, f in x.compose})
+         for x in c.compose.factors])
     assert any(d.startswith("wrong: composite of (")
                and d.endswith(") has wrong endpoints")
                for d in validate_category(wrong))
+
+
+# Wrong but well-formed tables: one composite, one image or one composite
+# of a pullback's factor is replaced by another morphism with the same
+# endpoints, so only the law sweeps can tell.  (The hom-sets of 𝔼 over
+# PowersetDoctrine(1) hold one morphism each, so 𝔼 is taken over
+# PowersetDoctrine(2).)
+P2 = build_deduction_system(PowersetDoctrine(2))
+LAWFUL = {
+    "skeleton": fin_skeleton(3),
+    "slice": BUILT["slice"],
+    "sequents": P2.E.total,
+}
+ONE = terminal_category()
+SQUARES = pullback_category(bang_functor(BUILT["skeleton"], ONE),
+                            bang_functor(TWO, ONE))
+FUNCTORS = {
+    "table to table": slice_classifier(fin_skeleton(2), 2).proj,
+    "pullback of pullbacks to pullback": pullback_category(
+        SQUARES[1], identity_functor(BUILT["skeleton"]))[1],
+    "out of a pullback": P2.conj,
+    "into a pullback": FunctorMap(
+        "Δ", P2.P.total, P2.pp, {o: (o, o) for o in P2.P.total.objects},
+        {m: (m, m) for m in P2.P.total.morphisms}),
+}
+
+
+def _others(c, m):
+    """The other morphisms of c with the endpoints of m."""
+    return [n for n in c.hom(c.src[m], c.tgt[m]) if n != m]
+
+
+def _wrong_composite(c, data):
+    gf = data.draw(st.sampled_from(
+        [k for k in sorted(c.compose, key=repr) if _others(c, c.compose[k])]))
+    h = data.draw(st.sampled_from(_others(c, c.compose[gf])))
+    return _with_table(c, {**c.compose, gf: h})
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(LAWFUL)), data=st.data())
+def test_the_coded_category_laws_agree_with_the_identifier_sweep(name,
+                                                                 data):
+    broken = _wrong_composite(LAWFUL[name], data)
+    assert sorted(validate_category(broken)) \
+        == sorted(naive_category_laws(broken))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(FUNCTORS)), data=st.data())
+def test_coded_composition_preservation_agrees_with_the_identifier_sweep(
+        name, data):
+    F = FUNCTORS[name]
+    moved = data.draw(st.sampled_from(
+        [m for m in sorted(F.dom.morphisms, key=repr)
+         if not F.dom.is_identity(m) and _others(F.cod, F.mor_map[m])]))
+    other = data.draw(st.sampled_from(_others(F.cod, F.mor_map[moved])))
+    broken = FunctorMap(F.name, F.dom, F.cod, F.obj_map,
+                        {**F.mor_map, moved: other})
+    assert sorted(validate_functor(broken)) \
+        == sorted(naive_composition_preserved(broken))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_pullback_over_a_wrong_factor_agrees_with_the_identifier_sweep(
+        data):
+    wrong = _wrong_composite(BUILT["skeleton"], data)
+    pb = pullback_category(bang_functor(wrong, ONE), bang_functor(TWO, ONE))[0]
+    assert sorted(validate_category(pb)) == sorted(naive_category_laws(pb))
 
 
 OP_CASES = {

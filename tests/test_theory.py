@@ -2,14 +2,15 @@ import pytest
 
 from judgekit.core import (FunctorMap, compose_functors, identity_functor,
                            same_functor, validate_functor)
-from judgekit.fibrations import is_cartesian
+from judgekit.fibrations import Classifier, is_cartesian
 from judgekit.finsets import fin_skeleton, preimage
 from judgekit.limits import (bang_functor, terminal_category,
                              walking_arrow_category)
-from judgekit.theory import (PreJudgementalTheory, check_axioms,
-                             check_substitutionality, close_equalizer,
-                             close_pullback, eager_close, empty_classifier,
-                             expand_nested, validate_prejt, whisker_policy)
+from judgekit.theory import (PreJudgementalTheory, RegistryEntry,
+                             check_axioms, check_substitutionality,
+                             close_equalizer, close_pullback, eager_close,
+                             empty_classifier, expand_nested, sharp_lift,
+                             validate_prejt, whisker_policy)
 from judgekit.toy import build_toy_theory, extension_oracle
 
 
@@ -143,3 +144,28 @@ def test_memo_refuses_other_functors_of_the_same_name():
         close_pullback(T, f1, f1)
     with pytest.raises(ValueError, match=r"^EQ\(f,g\) is registered"):
         close_equalizer(T, f1, g1)
+
+
+def test_sharp_lift_refuses_a_key_held_by_another_rule():
+    toy = build_toy_theory()
+    T, rule = toy.theory, toy.ext_lift.rule
+    R = Classifier("𝕌/ℂ", toy.U.total, toy.C, toy.u, kind="fibration",
+                   cleavage=dict(toy.U.cleavage))
+    args = (T, identity_functor(toy.U.total), toy.u, toy.ext, toy.eps, R)
+    # Lifting the same data again finds its own rule under the key.
+    assert sharp_lift(*args).diagnostics == []
+    assert T.registry[rule.name].value is rule
+    # Another rule under the same key is refused, not kept silently.
+    T.registry[rule.name] = RegistryEntry(
+        "rule", FunctorMap(rule.name, rule.dom, rule.cod, rule.obj_map, {}))
+    with pytest.raises(ValueError, match=r"^SHARP\(ε,𝕌/ℂ\) is registered"):
+        sharp_lift(*args)
+
+
+def test_eager_close_checks_the_legs_of_a_registered_key():
+    one, two = terminal_category(), walking_arrow_category()
+    T = PreJudgementalTheory("memo", one)
+    close_pullback(T, *[bang_functor(two, one, name="f")] * 2)
+    T.add_rule(identity_functor(one, name="f"))
+    with pytest.raises(ValueError, match=r"^PB\(f,f\) is registered"):
+        eager_close(T)
