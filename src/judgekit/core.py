@@ -28,6 +28,15 @@ def sort_key(x):
     return (x.__class__.__name__, repr(x))
 
 
+def _in_order(found) -> list:
+    """The lines of ``found``, ``(item, line)`` pairs collected in hash
+    order, in the ``sort_key`` order of their items; the lines of one item
+    keep their order.  Only failures are sorted, so a check that passes
+    pays nothing for a report that does not depend on hash order."""
+    found.sort(key=lambda e: sort_key(e[0]))
+    return [line for _, line in found]
+
+
 @dataclass
 class FinCategory:
     """A finite category given by explicit tables.
@@ -278,19 +287,26 @@ def opposite(c: FinCategory) -> FinCategory:
 
 def validate_category(c: FinCategory) -> list:
     """Exhaustively check the category laws.  Returns diagnostics ([] = ok)."""
-    bad = []
+    bad, ends = [], []
     for m in c.morphisms:
         if m not in c.src or m not in c.tgt:
-            bad.append(f"{c.name}: morphism {m!r} lacks endpoints")
+            ends.append((m, f"{c.name}: morphism {m!r} lacks endpoints"))
+        elif c.src[m] not in c.objects or c.tgt[m] not in c.objects:
+            ends.append((m, f"{c.name}: morphism {m!r} has endpoints outside the object set"))
+    # In sort_key order, the report stops at the first morphism without
+    # endpoints: the checks below would look them up.
+    for m, line in sorted(ends, key=lambda e: sort_key(e[0])):
+        bad.append(line)
+        if m not in c.src or m not in c.tgt:
             return bad
-        if c.src[m] not in c.objects or c.tgt[m] not in c.objects:
-            bad.append(f"{c.name}: morphism {m!r} has endpoints outside the object set")
+    ids = []
     for o in c.objects:
         i = c.identity.get(o)
         if i is None or i not in c.morphisms:
-            bad.append(f"{c.name}: object {o!r} has no identity morphism")
+            ids.append((o, f"{c.name}: object {o!r} has no identity morphism"))
         elif c.src[i] != o or c.tgt[i] != o:
-            bad.append(f"{c.name}: identity of {o!r} is not an endomorphism")
+            ids.append((o, f"{c.name}: identity of {o!r} is not an endomorphism"))
+    bad += _in_order(ids)
     if bad:
         return bad
     # Composition is total on composable pairs and only on them.
@@ -302,10 +318,9 @@ def validate_category(c: FinCategory) -> list:
             bad.append(f"{c.name}: composition defined on non-composable pair ({g!r}, {f!r})")
         elif c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
             bad.append(f"{c.name}: composite of ({g!r}, {f!r}) has wrong endpoints")
-    for f in c.morphisms:
-        for g in c.out_of(c.tgt[f]):
-            if (g, f) not in c.compose:
-                bad.append(f"{c.name}: composition missing for ({g!r}, {f!r})")
+    bad += _in_order([(f, f"{c.name}: composition missing for ({g!r}, {f!r})")
+                      for f in c.morphisms for g in c.out_of(c.tgt[f])
+                      if (g, f) not in c.compose])
     if bad:
         return bad
     # Unit and associativity laws, swept on codes.
@@ -315,9 +330,9 @@ def validate_category(c: FinCategory) -> list:
     units = []
     for i, f in enumerate(mors):
         if rows[ident[c.src[f]]][i] != i:
-            units.append((f, "right"))
+            units.append((f, f"{c.name}: right unit law fails at {f!r}"))
         if rows[i][ident[c.tgt[f]]] != i:
-            units.append((f, "left"))
+            units.append((f, f"{c.name}: left unit law fails at {f!r}"))
     triples = []
     for i in range(len(mors)):
         row_f = rows[i]
@@ -325,15 +340,10 @@ def validate_category(c: FinCategory) -> list:
             row_gf = rows[gf]
             for k, hg in rows[j].items():
                 if row_gf[k] != row_f[hg]:
-                    triples.append((mors[k], mors[j], mors[i]))
-    if units:
-        units.sort(key=lambda u: sort_key(u[0]))
-        bad += [f"{c.name}: {side} unit law fails at {f!r}" for f, side in units]
-    if triples:
-        triples.sort(key=sort_key)
-        bad += [f"{c.name}: associativity fails at ({h!r}, {g!r}, {f!r})"
-                for h, g, f in triples]
-    return bad
+                    hgf = (mors[k], mors[j], mors[i])
+                    triples.append((hgf, f"{c.name}: associativity fails at "
+                                         f"({hgf[0]!r}, {hgf[1]!r}, {hgf[2]!r})"))
+    return bad + _in_order(units) + _in_order(triples)
 
 
 def terminal_objects(c: FinCategory) -> list:
@@ -385,29 +395,31 @@ def compose_functors(g: FunctorMap, f: FunctorMap, name=None) -> FunctorMap:
 
 def validate_functor(F: FunctorMap) -> list:
     """Exhaustively check functoriality.  Returns diagnostics ([] = ok)."""
-    bad = []
     c, d = F.dom, F.cod
+    images = []
     for o in c.objects:
         if o not in F.obj_map:
-            bad.append(f"{F.name}: no image for object {o!r}")
+            images.append((o, f"{F.name}: no image for object {o!r}"))
         elif F.obj_map[o] not in d.objects:
-            bad.append(f"{F.name}: object image {F.obj_map[o]!r} not in {d.name}")
-    for m in c.morphisms:
-        if m not in F.mor_map:
-            bad.append(f"{F.name}: no image for morphism {m!r}")
+            images.append((o, f"{F.name}: object image {F.obj_map[o]!r} not in {d.name}"))
+    bad = _in_order(images) + _in_order(
+        [(m, f"{F.name}: no image for morphism {m!r}")
+         for m in c.morphisms if m not in F.mor_map])
     if bad:
         return bad
+    ends = []
     for m in c.morphisms:
         fm = F.mor_map[m]
         if fm not in d.morphisms:
-            bad.append(f"{F.name}: morphism image {fm!r} not in {d.name}")
+            ends.append((m, f"{F.name}: morphism image {fm!r} not in {d.name}"))
         elif (d.src[fm] != F.obj_map[c.src[m]] or d.tgt[fm] != F.obj_map[c.tgt[m]]):
-            bad.append(f"{F.name}: image of {m!r} has wrong endpoints")
+            ends.append((m, f"{F.name}: image of {m!r} has wrong endpoints"))
+    bad = _in_order(ends)
     if bad:
         return bad
-    for o in c.objects:
-        if F.mor_map[c.identity[o]] != d.identity[F.obj_map[o]]:
-            bad.append(f"{F.name}: identity of {o!r} not preserved")
+    bad = _in_order([(o, f"{F.name}: identity of {o!r} not preserved")
+                     for o in c.objects
+                     if F.mor_map[c.identity[o]] != d.identity[F.obj_map[o]]])
     # Composition preservation, swept on codes.
     memo = {}
     cn, dn = _codes(c, memo), _codes(d, memo)
@@ -422,12 +434,10 @@ def validate_functor(F: FunctorMap) -> list:
         for i in sources:
             for j, k in rows_c[i].items():
                 if row_d[image[j]] != image[k]:
-                    pairs.append((cn.mors[j], cn.mors[i]))
-    if pairs:
-        pairs.sort(key=sort_key)
-        bad += [f"{F.name}: composition not preserved at ({g!r}, {f!r})"
-                for g, f in pairs]
-    return bad
+                    gf = (cn.mors[j], cn.mors[i])
+                    pairs.append((gf, f"{F.name}: composition not preserved "
+                                      f"at ({gf[0]!r}, {gf[1]!r})"))
+    return bad + _in_order(pairs)
 
 
 def same_functor(F: FunctorMap, G: FunctorMap) -> bool:
@@ -455,26 +465,23 @@ class NatTrans:
 
 def validate_nat_trans(t: NatTrans) -> list:
     """Exhaustively check every naturality square.  Returns diagnostics."""
-    bad = []
     F, G = t.source, t.target
     if F.dom.objects != G.dom.objects or F.cod.objects != G.cod.objects:
         return [f"{t.name}: source and target functors are not parallel"]
     c, d = F.dom, F.cod
+    comps = []
     for o in c.objects:
         m = t.components.get(o)
         if m is None or m not in d.morphisms:
-            bad.append(f"{t.name}: missing or alien component at {o!r}")
+            comps.append((o, f"{t.name}: missing or alien component at {o!r}"))
         elif d.src[m] != F.obj_map[o] or d.tgt[m] != G.obj_map[o]:
-            bad.append(f"{t.name}: component at {o!r} has wrong endpoints")
-    if bad:
-        return bad
-    squares = [f for f in c.morphisms
-               if d.comp(t.components[c.tgt[f]], F.mor_map[f])
-               != d.comp(G.mor_map[f], t.components[c.src[f]])]
-    if squares:
-        squares.sort(key=sort_key)
-        bad += [f"{t.name}: naturality square fails at {f!r}" for f in squares]
-    return bad
+            comps.append((o, f"{t.name}: component at {o!r} has wrong endpoints"))
+    if comps:
+        return _in_order(comps)
+    return _in_order([(f, f"{t.name}: naturality square fails at {f!r}")
+                      for f in c.morphisms
+                      if d.comp(t.components[c.tgt[f]], F.mor_map[f])
+                      != d.comp(G.mor_map[f], t.components[c.src[f]])])
 
 
 def identity_nat_trans(F: FunctorMap, name=None) -> NatTrans:
@@ -542,19 +549,19 @@ def check_adjunction(adj: AdjunctionData) -> list:
     bad += validate_nat_trans(adj.counit)
     if bad:
         return bad
-    for a in A.objects:
-        # counit_{F a} ∘ F(unit_a) = id_{F a}
-        lhs = B.comp(adj.counit.components[F.obj_map[a]],
-                     F.mor_map[adj.unit.components[a]])
-        if lhs != B.identity[F.obj_map[a]]:
-            bad.append(f"{adj.name}: triangle identity (left leg) fails at {a!r}")
-    for b in B.objects:
-        # G(counit_b) ∘ unit_{G b} = id_{G b}
-        lhs = A.comp(G.mor_map[adj.counit.components[b]],
-                     adj.unit.components[G.obj_map[b]])
-        if lhs != A.identity[G.obj_map[b]]:
-            bad.append(f"{adj.name}: triangle identity (right leg) fails at {b!r}")
-    return bad
+    # counit_{F a} ∘ F(unit_a) = id_{F a}
+    left = [(a, f"{adj.name}: triangle identity (left leg) fails at {a!r}")
+            for a in A.objects
+            if B.comp(adj.counit.components[F.obj_map[a]],
+                      F.mor_map[adj.unit.components[a]])
+            != B.identity[F.obj_map[a]]]
+    # G(counit_b) ∘ unit_{G b} = id_{G b}
+    right = [(b, f"{adj.name}: triangle identity (right leg) fails at {b!r}")
+             for b in B.objects
+             if A.comp(G.mor_map[adj.counit.components[b]],
+                       adj.unit.components[G.obj_map[b]])
+             != A.identity[G.obj_map[b]]]
+    return _in_order(left) + _in_order(right)
 
 
 def check_category_iso(F: FunctorMap):

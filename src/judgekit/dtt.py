@@ -89,12 +89,14 @@ class ContextExtension:
     diagnostics: list
 
 
-def context_extension(J: JdttData, A) -> ContextExtension:
+def context_extension(J: JdttData, A, memo=None) -> ContextExtension:
     """Γ.A := u̇ΔA,  δ_A := u(ε_A),  q_A := ΔA.
 
     Also certifies the extension equation ΣΔA = A[δ_A]: the counit ε_A is
     a cartesian lift of δ_A at A, so it agrees with the chosen cleavage
-    lift up to the unique vertical factorization isomorphism.
+    lift up to the unique vertical factorization isomorphism.  ``memo``
+    is passed to ``is_cartesian`` on 𝕌, to be shared by the extensions
+    that one check computes.
     """
     bad = []
     qa = J.Delta.obj_map[A]
@@ -117,7 +119,7 @@ def context_extension(J: JdttData, A) -> ContextExtension:
         if not inverses:
             bad.append(f"extension of {A!r}: ε does not agree with the "
                        f"cleavage lift up to iso")
-    if not is_cartesian(J.u, eps_a):
+    if not is_cartesian(J.u, eps_a, memo):
         bad.append(f"extension of {A!r}: ε_A is not cartesian")
     return ContextExtension(ext, delta, qa, bad)
 
@@ -196,7 +198,8 @@ def to_comprehension_category(J: JdttData):
     arr, domf, codf = close_arrow(T, T.ctx)
     ctx = T.ctx
     obj_map, mor_map = {}, {}
-    exts = {A: context_extension(J, A) for A in J.u.total.objects}
+    memo = {}
+    exts = {A: context_extension(J, A, memo) for A in J.u.total.objects}
     bad = []
     for A, e in exts.items():
         bad += e.diagnostics
@@ -305,9 +308,9 @@ def validate_natural_model(M: NaturalModelData) -> list:
 
 def jdtt_to_nm(J: JdttData, name=None) -> NaturalModelData:
     """Extract the natural model: Γ.A = u̇ΔA, δ_A = u(ε_A), q_A = ΔA."""
-    repr_data = {}
+    repr_data, memo = {}, {}
     for A in J.u.total.objects:
-        e = context_extension(J, A)
+        e = context_extension(J, A, memo)
         if e.diagnostics:
             raise ValueError(e.diagnostics[0])
         repr_data[A] = (e.ext, e.delta, e.q)

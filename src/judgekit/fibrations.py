@@ -4,6 +4,14 @@ A classifier is a functor into the context category remembered together
 with its total category and (when it exists) a chosen cleavage.  All
 fibrational properties — cartesianness, (op)fibration-hood, discreteness,
 thinness — are decided by exhaustive enumeration.
+
+A morphism is tested for cartesianness by counting factorizations: for
+each source of an arrow into its target, one scan of the hom-set counts
+every factorization at once, against base arrows grouped by their
+composite.  Those groupings are shared by all the tests of one check
+(``memo``) and dropped with it; nothing is kept on a category or a
+classifier.  A cleavage takes, for each object and base arrow, the first
+cartesian candidate in ``sort_key`` order.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (FinCategory, FunctorMap, NatTrans, category_from,
-                   opposite, sort_key, subcategory, validate_functor)
+                   opposite, subcategory, validate_functor)
 
 
 @dataclass
@@ -47,52 +55,90 @@ def opposite_classifier(cl: Classifier) -> Classifier:
     return Classifier(f"{cl.name}ᵒᵖ", total, base, proj)
 
 
-def is_cartesian(cl: Classifier, m) -> bool:
+def is_cartesian(cl: Classifier, m, memo=None) -> bool:
     """Exhaustive cartesianness test for a morphism of the total category.
 
-    ``m : E → F`` over ``σ`` is cartesian when every ``m' : E' → F`` whose
-    projection factors as ``σ∘g`` lifts the factorization uniquely.
+    ``m : E → F`` over ``σ : θ → γ`` is cartesian when every ``m' : E' → F``
+    whose projection factors as ``σ∘g`` with ``g : P(E') → θ`` lifts that
+    factorization uniquely: exactly one ``h : E' → E`` has ``P h = g`` and
+    ``m∘h = m'``.  The factorizations are counted: for each source ``E'``
+    of an arrow into F, one scan of ``hom(E', E)`` counts the pairs
+    ``(P h, m∘h)``, and m is cartesian when every required pair
+    ``(g, m')`` is counted exactly once.  The test reads only the
+    tables, so it is exact also when the projection is not a functor.
+
+    ``memo``, a dict, shares the groupings that do not depend on m (the
+    arrows into F by source, the base arrows into θ by their composite
+    with σ) between the tests on one classifier; it is meant to be
+    dropped with the check that made it.
     """
     total, base, P = cl.total, cl.base, cl.proj
+    pmor = P.mor_map
+    memo = {} if memo is None else memo
     E, F = total.src[m], total.tgt[m]
-    sigma = P.mor_map[m]
-    theta = base.src[sigma]
-    for m2 in total.into(F):
-        E2 = total.src[m2]
-        pm2 = P.mor_map[m2]
-        for g in base.hom(P.obj_map[E2], theta):
-            if base.comp(sigma, g) != pm2:
-                continue
-            hits = 0
-            for h in total.hom(E2, E):
-                if P.mor_map[h] == g and total.comp(m, h) == m2:
-                    hits += 1
-            if hits != 1:
-                return False
+    sigma = pmor[m]
+    into_f = memo.get(("into", F))
+    if into_f is None:
+        into_f = memo[("into", F)] = {}
+        for m2 in total.into(F):
+            into_f.setdefault(total.src[m2], []).append(m2)
+    for E2, m2s in into_f.items():
+        after = _composites(base, P.obj_map[E2], sigma, memo)
+        count = {(g, m2): 0 for m2 in m2s for g in after.get(pmor[m2], ())}
+        if not count:
+            continue
+        for h in total.hom(E2, E):
+            key = (pmor[h], total.comp(m, h))
+            if key in count:
+                count[key] += 1
+        if any(n != 1 for n in count.values()):
+            return False
     return True
+
+
+def _composites(base: FinCategory, a, sigma, memo):
+    """The base arrows ``g : a → src σ`` grouped by ``σ∘g``, kept in
+    ``memo``."""
+    key = ("after", a, sigma)
+    after = memo.get(key)
+    if after is None:
+        after = memo[key] = {}
+        for g in base.hom(a, base.src[sigma]):
+            after.setdefault(base.comp(sigma, g), []).append(g)
+    return after
+
+
+def _over(cl: Classifier, F) -> dict:
+    """The arrows into F grouped by their projection, in ``sort_key``
+    order within each group."""
+    over = {}
+    for m in cl.total.into(F):
+        over.setdefault(cl.proj.mor_map[m], []).append(m)
+    return over
 
 
 def compute_cleavage(cl: Classifier):
     """Choose a cartesian lift for every (object, arrow-into-it) pair.
 
-    Deterministic: the lift of an identity is the identity, and ties
-    between candidate lifts are broken by smallest morphism identifier.
-    Returns ``(cleavage, diagnostics)``.
+    Deterministic: the lift of an identity is the identity, and of the
+    cartesian candidate lifts the one with the least ``sort_key`` is
+    chosen: candidates are tested in that order and the first cartesian
+    one is taken.  Returns ``(cleavage, diagnostics)``.
     """
     total, base, P = cl.total, cl.base, cl.proj
-    cleavage, bad = {}, []
+    cleavage, bad, memo = {}, [], {}
     for F in total.sorted_objects():
-        gamma = P.obj_map[F]
-        for sigma in base.into(gamma):
+        over = _over(cl, F)
+        for sigma in base.into(P.obj_map[F]):
             if base.is_identity(sigma):
                 cleavage[(F, sigma)] = total.identity[F]
                 continue
-            cands = [m for m in total.into(F)
-                     if P.mor_map[m] == sigma and is_cartesian(cl, m)]
-            if not cands:
+            lift = next((m for m in over.get(sigma, ())
+                         if is_cartesian(cl, m, memo)), None)
+            if lift is None:
                 bad.append(f"{cl.name}: no cartesian lift of {sigma!r} at {F!r}")
             else:
-                cleavage[(F, sigma)] = min(cands, key=sort_key)
+                cleavage[(F, sigma)] = lift
     return cleavage, bad
 
 
@@ -117,11 +163,12 @@ def is_discrete(cl: Classifier) -> list:
     object's image, and fibers contain only identities."""
     total, base, P = cl.total, cl.base, cl.proj
     bad = []
-    for F in total.objects:
+    for F in total.sorted_objects():
+        over = _over(cl, F)
         for sigma in base.into(P.obj_map[F]):
-            lifts = [m for m in total.into(F) if P.mor_map[m] == sigma]
-            if len(lifts) != 1:
-                bad.append(f"{cl.name}: {len(lifts)} lifts of {sigma!r} at {F!r}")
+            n = len(over.get(sigma, ()))
+            if n != 1:
+                bad.append(f"{cl.name}: {n} lifts of {sigma!r} at {F!r}")
     return bad
 
 
@@ -356,10 +403,11 @@ def is_cartesian_functor(F: FunctorMap, cl_dom: Classifier, cl_cod: Classifier) 
         cl_dom.cleavage, cbad = compute_cleavage(cl_dom)
         if cbad:
             return cbad
+    memo = {}
     for (obj, sigma), m in cl_dom.cleavage.items():
         if cl_dom.total.is_identity(m):
             continue
-        if not is_cartesian(cl_cod, F.mor_map[m]):
+        if not is_cartesian(cl_cod, F.mor_map[m], memo):
             bad.append(f"{F.name}: image of the lift of {sigma!r} at {obj!r} "
                        f"is not cartesian")
     return bad
@@ -367,8 +415,8 @@ def is_cartesian_functor(F: FunctorMap, cl_dom: Classifier, cl_cod: Classifier) 
 
 def is_cartesian_nat_trans(t: NatTrans, cl: Classifier) -> list:
     """Check every component of a transformation is cartesian for cl."""
-    bad = []
+    bad, memo = [], {}
     for o, m in t.components.items():
-        if not is_cartesian(cl, m):
+        if not is_cartesian(cl, m, memo):
             bad.append(f"{t.name}: component at {o!r} is not cartesian")
     return bad

@@ -297,8 +297,9 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
             bad.append(f"♯-lift of {pol.name}: square over {lam.name} does not "
                        f"commute strictly")
         if check_cartesian:
+            memo = {}
             for o, m in lifted.components.items():
-                if not is_cartesian(R, m):
+                if not is_cartesian(R, m, memo):
                     bad.append(f"♯-lift of {pol.name}: component at {o!r} "
                                f"is not cartesian")
     if not bad and key in T.registry:

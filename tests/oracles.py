@@ -138,12 +138,49 @@ def valid(seq_obj):
 
 
 # --------------------------------------------------------------------------
-# Cocartesian morphisms by brute force over the raw tables.
+# Cartesian and cocartesian morphisms by brute force over the raw tables.
 #
-# Only the ``src``/``tgt``/``compose`` dicts and the functor's maps are
+# Only the ``src``/``tgt``/``compose`` tables and the functor's maps are
 # read; the library's indexes, cartesian tests and opposite categories are
-# not used, so this checks the derived op-cleavage independently.
+# not used, so this checks the derived cleavages independently.  Nothing
+# assumes that the projection is a functor.
 # --------------------------------------------------------------------------
+
+def naive_is_cartesian(cl, m):
+    """m : E → F over σ is cartesian when every m2 : E2 → F whose image
+    is σ∘g, for g : P(E2) → src σ, factors as m∘h through exactly one
+    h : E2 → E over g."""
+    tot, base = cl.total, cl.base
+    pobj, pmor = cl.proj.obj_map, cl.proj.mor_map
+    E, F, sigma = tot.src[m], tot.tgt[m], pmor[m]
+    for m2 in tot.morphisms:
+        if tot.tgt[m2] != F:
+            continue
+        E2 = tot.src[m2]
+        for g in base.morphisms:
+            if base.src[g] != pobj[E2] or base.tgt[g] != base.src[sigma]:
+                continue
+            if base.compose[(sigma, g)] != pmor[m2]:
+                continue
+            hits = [h for h in tot.morphisms
+                    if tot.src[h] == E2 and tot.tgt[h] == E
+                    and pmor[h] == g and tot.compose[(m, h)] == m2]
+            if len(hits) != 1:
+                return False
+    return True
+
+
+def naive_cartesian_lifts(cl):
+    """{(F, σ): cartesian lifts of σ into F} for every object F and every
+    base arrow σ into its image."""
+    tot, base = cl.total, cl.base
+    pobj, pmor = cl.proj.obj_map, cl.proj.mor_map
+    return {(F, sigma): [m for m in tot.morphisms
+                         if tot.tgt[m] == F and pmor[m] == sigma
+                         and naive_is_cartesian(cl, m)]
+            for F in tot.objects for sigma in base.morphisms
+            if base.tgt[sigma] == pobj[F]}
+
 
 def naive_is_cocartesian(cl, m):
     """m : E → F over σ is cocartesian when every m2 : E → F2 whose image

@@ -227,21 +227,35 @@ def _law_breaks_document():
     return "\n".join(lines)
 
 
+def _unmapped_parallels_document():
+    """A functor that gives no image to three parallel morphisms, so that
+    the well-formedness pass of ``validate_functor`` reports three lines."""
+    lines = ["category A", "  object a", "  object b"]
+    lines += [f"  morphism f{i} : a -> b" for i in (1, 2, 3)]
+    lines += ["  complete", "", "functor F : A -> A",
+              "  object a |-> a", "  object b |-> b", ""]
+    return "\n".join(lines)
+
+
 def test_check_reports_do_not_depend_on_the_hash_seed(tmp_path):
-    f = tmp_path / "breaks.jt"
-    f.write_text(_law_breaks_document())
+    docs = {"breaks.jt": _law_breaks_document(),
+            "unmapped.jt": _unmapped_parallels_document()}
     src = str(Path(__file__).parent.parent / "src")
-    outs = set()
+    outs = {name: set() for name in docs}
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
     for seed in ("0", "1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": seed,
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-m", "judgekit.cli", "check",
-                              str(f)], env=env, capture_output=True,
-                             text=True, timeout=120)
-        assert run.returncode == 1, run.stderr
-        outs.add(run.stdout)
-    assert len(outs) == 1
-    out = outs.pop()
+        for name in docs:
+            run = subprocess.run([sys.executable, "-m", "judgekit.cli",
+                                  "check", str(tmp_path / name)], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 1, run.stderr
+            outs[name].add(run.stdout)
+    assert all(len(o) == 1 for o in outs.values())
+    out = outs["breaks.jt"].pop()
     assert out.count("associativity fails") > 10
     assert out.count("naturality square fails") == 18
+    assert outs["unmapped.jt"].pop().count("no image for morphism") == 3

@@ -1,15 +1,17 @@
-"""Properties of the category builders, the validators and the cleavages
-derived from opposite classifiers."""
+"""Properties of the category builders, the validators, the cartesian
+test and the cleavages of classifiers and of their opposites."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from judgekit.core import (Composition, FunctorMap, category_from,
                            computed_category, identity_functor,
-                           make_category, opposite, validate_category,
-                           validate_functor)
-from judgekit.fibrations import (compute_op_cleavage, coslice_classifier,
-                                 slice_classifier)
+                           make_category, opposite, sort_key,
+                           validate_category, validate_functor)
+from judgekit.fibrations import (Classifier, compute_cleavage,
+                                 compute_op_cleavage, coslice_classifier,
+                                 is_cartesian, slice_classifier)
+from judgekit.finset_topos import build_finset_topos
 from judgekit.finsets import fin_skeleton
 from judgekit.limits import (bang_functor, power_category, product_category,
                              pullback_category, terminal_category,
@@ -17,8 +19,9 @@ from judgekit.limits import (bang_functor, power_category, product_category,
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
                           build_deduction_system, proposition_classifier)
 
-from oracles import (naive_category_laws, naive_cocartesian_lifts,
-                     naive_composition_preserved)
+from oracles import (naive_cartesian_lifts, naive_category_laws,
+                     naive_cocartesian_lifts, naive_composition_preserved,
+                     naive_is_cartesian)
 
 P1 = proposition_classifier(PowersetDoctrine(1))
 
@@ -221,3 +224,86 @@ def test_the_cases_cover_both_outcomes():
     assert compute_op_cleavage(OP_CASES["slice"]())[1]
     assert not compute_op_cleavage(OP_CASES["coslice"]())[1]
     assert not compute_op_cleavage(OP_CASES["powerset"]())[1]
+
+
+def _moved(cl, m, image):
+    """cl with the projection of m replaced by ``image``: no functor."""
+    proj = FunctorMap(f"{cl.proj.name}'", cl.total, cl.base, cl.proj.obj_map,
+                      {**cl.proj.mor_map, m: image})
+    return Classifier(f"{cl.name}'", cl.total, cl.base, proj)
+
+
+def _moved_powerset():
+    cl = OP_CASES["powerset"]()
+    m = min((m for m in cl.total.morphisms if not cl.total.is_identity(m)),
+            key=sort_key)
+    return _moved(cl, m, min((g for g in cl.base.morphisms
+                              if g != cl.proj.mor_map[m]), key=sort_key))
+
+
+def _doubled():
+    """fin_skeleton(1) × (a ≅ b) projected onto fin_skeleton(1): each
+    arrow has two cartesian lifts at each object, so the choice between
+    them shows."""
+    ab = {(x, y): f"{x}{y}" for x in "ab" for y in "ab"}
+    iso = make_category("a≅b", "ab", ab.values(),
+                        {m: x for (x, _), m in ab.items()},
+                        {m: y for (_, y), m in ab.items()},
+                        {x: ab[x, x] for x in "ab"},
+                        {(ab[y, z], ab[x, y]): ab[x, z]
+                         for x in "ab" for y in "ab" for z in "ab"})
+    ctx = fin_skeleton(1)
+    total, p1, _ = product_category(ctx, iso)
+    return Classifier("doubled", total, ctx, p1)
+
+
+DTT2 = build_finset_topos(2)
+CARTESIAN_CASES = {**OP_CASES, "dtt u": lambda: DTT2.u,
+                   "dtt udot": lambda: DTT2.udot,
+                   "not a functor": _moved_powerset, "doubled": _doubled}
+
+
+def _agrees_with_the_naive_cartesian_test(cl):
+    for m in cl.total.morphisms:
+        assert is_cartesian(cl, m) == naive_is_cartesian(cl, m), m
+    cleavage, bad = compute_cleavage(cl)
+    lifts = naive_cartesian_lifts(cl)
+    holes = {}
+    for (F, sigma), found in lifts.items():
+        if cl.base.is_identity(sigma):
+            assert cleavage[(F, sigma)] == cl.total.identity[F]
+        elif found:
+            assert cleavage[(F, sigma)] == min(found, key=sort_key)
+        else:
+            holes[(F, sigma)] = \
+                f"{cl.name}: no cartesian lift of {sigma!r} at {F!r}"
+    assert sorted(bad) == sorted(holes.values())
+    assert set(cleavage) == set(lifts) - set(holes)
+
+
+@pytest.mark.parametrize("name", sorted(CARTESIAN_CASES))
+def test_cartesian_test_and_cleavage_agree_with_the_naive_test(name):
+    _agrees_with_the_naive_cartesian_test(CARTESIAN_CASES[name]())
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(OP_CASES)), data=st.data())
+def test_cartesian_test_agrees_with_the_naive_test_off_a_functor(name, data):
+    cl = OP_CASES[name]()
+    m = data.draw(st.sampled_from(sorted(cl.total.morphisms, key=repr)))
+    image = data.draw(st.sampled_from(sorted(
+        (g for g in cl.base.morphisms if g != cl.proj.mor_map[m]), key=repr)))
+    _agrees_with_the_naive_cartesian_test(_moved(cl, m, image))
+
+
+def test_the_cartesian_cases_cover_both_outcomes():
+    """The powerset fibration has morphisms that are not cartesian, the
+    moved projection, which is no functor, has holes in its cleavage, and
+    every morphism of the doubled case is cartesian."""
+    P = CARTESIAN_CASES["powerset"]()
+    assert not all(is_cartesian(P, m) for m in P.total.morphisms)
+    moved = CARTESIAN_CASES["not a functor"]()
+    assert validate_functor(moved.proj)
+    assert compute_cleavage(moved)[1]
+    doubled = CARTESIAN_CASES["doubled"]()
+    assert all(is_cartesian(doubled, m) for m in doubled.total.morphisms)
