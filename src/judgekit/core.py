@@ -60,9 +60,6 @@ class FinCategory:
     _into: dict = field(default=None, repr=False, compare=False)
     _out: dict = field(default=None, repr=False, compare=False)
 
-    def id_of(self, obj):
-        return self.identity[obj]
-
     def comp(self, g, f):
         """Composite ``g ∘ f`` (first f, then g)."""
         return self.compose[(g, f)]
@@ -362,12 +359,6 @@ class FunctorMap:
     obj_map: dict
     mor_map: dict
 
-    def on_obj(self, o):
-        return self.obj_map[o]
-
-    def on_mor(self, m):
-        return self.mor_map[m]
-
 
 def identity_functor(c: FinCategory, name=None) -> FunctorMap:
     return FunctorMap(
@@ -459,9 +450,6 @@ class NatTrans:
     target: FunctorMap
     components: dict  # object of source.dom -> morphism of source.cod
 
-    def at(self, o):
-        return self.components[o]
-
 
 def validate_nat_trans(t: NatTrans) -> list:
     """Exhaustively check every naturality square.  Returns diagnostics."""
@@ -537,7 +525,8 @@ class AdjunctionData:
 
 
 def check_adjunction(adj: AdjunctionData) -> list:
-    """Check unit/counit naturality and both triangle identities."""
+    """Validate both functors and both transformations (naturality
+    included), then check both triangle identities."""
     bad = []
     F, G = adj.left, adj.right
     A, B = F.dom, G.dom
@@ -565,7 +554,7 @@ def check_adjunction(adj: AdjunctionData) -> list:
 
 
 def check_category_iso(F: FunctorMap):
-    """Check that F is an isomorphism of categories.
+    """Check that F is an isomorphism of categories; validates F first.
 
     Returns ``(diagnostics, inverse_or_None)``; the inverse is produced only
     when the check succeeds.

@@ -43,9 +43,6 @@ class Decl:
 class TheoryDocument:
     decls: list = field(default_factory=list)
 
-    def by_kind(self, kind):
-        return [d for d in self.decls if d.kind == kind]
-
     def find(self, kind, name):
         for d in self.decls:
             if d.kind == kind and d.name == name:

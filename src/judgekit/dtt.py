@@ -62,23 +62,22 @@ class JdttData:
 
 
 def validate_jdtt(J: JdttData) -> list:
-    """Check all the defining conditions of the dtt datum exhaustively."""
-    bad = []
-    bad += verify_kind(J.udot, expect="fibration")
+    """Check all the defining conditions of the dtt datum exhaustively.
+    ``verify_kind`` checks u̇ and u with their projections, then
+    ``check_adjunction`` checks Σ, Δ, η and ε, so u∘Σ is formed only from
+    functors.  Each step runs only when the steps before it pass."""
+    bad = verify_kind(J.udot, expect="fibration")
     bad += verify_kind(J.u, expect="fibration")
     if bad:
         return bad
-    bad += validate_functor(J.Sigma)
-    bad += validate_functor(J.Delta)
-    if not same_functor(compose_functors(J.u.proj, J.Sigma), J.udot.proj):
-        bad.append("typing Σ is not a rule over ctx (u∘Σ ≠ u̇)")
-    adj = AdjunctionData("Σ⊣Δ", J.Sigma, J.Delta, J.eta, J.eps)
-    bad += check_adjunction(adj)
+    bad = check_adjunction(AdjunctionData("Σ⊣Δ", J.Sigma, J.Delta,
+                                          J.eta, J.eps))
     if bad:
         return bad
-    bad += is_cartesian_nat_trans(J.eps, J.u)
-    bad += is_cartesian_nat_trans(J.eta, J.udot)
-    return bad
+    if not same_functor(compose_functors(J.u.proj, J.Sigma), J.udot.proj):
+        return ["typing Σ is not a rule over ctx (u∘Σ ≠ u̇)"]
+    return (is_cartesian_nat_trans(J.eps, J.u)
+            + is_cartesian_nat_trans(J.eta, J.udot))
 
 
 @dataclass

@@ -186,10 +186,14 @@ def is_thin(cl: Classifier) -> list:
     return bad
 
 
-def verify_kind(cl: Classifier, expect=None, check_thin=False) -> list:
-    """Classify a classifier (fibration / opfibration / discrete) and
-    populate its cleavage(s).  Returns diagnostics; ``expect`` (if given)
-    adds a diagnostic when the computed kind does not include it."""
+def verify_kind(cl: Classifier, expect=None) -> list:
+    """Classify a classifier (fibration / opfibration / discrete, and
+    thin when ``expect`` asks for it) and populate its cleavage.
+
+    Validates the projection functor first and stops there when it
+    fails; it does not validate the total or base category.  Returns
+    diagnostics; ``expect`` (if given) adds a diagnostic when the
+    computed kind does not include it."""
     bad = validate_functor(cl.proj)
     if bad:
         return bad
@@ -203,7 +207,7 @@ def verify_kind(cl: Classifier, expect=None, check_thin=False) -> list:
         kinds.append("opfibration")
     if not is_discrete(cl):
         kinds.append("discrete")
-    if check_thin or (expect and "thin" in expect):
+    if expect and "thin" in expect:
         if not is_thin(cl):
             kinds.append("thin")
     cl.kind = "+".join(kinds) if kinds else "functor"

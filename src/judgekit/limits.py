@@ -235,39 +235,35 @@ def joint_injectivity(p1: FunctorMap, p2: FunctorMap) -> list:
 def mediating_functor(kind, limit_cat, projections, legs, name=None) -> FunctorMap:
     """Canonical mediating functor of a cone into one of our limits.
 
-    ``kind`` is "pullback", "product" or "equalizer"; ``legs`` are the cone
-    functors (one per projection for pullback/product, a single functor for
-    equalizer).  The result is defined pointwise by tupling the legs, which
-    is the unique choice because the projections are jointly injective
-    (asserted here by exhaustive check).
+    ``kind`` is "pullback" or "equalizer".  For a pullback,
+    ``projections`` and ``legs`` are the two projections and the two cone
+    functors; the result tuples the legs pointwise, which is the unique
+    choice because the projections are jointly injective (asserted here
+    by exhaustive check).  For an equalizer, ``projections`` is the
+    inclusion and ``legs`` the one cone functor, corestricted.
     """
-    if kind in ("pullback", "product"):
-        legs = list(legs)
+    if kind == "pullback":
         W = legs[0].dom
-        if len(legs) == 2 and joint_injectivity(*projections):
+        if joint_injectivity(*projections):
             raise ValueError("limit projections are not jointly injective")
         obj_map = {o: tuple(l.obj_map[o] for l in legs) for o in W.objects}
         mor_map = {m: tuple(l.mor_map[m] for l in legs) for m in W.morphisms}
         med = FunctorMap(name or f"⟨{','.join(l.name for l in legs)}⟩",
                          W, limit_cat, obj_map, mor_map)
     elif kind == "equalizer":
-        leg = legs[0] if isinstance(legs, (list, tuple)) else legs
-        W = leg.dom
-        med = FunctorMap(name or f"corestrict({leg.name})",
-                         W, limit_cat, dict(leg.obj_map), dict(leg.mor_map))
+        med = FunctorMap(name or f"corestrict({legs.name})", legs.dom,
+                         limit_cat, dict(legs.obj_map), dict(legs.mor_map))
     else:
         raise ValueError(f"unknown limit kind {kind!r}")
     bad = validate_functor(med)
     if bad:
         raise ValueError(f"cone does not factor through {limit_cat.name}: {bad[0]}")
-    if kind in ("pullback", "product"):
+    if kind == "pullback":
         for proj, leg in zip(projections, legs):
             if not same_functor(compose_functors(proj, med), leg):
                 raise ValueError(f"mediating functor does not commute with {proj.name}")
-    else:
-        incl = projections[0] if isinstance(projections, (list, tuple)) else projections
-        if not same_functor(compose_functors(incl, med), legs[0] if isinstance(legs, (list, tuple)) else legs):
-            raise ValueError("mediating functor does not commute with the inclusion")
+    elif not same_functor(compose_functors(projections, med), legs):
+        raise ValueError("mediating functor does not commute with the inclusion")
     return med
 
 

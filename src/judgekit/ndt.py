@@ -326,13 +326,12 @@ def build_deduction_system(doc) -> DeductionSystem:
 
 
 def validate_system(ds: DeductionSystem) -> list:
-    """Every generating law at once: categories, functors, the policy,
-    both fibrations, and the closure axioms of the ambient theory."""
+    """Every generating law at once: the categories 𝔽 and 𝔼, then the
+    theory.  ``validate_prejt`` checks the projections, the rules and
+    the policy α; ``check_axioms`` checks ctx and that 𝔽 and 𝔼 are
+    fibrations, so neither is checked here a second time."""
     bad = validate_category(ds.P.total) + validate_category(ds.E.total)
     bad += validate_prejt(ds.theory)
-    bad += validate_nat_trans(ds.alpha)
-    bad += verify_kind(ds.P, expect="fibration")
-    bad += verify_kind(ds.E, expect="fibration")
     bad += check_axioms(ds.theory, variances={ds.P.name: "contravariant",
                                               ds.E.name: "contravariant"})
     return bad
@@ -709,7 +708,6 @@ def quantifier_package(ds: DeductionSystem, y: int) -> QuantifierPackage:
     """
     doc, P = ds.doctrine, ds.P
     ext = proposition_classifier(doc.extend(y), f"𝔽·{y}")
-    bad = []
     weaken = thin_rule(f"w{y}", P.total, ext,
                        lambda o: (o[0], doc.weaken(o[0], y, o[1])),
                        lambda m: m[0])
@@ -719,11 +717,9 @@ def quantifier_package(ds: DeductionSystem, y: int) -> QuantifierPackage:
     exists_ = thin_rule(f"∃{y}", ext.total, P,
                         lambda o: (o[0], doc.exists(o[0], y, o[1])),
                         lambda m: m[0])
-    for r in (weaken, forall, exists_):
-        bad += validate_functor(r)
     adj_l = _thin_adjunction(exists_, weaken, ext, P)
     adj_r = _thin_adjunction(weaken, forall, P, ext)
-    bad += check_adjunction(adj_l) + check_adjunction(adj_r)
+    bad = check_adjunction(adj_l) + check_adjunction(adj_r)
     bad += is_cartesian_functor(weaken, P, ext)
     bad += is_cartesian_functor(forall, ext, P)
     bad += is_cartesian_functor(exists_, ext, P)

@@ -31,9 +31,6 @@ class ConstructionTerm:
     op: str
     args: tuple
 
-    def canonical(self) -> str:
-        return f"{self.op}({','.join(str(a) for a in self.args)})"
-
 
 @dataclass
 class RegistryEntry:
@@ -75,9 +72,6 @@ class PreJudgementalTheory:
             "policy", (t, variance), ConstructionTerm("gen", (t.name,)))
         return t
 
-    def lookup(self, name: str) -> RegistryEntry:
-        return self.registry[name]
-
     def register(self, name: str, entry: RegistryEntry):
         if name not in self.registry:
             self.registry[name] = entry
@@ -99,7 +93,8 @@ class DerivedRule:
 
 def validate_prejt(T: PreJudgementalTheory) -> list:
     """Shape checks: every judgement projects to ctx, every rule runs
-    between registered totals, every policy sits between registered rules."""
+    between registered totals, every policy sits between registered rules.
+    Validates every judgement's projection, every rule and every policy."""
     bad = []
     totals = {T.ctx.name: T.ctx}
     for e in T.registry.values():
@@ -249,8 +244,7 @@ class SharpLiftResult:
 
 
 def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
-               g: FunctorMap, pol: NatTrans, R: Classifier,
-               check_cartesian=True) -> SharpLiftResult:
+               g: FunctorMap, pol: NatTrans, R: Classifier) -> SharpLiftResult:
     """♯-lift a contravariant policy along a fibration.
 
     Data: a triangle λ : 𝔽 → 𝔾 over 𝕏 with legs f : 𝔽 → 𝕏, g : 𝔾 → 𝕏
@@ -258,7 +252,8 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
     ``R.proj : ℍ → 𝕏``.  The lifted rule sends a premise pair (F, H) to
     (λF, H[pol_F]) where H[pol_F] is the chosen cartesian lift; the lifted
     policy's component at (F, H) is that lift, so it is cartesian by
-    construction.  The square over λ commutes strictly (checked).
+    construction.  Both that and the strict commuting of the square over
+    λ are checked.
     """
     bad = []
     P1, p1f, p1h = close_pullback(T, f, R.proj)
@@ -296,12 +291,11 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
                             compose_functors(lam, p1f)):
             bad.append(f"♯-lift of {pol.name}: square over {lam.name} does not "
                        f"commute strictly")
-        if check_cartesian:
-            memo = {}
-            for o, m in lifted.components.items():
-                if not is_cartesian(R, m, memo):
-                    bad.append(f"♯-lift of {pol.name}: component at {o!r} "
-                               f"is not cartesian")
+        memo = {}
+        for o, m in lifted.components.items():
+            if not is_cartesian(R, m, memo):
+                bad.append(f"♯-lift of {pol.name}: component at {o!r} "
+                           f"is not cartesian")
     if not bad and key in T.registry:
         _refuse_others(key, (T.registry[key].value,), (rule,))
     elif not bad:
@@ -329,7 +323,8 @@ def whisker_policy(T: PreJudgementalTheory, pol_name: str, F: FunctorMap,
 
 
 def check_axioms(T: PreJudgementalTheory, variances=None) -> list:
-    """The closure axioms of a judgemental theory, checked exhaustively:
+    """The closure axioms of a judgemental theory, checked exhaustively
+    after validating ctx; every judgement is checked by ``verify_kind``:
 
     * ctx has a terminal object;
     * the empty classifier is available (and registered);

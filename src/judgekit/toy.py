@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .core import FunctorMap, NatTrans, identity_functor
 from .fibrations import Classifier
 from .finsets import apply_map, canonical_inclusion, fin_skeleton
-from .limits import terminal_category
+from .limits import bang_functor, terminal_category
 from .ndt import PowersetDoctrine, proposition_classifier
 from .theory import PreJudgementalTheory, SharpLiftResult, sharp_lift
 
@@ -44,13 +44,6 @@ class ToyTheory:
     rules: list = field(default_factory=list)   # DerivedRule exports
 
 
-def _bang(cat, one, name):
-    star = one.sorted_objects()[0]
-    return FunctorMap(name, cat, one,
-                      {o: star for o in cat.objects},
-                      {m: one.identity[star] for m in cat.morphisms})
-
-
 def build_toy_theory() -> ToyTheory:
     one = terminal_category("𝟙")
     star = one.sorted_objects()[0]
@@ -60,8 +53,8 @@ def build_toy_theory() -> ToyTheory:
 
     t = Classifier("t", one, one, identity_functor(one, name="t"),
                    kind="fibration")
-    c = Classifier("c", C, one, _bang(C, one, "c"), kind="fibration")
-    v = Classifier("v", U.total, one, _bang(U.total, one, "v"),
+    c = Classifier("c", C, one, bang_functor(C, one, "c"), kind="fibration")
+    v = Classifier("v", U.total, one, bang_functor(U.total, one, "v"),
                    kind="fibration")
 
     e = FunctorMap("e", one, C, {star: 0},

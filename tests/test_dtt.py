@@ -1,4 +1,7 @@
-from judgekit.core import same_functor, validate_functor, whisker_left
+from dataclasses import replace
+
+from judgekit.core import (FunctorMap, same_functor, validate_functor,
+                           whisker_left)
 from judgekit.dtt import (context_extension, derive_dependency,
                           derive_display_transport, id_extensionality,
                           jdtt_to_nm, natural_model_round_trip, nm_to_jdtt,
@@ -16,6 +19,16 @@ from oracles import dec, enc, pi_adjunction_oracle
 
 def test_finset_model_is_well_formed(topos2):
     assert validate_jdtt(topos2) == []
+
+
+def test_sigma_outside_types_is_a_diagnostic(topos2):
+    J = topos2
+    S = J.Sigma
+    m = next(m for m in S.dom.sorted_morphisms() if not S.dom.is_identity(m))
+    broken = FunctorMap(S.name, S.dom, S.cod, S.obj_map,
+                        {**S.mor_map, m: "alien"})
+    bad = validate_jdtt(replace(J, Sigma=broken, _derived={}))
+    assert bad == [f"Σ: morphism image 'alien' not in {J.u.total.name}"]
 
 
 def test_context_extension_for_every_type(topos2):

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
-from judgekit.core import (check_adjunction, check_category_iso,
+from judgekit.core import (FunctorMap, check_adjunction, check_category_iso,
                            compose_functors, identity_functor, same_functor,
-                           validate_category, validate_functor)
+                           subcategory, validate_category, validate_functor)
 from judgekit.fibrations import Classifier, is_cartesian
 from judgekit.finsets import cross_map, preimage
-from judgekit.ndt import (PowersetDoctrine, derive_connectives,
+from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
+                          build_deduction_system, derive_connectives,
                           derive_structural, forall_rules, pair_comparison,
                           quantifier_package, sequent_monad, validate_system)
 
@@ -23,6 +26,21 @@ def test_system_is_well_formed(ds2):
 
 def test_chain_system_is_well_formed(chain_ds):
     assert validate_system(chain_ds) == []
+
+
+def test_system_reports_a_non_fibration_once():
+    ds = build_deduction_system(ChainDoctrine(1, 1))
+    P, ctx = ds.P, ds.ctx
+    # The vertical subcategory of 𝔽 has no lift of a non-identity arrow.
+    vert = subcategory(P.total, P.total.objects,
+                       lambda m: ctx.is_identity(P.proj.mor_map[m]), "𝔽")
+    proj = FunctorMap(P.proj.name, vert, ctx, dict(P.proj.obj_map),
+                      {m: P.proj.mor_map[m] for m in vert.morphisms})
+    F = Classifier(P.name, vert, ctx, proj)
+    ds.theory.judgements[P.name] = F
+    fib = [b for b in validate_system(replace(ds, P=F))
+           if "expected fibration" in b]
+    assert len(fib) == 1 and fib[0].startswith("𝔽: expected fibration")
 
 
 def test_sequents_are_entailments(ds2):
