@@ -125,11 +125,10 @@ def _instances(loaded, report, want=None):
 # check
 # --------------------------------------------------------------------------
 
-def cmd_check(ns):
-    report = Report(f"check {ns.file}")
+def cmd_check(ns, report):
     loaded = _load(ns.file, report)
     if loaded is None:
-        return report.emit(ns.json)
+        return
     broken = {}     # id of a category that failed its check -> its name
     for name, cat in loaded.categories.items():
         if not report.check(f"category {name}", validate_category(cat)):
@@ -188,18 +187,16 @@ def cmd_check(ns):
         check(f"constructor {name}",
               ends(*(F for F in (C.Lambda, C.Phi, C.Psi, C.section) if F)),
               lambda: phi_check(J, C).diagnostics)
-    return report.emit(ns.json)
 
 
 # --------------------------------------------------------------------------
 # close
 # --------------------------------------------------------------------------
 
-def cmd_close(ns):
-    report = Report(f"close {ns.file} --depth {ns.depth}")
+def cmd_close(ns, report):
     loaded = _load(ns.file, report)
     if loaded is None:
-        return report.emit(ns.json)
+        return
     theories = dict(loaded.theories)
     for name, (builtin, inst) in _instances(loaded, report).items():
         if inst is None:
@@ -209,7 +206,7 @@ def cmd_close(ns):
             theories[name] = T
     if not theories:
         report.check("close", ["the file declares no theory or instance"])
-        return report.emit(ns.json)
+        return
     for name, T in theories.items():
         before = len(T.registry)
         new = eager_close(T, depth=ns.depth)
@@ -217,7 +214,6 @@ def cmd_close(ns):
         report.say(f"{name}: {before} registered, {len(new)} new:")
         for key in new:
             report.say(f"  {key}")
-    return report.emit(ns.json)
 
 
 # --------------------------------------------------------------------------
@@ -282,11 +278,10 @@ def _derive_ndt(ds, which, report):
     report.check(f"derive {which}", [f"no derivation named {which!r}"])
 
 
-def cmd_derive(ns):
-    report = Report(f"derive {ns.file} --rule {ns.rule}")
+def cmd_derive(ns, report):
     loaded = _load(ns.file, report)
     if loaded is None:
-        return report.emit(ns.json)
+        return
     dtt_rules = ("dty", "dtm", "pi", "id", "sum")
     want = "dtt-finset" if ns.rule in dtt_rules else "ndt-powerset"
     instances = _instances(loaded, report, want=want)
@@ -300,7 +295,7 @@ def cmd_derive(ns):
     if not instances:
         report.check(f"derive {ns.rule}",
                      [f"the file declares no {want} instance"])
-        return report.emit(ns.json)
+        return
     for name, (_, inst) in instances.items():
         if inst is None:
             continue
@@ -308,28 +303,24 @@ def cmd_derive(ns):
             _derive_dtt(inst, ns.rule, report)
         else:
             _derive_ndt(inst, ns.rule, report)
-    return report.emit(ns.json)
 
 
 # --------------------------------------------------------------------------
 # render
 # --------------------------------------------------------------------------
 
-def cmd_render(ns):
-    where = f"{ns.file} " if ns.file else ""
-    report = Report(f"render {where}--rule {ns.rule} --format {ns.format}")
+def cmd_render(ns, report):
     if ns.file is not None:
         loaded = _load(ns.file, report)
         if loaded is None:
-            return report.emit(ns.json)
+            return
     if ns.rule not in SCHEMAS:
         known = ", ".join(sorted(SCHEMAS))
         report.check(f"rule {ns.rule}",
                      [f"no display schema named {ns.rule!r}; known: {known}"])
-        return report.emit(ns.json)
+        return
     rule = derived_rule(ns.rule, "", "", None)
     report.say(*render_rule_tree(rule, ns.format).splitlines())
-    return report.emit(ns.json)
 
 
 # --------------------------------------------------------------------------
@@ -389,12 +380,10 @@ def _demo_ndt(report):
     _show_rules(report, shown)
 
 
-def cmd_demo(ns):
-    report = Report(f"demo {ns.which}")
+def cmd_demo(ns, report):
     {"toy": _demo_toy,
      "dtt-finset": _demo_dtt,
      "ndt-powerset": _demo_ndt}[ns.which](report)
-    return report.emit(ns.json)
 
 
 # --------------------------------------------------------------------------
@@ -443,9 +432,33 @@ def build_parser():
     return p
 
 
+def _command(ns) -> str:
+    """The ``command:`` line of the report on the parsed arguments."""
+    if ns.cmd == "check":
+        return f"check {ns.file}"
+    if ns.cmd == "close":
+        return f"close {ns.file} --depth {ns.depth}"
+    if ns.cmd == "derive":
+        return f"derive {ns.file} --rule {ns.rule}"
+    if ns.cmd == "render":
+        where = f"{ns.file} " if ns.file else ""
+        return f"render {where}--rule {ns.rule} --format {ns.format}"
+    return f"demo {ns.which}"
+
+
 def main(argv=None):
+    """Run one command and print its report; returns the exit status.
+
+    A request whose categories do not fit in memory ends in a failing
+    report, with the checks made before it ran out."""
     ns = build_parser().parse_args(argv)
-    return ns.fn(ns)
+    report = Report(_command(ns))
+    try:
+        ns.fn(ns, report)
+    except MemoryError:
+        report.check("memory", ["out of memory: the categories this request "
+                                "builds do not fit"])
+    return report.emit(ns.json)
 
 
 if __name__ == "__main__":

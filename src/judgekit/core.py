@@ -3,17 +3,45 @@
 Everything downstream (limits, fibrations, derived deduction rules) is
 built on four kinds of data: finite categories, functors between them,
 natural transformations, and adjunctions.  All of them are plain tables,
-except that a category built from factors (a pullback, product or power)
-keeps its factors and composes through them instead of storing a table.
-All laws are checked by exhaustive enumeration.
+except that a pullback keeps its legs and composes through their domains
+instead of storing a table.  All laws are checked by exhaustive
+enumeration.
 
 ``validate_category`` and ``validate_functor`` first check the tables on
 identifiers (endpoints, identities, a composite for exactly the
 composable pairs).  They then number the morphisms of the categories
 they read, once per call, and sweep the unit, associativity and
-composition laws on those integer codes; a category built from factors
-composes codes through its factors' codes.  Failures are reported in
-``sort_key`` order, so a report does not depend on hash order.
+composition laws on those integer codes; a pullback composes codes
+through its factors' codes.  Failures are reported in ``sort_key``
+order, so a report does not depend on hash order.
+
+Two lemmas let a validator decide a law on smaller categories instead of
+sweeping it.  Both rest on one fact: a faithful functor p, one that is
+injective on every hom-set, reflects equations between parallel arrows
+(Mac Lane, *Categories for the Working Mathematician*, I.3).
+
+*Category lemma.*  Let C be a table in which every composable pair has a
+composite with the right endpoints, and p : C → X a faithful functor into
+a category X.  Then C satisfies the unit and associativity laws.  Proof:
+for f : a → b, g : b → c and h : c → d, both (h∘g)∘f and h∘(g∘f) lie in
+C(a, d), and p sends both to p h ∘ p g ∘ p f, so they are equal; f∘id_a
+and f both lie in C(a, b) and p sends both to p f.
+
+*Functor lemma.*  Let F : C → D preserve endpoints, where C is a pullback
+whose composites lie in C with the right endpoints, π : C → L the
+projection onto one of its leaf factors (a functor, since C composes
+componentwise), h : L → X and p : D → X functors with p faithful, p∘F =
+h∘π on morphisms, and D a table whose composable pairs have composites
+with the right endpoints.  Then F preserves composition.  Proof: for g∘f
+in C, F(g∘f) and F g ∘ F f both lie in D(F a, F c), and p sends both to
+h(π g) ∘ h(π f), so they are equal.
+
+The fibers of a preorder fibration are thin, so its projection is
+faithful (Jacobs, *Categorical Logic and Type Theory*, ch. 1): 𝔽 and 𝔼
+lie faithfully over their contexts, and every rule between them lies over
+ctx.  A validator uses a lemma only after checking each premise within
+the call; when one fails it runs the sweep, so the laws are decided
+exhaustively either way and the diagnostics are the same.
 """
 
 from __future__ import annotations
@@ -132,17 +160,19 @@ def category_from(name, objects, morphisms, src, tgt, identity, compose_fn):
 
 
 class Composition(Mapping):
-    """The composition of a category whose morphisms are tuples of
-    morphisms of its ``factors``, composed componentwise: ``self[(g, f)]``
-    is the tuple of the factors' composites ``g[k] ∘ f[k]`` for each
-    composable pair and a ``KeyError`` otherwise, as with a table.
-    Iteration walks exactly the composable pairs, through ``by_src``, the
-    morphisms grouped by source object.  ``code_rows`` composes the same
-    way on the integer codes that the validators sweep."""
+    """The composition of a pullback, whose morphisms are tuples of
+    morphisms of its ``factors``, the domains of its ``legs``, composed
+    componentwise: ``self[(g, f)]`` is the tuple of the factors'
+    composites ``g[k] ∘ f[k]`` for each composable pair and a ``KeyError``
+    otherwise, as with a table.  Iteration walks exactly the composable
+    pairs, through ``by_src``, the morphisms grouped by source object.
+    ``code_rows`` composes the same way on the integer codes that the
+    validators sweep."""
 
-    def __init__(self, src, tgt, by_src, factors):
+    def __init__(self, src, tgt, by_src, legs):
         self.src, self.tgt, self.by_src = src, tgt, by_src
-        self.factors = tuple(factors)
+        self.legs = tuple(legs)
+        self.factors = tuple(leg.dom for leg in self.legs)
         self._len = sum(len(by_src.get(t, ())) for t in tgt.values())
 
     def __getitem__(self, gf):
@@ -213,19 +243,6 @@ class _ComponentRows:
                                 zip(*map(map, rs, columns)))))
 
 
-def computed_category(name, objects, morphisms, src, tgt, identity, factors):
-    """Like ``category_from``, for a category whose morphisms are tuples
-    of morphisms of ``factors`` (a pullback, product or power): the
-    composition is a ``Composition`` that composes componentwise through
-    the factors when asked, and no table is kept."""
-    by_src = {}
-    for m in morphisms:
-        by_src.setdefault(src[m], []).append(m)
-    return FinCategory(name, frozenset(objects), frozenset(morphisms),
-                       src, tgt, identity,
-                       Composition(src, tgt, by_src, factors))
-
-
 class _Codes:
     """The morphisms of one category numbered 0..M-1, for the law sweeps
     of one validator call; it is dropped with the call.  ``mors[i]`` is
@@ -282,8 +299,10 @@ def opposite(c: FinCategory) -> FinCategory:
                        {(f, g): h for (g, f), h in c.compose.items()})
 
 
-def validate_category(c: FinCategory) -> list:
-    """Exhaustively check the category laws.  Returns diagnostics ([] = ok)."""
+def _table_errors(c: FinCategory) -> list:
+    """The well-formedness checks of ``validate_category``: endpoints,
+    identities, and a composite with the right endpoints for exactly the
+    composable pairs.  Returns diagnostics ([] = ok)."""
     bad, ends = [], []
     for m in c.morphisms:
         if m not in c.src or m not in c.tgt:
@@ -307,21 +326,77 @@ def validate_category(c: FinCategory) -> list:
     if bad:
         return bad
     # Composition is total on composable pairs and only on them.
+    mors, src, tgt = c.morphisms, c.src, c.tgt
     for (g, f), h in c.compose.items():
-        if g not in c.morphisms or f not in c.morphisms or h not in c.morphisms:
+        if g not in mors or f not in mors or h not in mors:
             bad.append(f"{c.name}: composition entry ({g!r}, {f!r}) mentions unknown morphisms")
             return bad
-        if c.tgt[f] != c.src[g]:
+        if tgt[f] != src[g]:
             bad.append(f"{c.name}: composition defined on non-composable pair ({g!r}, {f!r})")
-        elif c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
+        elif src[h] != src[f] or tgt[h] != tgt[g]:
             bad.append(f"{c.name}: composite of ({g!r}, {f!r}) has wrong endpoints")
-    bad += _in_order([(f, f"{c.name}: composition missing for ({g!r}, {f!r})")
-                      for f in c.morphisms for g in c.out_of(c.tgt[f])
-                      if (g, f) not in c.compose])
+    # Every entry is a distinct composable pair unless one was flagged, so
+    # then none is missing when there are as many entries as such pairs.
+    if bad or len(c.compose) != sum(len(c.out_of(tgt[f])) for f in mors):
+        bad += _in_order([(f, f"{c.name}: composition missing for ({g!r}, {f!r})")
+                          for f in mors for g in c.out_of(tgt[f])
+                          if (g, f) not in c.compose])
+    return bad
+
+
+def _sound(c: FinCategory, memo: dict) -> bool:
+    """Whether every composable pair of c has a composite in c with the
+    right endpoints, decided once per validator call.  A table passes the
+    checks of ``_table_errors``.  A pullback is sound when its legs share
+    one sound codomain, their domains are sound and they preserve
+    composition: then the componentwise composite (g₁∘f₁, g₂∘f₂) of two of
+    its morphisms has legs' images G₁g₁∘G₁f₁ = G₂g₂∘G₂f₂, so it is a
+    morphism of the pullback, with the endpoints of its components."""
+    key = ("sound", id(c))
+    if key not in memo:
+        if isinstance(c.compose, Composition):
+            legs = c.compose.legs
+            memo[key] = legs[0].cod is legs[1].cod \
+                and _sound(legs[0].cod, memo) \
+                and all(_sound(leg.dom, memo) and not _validated(leg, memo)
+                        for leg in legs)
+        else:
+            memo[key] = not _table_errors(c)
+    return memo[key]
+
+
+def parallel_morphisms(p: "FunctorMap"):
+    """The pairs of distinct parallel morphisms that p sends to the same
+    morphism, as ``(first, second, image)``: p is faithful when there are
+    none."""
+    c, seen = p.dom, {}
+    for m in c.morphisms:
+        key = (c.src[m], c.tgt[m], p.mor_map[m])
+        if key in seen:
+            yield seen[key], m, key[2]
+        seen[key] = m
+
+
+def validate_category(c: FinCategory, proj=None) -> list:
+    """Exhaustively check the category laws.  Returns diagnostics ([] = ok).
+
+    With ``proj``, a functor p : c → X, the unit and associativity laws
+    are decided by the category lemma of this module when its premises
+    hold: c passes the table checks, X passes ``validate_category``, p
+    passes ``validate_functor`` (so it preserves identities and
+    composition) and p is faithful.  The laws then hold, since p reflects
+    each of them from X.  When a premise fails the laws are swept, so the
+    diagnostics do not depend on ``proj``."""
+    bad = _table_errors(c)
     if bad:
         return bad
+    memo = {}
+    if proj is not None and proj.dom is c and not validate_category(proj.cod) \
+            and not _validated(proj, memo) \
+            and next(parallel_morphisms(proj), None) is None:
+        return []
     # Unit and associativity laws, swept on codes.
-    n = _codes(c, {})
+    n = _codes(c, memo)
     mors, rows, code = n.mors, n.rows, n.code
     ident = {o: code[m] for o, m in c.identity.items()}
     units = []
@@ -340,7 +415,7 @@ def validate_category(c: FinCategory) -> list:
                     hgf = (mors[k], mors[j], mors[i])
                     triples.append((hgf, f"{c.name}: associativity fails at "
                                          f"({hgf[0]!r}, {hgf[1]!r}, {hgf[2]!r})"))
-    return bad + _in_order(units) + _in_order(triples)
+    return _in_order(units) + _in_order(triples)
 
 
 def terminal_objects(c: FinCategory) -> list:
@@ -351,13 +426,28 @@ def terminal_objects(c: FinCategory) -> list:
 
 @dataclass
 class FunctorMap:
-    """A functor given by explicit object and morphism tables."""
+    """A functor given by explicit object and morphism tables.
+
+    ``over``, when set, is ``(p, path, h)``: the functor F lies over a
+    base through p : cod → X, and reads its base arrow of a morphism m
+    through h from the component of m at ``path`` (see ``along``), so
+    that p∘F = h∘π_path.  ``validate_functor`` may then use the functor
+    lemma; the record is no claim, since every premise is checked."""
 
     name: str
     dom: FinCategory
     cod: FinCategory
     obj_map: dict
     mor_map: dict
+    over: tuple = field(default=None, repr=False, compare=False)
+
+
+def along(path, m):
+    """The component of a morphism of a pullback at ``path``:
+    ``m[path[0]][path[1]]…``, and m itself for the empty path."""
+    for k in path:
+        m = m[k]
+    return m
 
 
 def identity_functor(c: FinCategory, name=None) -> FunctorMap:
@@ -385,7 +475,28 @@ def compose_functors(g: FunctorMap, f: FunctorMap, name=None) -> FunctorMap:
 
 
 def validate_functor(F: FunctorMap) -> list:
-    """Exhaustively check functoriality.  Returns diagnostics ([] = ok)."""
+    """Exhaustively check functoriality.  Returns diagnostics ([] = ok).
+
+    Images, endpoints and identities are checked on the tables.  When F
+    records ``over = (p, path, h)`` with a non-empty path, composition is
+    decided by the functor lemma of this module if its premises hold,
+    each checked here: the path leads through pullbacks of F's domain to
+    the domain of h, p's domain is F's codomain and p and h share their
+    codomain X; F's domain and codomain and X are sound (every composite
+    exists, with the right endpoints); p and h pass ``validate_functor``;
+    p is faithful; and p∘F = h∘π_path on every morphism.  When a premise
+    fails, composition preservation is swept, so the diagnostics do not
+    depend on ``over``."""
+    return _validated(F, {})
+
+
+def _validated(F: FunctorMap, memo: dict) -> list:
+    """``validate_functor`` with the numberings and verdicts of one call
+    shared in ``memo``, so the premises of nested lemmas are checked once
+    per call."""
+    key = ("functor", id(F))
+    if key in memo:
+        return memo[key][1]
     c, d = F.dom, F.cod
     images = []
     for o in c.objects:
@@ -396,24 +507,48 @@ def validate_functor(F: FunctorMap) -> list:
     bad = _in_order(images) + _in_order(
         [(m, f"{F.name}: no image for morphism {m!r}")
          for m in c.morphisms if m not in F.mor_map])
-    if bad:
-        return bad
-    ends = []
-    for m in c.morphisms:
-        fm = F.mor_map[m]
-        if fm not in d.morphisms:
-            ends.append((m, f"{F.name}: morphism image {fm!r} not in {d.name}"))
-        elif (d.src[fm] != F.obj_map[c.src[m]] or d.tgt[fm] != F.obj_map[c.tgt[m]]):
-            ends.append((m, f"{F.name}: image of {m!r} has wrong endpoints"))
-    bad = _in_order(ends)
-    if bad:
-        return bad
-    bad = _in_order([(o, f"{F.name}: identity of {o!r} not preserved")
-                     for o in c.objects
-                     if F.mor_map[c.identity[o]] != d.identity[F.obj_map[o]]])
-    # Composition preservation, swept on codes.
-    memo = {}
-    cn, dn = _codes(c, memo), _codes(d, memo)
+    if not bad:
+        ends = []
+        for m in c.morphisms:
+            fm = F.mor_map[m]
+            if fm not in d.morphisms:
+                ends.append((m, f"{F.name}: morphism image {fm!r} not in {d.name}"))
+            elif (d.src[fm] != F.obj_map[c.src[m]] or d.tgt[fm] != F.obj_map[c.tgt[m]]):
+                ends.append((m, f"{F.name}: image of {m!r} has wrong endpoints"))
+        bad = _in_order(ends)
+    if not bad:
+        bad = _in_order([(o, f"{F.name}: identity of {o!r} not preserved")
+                         for o in c.objects
+                         if F.mor_map[c.identity[o]] != d.identity[F.obj_map[o]]])
+        if not (F.over and _reflected(F, memo)):
+            bad += _composition_sweep(F, memo)
+    memo[key] = (F, bad)
+    return bad
+
+
+def _reflected(F: FunctorMap, memo: dict) -> bool:
+    """Whether the premises of the functor lemma hold for F, whose
+    endpoints are already checked."""
+    p, path, h = F.over
+    c, d, leaf = F.dom, F.cod, F.dom
+    for k in path:
+        if not isinstance(leaf.compose, Composition):
+            return False
+        leaf = leaf.compose.factors[k]
+    if not path or p.dom is not d or h.dom is not leaf or p.cod is not h.cod:
+        return False
+    if not (_sound(c, memo) and _sound(d, memo) and _sound(p.cod, memo)):
+        return False
+    if _validated(p, memo) or _validated(h, memo) \
+            or next(parallel_morphisms(p), None) is not None:
+        return False
+    pm, fm, hm = p.mor_map, F.mor_map, h.mor_map
+    return all(pm[fm[m]] == hm[along(path, m)] for m in c.morphisms)
+
+
+def _composition_sweep(F: FunctorMap, memo: dict) -> list:
+    """Composition preservation, swept on codes."""
+    cn, dn = _codes(F.dom, memo), _codes(F.cod, memo)
     image = [dn.code[F.mor_map[m]] for m in cn.mors]
     rows_c, rows_d = cn.rows, dn.rows
     by_image = {}
@@ -428,7 +563,7 @@ def validate_functor(F: FunctorMap) -> list:
                     gf = (cn.mors[j], cn.mors[i])
                     pairs.append((gf, f"{F.name}: composition not preserved "
                                       f"at ({gf[0]!r}, {gf[1]!r})"))
-    return bad + _in_order(pairs)
+    return _in_order(pairs)
 
 
 def same_functor(F: FunctorMap, G: FunctorMap) -> bool:

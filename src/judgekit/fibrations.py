@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (FinCategory, FunctorMap, NatTrans, category_from,
-                   opposite, subcategory, validate_functor)
+                   opposite, parallel_morphisms, subcategory,
+                   validate_functor)
 
 
 @dataclass
@@ -117,29 +118,45 @@ def _over(cl: Classifier, F) -> dict:
     return over
 
 
-def compute_cleavage(cl: Classifier):
-    """Choose a cartesian lift for every (object, arrow-into-it) pair.
-
-    Deterministic: the lift of an identity is the identity, and of the
-    cartesian candidate lifts the one with the least ``sort_key`` is
+def _lifts(cl: Classifier):
+    """For each object F and base arrow σ into its image, in order:
+    ``((F, σ), lift)``.  The lift of an identity is the identity, and of
+    the cartesian candidate lifts the one with the least ``sort_key`` is
     chosen: candidates are tested in that order and the first cartesian
-    one is taken.  Returns ``(cleavage, diagnostics)``.
-    """
+    one is taken.  ``lift`` is None where there is none."""
     total, base, P = cl.total, cl.base, cl.proj
-    cleavage, bad, memo = {}, [], {}
+    memo = {}
     for F in total.sorted_objects():
         over = _over(cl, F)
         for sigma in base.into(P.obj_map[F]):
             if base.is_identity(sigma):
-                cleavage[(F, sigma)] = total.identity[F]
-                continue
-            lift = next((m for m in over.get(sigma, ())
-                         if is_cartesian(cl, m, memo)), None)
-            if lift is None:
-                bad.append(f"{cl.name}: no cartesian lift of {sigma!r} at {F!r}")
+                yield (F, sigma), total.identity[F]
             else:
-                cleavage[(F, sigma)] = lift
+                yield (F, sigma), next((m for m in over.get(sigma, ())
+                                        if is_cartesian(cl, m, memo)), None)
+
+
+def _hole(cl: Classifier, F, sigma) -> str:
+    return f"{cl.name}: no cartesian lift of {sigma!r} at {F!r}"
+
+
+def compute_cleavage(cl: Classifier):
+    """Choose a cartesian lift for every (object, arrow-into-it) pair, as
+    ``_lifts`` does.  Returns ``(cleavage, diagnostics)``."""
+    cleavage, bad = {}, []
+    for (F, sigma), lift in _lifts(cl):
+        if lift is None:
+            bad.append(_hole(cl, F, sigma))
+        else:
+            cleavage[(F, sigma)] = lift
     return cleavage, bad
+
+
+def _first_hole(cl: Classifier) -> list:
+    """The first diagnostic of ``compute_cleavage``, or [] when it has
+    none, found without computing the lifts after it."""
+    return next(([_hole(cl, F, sigma)] for (F, sigma), lift in _lifts(cl)
+                 if lift is None), [])
 
 
 def compute_op_cleavage(cl: Classifier):
@@ -173,17 +190,10 @@ def is_discrete(cl: Classifier) -> list:
 
 
 def is_thin(cl: Classifier) -> list:
-    """At most one morphism between two total objects over each base arrow."""
-    total, P = cl.total, cl.proj
-    seen = {}
-    bad = []
-    for m in total.morphisms:
-        key = (total.src[m], total.tgt[m], P.mor_map[m])
-        if key in seen:
-            bad.append(f"{cl.name}: parallel morphisms {seen[key]!r}, {m!r} "
-                       f"over {key[2]!r}")
-        seen[key] = m
-    return bad
+    """At most one morphism between two total objects over each base
+    arrow: the projection is faithful."""
+    return [f"{cl.name}: parallel morphisms {m!r}, {n!r} over {sigma!r}"
+            for m, n, sigma in parallel_morphisms(cl.proj)]
 
 
 def verify_kind(cl: Classifier, expect=None) -> list:
@@ -191,7 +201,9 @@ def verify_kind(cl: Classifier, expect=None) -> list:
     thin when ``expect`` asks for it) and populate its cleavage.
 
     Validates the projection functor first and stops there when it
-    fails; it does not validate the total or base category.  Returns
+    fails; it does not validate the total or base category.  The
+    opposite classifier's cleavage is computed only up to its first
+    hole, since the kind and the diagnostic read no more of it.  Returns
     diagnostics; ``expect`` (if given) adds a diagnostic when the
     computed kind does not include it."""
     bad = validate_functor(cl.proj)
@@ -202,7 +214,7 @@ def verify_kind(cl: Classifier, expect=None) -> list:
     if not fib_bad:
         kinds.append("fibration")
         cl.cleavage = cleavage
-    _, opfib_bad = compute_op_cleavage(cl)
+    opfib_bad = _first_hole(opposite_classifier(cl))
     if not opfib_bad:
         kinds.append("opfibration")
     if not is_discrete(cl):

@@ -1,23 +1,24 @@
 """Finite-limit constructions on explicit categories.
 
-Pullbacks, equalizers, powers, arrow categories and comma categories
+Pullbacks, equalizers, products, arrow categories and comma categories
 have objects and morphisms that are tuples of the input identifiers, so
 results are strictly canonical: running the same construction twice
 yields identical tables.
 
-Pullbacks, products and powers are defined by their factors: their
-composition is a ``Composition`` over the factor categories, which
-composes componentwise, on identifiers when a composite is asked for
-and on integer codes when a validator sweeps the laws.  They keep no
-composition table of their own.  The table of a pullback grows with the
-product of its factors' tables, while each lookup costs only one lookup
-per factor.  Equalizers, arrow and comma categories keep a table.
+A pullback is defined by its legs: its composition is a ``Composition``
+over the legs' domains, which composes componentwise, on identifiers
+when a composite is asked for and on integer codes when a validator
+sweeps the laws.  It keeps no composition table of its own.  The table
+of a pullback grows with the product of its factors' tables, while each
+lookup costs only one lookup per factor.  A product is the pullback over
+the terminal category.  Equalizers, arrow and comma categories keep a
+table.
 """
 
 from __future__ import annotations
 
-from .core import (FinCategory, FunctorMap, all_functors, category_from,
-                   compose_functors, computed_category, make_category,
+from .core import (Composition, FinCategory, FunctorMap, all_functors,
+                   category_from, compose_functors, make_category,
                    same_functor, subcategory, validate_functor)
 
 
@@ -64,15 +65,18 @@ def pullback_category(F: FunctorMap, G: FunctorMap, name=None):
     by_image_mor = {}
     for n in B.morphisms:
         by_image_mor.setdefault(G.mor_map[n], []).append(n)
-    mors, src, tgt = [], {}, {}
+    mors, src, tgt, by_src = [], {}, {}, {}
     for m in A.morphisms:
+        sa, ta = A.src[m], A.tgt[m]
         for n in by_image_mor.get(F.mor_map[m], ()):
             mn = (m, n)
             mors.append(mn)
-            src[mn] = (A.src[m], B.src[n])
-            tgt[mn] = (A.tgt[m], B.tgt[n])
+            src[mn] = s = (sa, B.src[n])
+            tgt[mn] = (ta, B.tgt[n])
+            by_src.setdefault(s, []).append(mn)
     identity = {(a, b): (A.identity[a], B.identity[b]) for (a, b) in objs}
-    cat = computed_category(nm, objs, mors, src, tgt, identity, (A, B))
+    cat = FinCategory(nm, frozenset(objs), frozenset(mors), src, tgt, identity,
+                      Composition(src, tgt, by_src, (F, G)))
     p1 = FunctorMap(f"{nm}.π1", cat, A,
                     {o: o[0] for o in objs}, {mn: mn[0] for mn in mors})
     p2 = FunctorMap(f"{nm}.π2", cat, B,
@@ -97,41 +101,13 @@ def equalizer_category(F: FunctorMap, G: FunctorMap, name=None):
     return cat, incl
 
 
-def power_category(c: FinCategory, n: int, name=None):
-    """The n-fold product c × … × c (n = 0 gives the terminal category).
-
-    Returns ``(category, [projections])``.
-    """
-    nm = name or f"{c.name}^{n}"
-    if n == 0:
-        return terminal_category(nm), []
-    objs = [(o,) for o in c.objects]
-    mors = [(m,) for m in c.morphisms]
-    for _ in range(n - 1):
-        objs = [t + (o,) for t in objs for o in c.objects]
-        mors = [t + (m,) for t in mors for m in c.morphisms]
-    src = {t: tuple(c.src[m] for m in t) for t in mors}
-    tgt = {t: tuple(c.tgt[m] for m in t) for t in mors}
-    identity = {t: tuple(c.identity[o] for o in t) for t in objs}
-    cat = computed_category(nm, objs, mors, src, tgt, identity, (c,) * n)
-    projs = [FunctorMap(f"{nm}.π{i+1}", cat, c,
-                        {o: o[i] for o in objs}, {m: m[i] for m in mors})
-             for i in range(n)]
-    return cat, projs
-
-
 def product_category(a: FinCategory, b: FinCategory, name=None):
-    """Binary product of two (possibly different) categories."""
-    nm = name or f"({a.name}×{b.name})"
-    objs = [(x, y) for x in a.objects for y in b.objects]
-    mors = [(m, n) for m in a.morphisms for n in b.morphisms]
-    src = {(m, n): (a.src[m], b.src[n]) for (m, n) in mors}
-    tgt = {(m, n): (a.tgt[m], b.tgt[n]) for (m, n) in mors}
-    identity = {(x, y): (a.identity[x], b.identity[y]) for (x, y) in objs}
-    cat = computed_category(nm, objs, mors, src, tgt, identity, (a, b))
-    p1 = FunctorMap(f"{nm}.π1", cat, a, {o: o[0] for o in objs}, {m: m[0] for m in mors})
-    p2 = FunctorMap(f"{nm}.π2", cat, b, {o: o[1] for o in objs}, {m: m[1] for m in mors})
-    return cat, p1, p2
+    """Binary product of two (possibly different) categories: their
+    pullback over the terminal category.  Returns
+    ``(category, proj_a, proj_b)``."""
+    one = terminal_category()
+    return pullback_category(bang_functor(a, one), bang_functor(b, one),
+                             name=name or f"({a.name}×{b.name})")
 
 
 def arrow_category(c: FinCategory, name=None):

@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
-                   check_adjunction, check_category_iso, compose_functors,
-                   identity_functor, category_from, same_functor, subcategory,
-                   validate_category, validate_functor, validate_nat_trans,
-                   whisker_left, whisker_right, vertical_compose,
-                   identity_nat_trans)
+                   along, check_adjunction, check_category_iso,
+                   compose_functors, identity_functor, category_from,
+                   same_functor, subcategory, validate_category,
+                   validate_functor, validate_nat_trans, whisker_left,
+                   whisker_right, vertical_compose, identity_nat_trans)
 from .fibrations import (Classifier, IndexedData, grothendieck_construct,
                          is_cartesian_functor, validate_indexed, verify_kind)
 from .finsets import (cross_map, fin_skeleton, graph_map, meet as set_meet,
@@ -248,15 +248,31 @@ def _vertical(cl: Classifier, src, tgt):
 
 
 def thin_rule(name, dom_cat: FinCategory, target: Classifier,
-              obj_fn, base_fn) -> FunctorMap:
+              obj_fn, path, source: Classifier) -> FunctorMap:
     """Build a rule into a thin-per-base classifier from its object
-    assignment alone; the morphism table is forced by uniqueness."""
+    assignment alone; the morphism table is forced by uniqueness.
+
+    The base arrow of a morphism m is ``source.proj`` of its component at
+    ``path`` (``along(path, m)``), and the image of m is the one morphism
+    of the target between the images of m's endpoints over that arrow,
+    looked up in one index of the target's morphisms by source, target
+    and base arrow.  The rule records ``(target.proj, path, source.proj)``
+    for ``validate_functor``."""
+    total, proj = target.total, target.proj.mor_map
+    index = {}
+    for m in total.morphisms:
+        key = (total.src[m], total.tgt[m], proj[m])
+        index[key] = None if key in index else m
+    base = source.proj.mor_map
     obj_map = {o: obj_fn(o) for o in dom_cat.objects}
     mor_map = {}
     for m in dom_cat.morphisms:
-        mor_map[m] = _unique_over(target, obj_map[dom_cat.src[m]],
-                                  obj_map[dom_cat.tgt[m]], base_fn(m))
-    return FunctorMap(name, dom_cat, target.total, obj_map, mor_map)
+        key = (obj_map[dom_cat.src[m]], obj_map[dom_cat.tgt[m]],
+               base[along(path, m)])
+        hit = index.get(key)
+        mor_map[m] = _unique_over(target, *key) if hit is None else hit
+    return FunctorMap(name, dom_cat, total, obj_map, mor_map,
+                      over=(target.proj, path, source.proj))
 
 
 def _thin_adjunction(left: FunctorMap, right: FunctorMap,
@@ -306,9 +322,9 @@ def build_deduction_system(doc) -> DeductionSystem:
     P = T.add_judgement(proposition_classifier(doc))
     E = T.add_judgement(proposition_classifier(SequentDoctrine(doc), "𝔼"))
     d = T.add_rule(thin_rule("d", E.total, P, lambda e: (e[0], e[1][0]),
-                             lambda m: m[0]))
+                             (), E))
     c = T.add_rule(thin_rule("c", E.total, P, lambda e: (e[0], e[1][1]),
-                             lambda m: m[0]))
+                             (), E))
     q = compose_functors(P.proj, d, name="q")
     T.add_rule(q)
 
@@ -319,7 +335,7 @@ def build_deduction_system(doc) -> DeductionSystem:
     pp, pp1, pp2 = close_pullback(T, P.proj, P.proj)
     conj = thin_rule("∧", pp, P,
                      lambda o: (o[0][0], doc.meet(o[0][0], o[0][1], o[1][1])),
-                     lambda m: m[0][0])
+                     (0,), P)
     T.add_rule(conj)
     return DeductionSystem(doc, T, ctx, P, E, d, c, q, alpha,
                            pp, (pp1, pp2), conj)
@@ -329,8 +345,11 @@ def validate_system(ds: DeductionSystem) -> list:
     """Every generating law at once: the categories 𝔽 and 𝔼, then the
     theory.  ``validate_prejt`` checks the projections, the rules and
     the policy α; ``check_axioms`` checks ctx and that 𝔽 and 𝔼 are
-    fibrations, so neither is checked here a second time."""
-    bad = validate_category(ds.P.total) + validate_category(ds.E.total)
+    fibrations, so neither is checked here a second time.  𝔽 and 𝔼 are
+    handed their projections, which are faithful over ctx, so their laws
+    follow from those of ctx (the category lemma of ``judgekit.core``)."""
+    bad = validate_category(ds.P.total, ds.P.proj) \
+        + validate_category(ds.E.total, ds.E.proj)
     bad += validate_prejt(ds.theory)
     bad += check_axioms(ds.theory, variances={ds.P.name: "contravariant",
                                               ds.E.name: "contravariant"})
@@ -368,7 +387,7 @@ def derive_structural(ds: DeductionSystem) -> StructuralRules:
     assumption = thin_rule(
         "H", ds.pp, E,
         lambda o: (o[0][0], (mt(o[0][0], o[0][1], o[1][1]), o[1][1])),
-        lambda m: m[0][0])
+        (0,), P)
     T.add_rule(assumption)
 
     # Weakening: a sequent and a proposition in the same context.
@@ -376,7 +395,7 @@ def derive_structural(ds: DeductionSystem) -> StructuralRules:
     weakening = thin_rule(
         "W", wk_prem, E,
         lambda o: (o[0][0], (mt(o[0][0], o[0][1][0], o[1][1]), o[0][1][1])),
-        lambda m: m[1][0])
+        (1,), P)
     T.add_rule(weakening)
 
     # Contraction: a sequent whose antecedent is Γ∧φ∧φ, presented by the
@@ -384,14 +403,14 @@ def derive_structural(ds: DeductionSystem) -> StructuralRules:
     dup = thin_rule("∧∧", ds.pp,
                     P,
                     lambda o: (o[0][0], mt(o[0][0], o[0][1], o[1][1], o[1][1])),
-                    lambda m: m[0][0])
+                    (0,), P)
     T.add_rule(dup)
     ct_prem, _, _ = close_pullback(T, dup, ds.d)
     contraction = thin_rule(
         "C", ct_prem, E,
         lambda o: (o[0][0][0], (mt(o[0][0][0], o[0][0][1], o[0][1][1]),
                                 o[1][1][1])),
-        lambda m: m[0][0][0])
+        (0, 0), P)
     T.add_rule(contraction)
 
     # Exchange: a sequent out of Γ∧φ becomes a sequent out of φ∧Γ.
@@ -400,7 +419,7 @@ def derive_structural(ds: DeductionSystem) -> StructuralRules:
         "Sw", ex_prem, E,
         lambda o: (o[0][0][0], (mt(o[0][0][0], o[0][1][1], o[0][0][1]),
                                 o[1][1][1])),
-        lambda m: m[0][0][0])
+        (0, 0), P)
     T.add_rule(exchange)
 
     # Cut is not postulated: re-index the tautological policy α along the
@@ -415,7 +434,7 @@ def derive_structural(ds: DeductionSystem) -> StructuralRules:
         direct = thin_rule(
             "cut∘", lift.premise, E,
             lambda o: (o[0][0], (o[0][1][0], o[1][1][1])),
-            lambda m: m[0][0])
+            (0,), E)
         if not same_functor(cut, direct):
             bad.append("cut: re-indexed rule disagrees with the transitive "
                        "composition of sequents")
@@ -444,17 +463,17 @@ def derive_connectives(ds: DeductionSystem) -> ConnectiveRules:
     proj1 = thin_rule(
         "∧E1", ds.pp, E,
         lambda o: (o[0][0], (doc.meet(o[0][0], o[0][1], o[1][1]), o[0][1])),
-        lambda m: m[0][0])
+        (0,), ds.P)
     proj2 = thin_rule(
         "∧E2", ds.pp, E,
         lambda o: (o[0][0], (doc.meet(o[0][0], o[0][1], o[1][1]), o[1][1])),
-        lambda m: m[0][0])
+        (0,), ds.P)
     same_ant, _, _ = close_pullback(T, ds.d, ds.d)
     intro = thin_rule(
         "∧I", same_ant, E,
         lambda o: (o[0][0], (o[0][1][0],
                              doc.meet(o[0][0], o[0][1][1], o[1][1][1]))),
-        lambda m: m[0][0])
+        (0,), E)
     for r in (proj1, proj2, intro):
         T.add_rule(r)
         bad += validate_functor(r)
@@ -484,7 +503,7 @@ def sequent_monad(ds: DeductionSystem) -> SequentMonad:
     S = thin_rule("S", E.total, E,
                   lambda e: (e[0], (doc.meet(e[0], e[1][0], e[1][1]),
                                     e[1][1])),
-                  lambda m: m[0])
+                  (), E)
     bad += validate_functor(S)
     total = E.total
 
@@ -625,7 +644,7 @@ def pair_comparison(ds: DeductionSystem, mon: SequentMonad) -> PairComparison:
     doc, E = ds.doctrine, ds.E
     bad = []
     sp = pair_classifier(ds)
-    bad += validate_category(sp.total)
+    bad += validate_category(sp.total, sp.proj)
     bad += verify_kind(sp, expect="fibration")
 
     def kobj(e):
@@ -651,14 +670,14 @@ def pair_comparison(ds: DeductionSystem, mon: SequentMonad) -> PairComparison:
                                    {m: m[1] for m in top_part.morphisms}))
     base_embed = thin_rule("⊤-pair", ds.P.total, top_cl,
                            lambda o: (o[0], (o[1], doc.top(o[0]))),
-                           lambda m: m[0])
+                           (), ds.P)
     ib, base_inv = check_category_iso(base_embed)
     bad += ib
 
     comprehension = thin_rule(
         "q⊢", sp.total, E,
         lambda o: (o[0], (doc.meet(o[0], o[1][0], o[1][1]), o[1][0])),
-        lambda m: m[1])
+        (), sp)
     bad += validate_functor(comprehension)
 
     # Equivalence: both skeletons are isomorphic, via the comparison
@@ -710,13 +729,13 @@ def quantifier_package(ds: DeductionSystem, y: int) -> QuantifierPackage:
     ext = proposition_classifier(doc.extend(y), f"𝔽·{y}")
     weaken = thin_rule(f"w{y}", P.total, ext,
                        lambda o: (o[0], doc.weaken(o[0], y, o[1])),
-                       lambda m: m[0])
+                       (), P)
     forall = thin_rule(f"∀{y}", ext.total, P,
                        lambda o: (o[0], doc.forall(o[0], y, o[1])),
-                       lambda m: m[0])
+                       (), ext)
     exists_ = thin_rule(f"∃{y}", ext.total, P,
                         lambda o: (o[0], doc.exists(o[0], y, o[1])),
-                        lambda m: m[0])
+                        (), ext)
     adj_l = _thin_adjunction(exists_, weaken, ext, P)
     adj_r = _thin_adjunction(weaken, forall, P, ext)
     bad = check_adjunction(adj_l) + check_adjunction(adj_r)
@@ -759,13 +778,14 @@ def forall_rules(ds: DeductionSystem, y: int) -> QuantifierRules:
     the nose in one direction and up to entailment in the other)."""
     doc = ds.doctrine
     A = hypothesis_classifier(ds, y)
-    bad = validate_category(A.total) + verify_kind(A, expect="fibration")
+    bad = validate_category(A.total, A.proj) \
+        + verify_kind(A, expect="fibration")
     intro = thin_rule(f"∀I{y}", A.total, ds.E,
                       lambda o: (o[0], (o[1][0], doc.forall(o[0], y, o[1][1]))),
-                      lambda m: m[1])
+                      (), A)
     resume = thin_rule(f"∀I{y}⁻", ds.E.total, A,
                        lambda e: (e[0], (e[1][0], doc.weaken(e[0], y, e[1][1]))),
-                       lambda m: m[0])
+                       (), ds.E)
     bad += validate_functor(intro) + validate_functor(resume)
     invertible = same_functor(compose_functors(intro, resume),
                               identity_functor(ds.E.total)) if y >= 1 else False

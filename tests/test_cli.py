@@ -198,6 +198,25 @@ def test_close_reports_new_keys(capsys):
     assert "PB(" in out
 
 
+def test_running_out_of_memory_ends_in_a_failing_report(monkeypatch,
+                                                         capsys):
+    """`close --depth 3` on the toy demo outgrows memory in a pullback;
+    the request still ends in a jt/1 report."""
+    import judgekit.theory
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(judgekit.theory, "pullback_category", out_of_memory)
+    path = str(DEMOS / "toy.jt")
+    code, out = run(capsys, "close", "--depth", "3", path)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["report jt/1", f"command: close {path} --depth 3"]
+    assert "check memory: FAIL" in lines
+    assert lines[-1] == "status: fail"
+
+
 def test_parser_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

@@ -1,41 +1,46 @@
 """Properties of the category builders, the validators, the cartesian
 test and the cleavages of classifiers and of their opposites."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from judgekit.core import (Composition, FunctorMap, category_from,
-                           computed_category, identity_functor,
-                           make_category, opposite, sort_key,
-                           validate_category, validate_functor)
+from judgekit import core
+from judgekit.core import (Composition, FunctorMap, along, category_from,
+                           identity_functor, make_category, opposite,
+                           sort_key, validate_category, validate_functor)
 from judgekit.fibrations import (Classifier, compute_cleavage,
                                  compute_op_cleavage, coslice_classifier,
                                  is_cartesian, slice_classifier)
 from judgekit.finset_topos import build_finset_topos
 from judgekit.finsets import fin_skeleton
-from judgekit.limits import (bang_functor, power_category, product_category,
+from judgekit.limits import (bang_functor, product_category,
                              pullback_category, terminal_category,
                              walking_arrow_category)
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
-                          build_deduction_system, proposition_classifier)
+                          build_deduction_system, derive_structural,
+                          proposition_classifier)
 
 from oracles import (naive_cartesian_lifts, naive_category_laws,
                      naive_cocartesian_lifts, naive_composition_preserved,
                      naive_is_cartesian)
 
 P1 = proposition_classifier(PowersetDoctrine(1))
+TWO = walking_arrow_category()
 
-# Outputs of the shared builder, one per construction family.
+# Outputs of the shared builder, one per construction family.  Products
+# are pullbacks over the terminal category, and the power is the product
+# (𝟚 × 𝟚) × 𝟚.
 BUILT = {
     "skeleton": fin_skeleton(2),
-    "power": power_category(walking_arrow_category(), 2)[0],
+    "power": product_category(product_category(TWO, TWO)[0], TWO)[0],
     "pullback": pullback_category(P1.proj, P1.proj)[0],
     "slice": slice_classifier(fin_skeleton(2), 2).total,
 }
 
 
 C21 = build_deduction_system(ChainDoctrine(2, 1))
-TWO = walking_arrow_category()
 
 # Categories that compose through their factors and keep no table.
 COMPUTED = {
@@ -116,11 +121,12 @@ def test_computed_composition_refuses_what_a_table_lacks(name):
 @pytest.mark.parametrize("name", sorted(COMPUTED))
 def test_a_wrong_computed_composition_is_flagged(name):
     c = COMPUTED[name]
-    # Each factor becomes a literal table whose composite of (g, f) is g.
-    wrong = computed_category(
-        "wrong", c.objects, c.morphisms, c.src, c.tgt, c.identity,
-        [_with_table(x, {(g, f): g for g, f in x.compose})
-         for x in c.compose.factors])
+    # The same legs on factors that are literal tables whose composite of
+    # (g, f) is g.
+    wrong = pullback_category(*[
+        replace(leg, dom=_with_table(leg.dom,
+                                     {gf: gf[0] for gf in leg.dom.compose}))
+        for leg in c.compose.legs], name="wrong")[0]
     assert any(d.startswith("wrong: composite of (")
                and d.endswith(") has wrong endpoints")
                for d in validate_category(wrong))
@@ -194,6 +200,197 @@ def test_a_pullback_over_a_wrong_factor_agrees_with_the_identifier_sweep(
     wrong = _wrong_composite(BUILT["skeleton"], data)
     pb = pullback_category(bang_functor(wrong, ONE), bang_functor(TWO, ONE))[0]
     assert sorted(validate_category(pb)) == sorted(naive_category_laws(pb))
+
+
+# The lemmas of judgekit.core against the sweeps.  The rules of a small
+# deduction system record how they lie over ctx: ∧ and H along a factor of
+# 𝔽 ×ctx 𝔽, W along the second factor of PB(q, 𝔽.p) and C two pullbacks
+# deep.  Over fin_skeleton(2) a hom-set of 𝔽 or 𝔼 holds morphisms over
+# several base arrows, so an image can move to a parallel morphism.
+C12 = build_deduction_system(ChainDoctrine(1, 2))
+C12_RULES = derive_structural(C12)
+OVER = {"∧": C12.conj, "H": C12_RULES.assumption, "W": C12_RULES.weakening,
+        "C": C12_RULES.contraction}
+
+
+def _arrows(c):
+    return [m for m in sorted(c.morphisms, key=repr) if not c.is_identity(m)]
+
+
+def _moved_image(F, data):
+    """F with the image of a non-identity morphism m moved to a parallel
+    morphism over another base arrow; returns (m, the new image, F')."""
+    p = F.over[0]
+    d, fm = F.cod, F.mor_map
+    m = data.draw(st.sampled_from(
+        [m for m in _arrows(F.dom)
+         if any(p.mor_map[n] != p.mor_map[fm[m]] for n in _others(d, fm[m]))]))
+    n = data.draw(st.sampled_from(
+        [n for n in _others(d, fm[m]) if p.mor_map[n] != p.mor_map[fm[m]]]))
+    return m, n, replace(F, mor_map={**fm, m: n})
+
+
+def _duplicated_image(F, data):
+    """F into its codomain with a copy of one image n added, parallel to n
+    and over the same arrow, composing as n does: F sends one morphism
+    to the copy, and p is no longer faithful."""
+    p, path, h = F.over
+    d = F.cod
+    m = data.draw(st.sampled_from(_arrows(F.dom)))
+    n = F.mor_map[m]
+    twin = ("twin", n)
+    mors = [*d.morphisms, twin]
+    d2 = category_from(d.name, d.objects, mors,
+                       {**d.src, twin: d.src[n]}, {**d.tgt, twin: d.tgt[n]},
+                       d.identity,
+                       lambda g, f: d.comp(n if g == twin else g,
+                                           n if f == twin else f))
+    p2 = replace(p, dom=d2, mor_map={**p.mor_map, twin: p.mor_map[n]})
+    return replace(F, cod=d2, mor_map={**F.mor_map, m: twin},
+                   over=(p2, path, h))
+
+
+def _hit_composite(F, data, keep):
+    """A composable pair (F g, F f) of F's codomain, and a morphism that
+    differs from its composite k and satisfies ``keep(k, morphism)``."""
+    d = F.cod
+
+    def others(k):
+        return [n for n in _arrows(d) if n != k and keep(k, n)]
+
+    gf = data.draw(st.sampled_from(
+        [gf for gf in sorted({(F.mor_map[g], F.mor_map[f])
+                              for g, f in F.dom.compose}, key=repr)
+         if others(d.compose[gf])]))
+    return gf, data.draw(st.sampled_from(others(d.compose[gf])))
+
+
+def _with_composite(F, gf, k):
+    p, path, h = F.over
+    d2 = _with_table(F.cod, {**F.cod.compose, gf: k})
+    return replace(F, cod=d2, over=(replace(p, dom=d2), path, h))
+
+
+def _broken_codomain(F, data):
+    """F into its codomain with the composite of two of its images
+    replaced by a parallel morphism."""
+    d = F.cod
+    return _with_composite(F, *_hit_composite(
+        F, data, lambda k, n: (d.src[n], d.tgt[n]) == (d.src[k], d.tgt[k])))
+
+
+def _misplaced_codomain(F, data):
+    """F into its codomain with the composite of two of its images
+    replaced by a morphism over the same base arrow between other objects,
+    so that p stays a functor."""
+    p = F.over[0].mor_map
+    return _with_composite(F, *_hit_composite(
+        F, data, lambda k, n: p[n] == p[k]))
+
+
+def _p_not_a_functor(F, data):
+    """A moved image, with p changed to agree on it: p then sends two
+    parallel morphisms to one arrow and is no functor."""
+    p, path, h = F.over
+    m, n, F2 = _moved_image(F, data)
+    p2 = replace(p, mor_map={**p.mor_map, n: p.mor_map[F.mor_map[m]]})
+    return replace(F2, over=(p2, path, h))
+
+
+def _h_not_a_functor(F, data):
+    """h moved on one arrow x of its domain to a parallel base arrow σ′,
+    and the image of every morphism whose component is x moved to the
+    parallel morphism over σ′, so that p∘F = h∘π still holds.  (Over a
+    chain doctrine, restriction is the identity, so that morphism
+    exists.)"""
+    p, path, h = F.over
+    x = data.draw(st.sampled_from(
+        [x for x in _arrows(h.dom) if _others(h.cod, h.mor_map[x])]))
+    arrow = data.draw(st.sampled_from(_others(h.cod, h.mor_map[x])))
+    d = F.cod
+    moved = {m: next(n for n in d.hom(d.src[F.mor_map[m]],
+                                      d.tgt[F.mor_map[m]])
+                     if p.mor_map[n] == arrow)
+             for m in F.dom.morphisms if along(path, m) == x}
+    return replace(F, mor_map={**F.mor_map, **moved},
+                   over=(p, path, replace(h, mor_map={**h.mor_map,
+                                                      x: arrow})))
+
+
+MUTATIONS = {"moved image": lambda F, data: _moved_image(F, data)[2],
+             "not faithful": _duplicated_image,
+             "broken composite": _broken_codomain,
+             "misplaced composite": _misplaced_codomain,
+             "p no functor": _p_not_a_functor,
+             "h no functor": _h_not_a_functor}
+
+
+@pytest.mark.parametrize("name", sorted(OVER))
+def test_the_functor_lemma_decides_without_sweeping_the_domain(name,
+                                                               monkeypatch):
+    F = OVER[name]
+    assert F.over is not None and F.over[1]
+    numbered = []
+    real = core._codes
+    monkeypatch.setattr(core, "_codes",
+                        lambda c, memo: numbered.append(c) or real(c, memo))
+    assert validate_functor(F) == []
+    assert not any(c is F.dom for c in numbered)
+    assert validate_functor(replace(F, over=None)) == []
+    assert any(c is F.dom for c in numbered)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(OVER)),
+       mutation=st.sampled_from(sorted(MUTATIONS)), data=st.data())
+def test_the_functor_lemma_agrees_with_the_sweep(name, mutation, data):
+    F = MUTATIONS[mutation](OVER[name], data)
+    found = validate_functor(F)
+    assert found == validate_functor(replace(F, over=None))
+    assert sorted(found) == sorted(naive_composition_preserved(F))
+
+
+def _twin_morphism(c, proj, data):
+    """c with a copy of one non-identity morphism, composing as it does,
+    and proj extended to send the copy where it sends the original."""
+    n = data.draw(st.sampled_from(_arrows(c)))
+    twin = ("twin", n)
+    c2 = category_from(c.name, c.objects, [*c.morphisms, twin],
+                       {**c.src, twin: c.src[n]}, {**c.tgt, twin: c.tgt[n]},
+                       c.identity,
+                       lambda g, f: c.comp(n if g == twin else g,
+                                           n if f == twin else f))
+    return c2, replace(proj, dom=c2, mor_map={**proj.mor_map,
+                                              twin: proj.mor_map[n]})
+
+
+def _moved_projection(c, proj, data):
+    m = data.draw(st.sampled_from(
+        [m for m in _arrows(c) if _others(proj.cod, proj.mor_map[m])]))
+    n = data.draw(st.sampled_from(_others(proj.cod, proj.mor_map[m])))
+    return c, replace(proj, mor_map={**proj.mor_map, m: n})
+
+
+def _broken_total(c, proj, data):
+    c2 = _wrong_composite(c, data)
+    return c2, replace(proj, dom=c2)
+
+
+CATEGORY_MUTATIONS = {"none": lambda c, proj, data: (c, proj),
+                      "not faithful": _twin_morphism,
+                      "moved projection": _moved_projection,
+                      "broken composite": _broken_total}
+
+
+@settings(max_examples=40, deadline=None)
+@given(cl=st.sampled_from(["𝔽", "𝔼"]),
+       mutation=st.sampled_from(sorted(CATEGORY_MUTATIONS)), data=st.data())
+def test_the_category_lemma_agrees_with_the_sweep(cl, mutation, data):
+    j = C12.theory.judgements[cl]
+    c, proj = CATEGORY_MUTATIONS[mutation](j.total, j.proj, data)
+    found = validate_category(c, proj)
+    assert found == validate_category(c)
+    assert sorted(found) == sorted(naive_category_laws(c))
 
 
 OP_CASES = {

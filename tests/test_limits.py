@@ -6,7 +6,7 @@ from judgekit.finsets import fin_skeleton
 from judgekit.limits import (arrow_category, arrow_diagonal, bang_functor,
                              comma_category, equalizer_category,
                              joint_injectivity, mediating_functor,
-                             power_category, product_category,
+                             product_category,
                              pullback_category, terminal_category,
                              verify_equalizer_universal,
                              verify_pullback_universal,
@@ -83,14 +83,17 @@ def test_equalizer_of_equal_functors_is_everything():
 
 
 def test_power_category():
-    pw, projs = power_category(TWO, 2)
+    """Powers are iterated products, that is pullbacks over the point."""
+    pw, p1, p2 = product_category(TWO, TWO)
     assert validate_category(pw) == []
-    assert len(projs) == 2
-    for p in projs:
+    for p in (p1, p2):
         assert validate_functor(p) == []
     assert len(pw.objects) == 4
-    pw0, projs0 = power_category(TWO, 0)
-    assert len(pw0.objects) == 1    # the empty power is the point
+    cube, q1, q2 = product_category(pw, TWO)
+    assert validate_category(cube) == []
+    assert validate_functor(compose_functors(p1, q1)) == []
+    assert validate_functor(q2) == []
+    assert len(cube.objects) == 8 and len(cube.morphisms) == 27
 
 
 def test_arrow_category_and_diagonal():
