@@ -14,8 +14,8 @@ import argparse
 import json
 import sys
 
-from .core import (check_adjunction, validate_category, validate_functor,
-                   validate_nat_trans)
+from .core import (check_adjunction, checking, validate_category,
+                   validate_functor, validate_nat_trans)
 from .dsl import JtSyntaxError, load_document, parse_dsl
 from .fibrations import verify_kind
 from .render import SCHEMAS, derived_rule, finalize, render_rule_tree
@@ -449,12 +449,15 @@ def _command(ns) -> str:
 def main(argv=None):
     """Run one command and print its report; returns the exit status.
 
-    A request whose categories do not fit in memory ends in a failing
-    report, with the checks made before it ran out."""
+    The command runs in one check context (``core.checking``), so each
+    category and functor it reads is checked once.  A request whose
+    categories do not fit in memory ends in a failing report, with the
+    checks made before it ran out."""
     ns = build_parser().parse_args(argv)
     report = Report(_command(ns))
     try:
-        ns.fn(ns, report)
+        with checking():
+            ns.fn(ns, report)
     except MemoryError:
         report.check("memory", ["out of memory: the categories this request "
                                 "builds do not fit"])

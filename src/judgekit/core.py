@@ -10,10 +10,21 @@ enumeration.
 ``validate_category`` and ``validate_functor`` first check the tables on
 identifiers (endpoints, identities, a composite for exactly the
 composable pairs).  They then number the morphisms of the categories
-they read, once per call, and sweep the unit, associativity and
-composition laws on those integer codes; a pullback composes codes
-through its factors' codes.  Failures are reported in ``sort_key``
-order, so a report does not depend on hash order.
+they read and sweep the unit, associativity and composition laws on
+those integer codes; a pullback composes codes through its factors'
+codes.  Failures are reported in ``sort_key`` order, so a report does
+not depend on hash order.
+
+Every check runs inside a check context (``checking``): one per ``jt``
+request, or one per call when a validator is called outside a request.
+It keeps what the request learns about each object, for as long as the
+object lives: the verdicts of ``validate_category`` and
+``validate_functor``, failures included, the table checks and soundness
+of categories, the faithfulness of functors, the codes of tables and the
+groupings of cartesian tests.  A pullback's codes, whose rows are
+computed from its factors', are kept for one validator call only.  So a
+category, functor or numbering is checked or built once per request, and
+a repeated check returns the same lines.
 
 Two lemmas let a validator decide a law on smaller categories instead of
 sweeping it.  Both rest on one fact: a faithful functor p, one that is
@@ -47,13 +58,65 @@ exhaustively either way and the diagnostics are the same.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import product
+from weakref import ref
 
 
 def sort_key(x):
     """Deterministic ordering key for arbitrary (hashable) identifiers."""
     return (x.__class__.__name__, repr(x))
+
+
+class _Context:
+    """What one request has computed about each object it read, under the
+    object's identity.  A weak reference drops an object's values when
+    the object dies, before its identity can be reused, so the values of
+    a dead object are never read for a new one and a temporary object's
+    values do not outlive it."""
+
+    def __init__(self):
+        self.kept = {}      # id(obj) -> (weak reference, {kind: value})
+
+    def recall(self, make, kind, obj):
+        """The value of ``kind`` for obj, made by ``make()`` the first time
+        it is asked for."""
+        kept, key = self.kept, id(obj)
+        entry = kept.get(key)
+        if entry is None:
+            entry = kept[key] = (ref(obj, lambda _: kept.pop(key, None)), {})
+        values = entry[1]
+        if kind not in values:
+            values[kind] = make()
+        return values[kind]
+
+
+_request = ContextVar("judgekit_checking", default=None)
+
+
+def _recall(make, kind, obj):
+    """``recall`` in the open check context; outside one, ``make()``."""
+    ctx = _request.get()
+    return make() if ctx is None else ctx.recall(make, kind, obj)
+
+
+@contextmanager
+def checking():
+    """The check context of a request.  The outermost ``with checking():``
+    opens one and drops it on exit, however it exits; a nested one joins
+    it.  Objects checked in a context must not be changed within it."""
+    if _request.get() is not None:
+        yield
+        return
+    ctx = _Context()
+    token = _request.set(ctx)
+    try:
+        yield
+    finally:
+        _request.reset(token)
+        ctx.kept.clear()
 
 
 def _in_order(found) -> list:
@@ -244,30 +307,35 @@ class _ComponentRows:
 
 
 class _Codes:
-    """The morphisms of one category numbered 0..M-1, for the law sweeps
-    of one validator call; it is dropped with the call.  ``mors[i]`` is
-    the morphism with code i, ``code`` the inverse, and ``rows[i][j]`` is
-    the code of ``mors[j] ∘ mors[i]``: integer rows filled from a table,
-    or computed from the factors' codes for a ``Composition``."""
+    """The morphisms of one category numbered 0..M-1, for the law sweeps.
+    ``mors[i]`` is the morphism with code i, ``code`` the inverse, and
+    ``rows[i][j]`` is the code of ``mors[j] ∘ mors[i]``: integer rows
+    filled from a table, or computed from the factors' codes for a
+    ``Composition``."""
 
-    def __init__(self, c: FinCategory, memo: dict):
+    def __init__(self, c: FinCategory, local: dict):
         self.mors = mors = list(c.morphisms)
         self.code = code = dict(zip(mors, range(len(mors))))
         if isinstance(c.compose, Composition):
             self.rows = c.compose.code_rows(
-                mors, code, [_codes(x, memo) for x in c.compose.factors])
+                mors, code, [_codes(x, local) for x in c.compose.factors])
         else:
             self.rows = rows = [{} for _ in mors]
             for (g, f), h in c.compose.items():
                 rows[code[f]][code[g]] = code[h]
 
 
-def _codes(c: FinCategory, memo: dict) -> _Codes:
-    """The numbering of c, built once per validator call: ``memo`` shares
-    it between a functor's domain and codomain and down nested factors."""
-    n = memo.get(id(c))
+def _codes(c: FinCategory, local: dict) -> _Codes:
+    """The numbering of c.  A table's is kept in the check context.  A
+    pullback's is kept in ``local``, for one validator call: it is shared
+    there between a functor's domain and codomain and down nested
+    factors, and then dropped, since the rows it computes would add up to
+    the table that the pullback does without."""
+    if not isinstance(c.compose, Composition):
+        return _recall(lambda: _Codes(c, local), "codes", c)
+    n = local.get(id(c))
     if n is None:
-        n = memo[id(c)] = _Codes(c, memo)
+        n = local[id(c)] = _Codes(c, local)
     return n
 
 
@@ -344,25 +412,26 @@ def _table_errors(c: FinCategory) -> list:
     return bad
 
 
-def _sound(c: FinCategory, memo: dict) -> bool:
+def _tables(c: FinCategory) -> list:
+    """``_table_errors``, kept in the check context."""
+    return _recall(lambda: _table_errors(c), "tables", c)
+
+
+def _sound(c: FinCategory) -> bool:
     """Whether every composable pair of c has a composite in c with the
-    right endpoints, decided once per validator call.  A table passes the
+    right endpoints, kept in the check context.  A table passes the
     checks of ``_table_errors``.  A pullback is sound when its legs share
     one sound codomain, their domains are sound and they preserve
     composition: then the componentwise composite (g₁∘f₁, g₂∘f₂) of two of
     its morphisms has legs' images G₁g₁∘G₁f₁ = G₂g₂∘G₂f₂, so it is a
     morphism of the pullback, with the endpoints of its components."""
-    key = ("sound", id(c))
-    if key not in memo:
-        if isinstance(c.compose, Composition):
-            legs = c.compose.legs
-            memo[key] = legs[0].cod is legs[1].cod \
-                and _sound(legs[0].cod, memo) \
-                and all(_sound(leg.dom, memo) and not _validated(leg, memo)
-                        for leg in legs)
-        else:
-            memo[key] = not _table_errors(c)
-    return memo[key]
+    def sound():
+        if not isinstance(c.compose, Composition):
+            return not _tables(c)
+        legs = c.compose.legs
+        return legs[0].cod is legs[1].cod and _sound(legs[0].cod) \
+            and all(_sound(leg.dom) and not _validated(leg) for leg in legs)
+    return _recall(sound, "sound", c)
 
 
 def parallel_morphisms(p: "FunctorMap"):
@@ -377,6 +446,12 @@ def parallel_morphisms(p: "FunctorMap"):
         seen[key] = m
 
 
+def _faithful(p: "FunctorMap") -> bool:
+    """Whether p is faithful, kept in the check context."""
+    return _recall(lambda: next(parallel_morphisms(p), None) is None,
+                   "faithful", p)
+
+
 def validate_category(c: FinCategory, proj=None) -> list:
     """Exhaustively check the category laws.  Returns diagnostics ([] = ok).
 
@@ -386,17 +461,21 @@ def validate_category(c: FinCategory, proj=None) -> list:
     passes ``validate_functor`` (so it preserves identities and
     composition) and p is faithful.  The laws then hold, since p reflects
     each of them from X.  When a premise fails the laws are swept, so the
-    diagnostics do not depend on ``proj``."""
-    bad = _table_errors(c)
+    diagnostics do not depend on ``proj``, and the verdict is kept in the
+    check context per category."""
+    with checking():
+        return list(_recall(lambda: _category_laws(c, proj), "category", c))
+
+
+def _category_laws(c: FinCategory, proj) -> list:
+    bad = _tables(c)
     if bad:
         return bad
-    memo = {}
     if proj is not None and proj.dom is c and not validate_category(proj.cod) \
-            and not _validated(proj, memo) \
-            and next(parallel_morphisms(proj), None) is None:
+            and not _validated(proj) and _faithful(proj):
         return []
     # Unit and associativity laws, swept on codes.
-    n = _codes(c, memo)
+    n = _codes(c, {})
     mors, rows, code = n.mors, n.rows, n.code
     ident = {o: code[m] for o, m in c.identity.items()}
     units = []
@@ -486,17 +565,18 @@ def validate_functor(F: FunctorMap) -> list:
     exists, with the right endpoints); p and h pass ``validate_functor``;
     p is faithful; and p∘F = h∘π_path on every morphism.  When a premise
     fails, composition preservation is swept, so the diagnostics do not
-    depend on ``over``."""
-    return _validated(F, {})
+    depend on ``over``.  The verdict is kept in the check context."""
+    with checking():
+        return list(_validated(F))
 
 
-def _validated(F: FunctorMap, memo: dict) -> list:
-    """``validate_functor`` with the numberings and verdicts of one call
-    shared in ``memo``, so the premises of nested lemmas are checked once
-    per call."""
-    key = ("functor", id(F))
-    if key in memo:
-        return memo[key][1]
+def _validated(F: FunctorMap) -> list:
+    """``validate_functor``'s verdict on F, kept in the check context, so
+    the premises of nested lemmas are checked once per request."""
+    return _recall(lambda: _functoriality(F), "functor", F)
+
+
+def _functoriality(F: FunctorMap) -> list:
     c, d = F.dom, F.cod
     images = []
     for o in c.objects:
@@ -520,13 +600,12 @@ def _validated(F: FunctorMap, memo: dict) -> list:
         bad = _in_order([(o, f"{F.name}: identity of {o!r} not preserved")
                          for o in c.objects
                          if F.mor_map[c.identity[o]] != d.identity[F.obj_map[o]]])
-        if not (F.over and _reflected(F, memo)):
-            bad += _composition_sweep(F, memo)
-    memo[key] = (F, bad)
+        if not (F.over and _reflected(F)):
+            bad += _composition_sweep(F)
     return bad
 
 
-def _reflected(F: FunctorMap, memo: dict) -> bool:
+def _reflected(F: FunctorMap) -> bool:
     """Whether the premises of the functor lemma hold for F, whose
     endpoints are already checked."""
     p, path, h = F.over
@@ -537,18 +616,18 @@ def _reflected(F: FunctorMap, memo: dict) -> bool:
         leaf = leaf.compose.factors[k]
     if not path or p.dom is not d or h.dom is not leaf or p.cod is not h.cod:
         return False
-    if not (_sound(c, memo) and _sound(d, memo) and _sound(p.cod, memo)):
+    if not (_sound(c) and _sound(d) and _sound(p.cod)):
         return False
-    if _validated(p, memo) or _validated(h, memo) \
-            or next(parallel_morphisms(p), None) is not None:
+    if _validated(p) or _validated(h) or not _faithful(p):
         return False
     pm, fm, hm = p.mor_map, F.mor_map, h.mor_map
     return all(pm[fm[m]] == hm[along(path, m)] for m in c.morphisms)
 
 
-def _composition_sweep(F: FunctorMap, memo: dict) -> list:
+def _composition_sweep(F: FunctorMap) -> list:
     """Composition preservation, swept on codes."""
-    cn, dn = _codes(F.dom, memo), _codes(F.cod, memo)
+    local = {}
+    cn, dn = _codes(F.dom, local), _codes(F.cod, local)
     image = [dn.code[F.mor_map[m]] for m in cn.mors]
     rows_c, rows_d = cn.rows, dn.rows
     by_image = {}
@@ -698,7 +777,7 @@ def check_category_iso(F: FunctorMap):
     if bad:
         return bad, None
     c, d = F.dom, F.cod
-    obj_inv, mor_inv = {}, {}
+    bad, obj_inv, mor_inv = [], {}, {}
     for o in c.objects:
         img = F.obj_map[o]
         if img in obj_inv:

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
-                   check_adjunction, check_category_iso, compose_functors,
-                   identity_functor, same_functor, validate_functor,
-                   whisker_left, whisker_right)
+                   check_adjunction, check_category_iso, checking,
+                   compose_functors, identity_functor, same_functor,
+                   validate_functor, whisker_left, whisker_right)
 from .fibrations import (Classifier, cartesian_lift, is_cartesian,
                          is_cartesian_nat_trans, is_discrete, verify_kind)
 from .limits import mediating_functor
@@ -88,14 +88,12 @@ class ContextExtension:
     diagnostics: list
 
 
-def context_extension(J: JdttData, A, memo=None) -> ContextExtension:
+def context_extension(J: JdttData, A) -> ContextExtension:
     """Γ.A := u̇ΔA,  δ_A := u(ε_A),  q_A := ΔA.
 
     Also certifies the extension equation ΣΔA = A[δ_A]: the counit ε_A is
     a cartesian lift of δ_A at A, so it agrees with the chosen cleavage
-    lift up to the unique vertical factorization isomorphism.  ``memo``
-    is passed to ``is_cartesian`` on 𝕌, to be shared by the extensions
-    that one check computes.
+    lift up to the unique vertical factorization isomorphism.
     """
     bad = []
     qa = J.Delta.obj_map[A]
@@ -118,7 +116,7 @@ def context_extension(J: JdttData, A, memo=None) -> ContextExtension:
         if not inverses:
             bad.append(f"extension of {A!r}: ε does not agree with the "
                        f"cleavage lift up to iso")
-    if not is_cartesian(J.u, eps_a, memo):
+    if not is_cartesian(J.u, eps_a):
         bad.append(f"extension of {A!r}: ε_A is not cartesian")
     return ContextExtension(ext, delta, qa, bad)
 
@@ -197,8 +195,8 @@ def to_comprehension_category(J: JdttData):
     arr, domf, codf = close_arrow(T, T.ctx)
     ctx = T.ctx
     obj_map, mor_map = {}, {}
-    memo = {}
-    exts = {A: context_extension(J, A, memo) for A in J.u.total.objects}
+    with checking():
+        exts = {A: context_extension(J, A) for A in J.u.total.objects}
     bad = []
     for A, e in exts.items():
         bad += e.diagnostics
@@ -307,12 +305,13 @@ def validate_natural_model(M: NaturalModelData) -> list:
 
 def jdtt_to_nm(J: JdttData, name=None) -> NaturalModelData:
     """Extract the natural model: Γ.A = u̇ΔA, δ_A = u(ε_A), q_A = ΔA."""
-    repr_data, memo = {}, {}
-    for A in J.u.total.objects:
-        e = context_extension(J, A, memo)
-        if e.diagnostics:
-            raise ValueError(e.diagnostics[0])
-        repr_data[A] = (e.ext, e.delta, e.q)
+    repr_data = {}
+    with checking():
+        for A in J.u.total.objects:
+            e = context_extension(J, A)
+            if e.diagnostics:
+                raise ValueError(e.diagnostics[0])
+            repr_data[A] = (e.ext, e.delta, e.q)
     return NaturalModelData(name or f"nm({J.theory.name})", J.theory.ctx,
                             J.udot, J.u, J.Sigma, repr_data)
 

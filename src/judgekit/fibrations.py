@@ -8,18 +8,19 @@ thinness — are decided by exhaustive enumeration.
 A morphism is tested for cartesianness by counting factorizations: for
 each source of an arrow into its target, one scan of the hom-set counts
 every factorization at once, against base arrows grouped by their
-composite.  Those groupings are shared by all the tests of one check
-(``memo``) and dropped with it; nothing is kept on a category or a
-classifier.  A cleavage takes, for each object and base arrow, the first
-cartesian candidate in ``sort_key`` order.
+composite.  Those groupings are kept in the check context of ``core``,
+per category they were read from, and shared by all the tests of one
+request; nothing is kept on a category or a classifier.  A cleavage
+takes, for each object and base arrow, the first cartesian candidate in
+``sort_key`` order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (FinCategory, FunctorMap, NatTrans, category_from,
-                   opposite, parallel_morphisms, subcategory,
+from .core import (FinCategory, FunctorMap, NatTrans, _recall, category_from,
+                   checking, opposite, parallel_morphisms, subcategory,
                    validate_functor)
 
 
@@ -56,7 +57,7 @@ def opposite_classifier(cl: Classifier) -> Classifier:
     return Classifier(f"{cl.name}ᵒᵖ", total, base, proj)
 
 
-def is_cartesian(cl: Classifier, m, memo=None) -> bool:
+def is_cartesian(cl: Classifier, m) -> bool:
     """Exhaustive cartesianness test for a morphism of the total category.
 
     ``m : E → F`` over ``σ : θ → γ`` is cartesian when every ``m' : E' → F``
@@ -68,23 +69,23 @@ def is_cartesian(cl: Classifier, m, memo=None) -> bool:
     ``(g, m')`` is counted exactly once.  The test reads only the
     tables, so it is exact also when the projection is not a functor.
 
-    ``memo``, a dict, shares the groupings that do not depend on m (the
-    arrows into F by source, the base arrows into θ by their composite
-    with σ) between the tests on one classifier; it is meant to be
-    dropped with the check that made it.
+    The groupings that do not depend on m (the arrows into F by source,
+    read from the total category, and the base arrows into θ by their
+    composite with σ, read from the base) are kept in the check context
+    per category, so the tests of one request share them.
     """
     total, base, P = cl.total, cl.base, cl.proj
     pmor = P.mor_map
-    memo = {} if memo is None else memo
+    into, after_in = _recall(dict, "into", total), _recall(dict, "after", base)
     E, F = total.src[m], total.tgt[m]
     sigma = pmor[m]
-    into_f = memo.get(("into", F))
+    into_f = into.get(F)
     if into_f is None:
-        into_f = memo[("into", F)] = {}
+        into_f = into[F] = {}
         for m2 in total.into(F):
             into_f.setdefault(total.src[m2], []).append(m2)
     for E2, m2s in into_f.items():
-        after = _composites(base, P.obj_map[E2], sigma, memo)
+        after = _composites(base, P.obj_map[E2], sigma, after_in)
         count = {(g, m2): 0 for m2 in m2s for g in after.get(pmor[m2], ())}
         if not count:
             continue
@@ -97,13 +98,13 @@ def is_cartesian(cl: Classifier, m, memo=None) -> bool:
     return True
 
 
-def _composites(base: FinCategory, a, sigma, memo):
+def _composites(base: FinCategory, a, sigma, kept):
     """The base arrows ``g : a → src σ`` grouped by ``σ∘g``, kept in
-    ``memo``."""
-    key = ("after", a, sigma)
-    after = memo.get(key)
+    ``kept``."""
+    key = (a, sigma)
+    after = kept.get(key)
     if after is None:
-        after = memo[key] = {}
+        after = kept[key] = {}
         for g in base.hom(a, base.src[sigma]):
             after.setdefault(base.comp(sigma, g), []).append(g)
     return after
@@ -125,7 +126,6 @@ def _lifts(cl: Classifier):
     chosen: candidates are tested in that order and the first cartesian
     one is taken.  ``lift`` is None where there is none."""
     total, base, P = cl.total, cl.base, cl.proj
-    memo = {}
     for F in total.sorted_objects():
         over = _over(cl, F)
         for sigma in base.into(P.obj_map[F]):
@@ -133,7 +133,7 @@ def _lifts(cl: Classifier):
                 yield (F, sigma), total.identity[F]
             else:
                 yield (F, sigma), next((m for m in over.get(sigma, ())
-                                        if is_cartesian(cl, m, memo)), None)
+                                        if is_cartesian(cl, m)), None)
 
 
 def _hole(cl: Classifier, F, sigma) -> str:
@@ -144,19 +144,21 @@ def compute_cleavage(cl: Classifier):
     """Choose a cartesian lift for every (object, arrow-into-it) pair, as
     ``_lifts`` does.  Returns ``(cleavage, diagnostics)``."""
     cleavage, bad = {}, []
-    for (F, sigma), lift in _lifts(cl):
-        if lift is None:
-            bad.append(_hole(cl, F, sigma))
-        else:
-            cleavage[(F, sigma)] = lift
+    with checking():
+        for (F, sigma), lift in _lifts(cl):
+            if lift is None:
+                bad.append(_hole(cl, F, sigma))
+            else:
+                cleavage[(F, sigma)] = lift
     return cleavage, bad
 
 
 def _first_hole(cl: Classifier) -> list:
     """The first diagnostic of ``compute_cleavage``, or [] when it has
     none, found without computing the lifts after it."""
-    return next(([_hole(cl, F, sigma)] for (F, sigma), lift in _lifts(cl)
-                 if lift is None), [])
+    with checking():
+        return next(([_hole(cl, F, sigma)] for (F, sigma), lift in _lifts(cl)
+                     if lift is None), [])
 
 
 def compute_op_cleavage(cl: Classifier):
@@ -419,20 +421,21 @@ def is_cartesian_functor(F: FunctorMap, cl_dom: Classifier, cl_cod: Classifier) 
         cl_dom.cleavage, cbad = compute_cleavage(cl_dom)
         if cbad:
             return cbad
-    memo = {}
-    for (obj, sigma), m in cl_dom.cleavage.items():
-        if cl_dom.total.is_identity(m):
-            continue
-        if not is_cartesian(cl_cod, F.mor_map[m], memo):
-            bad.append(f"{F.name}: image of the lift of {sigma!r} at {obj!r} "
-                       f"is not cartesian")
+    with checking():
+        for (obj, sigma), m in cl_dom.cleavage.items():
+            if cl_dom.total.is_identity(m):
+                continue
+            if not is_cartesian(cl_cod, F.mor_map[m]):
+                bad.append(f"{F.name}: image of the lift of {sigma!r} at "
+                           f"{obj!r} is not cartesian")
     return bad
 
 
 def is_cartesian_nat_trans(t: NatTrans, cl: Classifier) -> list:
     """Check every component of a transformation is cartesian for cl."""
-    bad, memo = [], {}
-    for o, m in t.components.items():
-        if not is_cartesian(cl, m, memo):
-            bad.append(f"{t.name}: component at {o!r} is not cartesian")
+    bad = []
+    with checking():
+        for o, m in t.components.items():
+            if not is_cartesian(cl, m):
+                bad.append(f"{t.name}: component at {o!r} is not cartesian")
     return bad

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (FinCategory, FunctorMap, NatTrans, make_category,
-                   compose_functors, same_functor, terminal_objects,
-                   validate_category, validate_functor, validate_nat_trans,
-                   whisker_left, whisker_right)
+from .core import (FinCategory, FunctorMap, NatTrans, checking,
+                   make_category, compose_functors, same_functor,
+                   terminal_objects, validate_category, validate_functor,
+                   validate_nat_trans, whisker_left, whisker_right)
 from .limits import arrow_category, equalizer_category, pullback_category
 from .fibrations import (Classifier, cartesian_lift, is_cartesian,
                          verify_kind, yoneda_fiber_functor)
@@ -291,11 +291,11 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
                             compose_functors(lam, p1f)):
             bad.append(f"♯-lift of {pol.name}: square over {lam.name} does not "
                        f"commute strictly")
-        memo = {}
-        for o, m in lifted.components.items():
-            if not is_cartesian(R, m, memo):
-                bad.append(f"♯-lift of {pol.name}: component at {o!r} "
-                           f"is not cartesian")
+        with checking():
+            for o, m in lifted.components.items():
+                if not is_cartesian(R, m):
+                    bad.append(f"♯-lift of {pol.name}: component at {o!r} "
+                               f"is not cartesian")
     if not bad and key in T.registry:
         _refuse_others(key, (T.registry[key].value,), (rule,))
     elif not bad:

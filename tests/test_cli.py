@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from judgekit import core
 from judgekit.cli import REPORT_VERSION, build_parser, main
 
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -278,3 +279,26 @@ def test_check_reports_do_not_depend_on_the_hash_seed(tmp_path):
     assert out.count("associativity fails") > 10
     assert out.count("naturality square fails") == 18
     assert outs["unmapped.jt"].pop().count("no image for morphism") == 3
+
+
+def test_reports_do_not_depend_on_what_the_check_context_keeps(
+        tmp_path, monkeypatch, capsys):
+    """Each request made with a check context that keeps nothing, so
+    that every check runs again, gives the report it gives with one."""
+    (tmp_path / "chain.jt").write_text("doctrine D = chain 2 2\n")
+    (tmp_path / "dtt.jt").write_text("instance J = dtt-finset 2\n")
+    chain, dtt = str(tmp_path / "chain.jt"), str(tmp_path / "dtt.jt")
+    requests = [("check", str(p)) for p in sorted(DEMOS.glob("*.jt"))]
+    requests += [("demo", w) for w in ("toy", "dtt-finset", "ndt-powerset")]
+    requests += [("derive", chain, "--rule", r)
+                 for r in ("cut", "structural:W", "structural:C")]
+    requests += [("check", dtt)] + [("derive", dtt, "--rule", r)
+                                    for r in ("pi", "sum", "id")]
+
+    def reports():
+        return [run(capsys, *argv) for argv in requests]
+
+    kept = reports()
+    monkeypatch.setattr(core._Context, "recall",
+                        lambda self, make, kind, obj: make())
+    assert reports() == kept

@@ -1,8 +1,9 @@
 import pytest
 
-from judgekit.core import (AdjunctionData, FunctorMap, NatTrans,
-                           all_functors, check_adjunction,
-                           check_category_iso, compose_functors,
+from judgekit import cli, core
+from judgekit.core import (AdjunctionData, FinCategory, FunctorMap,
+                           NatTrans, all_functors, check_adjunction,
+                           check_category_iso, checking, compose_functors,
                            identity_functor, identity_nat_trans,
                            make_category, same_functor, sort_key,
                            terminal_objects, validate_category,
@@ -199,3 +200,74 @@ def test_same_functor_compares_codomains():
     assert not same_functor(F, G)
     copy = walking_arrow_category()
     assert same_functor(F, FunctorMap("pick0", one, copy, obj_map, mor_map))
+
+
+def _arrow(name, broken=False):
+    """The walking arrow a → b under ``name``; broken, it lacks the
+    composite f ∘ id_a."""
+    ids = {"a": "id_a", "b": "id_b"}
+    ends = {"id_a": ("a", "a"), "id_b": ("b", "b"), "f": ("a", "b")}
+    compose = {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
+               ("f", "id_a"): "f", ("id_b", "f"): "f"}
+    if broken:
+        del compose[("f", "id_a")]
+    return make_category(name, ids, ends, {m: e[0] for m, e in ends.items()},
+                         {m: e[1] for m, e in ends.items()}, ids, compose)
+
+
+MISSING = ["A: composition missing for ('f', 'id_a')"]
+
+
+def test_a_repeated_check_in_one_request_gives_the_same_fresh_lines():
+    two = walking_arrow_category()
+    one = terminal_category()
+    collapse = FunctorMap("!", two, one, {0: "•", 1: "•"},
+                          {m: ("id", "•") for m in two.morphisms})
+    with checking():
+        diag, inv = check_category_iso(collapse)
+        assert diag and inv is None
+        # The iso check's collision lines are not added to the functor's
+        # own verdict, which stays clean for the rest of the request.
+        found = validate_functor(collapse)
+        assert found == []
+        found.append("changed by the caller")
+        assert validate_functor(collapse) == []
+        broken = _arrow("A", broken=True)
+        found = validate_category(broken)
+        found.append("changed by the caller")
+        assert validate_category(broken) == MISSING
+
+
+def test_a_dead_category_lends_its_verdict_to_no_new_one():
+    tables = {k: v for k, v in vars(_arrow("A", broken=True)).items()
+              if not k.startswith("_")}
+    with checking():
+        c = _arrow("A")
+        assert validate_category(c) == []
+        del c
+        # CPython frees c here and mostly gives the next category its
+        # address, and so its identity.
+        assert validate_category(FinCategory(**tables)) == MISSING
+
+
+def test_categories_of_one_name_get_their_own_verdicts():
+    with checking():
+        good, bad = _arrow("A"), _arrow("A", broken=True)
+        assert validate_category(good) == []
+        assert validate_category(bad) == MISSING
+        assert validate_category(good) == []
+
+
+def test_a_request_that_is_cut_leaves_no_context_behind(monkeypatch):
+    c = _arrow("A")
+
+    def cut(ns, report):
+        assert validate_category(c) == []
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_check", cut)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["check", "any.jt"])
+    assert core._request.get() is None
+    del c.compose[("f", "id_a")]
+    assert validate_category(c) == MISSING

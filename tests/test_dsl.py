@@ -1,9 +1,11 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from judgekit.core import validate_category, validate_functor
-from judgekit.dsl import (JtSyntaxError, load_document, parse_dsl, print_dsl)
+from judgekit.dsl import (Decl, JtSyntaxError, TheoryDocument, load_document,
+                          parse_dsl, print_dsl)
 
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.jt"))
 
@@ -154,3 +156,68 @@ def test_conflicting_composites_are_a_load_error():
     loaded = load_document(doc)
     assert loaded.errors == [
         "line 5: conflicting composites for (f ∘ f): f and id_a"]
+
+
+NAME = st.text("abfgxyzAUV_'αβ𝔽𝕌0123", min_size=1, max_size=4)
+NUMS = st.lists(st.integers(0, 40), max_size=3)
+PAIR = st.tuples(NAME, NAME)
+
+# One item ``(key, payload)`` of each kind of block that takes items.
+ITEMS = {
+    "category": st.one_of(
+        st.tuples(st.just("object"), NAME),
+        st.tuples(st.just("morphism"), st.tuples(NAME, NAME, NAME)),
+        st.tuples(st.just("compose"), st.tuples(NAME, NAME, NAME)),
+        st.just(("complete", None))),
+    "functor": st.tuples(st.sampled_from(["object", "morphism"]), PAIR),
+    "nat": st.tuples(st.just("at"), PAIR),
+    "adjunction": st.tuples(st.sampled_from(["unit", "counit"]), NAME),
+    "theory": st.one_of(
+        st.tuples(st.sampled_from(["judgement", "rule"]), NAME),
+        st.tuples(st.just("policy"), PAIR)),
+    "constructor": st.tuples(
+        st.sampled_from(["lambda", "phi", "psi", "section"]), NAME),
+}
+
+HEADS = {
+    "category": st.just({}),
+    "functor": st.fixed_dictionaries({"dom": NAME, "cod": NAME}),
+    "nat": st.fixed_dictionaries({"source": NAME, "target": NAME}),
+    "adjunction": st.fixed_dictionaries({"left": NAME, "right": NAME}),
+    "classifier": st.fixed_dictionaries(
+        {"proj": NAME, "kind": st.one_of(st.none(), NAME)}),
+    "theory": st.fixed_dictionaries({"ctx": NAME}),
+    "doctrine": st.fixed_dictionaries(
+        {"family": NAME, "args": NUMS.filter(bool)}),
+    "instance": st.fixed_dictionaries({"builtin": NAME, "args": NUMS}),
+    "constructor": st.fixed_dictionaries(
+        {"mode": st.sampled_from(["strict", "weak"])}),
+}
+
+
+@st.composite
+def documents(draw):
+    """A document of distinct blocks, every line number 0."""
+    decls = []
+    for kind, name in draw(st.lists(st.tuples(st.sampled_from(sorted(HEADS)),
+                                              NAME),
+                                    max_size=6, unique=True)):
+        items = draw(st.lists(ITEMS[kind], max_size=4)) \
+            if kind in ITEMS else []
+        decls.append(Decl(kind, name, 0, draw(HEADS[kind]),
+                          [(0, k, v) for k, v in items]))
+    return TheoryDocument(decls)
+
+
+def _without_lines(doc):
+    return [(d.kind, d.name, d.head, [(k, v) for _, k, v in d.items])
+            for d in doc.decls]
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents())
+def test_generated_documents_round_trip(doc):
+    text = print_dsl(doc)
+    parsed = parse_dsl(text)
+    assert print_dsl(parsed) == text
+    assert _without_lines(parsed) == _without_lines(doc)
