@@ -21,10 +21,10 @@ It keeps what the request learns about each object, for as long as the
 object lives: the verdicts of ``validate_category`` and
 ``validate_functor``, failures included, the table checks and soundness
 of categories, the faithfulness of functors, the codes of tables and the
-groupings of cartesian tests.  A pullback's codes, whose rows are
-computed from its factors', are kept for one validator call only.  So a
-category, functor or numbering is checked or built once per request, and
-a repeated check returns the same lines.
+indexes, groupings and verdicts of cartesian tests.  A pullback's codes,
+whose rows are computed from its factors', are kept for one validator
+call only.  So a category, functor or numbering is checked or built once
+per request, and a repeated check returns the same lines.
 
 Two lemmas let a validator decide a law on smaller categories instead of
 sweeping it.  Both rest on one fact: a faithful functor p, one that is
@@ -52,7 +52,9 @@ faithful (Jacobs, *Categorical Logic and Type Theory*, ch. 1): 𝔽 and 𝔼
 lie faithfully over their contexts, and every rule between them lies over
 ctx.  A validator uses a lemma only after checking each premise within
 the call; when one fails it runs the sweep, so the laws are decided
-exhaustively either way and the diagnostics are the same.
+exhaustively either way and the diagnostics are the same.  The same fact
+decides cartesian morphisms over a faithful projection: see the
+cartesian lemma in ``fibrations``.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ class FinCategory:
     * ``src``/``tgt`` assign endpoints to every morphism.
     * ``identity`` maps each object to its identity morphism.
     * ``compose`` is a read-only ``Mapping`` from every composable pair
-      ``(g, f)`` (meaning g after f) to the composite morphism: a dict, or
-      a ``Composition`` that computes each composite when it is asked for.
+      ``(g, f)`` (meaning g after f) to the composite morphism: a dict, a
+      ``Composition`` that computes each composite when it is asked for,
+      or the transposed view of an opposite category's original.
     """
 
     name: str
@@ -356,15 +359,40 @@ def subcategory(c: FinCategory, objects, keep, name) -> FinCategory:
                           if gf[0] in kept and gf[1] in kept and h in kept})
 
 
+class _Transposed(Mapping):
+    """The composition of an opposite category: ``self[(f, g)]`` is the
+    original's ``compose[(g, f)]``, read when it is asked for, with its
+    entries in the original's order."""
+
+    def __init__(self, compose):
+        self.compose = compose
+
+    def __getitem__(self, fg):
+        f, g = fg
+        try:
+            return self.compose[g, f]
+        except KeyError:
+            raise KeyError(fg) from None
+
+    def __iter__(self):
+        return ((f, g) for g, f in self.compose)
+
+    def __len__(self):
+        return len(self.compose)
+
+
 def opposite(c: FinCategory) -> FinCategory:
     """The opposite category: endpoints swapped, ``g ∘ᵒᵖ f = f ∘ g``.
 
-    The composition table is transposed entry by entry, so the opposite of
-    a table that breaks a law breaks it at the same entries.
+    The composition is a transposed view of c's, so the opposite of a
+    table that breaks a law breaks it at the same entries, and the
+    opposite of an opposite reads the original composition again.
     """
+    compose = c.compose
+    compose = compose.compose if isinstance(compose, _Transposed) \
+        else _Transposed(compose)
     return FinCategory(f"{c.name}ᵒᵖ", c.objects, c.morphisms,
-                       c.tgt, c.src, c.identity,
-                       {(f, g): h for (g, f), h in c.compose.items()})
+                       c.tgt, c.src, c.identity, compose)
 
 
 def _table_errors(c: FinCategory) -> list:
@@ -450,6 +478,18 @@ def _faithful(p: "FunctorMap") -> bool:
     """Whether p is faithful, kept in the check context."""
     return _recall(lambda: next(parallel_morphisms(p), None) is None,
                    "faithful", p)
+
+
+def _dual(p_op: "FunctorMap", p: "FunctorMap"):
+    """Record in the open check context that ``p_op``, the opposite of p
+    between the opposites of p's domain and codomain, passes
+    ``validate_functor`` when p does, and is faithful when p is: the
+    opposite of a functor is a functor, and faithfulness is self-dual.
+    Outside a check context nothing is recorded."""
+    ctx = _request.get()
+    if ctx is not None and not _validated(p):
+        ctx.recall(list, "functor", p_op)
+        ctx.recall(lambda: _faithful(p), "faithful", p_op)
 
 
 def validate_category(c: FinCategory, proj=None) -> list:

@@ -5,13 +5,43 @@ with its total category and (when it exists) a chosen cleavage.  All
 fibrational properties — cartesianness, (op)fibration-hood, discreteness,
 thinness — are decided by exhaustive enumeration.
 
-A morphism is tested for cartesianness by counting factorizations: for
-each source of an arrow into its target, one scan of the hom-set counts
-every factorization at once, against base arrows grouped by their
-composite.  Those groupings are kept in the check context of ``core``,
-per category they were read from, and shared by all the tests of one
-request; nothing is kept on a category or a classifier.  A cleavage
-takes, for each object and base arrow, the first cartesian candidate in
+A morphism m : E → F over σ : θ → γ is cartesian when every m' : E' → F
+over σ∘g, for a base arrow g : P E' → θ, is m∘h for exactly one h : E' → E
+over g.  Two tests decide it on the tables.
+
+*Cartesian lemma.*  Let P : total → base be a faithful functor.  Then m
+is cartesian exactly when, for every source E' of an arrow into F and
+every g : P E' → θ with σ∘g = P m' for some m' : E' → F, some h : E' → E
+lies over g, and the composite m∘h exists and lies in hom(E', F).
+Proof: P is injective on hom(E', E), so at most one h lies over g, and on
+hom(E', F), so m' is the only morphism E' → F over σ∘g.  When m∘h lies in
+hom(E', F), P(m∘h) = σ∘g because P preserves composition, so m∘h = m' by
+faithfulness, and the pair (g, m') has exactly one factorization.  When
+no h lies over g it has none.  So over a faithful functor cartesianness
+is the existence half of its universal property: uniqueness comes from
+faithfulness (Mac Lane, *Categories for the Working Mathematician*, I.3;
+Jacobs, *Categorical Logic and Type Theory*, ch. 1, on preorder
+fibrations).
+
+``is_cartesian`` uses the lemma when P runs between the classifier's
+total and base, passes ``validate_functor`` and is faithful, each checked
+in the call and kept in the check context of ``core``.  It reads one
+index of the total per projection (for each target and source, the base
+arrows hit, each with the morphism over it) and compares m∘h with m' for
+each required pair: under the premises that is the same as m∘h lying in
+hom(E', F).  When a premise fails, or some m∘h is not m', m is tested by
+counting factorizations, which reads the tables as they are: for each
+source of an arrow into its target, one scan of the hom-set counts every
+factorization at once, against base arrows grouped by their composite.
+An opposite classifier takes the functor and faithfulness verdicts of its
+projection from the original (``core._dual``): the opposite of a functor
+is a functor, and faithfulness is self-dual.
+
+Indexes, groupings and verdicts are kept in the check context, per
+projection or per category they were read from, and shared by all the
+tests of one request; nothing is kept on a category or a classifier.  A
+loop over morphisms decides the premises once.  A cleavage takes, for
+each object and base arrow, the first cartesian candidate in
 ``sort_key`` order.
 """
 
@@ -19,9 +49,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (FinCategory, FunctorMap, NatTrans, _recall, category_from,
-                   checking, opposite, parallel_morphisms, subcategory,
-                   validate_functor)
+from .core import (FinCategory, FunctorMap, NatTrans, _dual, _faithful,
+                   _recall, _validated, category_from, checking, opposite,
+                   parallel_morphisms, subcategory, validate_functor)
 
 
 @dataclass
@@ -50,10 +80,15 @@ class Classifier:
 def opposite_classifier(cl: Classifier) -> Classifier:
     """``projᵒᵖ : totalᵒᵖ → baseᵒᵖ``.  Its cartesian morphisms are the
     cocartesian morphisms of ``cl``: an opfibration is a fibration of the
-    opposite functor."""
+    opposite functor.  When ``cl.proj`` runs between cl's total and base,
+    the open check context records that ``projᵒᵖ`` passes
+    ``validate_functor`` and is faithful when ``cl.proj`` does and is, so
+    the opposite is not swept again."""
     total, base = opposite(cl.total), opposite(cl.base)
     proj = FunctorMap(f"{cl.proj.name}ᵒᵖ", total, base,
                       cl.proj.obj_map, cl.proj.mor_map)
+    if cl.proj.dom is cl.total and cl.proj.cod is cl.base:
+        _dual(proj, cl.proj)
     return Classifier(f"{cl.name}ᵒᵖ", total, base, proj)
 
 
@@ -63,17 +98,83 @@ def is_cartesian(cl: Classifier, m) -> bool:
     ``m : E → F`` over ``σ : θ → γ`` is cartesian when every ``m' : E' → F``
     whose projection factors as ``σ∘g`` with ``g : P(E') → θ`` lifts that
     factorization uniquely: exactly one ``h : E' → E`` has ``P h = g`` and
-    ``m∘h = m'``.  The factorizations are counted: for each source ``E'``
-    of an arrow into F, one scan of ``hom(E', E)`` counts the pairs
-    ``(P h, m∘h)``, and m is cartesian when every required pair
-    ``(g, m')`` is counted exactly once.  The test reads only the
-    tables, so it is exact also when the projection is not a functor.
+    ``m∘h = m'``.  Decided by the cartesian lemma of this module when its
+    premises hold and by counting factorizations otherwise; the verdict
+    is kept in the check context.  A loop over morphisms takes the test
+    of its classifier once, from ``_cartesian``."""
+    with checking():
+        return _cartesian(cl)(m)
 
+
+def _cartesian(cl: Classifier):
+    """The cartesian test of cl as a function of the morphism, with the
+    premises of the cartesian lemma decided once, here.  Verdicts are
+    kept per projection and morphism."""
+    P = cl.proj
+    if P.dom is not cl.total or P.cod is not cl.base:
+        return lambda m: _counted(cl, m)
+    kept = _recall(dict, "cartesian", P)
+    after_in = _recall(dict, "after", cl.base)
+    over = _recall(lambda: _index(P), "over", P) \
+        if not _validated(P) and _faithful(P) else None
+
+    def test(m):
+        verdict = kept.get(m)
+        if verdict is None:
+            if over is not None:
+                verdict = _by_lemma(cl, over, after_in, m)
+            if verdict is None:
+                verdict = _counted(cl, m)
+            kept[m] = verdict
+        return verdict
+    return test
+
+
+def _index(P: FunctorMap) -> dict:
+    """``index[F][E][σ]``: the morphism E → F over σ, for a faithful P, in
+    ``sort_key`` order of the morphisms into each F."""
+    c, pmor = P.dom, P.mor_map
+    index = {}
+    for F in c.objects:
+        into = index[F] = {}
+        for m in c.into(F):
+            into.setdefault(c.src[m], {})[pmor[m]] = m
+    return index
+
+
+def _by_lemma(cl: Classifier, over: dict, after_in: dict, m):
+    """The cartesian lemma on m : E → F over σ, with ``over`` the
+    ``_index`` of the faithful functor P: for each source E' of an arrow
+    into F and each g : P E' → θ with σ∘g over some m' : E' → F, the
+    arrow h : E' → E over g exists and m∘h = m'.  Returns None when some
+    m∘h is not m', missing or outside hom(E', F), so that counting
+    decides."""
+    total, base, P = cl.total, cl.base, cl.proj
+    sigma, compose = P.mor_map[m], total.compose
+    into_e = over[total.src[m]]
+    for E2, hit in over[total.tgt[m]].items():
+        after = _composites(base, P.obj_map[E2], sigma, after_in)
+        lifts = into_e.get(E2, {})
+        for b, m2 in hit.items():
+            for g in after.get(b, ()):
+                h = lifts.get(g)
+                if h is None:
+                    return False
+                if compose.get((m, h)) != m2:
+                    return None
+    return True
+
+
+def _counted(cl: Classifier, m) -> bool:
+    """The cartesian test by counting factorizations: for each source
+    ``E'`` of an arrow into F, one scan of ``hom(E', E)`` counts the pairs
+    ``(P h, m∘h)``, and m is cartesian when every required pair
+    ``(g, m')`` is counted exactly once.  It reads only the tables, so it
+    is exact also when the projection is neither a functor nor faithful.
     The groupings that do not depend on m (the arrows into F by source,
     read from the total category, and the base arrows into θ by their
     composite with σ, read from the base) are kept in the check context
-    per category, so the tests of one request share them.
-    """
+    per category."""
     total, base, P = cl.total, cl.base, cl.proj
     pmor = P.mor_map
     into, after_in = _recall(dict, "into", total), _recall(dict, "after", base)
@@ -126,6 +227,7 @@ def _lifts(cl: Classifier):
     chosen: candidates are tested in that order and the first cartesian
     one is taken.  ``lift`` is None where there is none."""
     total, base, P = cl.total, cl.base, cl.proj
+    cartesian = _cartesian(cl)
     for F in total.sorted_objects():
         over = _over(cl, F)
         for sigma in base.into(P.obj_map[F]):
@@ -133,7 +235,7 @@ def _lifts(cl: Classifier):
                 yield (F, sigma), total.identity[F]
             else:
                 yield (F, sigma), next((m for m in over.get(sigma, ())
-                                        if is_cartesian(cl, m)), None)
+                                        if cartesian(m)), None)
 
 
 def _hole(cl: Classifier, F, sigma) -> str:
@@ -165,7 +267,8 @@ def compute_op_cleavage(cl: Classifier):
     """Choose a cocartesian lift for every (object, arrow-out-of-it) pair:
     the cleavage of the opposite classifier.  Returns
     ``(op_cleavage, diagnostics)``."""
-    return compute_cleavage(opposite_classifier(cl))
+    with checking():
+        return compute_cleavage(opposite_classifier(cl))
 
 
 def cartesian_lift(cl: Classifier, obj, sigma):
@@ -207,31 +310,33 @@ def verify_kind(cl: Classifier, expect=None) -> list:
     opposite classifier's cleavage is computed only up to its first
     hole, since the kind and the diagnostic read no more of it.  Returns
     diagnostics; ``expect`` (if given) adds a diagnostic when the
-    computed kind does not include it."""
-    bad = validate_functor(cl.proj)
-    if bad:
+    computed kind does not include it.  It runs in one check context,
+    so the opposite classifier reads what was learnt about ``cl``."""
+    with checking():
+        bad = validate_functor(cl.proj)
+        if bad:
+            return bad
+        kinds = []
+        cleavage, fib_bad = compute_cleavage(cl)
+        if not fib_bad:
+            kinds.append("fibration")
+            cl.cleavage = cleavage
+        opfib_bad = _first_hole(opposite_classifier(cl))
+        if not opfib_bad:
+            kinds.append("opfibration")
+        if not is_discrete(cl):
+            kinds.append("discrete")
+        if expect and "thin" in expect:
+            if not is_thin(cl):
+                kinds.append("thin")
+        cl.kind = "+".join(kinds) if kinds else "functor"
+        if expect:
+            have = set(kinds)
+            for want in expect.split("+"):
+                if want not in have:
+                    reason = fib_bad or opfib_bad or [f"{cl.name}: not {want}"]
+                    bad.append(f"{cl.name}: expected {want}, got {cl.kind}: {reason[0]}")
         return bad
-    kinds = []
-    cleavage, fib_bad = compute_cleavage(cl)
-    if not fib_bad:
-        kinds.append("fibration")
-        cl.cleavage = cleavage
-    opfib_bad = _first_hole(opposite_classifier(cl))
-    if not opfib_bad:
-        kinds.append("opfibration")
-    if not is_discrete(cl):
-        kinds.append("discrete")
-    if expect and "thin" in expect:
-        if not is_thin(cl):
-            kinds.append("thin")
-    cl.kind = "+".join(kinds) if kinds else "functor"
-    if expect:
-        have = set(kinds)
-        for want in expect.split("+"):
-            if want not in have:
-                reason = fib_bad or opfib_bad or [f"{cl.name}: not {want}"]
-                bad.append(f"{cl.name}: expected {want}, got {cl.kind}: {reason[0]}")
-    return bad
 
 
 @dataclass
@@ -422,10 +527,11 @@ def is_cartesian_functor(F: FunctorMap, cl_dom: Classifier, cl_cod: Classifier) 
         if cbad:
             return cbad
     with checking():
+        cartesian = _cartesian(cl_cod)
         for (obj, sigma), m in cl_dom.cleavage.items():
             if cl_dom.total.is_identity(m):
                 continue
-            if not is_cartesian(cl_cod, F.mor_map[m]):
+            if not cartesian(F.mor_map[m]):
                 bad.append(f"{F.name}: image of the lift of {sigma!r} at "
                            f"{obj!r} is not cartesian")
     return bad
@@ -435,7 +541,8 @@ def is_cartesian_nat_trans(t: NatTrans, cl: Classifier) -> list:
     """Check every component of a transformation is cartesian for cl."""
     bad = []
     with checking():
+        cartesian = _cartesian(cl)
         for o, m in t.components.items():
-            if not is_cartesian(cl, m):
+            if not cartesian(m):
                 bad.append(f"{t.name}: component at {o!r} is not cartesian")
     return bad

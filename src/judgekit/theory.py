@@ -18,7 +18,7 @@ from .core import (FinCategory, FunctorMap, NatTrans, checking,
                    terminal_objects, validate_category, validate_functor,
                    validate_nat_trans, whisker_left, whisker_right)
 from .limits import arrow_category, equalizer_category, pullback_category
-from .fibrations import (Classifier, cartesian_lift, is_cartesian,
+from .fibrations import (Classifier, _cartesian, cartesian_lift,
                          verify_kind, yoneda_fiber_functor)
 
 VARIANCES = ("covariant", "contravariant", "strict")
@@ -292,8 +292,9 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
             bad.append(f"♯-lift of {pol.name}: square over {lam.name} does not "
                        f"commute strictly")
         with checking():
+            cartesian = _cartesian(R)
             for o, m in lifted.components.items():
-                if not is_cartesian(R, m):
+                if not cartesian(m):
                     bad.append(f"♯-lift of {pol.name}: component at {o!r} "
                                f"is not cartesian")
     if not bad and key in T.registry:

@@ -6,13 +6,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from judgekit import core
+from judgekit import core, fibrations
 from judgekit.core import (Composition, FunctorMap, along, category_from,
                            identity_functor, make_category, opposite,
                            sort_key, validate_category, validate_functor)
-from judgekit.fibrations import (Classifier, compute_cleavage,
+from judgekit.fibrations import (Classifier, _counted, compute_cleavage,
                                  compute_op_cleavage, coslice_classifier,
-                                 is_cartesian, slice_classifier)
+                                 is_cartesian, is_thin, slice_classifier)
 from judgekit.finset_topos import build_finset_topos
 from judgekit.finsets import fin_skeleton
 from judgekit.limits import (bang_functor, product_category,
@@ -170,10 +170,15 @@ def _wrong_composite(c, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(LAWFUL)), data=st.data())
-def test_the_coded_category_laws_agree_with_the_identifier_sweep(name,
+@given(name=st.sampled_from(sorted(LAWFUL)), op=st.booleans(),
+       data=st.data())
+def test_the_coded_category_laws_agree_with_the_identifier_sweep(name, op,
                                                                  data):
+    """Also on the opposite of the broken table, which reads it through
+    a transposed view."""
     broken = _wrong_composite(LAWFUL[name], data)
+    if op:
+        broken = opposite(broken)
     assert sorted(validate_category(broken)) \
         == sorted(naive_category_laws(broken))
 
@@ -351,9 +356,12 @@ def test_the_functor_lemma_agrees_with_the_sweep(name, mutation, data):
 
 
 def _twin_morphism(c, proj, data):
-    """c with a copy of one non-identity morphism, composing as it does,
-    and proj extended to send the copy where it sends the original."""
-    n = data.draw(st.sampled_from(_arrows(c)))
+    return _with_twin(c, proj, data.draw(st.sampled_from(_arrows(c))))
+
+
+def _with_twin(c, proj, n):
+    """c with a copy of the morphism n, composing as it does, and proj
+    extended to send the copy where it sends n: proj is not faithful."""
     twin = ("twin", n)
     c2 = category_from(c.name, c.objects, [*c.morphisms, twin],
                        {**c.src, twin: c.src[n]}, {**c.tgt, twin: c.tgt[n]},
@@ -400,9 +408,9 @@ OP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OP_CASES))
+@pytest.mark.parametrize("name", [*sorted(OP_CASES), "not a functor"])
 def test_op_cleavage_picks_cocartesian_lifts_and_reports_the_rest(name):
-    cl = OP_CASES[name]()
+    cl = {**OP_CASES, "not a functor": _moved_powerset}[name]()
     cleavage, bad = compute_op_cleavage(cl)
     lifts = naive_cocartesian_lifts(cl)
     for key, found in lifts.items():
@@ -454,10 +462,20 @@ def _doubled():
     return Classifier("doubled", total, ctx, p1)
 
 
+def _twinned_powerset():
+    """The powerset fibration with a twin of its least arrow: its
+    projection is a functor but not faithful."""
+    cl = OP_CASES["powerset"]()
+    total, proj = _with_twin(cl.total, cl.proj, min(_arrows(cl.total),
+                                                    key=sort_key))
+    return Classifier("twinned", total, cl.base, proj)
+
+
 DTT2 = build_finset_topos(2)
 CARTESIAN_CASES = {**OP_CASES, "dtt u": lambda: DTT2.u,
                    "dtt udot": lambda: DTT2.udot,
-                   "not a functor": _moved_powerset, "doubled": _doubled}
+                   "not a functor": _moved_powerset, "doubled": _doubled,
+                   "not faithful": _twinned_powerset}
 
 
 def _agrees_with_the_naive_cartesian_test(cl):
@@ -502,5 +520,71 @@ def test_the_cartesian_cases_cover_both_outcomes():
     moved = CARTESIAN_CASES["not a functor"]()
     assert validate_functor(moved.proj)
     assert compute_cleavage(moved)[1]
+    twinned = CARTESIAN_CASES["not faithful"]()
+    assert validate_functor(twinned.proj) == []
+    assert is_thin(twinned)
     doubled = CARTESIAN_CASES["doubled"]()
     assert all(is_cartesian(doubled, m) for m in doubled.total.morphisms)
+
+
+# The cartesian lemma of judgekit.fibrations against the counting path
+# and the naive test.  A misplaced composite m∘h is replaced by a morphism
+# over the same base arrow between other objects, so the projection stays
+# a faithful functor and only the lemma's composite check can tell.
+LEMMA_CASES = {"𝔽": C12.theory.judgements["𝔽"], "𝔼": C12.theory.judgements["𝔼"],
+               "dtt u": DTT2.u}
+
+
+def _misplaced_composite(c, proj, data):
+    p = proj.mor_map
+
+    def others(k):
+        return [n for n in _arrows(c) if p[n] == p[k]
+                and (c.src[n], c.tgt[n]) != (c.src[k], c.tgt[k])]
+
+    gf = data.draw(st.sampled_from(
+        [gf for gf in sorted(c.compose, key=repr) if others(c.compose[gf])]))
+    c2 = _with_table(c, {**c.compose,
+                         gf: data.draw(st.sampled_from(others(c.compose[gf])))})
+    return c2, replace(proj, dom=c2)
+
+
+LEMMA_MUTATIONS = {"none": lambda c, proj, data: (c, proj),
+                   "not faithful": _twin_morphism,
+                   "moved projection": _moved_projection,
+                   "misplaced composite": _misplaced_composite}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(LEMMA_CASES)),
+       mutation=st.sampled_from(sorted(LEMMA_MUTATIONS)), data=st.data())
+def test_the_cartesian_lemma_agrees_with_counting_and_the_naive_test(
+        name, mutation, data):
+    cl = LEMMA_CASES[name]
+    total, proj = LEMMA_MUTATIONS[mutation](cl.total, cl.proj, data)
+    cl = Classifier(cl.name, total, cl.base, proj)
+    for m in sorted(total.morphisms, key=repr):
+        assert is_cartesian(cl, m) == _counted(cl, m) \
+            == naive_is_cartesian(cl, m), m
+
+
+@pytest.mark.parametrize("name", ["𝔽", "dtt u"])
+def test_faithful_projections_are_decided_without_counting(name,
+                                                           monkeypatch):
+    """Every cartesian test of a validated faithful projection, and of its
+    opposite, goes through the lemma; the opposite is not swept."""
+    cl = LEMMA_CASES[name]
+    counted, swept = [], []
+    monkeypatch.setattr(fibrations, "_counted",
+                        lambda cl, m: counted.append(m) or _counted(cl, m))
+    real = core._composition_sweep
+    monkeypatch.setattr(core, "_composition_sweep",
+                        lambda F: swept.append(F) or real(F))
+    with core.checking():
+        assert validate_functor(cl.proj) == []
+        assert compute_cleavage(cl)[1] == []
+        assert [is_cartesian(cl, m) for m in _arrows(cl.total)] \
+            == [naive_is_cartesian(cl, m) for m in _arrows(cl.total)]
+        compute_op_cleavage(cl)
+    assert counted == []
+    assert swept == [cl.proj]
