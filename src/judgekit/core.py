@@ -52,9 +52,7 @@ faithful (Jacobs, *Categorical Logic and Type Theory*, ch. 1): 𝔽 and 𝔼
 lie faithfully over their contexts, and every rule between them lies over
 ctx.  A validator uses a lemma only after checking each premise within
 the call; when one fails it runs the sweep, so the laws are decided
-exhaustively either way and the diagnostics are the same.  The same fact
-decides cartesian morphisms over a faithful projection: see the
-cartesian lemma in ``fibrations``.
+exhaustively either way and the diagnostics are the same.
 """
 
 from __future__ import annotations
@@ -478,18 +476,6 @@ def _faithful(p: "FunctorMap") -> bool:
     """Whether p is faithful, kept in the check context."""
     return _recall(lambda: next(parallel_morphisms(p), None) is None,
                    "faithful", p)
-
-
-def _dual(p_op: "FunctorMap", p: "FunctorMap"):
-    """Record in the open check context that ``p_op``, the opposite of p
-    between the opposites of p's domain and codomain, passes
-    ``validate_functor`` when p does, and is faithful when p is: the
-    opposite of a functor is a functor, and faithfulness is self-dual.
-    Outside a check context nothing is recorded."""
-    ctx = _request.get()
-    if ctx is not None and not _validated(p):
-        ctx.recall(list, "functor", p_op)
-        ctx.recall(lambda: _faithful(p), "faithful", p_op)
 
 
 def validate_category(c: FinCategory, proj=None) -> list:

@@ -23,8 +23,9 @@ from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
                    check_adjunction, check_category_iso, checking,
                    compose_functors, identity_functor, same_functor,
                    validate_functor, whisker_left, whisker_right)
-from .fibrations import (Classifier, cartesian_lift, is_cartesian,
-                         is_cartesian_nat_trans, is_discrete, verify_kind)
+from .fibrations import (Classifier, cartesian_lift, factorizations,
+                         is_cartesian, is_cartesian_nat_trans, is_discrete,
+                         verify_kind)
 from .limits import mediating_functor
 from .theory import (PreJudgementalTheory, SharpLiftResult, close_equalizer,
                      close_pullback, sharp_lift)
@@ -100,24 +101,23 @@ def context_extension(J: JdttData, A) -> ContextExtension:
     ext = J.udot.proj.obj_map[qa]
     eps_a = J.eps.components[A]
     delta = J.u.proj.mor_map[eps_a]
-    total = J.u.total
+    total, vertical = J.u.total, J.u.base.identity[ext]
     chosen = cartesian_lift(J.u, A, delta)
-    hits = [h for h in total.hom(total.src[eps_a], total.src[chosen])
-            if J.u.proj.mor_map[h] == J.u.base.identity[ext]
-            and total.comp(chosen, h) == eps_a]
-    if len(hits) != 1:
-        bad.append(f"extension of {A!r}: {len(hits)} vertical factorizations "
-                   f"of ε through the cleavage lift")
-    else:
-        h = hits[0]
-        inverses = [k for k in total.hom(total.src[chosen], total.src[eps_a])
-                    if total.comp(h, k) == total.identity[total.src[chosen]]
-                    and total.comp(k, h) == total.identity[total.src[eps_a]]]
-        if not inverses:
-            bad.append(f"extension of {A!r}: ε does not agree with the "
-                       f"cleavage lift up to iso")
-    if not is_cartesian(J.u, eps_a):
-        bad.append(f"extension of {A!r}: ε_A is not cartesian")
+    with checking():
+        hits = factorizations(J.u, chosen, vertical, eps_a)
+        if len(hits) != 1:
+            bad.append(f"extension of {A!r}: {len(hits)} vertical "
+                       f"factorizations of ε through the cleavage lift")
+        else:
+            # An inverse k of h lies over an identity, as h does, since
+            # u k = u k ∘ u h = u(k∘h) for the functor u.
+            h, back = hits[0], total.identity[total.src[chosen]]
+            if not any(total.comp(k, h) == total.identity[total.src[eps_a]]
+                       for k in factorizations(J.u, h, vertical, back)):
+                bad.append(f"extension of {A!r}: ε does not agree with the "
+                           f"cleavage lift up to iso")
+        if not is_cartesian(J.u, eps_a):
+            bad.append(f"extension of {A!r}: ε_A is not cartesian")
     return ContextExtension(ext, delta, qa, bad)
 
 

@@ -7,40 +7,18 @@ thinness — are decided by exhaustive enumeration.
 
 A morphism m : E → F over σ : θ → γ is cartesian when every m' : E' → F
 over σ∘g, for a base arrow g : P E' → θ, is m∘h for exactly one h : E' → E
-over g.  Two tests decide it on the tables.
-
-*Cartesian lemma.*  Let P : total → base be a faithful functor.  Then m
-is cartesian exactly when, for every source E' of an arrow into F and
-every g : P E' → θ with σ∘g = P m' for some m' : E' → F, some h : E' → E
-lies over g, and the composite m∘h exists and lies in hom(E', F).
-Proof: P is injective on hom(E', E), so at most one h lies over g, and on
-hom(E', F), so m' is the only morphism E' → F over σ∘g.  When m∘h lies in
-hom(E', F), P(m∘h) = σ∘g because P preserves composition, so m∘h = m' by
-faithfulness, and the pair (g, m') has exactly one factorization.  When
-no h lies over g it has none.  So over a faithful functor cartesianness
-is the existence half of its universal property: uniqueness comes from
-faithfulness (Mac Lane, *Categories for the Working Mathematician*, I.3;
-Jacobs, *Categorical Logic and Type Theory*, ch. 1, on preorder
-fibrations).
-
-``is_cartesian`` uses the lemma when P runs between the classifier's
-total and base, passes ``validate_functor`` and is faithful, each checked
-in the call and kept in the check context of ``core``.  It reads one
-index of the total per projection (for each target and source, the base
-arrows hit, each with the morphism over it) and compares m∘h with m' for
-each required pair: under the premises that is the same as m∘h lying in
-hom(E', F).  When a premise fails, or some m∘h is not m', m is tested by
-counting factorizations, which reads the tables as they are: for each
-source of an arrow into its target, one scan of the hom-set counts every
-factorization at once, against base arrows grouped by their composite.
-An opposite classifier takes the functor and faithfulness verdicts of its
-projection from the original (``core._dual``): the opposite of a functor
-is a functor, and faithfulness is self-dual.
+over g.  ``is_cartesian`` counts those h for every such pair (g, m'),
+reading one index of the total: for each target and source, the
+morphisms between them grouped by the base arrow they lie over.  The
+count reads only the tables, so it is exact for any projection, functor
+or not, and over a faithful one each group holds at most one morphism,
+so it compares one composite per pair (Jacobs, *Categorical Logic and
+Type Theory*, ch. 1).  ``factorizations`` reads the same index.
 
 Indexes, groupings and verdicts are kept in the check context, per
 projection or per category they were read from, and shared by all the
 tests of one request; nothing is kept on a category or a classifier.  A
-loop over morphisms decides the premises once.  A cleavage takes, for
+loop over morphisms reads the index once.  A cleavage takes, for
 each object and base arrow, the first cartesian candidate in
 ``sort_key`` order.
 """
@@ -49,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (FinCategory, FunctorMap, NatTrans, _dual, _faithful,
-                   _recall, _validated, category_from, checking, opposite,
-                   parallel_morphisms, subcategory, validate_functor)
+from .core import (FinCategory, FunctorMap, NatTrans, _recall, category_from,
+                   checking, opposite, parallel_morphisms, subcategory,
+                   validate_functor)
 
 
 @dataclass
@@ -80,15 +58,10 @@ class Classifier:
 def opposite_classifier(cl: Classifier) -> Classifier:
     """``projᵒᵖ : totalᵒᵖ → baseᵒᵖ``.  Its cartesian morphisms are the
     cocartesian morphisms of ``cl``: an opfibration is a fibration of the
-    opposite functor.  When ``cl.proj`` runs between cl's total and base,
-    the open check context records that ``projᵒᵖ`` passes
-    ``validate_functor`` and is faithful when ``cl.proj`` does and is, so
-    the opposite is not swept again."""
+    opposite functor."""
     total, base = opposite(cl.total), opposite(cl.base)
     proj = FunctorMap(f"{cl.proj.name}ᵒᵖ", total, base,
                       cl.proj.obj_map, cl.proj.mor_map)
-    if cl.proj.dom is cl.total and cl.proj.cod is cl.base:
-        _dual(proj, cl.proj)
     return Classifier(f"{cl.name}ᵒᵖ", total, base, proj)
 
 
@@ -98,105 +71,77 @@ def is_cartesian(cl: Classifier, m) -> bool:
     ``m : E → F`` over ``σ : θ → γ`` is cartesian when every ``m' : E' → F``
     whose projection factors as ``σ∘g`` with ``g : P(E') → θ`` lifts that
     factorization uniquely: exactly one ``h : E' → E`` has ``P h = g`` and
-    ``m∘h = m'``.  Decided by the cartesian lemma of this module when its
-    premises hold and by counting factorizations otherwise; the verdict
-    is kept in the check context.  A loop over morphisms takes the test
-    of its classifier once, from ``_cartesian``."""
+    ``m∘h = m'``.  The verdict is kept in the check context.  A loop over
+    morphisms takes the test of its classifier once, from ``_cartesian``."""
     with checking():
         return _cartesian(cl)(m)
 
 
 def _cartesian(cl: Classifier):
-    """The cartesian test of cl as a function of the morphism, with the
-    premises of the cartesian lemma decided once, here.  Verdicts are
-    kept per projection and morphism."""
-    P = cl.proj
-    if P.dom is not cl.total or P.cod is not cl.base:
-        return lambda m: _counted(cl, m)
-    kept = _recall(dict, "cartesian", P)
-    after_in = _recall(dict, "after", cl.base)
-    over = _recall(lambda: _index(P), "over", P) \
-        if not _validated(P) and _faithful(P) else None
+    """The cartesian test of cl as a function of the morphism, reading the
+    index of cl's projection once.  For m : E → F it counts, for each
+    required pair (g, m'), the morphisms over g in the index entry of E'
+    and E whose composite with m is m'.  Verdicts are kept per projection
+    and morphism when the projection runs between cl's total and base."""
+    total, base, P = cl.total, cl.base, cl.proj
+    pobj, pmor, compose = P.obj_map, P.mor_map, total.compose
+    index, after_in = _kept_index(cl), _recall(dict, "after", base)
+    kept = _recall(dict, "cartesian", P) \
+        if P.dom is total and P.cod is base else {}
+
+    def counted(m):
+        sigma, into_e = pmor[m], index[total.src[m]]
+        for E2, hit in index[total.tgt[m]].items():
+            after = _composites(base, pobj[E2], sigma, after_in)
+            lifts = into_e.get(E2, {})
+            for b, m2s in hit.items():
+                for g in after.get(b, ()):
+                    hs = lifts.get(g, ())
+                    for m2 in m2s:
+                        n = 0
+                        for h in hs:
+                            if compose.get((m, h)) == m2:
+                                n += 1
+                        if n != 1:
+                            return False
+        return True
 
     def test(m):
         verdict = kept.get(m)
         if verdict is None:
-            if over is not None:
-                verdict = _by_lemma(cl, over, after_in, m)
-            if verdict is None:
-                verdict = _counted(cl, m)
-            kept[m] = verdict
+            verdict = kept[m] = counted(m)
         return verdict
     return test
 
 
-def _index(P: FunctorMap) -> dict:
-    """``index[F][E][σ]``: the morphism E → F over σ, for a faithful P, in
-    ``sort_key`` order of the morphisms into each F."""
-    c, pmor = P.dom, P.mor_map
+def factorizations(cl: Classifier, m, g, m2) -> list:
+    """The morphisms ``h : src m2 → src m`` over g with ``m∘h = m2``, in
+    ``sort_key`` order, read from the index of cl's projection.  A loop
+    calls it inside one check context, so that the index is built once."""
+    total = cl.total
+    over = _kept_index(cl)[total.src[m]].get(total.src[m2], {})
+    return [h for h in over.get(g, ()) if total.compose.get((m, h)) == m2]
+
+
+def _kept_index(cl: Classifier) -> dict:
+    """The ``_index`` of cl's total along its projection, kept in the check
+    context per projection when the projection runs from cl's total, and
+    built for the call otherwise."""
+    P = cl.proj
+    if P.dom is not cl.total:
+        return _index(cl.total, P.mor_map)
+    return _recall(lambda: _index(P.dom, P.mor_map), "index", P)
+
+
+def _index(c: FinCategory, pmor) -> dict:
+    """``index[F][E][σ]``: the morphisms E → F over σ, in ``sort_key``
+    order."""
     index = {}
     for F in c.objects:
         into = index[F] = {}
         for m in c.into(F):
-            into.setdefault(c.src[m], {})[pmor[m]] = m
+            into.setdefault(c.src[m], {}).setdefault(pmor[m], []).append(m)
     return index
-
-
-def _by_lemma(cl: Classifier, over: dict, after_in: dict, m):
-    """The cartesian lemma on m : E → F over σ, with ``over`` the
-    ``_index`` of the faithful functor P: for each source E' of an arrow
-    into F and each g : P E' → θ with σ∘g over some m' : E' → F, the
-    arrow h : E' → E over g exists and m∘h = m'.  Returns None when some
-    m∘h is not m', missing or outside hom(E', F), so that counting
-    decides."""
-    total, base, P = cl.total, cl.base, cl.proj
-    sigma, compose = P.mor_map[m], total.compose
-    into_e = over[total.src[m]]
-    for E2, hit in over[total.tgt[m]].items():
-        after = _composites(base, P.obj_map[E2], sigma, after_in)
-        lifts = into_e.get(E2, {})
-        for b, m2 in hit.items():
-            for g in after.get(b, ()):
-                h = lifts.get(g)
-                if h is None:
-                    return False
-                if compose.get((m, h)) != m2:
-                    return None
-    return True
-
-
-def _counted(cl: Classifier, m) -> bool:
-    """The cartesian test by counting factorizations: for each source
-    ``E'`` of an arrow into F, one scan of ``hom(E', E)`` counts the pairs
-    ``(P h, m∘h)``, and m is cartesian when every required pair
-    ``(g, m')`` is counted exactly once.  It reads only the tables, so it
-    is exact also when the projection is neither a functor nor faithful.
-    The groupings that do not depend on m (the arrows into F by source,
-    read from the total category, and the base arrows into θ by their
-    composite with σ, read from the base) are kept in the check context
-    per category."""
-    total, base, P = cl.total, cl.base, cl.proj
-    pmor = P.mor_map
-    into, after_in = _recall(dict, "into", total), _recall(dict, "after", base)
-    E, F = total.src[m], total.tgt[m]
-    sigma = pmor[m]
-    into_f = into.get(F)
-    if into_f is None:
-        into_f = into[F] = {}
-        for m2 in total.into(F):
-            into_f.setdefault(total.src[m2], []).append(m2)
-    for E2, m2s in into_f.items():
-        after = _composites(base, P.obj_map[E2], sigma, after_in)
-        count = {(g, m2): 0 for m2 in m2s for g in after.get(pmor[m2], ())}
-        if not count:
-            continue
-        for h in total.hom(E2, E):
-            key = (pmor[h], total.comp(m, h))
-            if key in count:
-                count[key] += 1
-        if any(n != 1 for n in count.values()):
-            return False
-    return True
 
 
 def _composites(base: FinCategory, a, sigma, kept):
@@ -272,11 +217,13 @@ def compute_op_cleavage(cl: Classifier):
 
 
 def cartesian_lift(cl: Classifier, obj, sigma):
-    """The chosen cartesian lift of ``sigma`` at ``obj`` (cleavage lookup)."""
+    """The chosen cartesian lift of ``sigma`` at ``obj`` (cleavage lookup).
+    A cleavage is stored on cl only when it has no holes."""
     if cl.cleavage is None:
-        cl.cleavage, bad = compute_cleavage(cl)
+        cleavage, bad = compute_cleavage(cl)
         if bad:
             raise ValueError(bad[0])
+        cl.cleavage = cleavage
     return cl.cleavage[(obj, sigma)]
 
 
@@ -502,15 +449,14 @@ def yoneda_fiber_functor(cl: Classifier, F, name=None):
         obj_map[s] = total.src[m]
         lift_of[s] = m
     mor_map = {}
-    for (s1, s2, tau) in sl.total.morphisms:
-        hits = [h for h in total.hom(obj_map[s1], obj_map[s2])
-                if cl.proj.mor_map[h] == tau
-                and total.comp(lift_of[s2], h) == lift_of[s1]]
-        if len(hits) != 1:
-            raise ValueError(
-                f"{cl.name}: {len(hits)} factorizations through the lift of "
-                f"{s2!r} at {F!r} over {tau!r}")
-        mor_map[(s1, s2, tau)] = hits[0]
+    with checking():
+        for (s1, s2, tau) in sl.total.morphisms:
+            hits = factorizations(cl, lift_of[s2], tau, lift_of[s1])
+            if len(hits) != 1:
+                raise ValueError(
+                    f"{cl.name}: {len(hits)} factorizations through the lift "
+                    f"of {s2!r} at {F!r} over {tau!r}")
+            mor_map[(s1, s2, tau)] = hits[0]
     fun = FunctorMap(name or f"y({F})", sl.total, total, obj_map, mor_map)
     return sl, fun
 
@@ -523,9 +469,10 @@ def is_cartesian_functor(F: FunctorMap, cl_dom: Classifier, cl_cod: Classifier) 
         if cl_cod.proj.obj_map.get(F.obj_map[o]) is None:
             return [f"{F.name}: image of {o!r} not in {cl_cod.name}"]
     if cl_dom.cleavage is None:
-        cl_dom.cleavage, cbad = compute_cleavage(cl_dom)
+        cleavage, cbad = compute_cleavage(cl_dom)
         if cbad:
             return cbad
+        cl_dom.cleavage = cleavage
     with checking():
         cartesian = _cartesian(cl_cod)
         for (obj, sigma), m in cl_dom.cleavage.items():

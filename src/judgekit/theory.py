@@ -19,7 +19,7 @@ from .core import (FinCategory, FunctorMap, NatTrans, checking,
                    validate_nat_trans, whisker_left, whisker_right)
 from .limits import arrow_category, equalizer_category, pullback_category
 from .fibrations import (Classifier, _cartesian, cartesian_lift,
-                         verify_kind, yoneda_fiber_functor)
+                         factorizations, verify_kind, yoneda_fiber_functor)
 
 VARIANCES = ("covariant", "contravariant", "strict")
 
@@ -265,20 +265,18 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
         obj_map[(F, H)] = (lam.obj_map[F], total.src[m])
         lift_at[(F, H)] = m
     mor_map = {}
-    for (phi, eta) in P1.morphisms:
-        F, H = P1.src[(phi, eta)]
-        F2, H2 = P1.tgt[(phi, eta)]
-        m, m2 = lift_at[(F, H)], lift_at[(F2, H2)]
-        want_proj = g.mor_map[lam.mor_map[phi]]
-        rhs = total.comp(eta, m)
-        hits = [h for h in total.hom(total.src[m], total.src[m2])
-                if R.proj.mor_map[h] == want_proj and total.comp(m2, h) == rhs]
-        if len(hits) != 1:
-            bad.append(f"♯-lift of {pol.name}: {len(hits)} factorizations over "
-                       f"{want_proj!r} at premise morphism ({phi!r},{eta!r})")
-            mor_map[(phi, eta)] = None
-        else:
-            mor_map[(phi, eta)] = (lam.mor_map[phi], hits[0])
+    with checking():
+        for (phi, eta) in P1.morphisms:
+            m, m2 = lift_at[P1.src[(phi, eta)]], lift_at[P1.tgt[(phi, eta)]]
+            want_proj = g.mor_map[lam.mor_map[phi]]
+            hits = factorizations(R, m2, want_proj, total.comp(eta, m))
+            if len(hits) != 1:
+                bad.append(f"♯-lift of {pol.name}: {len(hits)} factorizations "
+                           f"over {want_proj!r} at premise morphism "
+                           f"({phi!r},{eta!r})")
+                mor_map[(phi, eta)] = None
+            else:
+                mor_map[(phi, eta)] = (lam.mor_map[phi], hits[0])
     key = f"SHARP({pol.name},{R.name})"
     rule = FunctorMap(key, P1, P2, obj_map, mor_map)
     if not bad:

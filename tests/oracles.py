@@ -170,6 +170,16 @@ def naive_is_cartesian(cl, m):
     return True
 
 
+def naive_factorizations(cl, m, g, m2):
+    """The h : src m2 → src m over g with m∘h = m2, in the library's
+    order of identifiers: by type name, then by ``repr``."""
+    tot, pmor = cl.total, cl.proj.mor_map
+    return sorted((h for h in tot.morphisms
+                   if tot.src[h] == tot.src[m2] and tot.tgt[h] == tot.src[m]
+                   and pmor[h] == g and tot.compose[(m, h)] == m2),
+                  key=lambda h: (type(h).__name__, repr(h)))
+
+
 def naive_cartesian_lifts(cl):
     """{(F, σ): cartesian lifts of σ into F} for every object F and every
     base arrow σ into its image."""

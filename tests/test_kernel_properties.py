@@ -6,13 +6,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from judgekit import core, fibrations
+from judgekit import core
 from judgekit.core import (Composition, FunctorMap, along, category_from,
                            identity_functor, make_category, opposite,
                            sort_key, validate_category, validate_functor)
-from judgekit.fibrations import (Classifier, _counted, compute_cleavage,
+from judgekit.fibrations import (Classifier, cartesian_lift, compute_cleavage,
                                  compute_op_cleavage, coslice_classifier,
-                                 is_cartesian, is_thin, slice_classifier)
+                                 factorizations, is_cartesian,
+                                 is_cartesian_functor, is_thin,
+                                 slice_classifier)
 from judgekit.finset_topos import build_finset_topos
 from judgekit.finsets import fin_skeleton
 from judgekit.limits import (bang_functor, product_category,
@@ -24,7 +26,7 @@ from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
 
 from oracles import (naive_cartesian_lifts, naive_category_laws,
                      naive_cocartesian_lifts, naive_composition_preserved,
-                     naive_is_cartesian)
+                     naive_factorizations, naive_is_cartesian)
 
 P1 = proposition_classifier(PowersetDoctrine(1))
 TWO = walking_arrow_category()
@@ -527,12 +529,39 @@ def test_the_cartesian_cases_cover_both_outcomes():
     assert all(is_cartesian(doubled, m) for m in doubled.total.morphisms)
 
 
-# The cartesian lemma of judgekit.fibrations against the counting path
-# and the naive test.  A misplaced composite m∘h is replaced by a morphism
-# over the same base arrow between other objects, so the projection stays
-# a faithful functor and only the lemma's composite check can tell.
-LEMMA_CASES = {"𝔽": C12.theory.judgements["𝔽"], "𝔼": C12.theory.judgements["𝔼"],
-               "dtt u": DTT2.u}
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CARTESIAN_CASES)), data=st.data())
+def test_factorizations_agree_with_the_naive_search(name, data):
+    cl = CARTESIAN_CASES[name]()
+    total, base, pobj = cl.total, cl.base, cl.proj.obj_map
+    m = data.draw(st.sampled_from(sorted(total.morphisms, key=repr)))
+    m2 = data.draw(st.sampled_from(sorted(total.into(total.tgt[m]), key=repr)))
+    g = data.draw(st.sampled_from(sorted(
+        base.out_of(pobj[total.src[m2]]), key=repr)))
+    assert factorizations(cl, m, g, m2) == naive_factorizations(cl, m, g, m2)
+
+
+def test_a_cleavage_with_holes_is_not_kept():
+    """Asking again about a classifier whose cleavage has a hole gives
+    the same answer: the partial cleavage is not stored on it."""
+    cl = CARTESIAN_CASES["not a functor"]()
+    F = identity_functor(cl.total)
+    holes = is_cartesian_functor(F, cl, cl)
+    assert holes and is_cartesian_functor(F, cl, cl) == holes
+    obj, sigma = next(key for key, found in naive_cartesian_lifts(cl).items()
+                      if not found)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no cartesian lift"):
+            cartesian_lift(cl, obj, sigma)
+    assert cl.cleavage is None
+
+
+# The cartesian test against the naive test on mutated tables.  A
+# misplaced composite m∘h is replaced by a morphism over the same base
+# arrow between other objects, so the projection stays a faithful functor
+# and only the comparison of composites can tell.
+MUTATED_CASES = {"𝔽": C12.theory.judgements["𝔽"],
+                 "𝔼": C12.theory.judgements["𝔼"], "dtt u": DTT2.u}
 
 
 def _misplaced_composite(c, proj, data):
@@ -549,34 +578,32 @@ def _misplaced_composite(c, proj, data):
     return c2, replace(proj, dom=c2)
 
 
-LEMMA_MUTATIONS = {"none": lambda c, proj, data: (c, proj),
+TOTAL_MUTATIONS = {"none": lambda c, proj, data: (c, proj),
                    "not faithful": _twin_morphism,
                    "moved projection": _moved_projection,
                    "misplaced composite": _misplaced_composite}
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(LEMMA_CASES)),
-       mutation=st.sampled_from(sorted(LEMMA_MUTATIONS)), data=st.data())
-def test_the_cartesian_lemma_agrees_with_counting_and_the_naive_test(
+@given(name=st.sampled_from(sorted(MUTATED_CASES)),
+       mutation=st.sampled_from(sorted(TOTAL_MUTATIONS)), data=st.data())
+def test_the_cartesian_test_agrees_with_the_naive_test_on_mutated_totals(
         name, mutation, data):
-    cl = LEMMA_CASES[name]
-    total, proj = LEMMA_MUTATIONS[mutation](cl.total, cl.proj, data)
+    cl = MUTATED_CASES[name]
+    total, proj = TOTAL_MUTATIONS[mutation](cl.total, cl.proj, data)
     cl = Classifier(cl.name, total, cl.base, proj)
     for m in sorted(total.morphisms, key=repr):
-        assert is_cartesian(cl, m) == _counted(cl, m) \
-            == naive_is_cartesian(cl, m), m
+        assert is_cartesian(cl, m) == naive_is_cartesian(cl, m), m
 
 
 @pytest.mark.parametrize("name", ["𝔽", "dtt u"])
-def test_faithful_projections_are_decided_without_counting(name,
-                                                           monkeypatch):
-    """Every cartesian test of a validated faithful projection, and of its
-    opposite, goes through the lemma; the opposite is not swept."""
-    cl = LEMMA_CASES[name]
-    counted, swept = [], []
-    monkeypatch.setattr(fibrations, "_counted",
-                        lambda cl, m: counted.append(m) or _counted(cl, m))
+def test_cleaving_a_classifier_and_its_opposite_sweeps_only_its_projection(
+        name, monkeypatch):
+    """The cartesian tests of a classifier and of its opposite validate
+    neither projection: the only composition sweep is that of
+    ``validate_functor(cl.proj)``."""
+    cl = MUTATED_CASES[name]
+    swept = []
     real = core._composition_sweep
     monkeypatch.setattr(core, "_composition_sweep",
                         lambda F: swept.append(F) or real(F))
@@ -586,5 +613,4 @@ def test_faithful_projections_are_decided_without_counting(name,
         assert [is_cartesian(cl, m) for m in _arrows(cl.total)] \
             == [naive_is_cartesian(cl, m) for m in _arrows(cl.total)]
         compute_op_cleavage(cl)
-    assert counted == []
     assert swept == [cl.proj]

@@ -1,4 +1,4 @@
-"""Every name defined under ``src/judgekit/`` is used somewhere.
+"""Every name defined or imported under ``src/judgekit/`` is used.
 
 A module-level function or class, or a method whose name is not a
 dunder, counts as used when its name is referenced, as a ``Name``, an
@@ -6,6 +6,9 @@ dunder, counts as used when its name is referenced, as a ``Name``, an
 ``verdictbench/`` outside its own definition.  The check goes by name
 alone, so a dead method that shares its name with anything used (a local
 variable, another method) passes.
+
+A name that a module of the package imports counts as used when the
+same module reads it as a ``Name``.
 """
 
 import ast
@@ -58,3 +61,22 @@ def test_every_defined_name_is_referenced():
             if refs[node.name] - inside == 0:
                 dead.append(f"{path.relative_to(ROOT)}: {qualname}")
     assert dead == []
+
+
+def _imported(tree):
+    """The names bound by the imports of a module, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0]
+
+
+def test_every_imported_name_is_referenced():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}: {name}"
+                   for name in _imported(tree) if name not in read]
+    assert unused == []
