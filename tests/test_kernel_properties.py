@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from judgekit import core
+from judgekit import core, fibrations
 from judgekit.core import (Composition, FunctorMap, along, category_from,
                            identity_functor, make_category, opposite,
                            sort_key, validate_category, validate_functor)
@@ -597,20 +597,28 @@ def test_the_cartesian_test_agrees_with_the_naive_test_on_mutated_totals(
 
 
 @pytest.mark.parametrize("name", ["𝔽", "dtt u"])
-def test_cleaving_a_classifier_and_its_opposite_sweeps_only_its_projection(
-        name, monkeypatch):
-    """The cartesian tests of a classifier and of its opposite validate
-    neither projection: the only composition sweep is that of
-    ``validate_functor(cl.proj)``."""
+def test_faithful_projections_are_decided_without_counting(name,
+                                                           monkeypatch):
+    """Over a validated faithful projection, and over its opposite, every
+    index entry the cartesian test reads holds at most one morphism, so
+    each required pair is decided by one composite lookup, not a count
+    over candidates; only ``validate_functor(cl.proj)`` sweeps, the
+    opposite is not swept."""
     cl = MUTATED_CASES[name]
-    swept = []
-    real = core._composition_sweep
+    indexes, swept = [], []
+    real_index, real_sweep = fibrations._index, core._composition_sweep
+    monkeypatch.setattr(fibrations, "_index",
+                        lambda c, pmor: indexes.append(real_index(c, pmor))
+                        or indexes[-1])
     monkeypatch.setattr(core, "_composition_sweep",
-                        lambda F: swept.append(F) or real(F))
+                        lambda F: swept.append(F) or real_sweep(F))
     with core.checking():
         assert validate_functor(cl.proj) == []
         assert compute_cleavage(cl)[1] == []
         assert [is_cartesian(cl, m) for m in _arrows(cl.total)] \
             == [naive_is_cartesian(cl, m) for m in _arrows(cl.total)]
         compute_op_cleavage(cl)
+    assert len(indexes) == 2
+    assert all(len(over) <= 1 for index in indexes for into in index.values()
+               for by in into.values() for over in by.values())
     assert swept == [cl.proj]
