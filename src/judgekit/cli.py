@@ -68,7 +68,7 @@ def _load(path, report):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         report.check(f"read {path}", [str(e)])
         return None
     try:

@@ -60,23 +60,13 @@ _BLOCK_KINDS = ("category", "functor", "nat", "adjunction", "classifier",
                 "theory", "doctrine", "instance", "constructor")
 
 
-def _strip_comment(s):
-    out, i = [], 0
-    while i < len(s):
-        if s[i] == "#":
-            break
-        out.append(s[i])
-        i += 1
-    return "".join(out)
-
-
 def parse_dsl(text: str) -> TheoryDocument:
     doc = TheoryDocument()
     current = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if not line:
             continue
         indented = line[0] in " \t"
         toks = line.split()
@@ -302,15 +292,15 @@ def load_document(doc: TheoryDocument) -> LoadedDocument:
 
 
 def _load_category(d: Decl, err):
-    objs, mors, src, tgt = [], [], {}, {}
+    # ``identity`` holds the objects declared so far, in declaration order.
+    identity, mors, src, tgt = {}, [], {}, {}
     compose = {}
     by_name = {}
     for (ln, k, v) in d.items:
         if k == "object":
-            if v in objs:
+            if v in identity:
                 err.append(f"line {ln}: duplicate object {v!r}")
-            objs.append(v)
-            ident = f"id_{v}"
+            ident = identity[v] = f"id_{v}"
             mors.append(ident)
             src[ident] = tgt[ident] = v
             by_name[ident] = ident
@@ -318,13 +308,12 @@ def _load_category(d: Decl, err):
             nm, a, b = v
             if nm in by_name:
                 err.append(f"line {ln}: duplicate morphism {nm!r}")
-            if a not in objs or b not in objs:
+            if a not in identity or b not in identity:
                 err.append(f"line {ln}: morphism {nm!r} mentions unknown objects")
                 continue
             mors.append(nm)
             src[nm], tgt[nm] = a, b
             by_name[nm] = nm
-    identity = {o: f"id_{o}" for o in objs}
     for (ln, k, v) in d.items:
         if k == "compose":
             g, f, h = v
@@ -342,7 +331,7 @@ def _load_category(d: Decl, err):
     for m in mors:
         compose.setdefault((m, identity[src[m]]), m)
         compose.setdefault((identity[tgt[m]], m), m)
-    cat = make_category(d.name, objs, mors, src, tgt, identity, compose)
+    cat = make_category(d.name, identity, mors, src, tgt, identity, compose)
     if any(k == "complete" for (_, k, _) in d.items):
         for f in mors:
             for g in cat.out_of(tgt[f]):

@@ -68,6 +68,22 @@ def test_check_syntax_error(tmp_path, capsys):
         assert f"line {line}" in out
 
 
+@pytest.mark.parametrize("argv", [["check"], ["close"],
+                                  ["derive", "--rule", "cut"]])
+def test_a_file_that_is_not_utf8_is_a_read_failure(tmp_path, capsys, argv):
+    f = tmp_path / "bad.jt"
+    f.write_bytes(b"category C\n  object a\xff\n")
+    code, out = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "report jt/1"
+    assert lines[2:] == [
+        f"check read {f}: FAIL",
+        "  - 'utf-8' codec can't decode byte 0xff in position 21: "
+        "invalid start byte",
+        "status: fail"]
+
+
 INCOMPLETE_M = """category M
   object a
   object b

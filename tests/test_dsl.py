@@ -158,6 +158,27 @@ def test_conflicting_composites_are_a_load_error():
         "line 5: conflicting composites for (f ∘ f): f and id_a"]
 
 
+def test_category_load_errors_name_their_line_in_item_order():
+    doc = parse_dsl("""category C
+  object a
+  object a
+  morphism f : a -> a
+  morphism f : a -> a
+  morphism g : a -> b
+  morphism f : b -> a
+  g ∘ f = f
+  f o id_a = h
+""")
+    assert load_document(doc).errors == [
+        "line 3: duplicate object 'a'",
+        "line 5: duplicate morphism 'f'",
+        "line 6: morphism 'g' mentions unknown objects",
+        "line 7: duplicate morphism 'f'",
+        "line 7: morphism 'f' mentions unknown objects",
+        "line 8: unknown morphism 'g' in composition",
+        "line 9: unknown morphism 'h' in composition"]
+
+
 NAME = st.text("abfgxyzAUV_'αβ𝔽𝕌0123", min_size=1, max_size=4)
 NUMS = st.lists(st.integers(0, 40), max_size=3)
 PAIR = st.tuples(NAME, NAME)
@@ -221,3 +242,24 @@ def test_generated_documents_round_trip(doc):
     parsed = parse_dsl(text)
     assert print_dsl(parsed) == text
     assert _without_lines(parsed) == _without_lines(doc)
+
+
+GAP = st.sampled_from(["", " ", "\t"])
+COMMENT = st.text("#∘->→|⊣ aZé𝔽\t", max_size=6).map(lambda t: "#" + t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents(), data=st.data())
+def test_comments_parse_away(doc, data):
+    text = print_dsl(doc)
+    plain = parse_dsl(text)
+    trailing = [line + data.draw(GAP) + data.draw(COMMENT)
+                for line in text.splitlines()]
+    assert parse_dsl("\n".join(trailing)).decls == plain.decls
+    spaced = []
+    for line in trailing:
+        spaced += data.draw(st.lists(st.tuples(GAP, COMMENT).map("".join),
+                                     max_size=2))
+        spaced.append(line)
+    assert _without_lines(parse_dsl("\n".join(spaced))) == \
+        _without_lines(plain)
