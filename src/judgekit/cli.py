@@ -66,7 +66,7 @@ class Report:
 
 def _load(path, report):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         report.check(f"read {path}", [str(e)])

@@ -43,12 +43,6 @@ class Decl:
 class TheoryDocument:
     decls: list = field(default_factory=list)
 
-    def find(self, kind, name):
-        for d in self.decls:
-            if d.kind == kind and d.name == name:
-                return d
-        return None
-
 
 _ARROW = {"->": "->", "→": "->"}
 _DARROW = {"=>": "=>", "⇒": "=>"}

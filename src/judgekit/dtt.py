@@ -27,8 +27,8 @@ from .fibrations import (Classifier, cartesian_lift, factorizations,
                          is_cartesian, is_cartesian_nat_trans, is_discrete,
                          verify_kind)
 from .limits import mediating_functor
-from .theory import (PreJudgementalTheory, SharpLiftResult, close_equalizer,
-                     close_pullback, sharp_lift)
+from .theory import (PreJudgementalTheory, SharpLiftResult, close_arrow,
+                     close_equalizer, close_pullback, sharp_lift)
 
 
 @dataclass
@@ -191,7 +191,6 @@ def to_comprehension_category(J: JdttData):
     are sent to pullback squares in ctx.  Returns ``(disp, diagnostics)``.
     """
     T = J.theory
-    from .theory import close_arrow
     arr, domf, codf = close_arrow(T, T.ctx)
     ctx = T.ctx
     obj_map, mor_map = {}, {}

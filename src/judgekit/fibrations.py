@@ -208,14 +208,6 @@ def _first_hole(cl: Classifier) -> list:
                      if lift is None), [])
 
 
-def compute_op_cleavage(cl: Classifier):
-    """Choose a cocartesian lift for every (object, arrow-out-of-it) pair:
-    the cleavage of the opposite classifier.  Returns
-    ``(op_cleavage, diagnostics)``."""
-    with checking():
-        return compute_cleavage(opposite_classifier(cl))
-
-
 def cartesian_lift(cl: Classifier, obj, sigma):
     """The chosen cartesian lift of ``sigma`` at ``obj`` (cleavage lookup).
     A cleavage is stored on cl only when it has no holes."""
@@ -409,27 +401,6 @@ def slice_classifier(ctx: FinCategory, gamma, name=None) -> Classifier:
     proj = FunctorMap(f"{nm}.dom", total, ctx,
                       {s: ctx.src[s] for s in objs}, {m: m[2] for m in mors})
     return Classifier(nm, total, ctx, proj, kind="discrete")
-
-
-def coslice_classifier(ctx: FinCategory, gamma, name=None) -> Classifier:
-    """The coslice ctx_{Γ/} with its codomain projection."""
-    nm = name or f"{gamma}\\{ctx.name}"
-    objs = list(ctx.out_of(gamma))
-    mors, src, tgt = [], {}, {}
-    for s1 in objs:
-        for s2 in objs:
-            for tau in ctx.hom(ctx.tgt[s1], ctx.tgt[s2]):
-                if ctx.comp(tau, s1) == s2:
-                    m = (s1, s2, tau)
-                    mors.append(m)
-                    src[m] = s1
-                    tgt[m] = s2
-    identity = {s: (s, s, ctx.identity[ctx.tgt[s]]) for s in objs}
-    total = category_from(nm, objs, mors, src, tgt, identity,
-                          over_base_comp(ctx))
-    proj = FunctorMap(f"{nm}.cod", total, ctx,
-                      {s: ctx.tgt[s] for s in objs}, {m: m[2] for m in mors})
-    return Classifier(nm, total, ctx, proj, kind="functor")
 
 
 def yoneda_fiber_functor(cl: Classifier, F, name=None):

@@ -14,7 +14,7 @@ from .core import FunctorMap, NatTrans, category_from, identity_functor
 from .fibrations import Classifier, over_base_comp
 from .theory import PreJudgementalTheory, close_pullback
 from .dtt import (ConstructorData, DependencyRules, JdttData,
-                  make_id_constructor, make_pi_constructor,
+                  derive_dependency, make_id_constructor, make_pi_constructor,
                   make_sum_constructor)
 from .finsets import canonical_inclusion, fin_skeleton, subsets, preimage
 
@@ -181,7 +181,6 @@ def instantiate_constructor(J: JdttData, which: str,
         return make_id_constructor(J, Id, refl)
     if which == "sum":
         if dep is None:
-            from .dtt import derive_dependency
             dep = derive_dependency(J)
         Y, _, _ = close_pullback(T, J.functor("u̇Δ"), J.u.proj)
         Fj = _former_on_y(J, Y, _sum_subset, "Ⅎ")

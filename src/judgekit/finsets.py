@@ -14,13 +14,6 @@ from itertools import product as iproduct
 from .core import category_from
 
 
-def mk_map(x: int, y: int, images) -> tuple:
-    images = tuple(images)
-    if len(images) != x or any(not (0 <= i < y) for i in images):
-        raise ValueError(f"not a function {x} → {y}: {images}")
-    return ("f", x, y, images)
-
-
 def apply_map(m: tuple, i: int) -> int:
     return m[3][i]
 
@@ -52,10 +45,6 @@ def fin_skeleton(n: int, name=None):
 def pair_index(i: int, j: int, y: int) -> int:
     """Chosen pairing (i, j) ∈ x × y ↦ i·y + j."""
     return i * y + j
-
-
-def unpair_index(k: int, y: int):
-    return divmod(k, y)
 
 
 def cross_map(m: tuple, n: tuple) -> tuple:

@@ -1,18 +1,17 @@
 """Finite-limit constructions on explicit categories.
 
-Pullbacks, equalizers, products, arrow categories and comma categories
-have objects and morphisms that are tuples of the input identifiers, so
-results are strictly canonical: running the same construction twice
-yields identical tables.
+Pullbacks, equalizers and arrow categories have objects and morphisms
+that are tuples of the input identifiers, so results are strictly
+canonical: running the same construction twice yields identical tables.
 
 A pullback is defined by its legs: its composition is a ``Composition``
 over the legs' domains, which composes componentwise, on identifiers
 when a composite is asked for and on integer codes when a validator
 sweeps the laws.  It keeps no composition table of its own.  The table
 of a pullback grows with the product of its factors' tables, while each
-lookup costs only one lookup per factor.  A product is the pullback over
-the terminal category.  Equalizers, arrow and comma categories keep a
-table.
+lookup costs only one lookup per factor.  A product is the pullback of
+two ``bang_functor``s into the terminal category.  Equalizers and arrow
+categories keep a table.
 """
 
 from __future__ import annotations
@@ -101,15 +100,6 @@ def equalizer_category(F: FunctorMap, G: FunctorMap, name=None):
     return cat, incl
 
 
-def product_category(a: FinCategory, b: FinCategory, name=None):
-    """Binary product of two (possibly different) categories: their
-    pullback over the terminal category.  Returns
-    ``(category, proj_a, proj_b)``."""
-    one = terminal_category()
-    return pullback_category(bang_functor(a, one), bang_functor(b, one),
-                             name=name or f"({a.name}×{b.name})")
-
-
 def arrow_category(c: FinCategory, name=None):
     """The arrow category c^→: objects are morphisms of c, morphisms are
     commuting squares ``(f, g, a, b)`` with ``b∘f = g∘a``.
@@ -140,52 +130,6 @@ def arrow_category(c: FinCategory, name=None):
                        {f: c.tgt[f] for f in objs},
                        {sq: sq[3] for sq in mors})
     return cat, dom_f, cod_f
-
-
-def arrow_diagonal(c: FinCategory, arrow_cat: FinCategory, name=None) -> FunctorMap:
-    """The functor c → c^→ sending each object to its identity arrow."""
-    return FunctorMap(name or f"I_{c.name}", c, arrow_cat,
-                      {o: c.identity[o] for o in c.objects},
-                      {m: (c.identity[c.src[m]], c.identity[c.tgt[m]], m, m)
-                       for m in c.morphisms})
-
-
-def comma_category(F: FunctorMap, G: FunctorMap, name=None):
-    """The comma category F ↓ G for ``F : A → C`` and ``G : B → C``.
-
-    Objects are triples ``(a, b, σ : F a → G b)``; morphisms are pairs of
-    arrows making the evident square commute.  Returns
-    ``(category, proj_A, proj_B)``.
-    """
-    if F.cod.objects != G.cod.objects or F.cod.morphisms != G.cod.morphisms:
-        raise ValueError(f"comma of {F.name} and {G.name}: codomains differ")
-    A, B, C = F.dom, G.dom, F.cod
-    nm = name or f"({F.name}↓{G.name})"
-    objs = [(a, b, s) for a in A.objects for b in B.objects
-            for s in C.hom(F.obj_map[a], G.obj_map[b])]
-    mors, src, tgt = [], {}, {}
-    for o1 in objs:
-        (a1, b1, s1) = o1
-        for o2 in objs:
-            (a2, b2, s2) = o2
-            for t in A.hom(a1, a2):
-                left = C.comp(s2, F.mor_map[t])
-                for u in B.hom(b1, b2):
-                    if C.comp(G.mor_map[u], s1) == left:
-                        m = (o1, o2, t, u)
-                        mors.append(m)
-                        src[m] = o1
-                        tgt[m] = o2
-    identity = {(a, b, s): ((a, b, s), (a, b, s), A.identity[a], B.identity[b])
-                for (a, b, s) in objs}
-    cat = category_from(nm, objs, mors, src, tgt, identity,
-                        lambda m2, m: (m[0], m2[1], A.comp(m2[2], m[2]),
-                                       B.comp(m2[3], m[3])))
-    pa = FunctorMap(f"{nm}.πA", cat, A,
-                    {o: o[0] for o in objs}, {m: m[2] for m in mors})
-    pb = FunctorMap(f"{nm}.πB", cat, B,
-                    {o: o[1] for o in objs}, {m: m[3] for m in mors})
-    return cat, pa, pb
 
 
 def joint_injectivity(p1: FunctorMap, p2: FunctorMap) -> list:

@@ -2,10 +2,9 @@
 
 Two output targets: plaintext proof trees (premises over a labelled
 inference line) and LaTeX fragments for a standard proof-tree package.
-Judgement strings come in four dictionaries — the raw classifier form
-``Γ ⊢ F 𝔽``, the type-theoretic form ``Γ ⊢ a : A``, the sequent form
-``x; Γ ⊢ ψ``, and the subobject form used by the internal language of a
-topos.  Output is deterministic: the same input always produces the
+Each rule's schema writes its judgements in the notation of its calculus:
+``Γ ⊢ a : A`` for the dependent types, ``x; Γ ⊢ ψ`` for the sequents.
+Output is deterministic: the same input always produces the
 same bytes.  Setting ``JT_ASCII=1`` in the environment switches every
 mathematical symbol to an ASCII spelling.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .fibrations import Classifier
 from .theory import DerivedRule, PreJudgementalTheory, expand_nested
 
 #: ASCII spellings, applied to every emitted character when JT_ASCII=1.
@@ -75,78 +73,6 @@ def latex_math(s: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# Judgement strings.
-# --------------------------------------------------------------------------
-
-def fmt_ident(o) -> str:
-    """Deterministic compact printing of the tuple identifiers used for
-    objects and morphisms throughout the library."""
-    if isinstance(o, tuple):
-        if len(o) == 4 and o[0] == "f":
-            inner = ",".join(str(i) for i in o[3])
-            return f"⟨{inner}⟩:{o[1]}→{o[2]}"
-        if all(isinstance(i, int) for i in o):
-            return "{" + ",".join(str(i) for i in o) + "}"
-        return "(" + ",".join(fmt_ident(i) for i in o) + ")"
-    return str(o)
-
-
-def _split(cl: Classifier, obj):
-    """Base part and fiber part of a classifier object."""
-    if isinstance(obj, tuple) and len(obj) == 2 and \
-            cl.proj.obj_map.get(obj) == obj[0]:
-        return obj[0], obj[1]
-    return cl.proj.obj_map[obj], obj
-
-
-def render_judgement(theory: PreJudgementalTheory, cl: Classifier, obj,
-                     dictionary: str = "raw") -> str:
-    """One judgement as a string, under the chosen dictionary.
-
-    * ``raw`` — the classifier form ``Γ ⊢ F 𝔽``;
-    * ``dtt`` — types read ``Γ ⊢ A Type`` and terms ``Γ ⊢ a : A``
-      (the typing rule named Σ supplies the type when present);
-    * ``gentzen`` — sequents read ``x; Γ ⊢ ψ``, propositions ``x ⊢ φ``;
-    * ``mitchell-benabou`` — the subobject reading
-      ``{i ∈ x ∣ φ(i)} ↪ x``.
-    """
-    base, fib = _split(cl, obj)
-    if dictionary == "raw":
-        out = f"{fmt_ident(base)} ⊢ {fmt_ident(fib)} {cl.name}"
-    elif dictionary == "dtt":
-        sigma = theory.rules.get("Σ") if theory else None
-        if sigma is not None and obj in sigma.obj_map:
-            ty_obj = sigma.obj_map[obj]
-            owner = cl
-            if ty_obj not in cl.proj.obj_map:
-                # The typing rule lands in a different judgement.
-                for j in theory.judgements.values():
-                    if ty_obj in j.proj.obj_map:
-                        owner = j
-                        break
-            _, ty = _split(owner, ty_obj)
-            out = f"{fmt_ident(base)} ⊢ {fmt_ident(fib)} : {fmt_ident(ty)}"
-        else:
-            out = f"{fmt_ident(base)} ⊢ {fmt_ident(fib)} Type"
-    elif dictionary == "gentzen":
-        if isinstance(fib, tuple) and len(fib) == 2:
-            out = f"{fmt_ident(base)}; {fmt_ident(fib[0])} ⊢ {fmt_ident(fib[1])}"
-        else:
-            out = f"{fmt_ident(base)} ⊢ {fmt_ident(fib)}"
-    elif dictionary == "mitchell-benabou":
-        out = f"{{i ∈ {fmt_ident(base)} ∣ i ∈ {fmt_ident(fib)}}} ↪ {fmt_ident(base)}"
-    else:
-        raise ValueError(f"unknown dictionary {dictionary!r}")
-    return finalize(out)
-
-
-def unfold_alias(theory: PreJudgementalTheory, key: str) -> str:
-    """Expand a nested-classifier judgement into its component block
-    (one judgement per line); generators come back unchanged."""
-    return finalize("\n".join(expand_nested(theory, key)))
-
-
-# --------------------------------------------------------------------------
 # Rule schemas and proof figures.
 # --------------------------------------------------------------------------
 
@@ -160,71 +86,59 @@ class RuleSchema:
     premises: tuple
     conclusion: str
     double: bool = False          # invertible rules get a doubled line
-    dictionary: str = "raw"
 
 
 #: The schemas of every rule the library derives, shaped after the
 #: usual displays of these calculi.
 SCHEMAS = {s.name: s for s in [
     # Context extension and dependency.
-    RuleSchema("ext", "(δ)", ("Γ ⊢ A Type",), "Γ.A ⊢ q_A : A δ_A",
-               dictionary="dtt"),
+    RuleSchema("ext", "(δ)", ("Γ ⊢ A Type",), "Γ.A ⊢ q_A : A δ_A"),
     RuleSchema("DTy", "(DTy)", ("Γ ⊢ a : A", "Γ.A ⊢ B Type"),
-               "Γ ⊢ B⟨a⟩ Type", dictionary="dtt"),
+               "Γ ⊢ B⟨a⟩ Type"),
     RuleSchema("DTm", "(DTm)", ("Γ ⊢ a : A", "Γ.A ⊢ b : B"),
-               "Γ ⊢ b⟨a⟩ : B⟨a⟩", dictionary="dtt"),
+               "Γ ⊢ b⟨a⟩ : B⟨a⟩"),
     # Dependent products.
     RuleSchema("ΠF", "(ΠF)", ("Γ ⊢ A Type", "Γ.A ⊢ B Type"),
-               "Γ ⊢ Π_A B Type", dictionary="dtt"),
+               "Γ ⊢ Π_A B Type"),
     RuleSchema("ΠI", "(ΠI)", ("Γ ⊢ A Type", "Γ.A ⊢ b : B"),
-               "Γ ⊢ λ_A b : Π_A B", dictionary="dtt"),
+               "Γ ⊢ λ_A b : Π_A B"),
     RuleSchema("ΠE", "(ΠE)", ("Γ ⊢ f : Π_A B", "Γ ⊢ a : A"),
-               "Γ ⊢ f(a) : B⟨a⟩", dictionary="dtt"),
+               "Γ ⊢ f(a) : B⟨a⟩"),
     RuleSchema("ΠβC", "(ΠβC)", ("Γ.A ⊢ b : B", "Γ ⊢ a : A"),
-               "Γ ⊢ (λ_A b)(a) = b⟨a⟩ : B⟨a⟩", dictionary="dtt"),
+               "Γ ⊢ (λ_A b)(a) = b⟨a⟩ : B⟨a⟩"),
     RuleSchema("ΠηC", "(ΠηC)", ("Γ ⊢ f : Π_A B",),
-               "Γ ⊢ f = λ_A(f_B) : Π_A B", dictionary="dtt"),
+               "Γ ⊢ f = λ_A(f_B) : Π_A B"),
     # Identity types.
     RuleSchema("IdF", "(IdF)", ("Γ ⊢ A Type", "Γ ⊢ a : A", "Γ ⊢ b : A"),
-               "Γ ⊢ Id_A(a,b) Type", dictionary="dtt"),
+               "Γ ⊢ Id_A(a,b) Type"),
     RuleSchema("IdI", "(IdI)", ("Γ ⊢ a : A",),
-               "Γ ⊢ i(a) : Id_A(a,a)", dictionary="dtt"),
+               "Γ ⊢ i(a) : Id_A(a,a)"),
     RuleSchema("IdE1", "(IdE1)", ("Γ ⊢ c : Id_A(a,b)",),
-               "Γ ⊢ a = b : A", dictionary="dtt"),
+               "Γ ⊢ a = b : A"),
     RuleSchema("IdE2", "(IdE2)", ("Γ ⊢ c : Id_A(a,b)",),
-               "Γ ⊢ c = i(a) : Id_A(a,a)", dictionary="dtt"),
+               "Γ ⊢ c = i(a) : Id_A(a,a)"),
     # Dependent sums.
     RuleSchema("⅀F", "(⅀F)", ("Γ ⊢ A Type", "Γ.A ⊢ B Type"),
-               "Γ ⊢ ⅀_A B Type", dictionary="dtt"),
+               "Γ ⊢ ⅀_A B Type"),
     RuleSchema("⅀I", "(⅀I)",
                ("Γ ⊢ A Type", "Γ.A ⊢ B Type", "Γ ⊢ a : A", "Γ ⊢ b : B⟨a⟩"),
-               "Γ ⊢ ⟨a,b⟩ : ⅀_A B", dictionary="dtt"),
+               "Γ ⊢ ⟨a,b⟩ : ⅀_A B"),
     # Generic constructors.
-    RuleSchema("ΦF", "(ΦF)", ("Γ ⊢ Y 𝕐",), "Γ ⊢ Φ Y Type",
-               dictionary="dtt"),
-    RuleSchema("ΦI", "(ΦI)", ("Γ ⊢ X 𝕏",), "Γ ⊢ Ψ X : Φ Λ X",
-               dictionary="dtt"),
+    RuleSchema("ΦF", "(ΦF)", ("Γ ⊢ Y 𝕐",), "Γ ⊢ Φ Y Type"),
+    RuleSchema("ΦI", "(ΦI)", ("Γ ⊢ X 𝕏",), "Γ ⊢ Ψ X : Φ Λ X"),
     # Structural rules of the sequent side.
-    RuleSchema("H", "(H)", (), "x; Γ,φ ⊢ φ", dictionary="gentzen"),
-    RuleSchema("Sw", "(Sw)", ("x; Γ,Δ ⊢ φ",), "x; Δ,Γ ⊢ φ",
-               dictionary="gentzen"),
-    RuleSchema("C", "(C)", ("x; Γ,ψ,ψ ⊢ φ",), "x; Γ,ψ ⊢ φ",
-               dictionary="gentzen"),
-    RuleSchema("W", "(W)", ("x; Γ ⊢ φ",), "x; Γ,ψ ⊢ φ",
-               dictionary="gentzen"),
-    RuleSchema("Cut", "(Cut)", ("x; Γ ⊢ φ", "x; Γ,φ ⊢ ψ"), "x; Γ ⊢ ψ",
-               dictionary="gentzen"),
+    RuleSchema("H", "(H)", (), "x; Γ,φ ⊢ φ"),
+    RuleSchema("Sw", "(Sw)", ("x; Γ,Δ ⊢ φ",), "x; Δ,Γ ⊢ φ"),
+    RuleSchema("C", "(C)", ("x; Γ,ψ,ψ ⊢ φ",), "x; Γ,ψ ⊢ φ"),
+    RuleSchema("W", "(W)", ("x; Γ ⊢ φ",), "x; Γ,ψ ⊢ φ"),
+    RuleSchema("Cut", "(Cut)", ("x; Γ ⊢ φ", "x; Γ,φ ⊢ ψ"), "x; Γ ⊢ ψ"),
     # Connectives and quantifiers.
-    RuleSchema("∧I", "(∧I)", ("x; Γ ⊢ φ", "x; Γ ⊢ ψ"), "x; Γ ⊢ φ∧ψ",
-               dictionary="gentzen"),
-    RuleSchema("∧E1", "(∧E1)", ("x; Γ ⊢ φ∧ψ",), "x; Γ ⊢ φ",
-               dictionary="gentzen"),
-    RuleSchema("∧E2", "(∧E2)", ("x; Γ ⊢ φ∧ψ",), "x; Γ ⊢ ψ",
-               dictionary="gentzen"),
+    RuleSchema("∧I", "(∧I)", ("x; Γ ⊢ φ", "x; Γ ⊢ ψ"), "x; Γ ⊢ φ∧ψ"),
+    RuleSchema("∧E1", "(∧E1)", ("x; Γ ⊢ φ∧ψ",), "x; Γ ⊢ φ"),
+    RuleSchema("∧E2", "(∧E2)", ("x; Γ ⊢ φ∧ψ",), "x; Γ ⊢ ψ"),
     RuleSchema("∀I", "(∀I)", ("x×y; w_y Γ ⊢ φ",), "x; Γ ⊢ ∀_y φ",
-               double=True, dictionary="gentzen"),
-    RuleSchema("∀E", "(∀E)", ("x; Γ ⊢ ∀_y φ",), "x; Γ ⊢ φ[t/y]",
-               dictionary="gentzen"),
+               double=True),
+    RuleSchema("∀E", "(∀E)", ("x; Γ ⊢ ∀_y φ",), "x; Γ ⊢ φ[t/y]"),
     # The toy theory.
     RuleSchema("e", "(e)", (), "⊢ e(∗) Ctx"),
     RuleSchema("u", "(u)", ("⊢ A Type",), "⊢ Ctx(A) Ctx"),

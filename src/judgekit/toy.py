@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .core import FunctorMap, NatTrans, identity_functor
 from .fibrations import Classifier
-from .finsets import apply_map, canonical_inclusion, fin_skeleton
+from .finsets import apply_map, canonical_inclusion, fin_skeleton, preimage
 from .limits import bang_functor, terminal_category
 from .ndt import PowersetDoctrine, proposition_classifier
 from .theory import PreJudgementalTheory, SharpLiftResult, sharp_lift
@@ -106,7 +106,6 @@ def extension_oracle(toy: ToyTheory) -> list:
     """Check the lifted rule against direct subset reasoning: the
     conclusion of (ext) at a pair (A, H) must live over ext(A) and its
     fiber part must be the ε-preimage of H."""
-    from .finsets import preimage
     bad = []
     for (F, H) in toy.ext_lift.premise.objects:
         x, s = F

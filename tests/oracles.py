@@ -2,10 +2,28 @@
 
 Everything here works on plain Python sets and dicts, deliberately
 avoiding the library's own subset helpers, so agreement between the
-derived rules and these functions is meaningful evidence.
+derived rules and these functions is meaningful evidence.  The two
+builders at the top are the exception: they give the tests a product and
+a coslice out of the library's pullback, slice and opposite.
 """
 
 from itertools import product
+
+from judgekit.core import opposite
+from judgekit.fibrations import opposite_classifier, slice_classifier
+from judgekit.limits import bang_functor, pullback_category, terminal_category
+
+
+def product_category(a, b):
+    """a × b with its projections: the pullback over the terminal category."""
+    one = terminal_category()
+    return pullback_category(bang_functor(a, one), bang_functor(b, one))
+
+
+def coslice_classifier(ctx, gamma):
+    """The coslice Γ/ctx with its codomain projection, as the opposite of
+    the slice of ctxᵒᵖ over Γ."""
+    return opposite_classifier(slice_classifier(opposite(ctx), gamma))
 
 
 def all_subsets(x):

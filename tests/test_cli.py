@@ -84,6 +84,17 @@ def test_a_file_that_is_not_utf8_is_a_read_failure(tmp_path, capsys, argv):
         "status: fail"]
 
 
+def test_a_leading_byte_order_mark_is_not_part_of_the_document(tmp_path,
+                                                               capsys):
+    plain = DEMOS / "toy.jt"
+    marked = tmp_path / "toy.jt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    code, out = run(capsys, "check", str(marked))
+    assert code == 0
+    assert out == run(capsys, "check", str(plain))[1].replace(str(plain),
+                                                               str(marked))
+
+
 INCOMPLETE_M = """category M
   object a
   object b

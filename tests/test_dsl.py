@@ -108,7 +108,7 @@ def test_toy_demo_declares_the_expected_theory():
                     .read_text())
     loaded = load_document(doc)
     assert loaded.errors == []
-    decl = doc.find("theory", "toy")
+    decl = next(d for d in doc.decls if (d.kind, d.name) == ("theory", "toy"))
     judgements = [p for (_, k, p) in decl.items if k == "judgement"]
     rules = [p for (_, k, p) in decl.items if k == "rule"]
     policies = [p for (_, k, p) in decl.items if k == "policy"]

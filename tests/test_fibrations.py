@@ -1,14 +1,16 @@
 from judgekit.core import (FunctorMap, identity_functor, validate_category,
                            validate_functor)
 from judgekit.fibrations import (Classifier, IndexedData, cartesian_lift,
-                                 compute_cleavage, coslice_classifier,
-                                 grothendieck_construct, is_cartesian,
-                                 is_cartesian_functor, is_discrete, is_thin,
-                                 slice_classifier, validate_indexed,
-                                 verify_kind, yoneda_fiber_functor)
+                                 compute_cleavage, grothendieck_construct,
+                                 is_cartesian, is_cartesian_functor,
+                                 is_discrete, is_thin, slice_classifier,
+                                 validate_indexed, verify_kind,
+                                 yoneda_fiber_functor)
 from judgekit.finsets import fin_skeleton, preimage, subset_leq
 from judgekit.limits import terminal_category, walking_arrow_category
 from judgekit.ndt import PowersetDoctrine, proposition_classifier
+
+from oracles import coslice_classifier
 
 
 def powerset_classifier(n=2):

@@ -2,8 +2,8 @@ from hypothesis import given, strategies as st
 
 from judgekit.finsets import (apply_map, canonical_inclusion, cross_map,
                               fin_skeleton, graph_map, image, implication,
-                              join, meet, mk_map, pair_index, preimage,
-                              subset_leq, subsets, unpair_index)
+                              join, meet, pair_index, preimage,
+                              subset_leq, subsets)
 
 from oracles import all_subsets, dec, enc
 
@@ -16,7 +16,7 @@ def test_subsets_enumeration_order():
 
 
 def test_map_application():
-    m = mk_map(3, 2, (1, 0, 1))
+    m = ("f", 3, 2, (1, 0, 1))
     assert [apply_map(m, i) for i in range(3)] == [1, 0, 1]
 
 
@@ -26,7 +26,7 @@ def test_pair_index_bijective(x, y, data):
     j = data.draw(st.integers(0, y - 1))
     k = pair_index(i, j, y)
     assert 0 <= k < max(x, 1) * y
-    assert unpair_index(k, y) == (i, j)
+    assert divmod(k, y) == (i, j)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.data())
@@ -40,7 +40,7 @@ def test_preimage_image_adjunction(x, y, data):
                        for _ in range(x)) if y else ()
     if y == 0 and x > 0:
         return  # no maps into the empty set
-    m = mk_map(x_dom, y, images)
+    m = ("f", x_dom, y, images)
     for s in subsets(x_dom):
         for t in subsets(y):
             # image(m, s) ⊆ t  ⇔  s ⊆ preimage(m, t)
@@ -68,8 +68,8 @@ def test_canonical_inclusion():
 
 
 def test_cross_and_graph_maps():
-    s = mk_map(2, 2, (1, 0))
-    t = mk_map(2, 3, (2, 0))
+    s = ("f", 2, 2, (1, 0))
+    t = ("f", 2, 3, (2, 0))
     c = cross_map(s, t)
     assert c[1] == 4 and c[2] == 6        # 2·2 → 2·3
     for i in range(2):
@@ -77,9 +77,9 @@ def test_cross_and_graph_maps():
             flat = pair_index(i, j, 2)
             want = pair_index(apply_map(s, i), apply_map(t, j), 3)
             assert apply_map(c, flat) == want
-    g = graph_map(2, mk_map(2, 3, (0, 2)))
+    g = graph_map(2, ("f", 2, 3, (0, 2)))
     for i in range(2):
-        assert unpair_index(apply_map(g, i), 3) == (i, (0, 2)[i])
+        assert divmod(apply_map(g, i), 3) == (i, (0, 2)[i])
 
 
 def test_skeleton_contains_exactly_the_maps():

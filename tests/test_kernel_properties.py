@@ -11,22 +11,21 @@ from judgekit.core import (Composition, FunctorMap, along, category_from,
                            identity_functor, make_category, opposite,
                            sort_key, validate_category, validate_functor)
 from judgekit.fibrations import (Classifier, cartesian_lift, compute_cleavage,
-                                 compute_op_cleavage, coslice_classifier,
                                  factorizations, is_cartesian,
                                  is_cartesian_functor, is_thin,
-                                 slice_classifier)
+                                 opposite_classifier, slice_classifier)
 from judgekit.finset_topos import build_finset_topos
 from judgekit.finsets import fin_skeleton
-from judgekit.limits import (bang_functor, product_category,
-                             pullback_category, terminal_category,
-                             walking_arrow_category)
+from judgekit.limits import (bang_functor, pullback_category,
+                             terminal_category, walking_arrow_category)
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
                           build_deduction_system, derive_structural,
                           proposition_classifier)
 
-from oracles import (naive_cartesian_lifts, naive_category_laws,
-                     naive_cocartesian_lifts, naive_composition_preserved,
-                     naive_factorizations, naive_is_cartesian)
+from oracles import (coslice_classifier, naive_cartesian_lifts,
+                     naive_category_laws, naive_cocartesian_lifts,
+                     naive_composition_preserved, naive_factorizations,
+                     naive_is_cartesian, product_category)
 
 P1 = proposition_classifier(PowersetDoctrine(1))
 TWO = walking_arrow_category()
@@ -413,7 +412,7 @@ OP_CASES = {
 @pytest.mark.parametrize("name", [*sorted(OP_CASES), "not a functor"])
 def test_op_cleavage_picks_cocartesian_lifts_and_reports_the_rest(name):
     cl = {**OP_CASES, "not a functor": _moved_powerset}[name]()
-    cleavage, bad = compute_op_cleavage(cl)
+    cleavage, bad = compute_cleavage(opposite_classifier(cl))
     lifts = naive_cocartesian_lifts(cl)
     for key, found in lifts.items():
         if found:
@@ -428,9 +427,11 @@ def test_op_cleavage_picks_cocartesian_lifts_and_reports_the_rest(name):
 
 def test_the_cases_cover_both_outcomes():
     """The slice is no opfibration; the coslice and the powerset are."""
-    assert compute_op_cleavage(OP_CASES["slice"]())[1]
-    assert not compute_op_cleavage(OP_CASES["coslice"]())[1]
-    assert not compute_op_cleavage(OP_CASES["powerset"]())[1]
+    def op_holes(name):
+        return compute_cleavage(opposite_classifier(OP_CASES[name]()))[1]
+    assert op_holes("slice")
+    assert not op_holes("coslice")
+    assert not op_holes("powerset")
 
 
 def _moved(cl, m, image):
@@ -617,7 +618,7 @@ def test_faithful_projections_are_decided_without_counting(name,
         assert compute_cleavage(cl)[1] == []
         assert [is_cartesian(cl, m) for m in _arrows(cl.total)] \
             == [naive_is_cartesian(cl, m) for m in _arrows(cl.total)]
-        compute_op_cleavage(cl)
+        compute_cleavage(opposite_classifier(cl))
     assert len(indexes) == 2
     assert all(len(over) <= 1 for index in indexes for into in index.values()
                for by in into.values() for over in by.values())

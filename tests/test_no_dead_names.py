@@ -2,10 +2,17 @@
 
 A module-level function or class, or a method whose name is not a
 dunder, counts as used when its name is referenced, as a ``Name``, an
-``Attribute`` or an imported name, somewhere in ``src/``, ``tests/`` or
-``verdictbench/`` outside its own definition.  The check goes by name
-alone, so a dead method that shares its name with anything used (a local
-variable, another method) passes.
+``Attribute`` or an imported name, outside its own definition, somewhere
+in ``src/``, in ``verdictbench/`` or in ``tests/test_acceptance.py``, the
+one-test-per-guarantee gate.  A reference from any other test does not
+count: code that only its own unit tests reach is dead.  The check goes
+by name alone, so a dead method that shares its name with anything used
+(a local variable, another method) passes.
+
+``KEPT`` names the definitions that are kept although nothing scanned
+references them, each with its reason; a kept name that is gone, or that
+something scanned has come to reference, fails the check, so the list
+cannot go stale.
 
 A name that a module of the package imports counts as used when the
 same module reads it as a ``Name``.
@@ -17,7 +24,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "judgekit"
-SCANNED = ("src", "tests", "verdictbench")
+SCANNED = (ROOT / "src", ROOT / "verdictbench",
+           ROOT / "tests" / "test_acceptance.py")
+
+_WAITS = "a result of the paper that waits for a jt request to check it"
+
+#: ``module.qualname`` of each definition kept without a scanned
+#: reference, with the reason it is kept.
+KEPT = {
+    "dsl.print_dsl":
+        "the printer of the parser's parse → print → parse property test",
+    "finsets.implication":
+        "Heyting implication, which the Heyting-valued and sieve doctrines "
+        "planned in ROADMAP.md call",
+    "ndt.PowersetDoctrine.forall_elim":
+        "part of the doctrine interface that those doctrines extend",
+    "dtt.to_comprehension_category": _WAITS,
+    "finset_topos.mb_translate": _WAITS,
+    "theory.whisker_policy": _WAITS,
+    "theory.check_substitutionality": _WAITS,
+}
 
 
 def _references(tree) -> Counter:
@@ -46,21 +72,37 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def test_every_defined_name_is_referenced():
-    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
-             for d in SCANNED for p in sorted((ROOT / d).rglob("*.py"))}
+def _scan():
+    """``(defined, unreferenced)``: the ``module.qualname`` of every
+    definition in the package, and of those that nothing scanned
+    references outside the definition itself."""
+    paths = [p for s in SCANNED
+             for p in (sorted(s.rglob("*.py")) if s.is_dir() else [s])]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
     refs = Counter()
     for tree in trees.values():
         refs += _references(tree)
-    dead = []
+    defined, unreferenced = [], []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         for qualname, node in _definitions(tree):
-            inside = _references(node)[node.name]
-            if refs[node.name] - inside == 0:
-                dead.append(f"{path.relative_to(ROOT)}: {qualname}")
-    assert dead == []
+            key = f"{path.stem}.{qualname}"
+            defined.append(key)
+            if refs[node.name] == _references(node)[node.name]:
+                unreferenced.append(key)
+    return defined, unreferenced
+
+
+def test_every_defined_name_is_referenced():
+    _, unreferenced = _scan()
+    assert [k for k in unreferenced if k not in KEPT] == []
+
+
+def test_every_kept_name_is_defined_and_unreferenced():
+    defined, unreferenced = _scan()
+    assert [k for k in KEPT if k not in defined] == []
+    assert [k for k in KEPT if k not in unreferenced] == []
 
 
 def _imported(tree):

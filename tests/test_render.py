@@ -3,9 +3,8 @@ from pathlib import Path
 import pytest
 
 from judgekit.render import (SCHEMAS, ascii_enabled, derived_rule, finalize,
-                             fmt_ident, latex_math, render_judgement,
-                             render_rule_tree, unfold_alias)
-from judgekit.theory import close_pullback
+                             latex_math, render_rule_tree)
+from judgekit.theory import expand_nested
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,34 +47,6 @@ def test_latex_is_bussproofs_shaped():
     assert tex.count("\\AxiomC") == 2 and "\\BinaryInfC" in tex
 
 
-def test_fmt_ident():
-    assert fmt_ident((0, 1)) == "{0,1}"
-    assert fmt_ident(("f", 2, 3, (0, 2))) == "⟨0,2⟩:2→3"
-    assert fmt_ident("x") == "x"
-    assert fmt_ident((("f", 0, 1, ()), (0,))) == "(⟨⟩:0→1,{0})"
-
-
-def test_render_judgement_dictionaries(topos2):
-    J = topos2
-    ty = ("ty", 2, (0,))
-    raw = render_judgement(J.theory, J.u, ty, "raw")
-    assert "⊢" in raw and raw.startswith("2 ")
-    dtt = render_judgement(J.theory, J.u, ty, "dtt")
-    assert dtt.endswith("Type")
-    tm = render_judgement(J.theory, J.udot, ("tm", 2), "dtt")
-    assert " : " in tm          # the typing rule supplies the type
-    mb = render_judgement(J.theory, J.u, ty, "mitchell-benabou")
-    assert mb.startswith("{i ∈ 2") and mb.endswith("↪ 2")
-    with pytest.raises(ValueError):
-        render_judgement(J.theory, J.u, ty, "nonsense")
-
-
-def test_render_judgement_gentzen(ds2):
-    e = next(iter(ds2.E.total.objects))
-    out = render_judgement(ds2.theory, ds2.E, e, "gentzen")
-    assert out.count("⊢") == 1 and ";" in out
-
-
 def test_ascii_mode(monkeypatch):
     monkeypatch.setenv("JT_ASCII", "1")
     assert ascii_enabled()
@@ -95,15 +66,14 @@ def test_latex_math_table():
     assert "\\Gamma" in latex_math("Γ")
 
 
-def test_unfold_alias_and_expanded_tree(toy):
+def test_expanded_tree_has_one_premise_per_component(toy):
     T = toy.theory
-    close_pullback(T, toy.u, toy.u)
-    block = unfold_alias(T, "PB(u,u)")
-    assert len(block.splitlines()) == 2
     rule = derived_rule("ε-ext", toy.ext_lift.premise.name,
                         toy.ext_lift.conclusion.name, toy.ext_lift.rule,
                         schema_name="ε-ext")
     expanded = render_rule_tree(rule, "text", expand=True, theory=T)
+    premises = expand_nested(T, rule.premise)
+    assert expanded.splitlines()[0].strip() == "   ".join(premises)
     assert expanded.splitlines()[-1].strip() == "ext(A) ⊢ A ε_A Type"
 
 
