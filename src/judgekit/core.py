@@ -7,13 +7,15 @@ except that a pullback keeps its legs and composes through their domains
 instead of storing a table.  All laws are checked by exhaustive
 enumeration.
 
-``validate_category`` and ``validate_functor`` first check the tables on
-identifiers (endpoints, identities, a composite for exactly the
-composable pairs).  They then number the morphisms of the categories
-they read and sweep the unit, associativity and composition laws on
-those integer codes; a pullback composes codes through its factors'
-codes.  Failures are reported in ``sort_key`` order, so a report does
-not depend on hash order.
+``validate_category`` and ``validate_functor`` number the morphisms of
+the categories they read and decide the laws on those integer codes.  A
+table is numbered once, and the same pass checks it: endpoints,
+identities, and a composite with the right endpoints for exactly the
+composable pairs, compared on the codes of morphisms and objects.  The
+unit, associativity and composition laws are then swept on the codes; a
+pullback composes codes through its factors' codes.  Failures are
+reported in ``sort_key`` order, so a report does not depend on hash
+order.
 
 Every check runs inside a check context (``checking``): one per ``jt``
 request, or one per call when a validator is called outside a request.
@@ -42,10 +44,19 @@ and f both lie in C(a, b) and p sends both to p f.
 whose composites lie in C with the right endpoints, π : C → L the
 projection onto one of its leaf factors (a functor, since C composes
 componentwise), h : L → X and p : D → X functors with p faithful, p∘F =
-h∘π on morphisms, and D a table whose composable pairs have composites
+h∘π on morphisms, and D a category whose composable pairs have composites
 with the right endpoints.  Then F preserves composition.  Proof: for g∘f
 in C, F(g∘f) and F g ∘ F f both lie in D(F a, F c), and p sends both to
 h(π g) ∘ h(π f), so they are equal.
+
+*Codomain paths.*  p may itself be read through a path into D: when D is
+a pullback, p = k∘π_q for the projection π_q : D → K onto a leaf factor
+and a functor k : K → X.  π_q is a functor, since D composes
+componentwise, so p is one when k is, and the lemma applies as stated
+once p is faithful; that is tested on p's images of D's morphisms, in
+time linear in them.  A rule into a pullback of judgements, such as a
+♯-lift or a constructor's comparison functor, lies over the base of one
+of its factors this way.
 
 The fibers of a preorder fibration are thin, so its projection is
 faithful (Jacobs, *Categorical Logic and Type Theory*, ch. 1): 𝔽 and 𝔼
@@ -57,6 +68,7 @@ exhaustively either way and the diagnostics are the same.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -312,7 +324,8 @@ class _Codes:
     ``mors[i]`` is the morphism with code i, ``code`` the inverse, and
     ``rows[i][j]`` is the code of ``mors[j] ∘ mors[i]``: integer rows
     filled from a table, or computed from the factors' codes for a
-    ``Composition``."""
+    ``Composition``.  A table's rows are filled in the pass that makes its
+    table checks, and ``errors`` holds their diagnostics."""
 
     def __init__(self, c: FinCategory, local: dict):
         self.mors = mors = list(c.morphisms)
@@ -321,9 +334,8 @@ class _Codes:
             self.rows = c.compose.code_rows(
                 mors, code, [_codes(x, local) for x in c.compose.factors])
         else:
-            self.rows = rows = [{} for _ in mors]
-            for (g, f), h in c.compose.items():
-                rows[code[f]][code[g]] = code[h]
+            self.rows = [{} for _ in mors]
+            self.errors = _table_errors(c, mors, code, self.rows)
 
 
 def _codes(c: FinCategory, local: dict) -> _Codes:
@@ -393,10 +405,14 @@ def opposite(c: FinCategory) -> FinCategory:
                        c.tgt, c.src, c.identity, compose)
 
 
-def _table_errors(c: FinCategory) -> list:
+def _table_errors(c: FinCategory, mors: list, code: dict, rows=None) -> list:
     """The well-formedness checks of ``validate_category``: endpoints,
     identities, and a composite with the right endpoints for exactly the
-    composable pairs.  Returns diagnostics ([] = ok)."""
+    composable pairs.  The composition entries are checked on ``code``,
+    which numbers ``mors``, the morphisms of c, and on codes of c's
+    objects; given ``rows``, each entry of known morphisms is filled into
+    them in the same pass, whether the checks pass or not.  Returns
+    diagnostics ([] = ok)."""
     bad, ends = [], []
     for m in c.morphisms:
         if m not in c.src or m not in c.tgt:
@@ -408,39 +424,63 @@ def _table_errors(c: FinCategory) -> list:
     for m, line in sorted(ends, key=lambda e: sort_key(e[0])):
         bad.append(line)
         if m not in c.src or m not in c.tgt:
-            return bad
-    ids = []
-    for o in c.objects:
-        i = c.identity.get(o)
-        if i is None or i not in c.morphisms:
-            ids.append((o, f"{c.name}: object {o!r} has no identity morphism"))
-        elif c.src[i] != o or c.tgt[i] != o:
-            ids.append((o, f"{c.name}: identity of {o!r} is not an endomorphism"))
-    bad += _in_order(ids)
-    if bad:
+            break
+    else:
+        ids = []
+        for o in c.objects:
+            i = c.identity.get(o)
+            if i is None or i not in c.morphisms:
+                ids.append((o, f"{c.name}: object {o!r} has no identity morphism"))
+            elif c.src[i] != o or c.tgt[i] != o:
+                ids.append((o, f"{c.name}: identity of {o!r} is not an endomorphism"))
+        bad += _in_order(ids)
+    # Composition is total on composable pairs and only on them, checked
+    # on codes once endpoints and identities pass.
+    checked = not bad
+    if not checked and rows is None:
         return bad
-    # Composition is total on composable pairs and only on them.
-    mors, src, tgt = c.morphisms, c.src, c.tgt
+    if checked:
+        obj = {o: k for k, o in enumerate(c.objects)}
+        s = [obj[c.src[m]] for m in mors]
+        t = [obj[c.tgt[m]] for m in mors]
     for (g, f), h in c.compose.items():
-        if g not in mors or f not in mors or h not in mors:
-            bad.append(f"{c.name}: composition entry ({g!r}, {f!r}) mentions unknown morphisms")
-            return bad
-        if tgt[f] != src[g]:
-            bad.append(f"{c.name}: composition defined on non-composable pair ({g!r}, {f!r})")
-        elif src[h] != src[f] or tgt[h] != tgt[g]:
-            bad.append(f"{c.name}: composite of ({g!r}, {f!r}) has wrong endpoints")
+        i, j, k = code.get(f), code.get(g), code.get(h)
+        if i is None or j is None or k is None:
+            if checked:
+                bad.append(f"{c.name}: composition entry ({g!r}, {f!r}) mentions unknown morphisms")
+                if rows is None:
+                    return bad
+                checked = False
+            continue
+        if rows is not None:
+            rows[i][j] = k
+        if checked:
+            if t[i] != s[j]:
+                bad.append(f"{c.name}: composition defined on non-composable pair ({g!r}, {f!r})")
+            elif s[k] != s[i] or t[k] != t[j]:
+                bad.append(f"{c.name}: composite of ({g!r}, {f!r}) has wrong endpoints")
+    if not checked:
+        return bad
     # Every entry is a distinct composable pair unless one was flagged, so
     # then none is missing when there are as many entries as such pairs.
-    if bad or len(c.compose) != sum(len(c.out_of(tgt[f])) for f in mors):
+    out = Counter(s)
+    if bad or len(c.compose) != sum(out[b] for b in t):
         bad += _in_order([(f, f"{c.name}: composition missing for ({g!r}, {f!r})")
-                          for f in mors for g in c.out_of(tgt[f])
+                          for f in mors for g in c.out_of(c.tgt[f])
                           if (g, f) not in c.compose])
     return bad
 
 
 def _tables(c: FinCategory) -> list:
-    """``_table_errors``, kept in the check context."""
-    return _recall(lambda: _table_errors(c), "tables", c)
+    """``_table_errors`` of c, kept in the check context: a table's are
+    made with its codes, a pullback's on a numbering of their own."""
+    if not isinstance(c.compose, Composition):
+        return _codes(c, {}).errors
+
+    def tables():
+        mors = list(c.morphisms)
+        return _table_errors(c, mors, dict(zip(mors, range(len(mors)))))
+    return _recall(tables, "tables", c)
 
 
 def _sound(c: FinCategory) -> bool:
@@ -460,13 +500,13 @@ def _sound(c: FinCategory) -> bool:
     return _recall(sound, "sound", c)
 
 
-def parallel_morphisms(p: "FunctorMap"):
-    """The pairs of distinct parallel morphisms that p sends to the same
-    morphism, as ``(first, second, image)``: p is faithful when there are
-    none."""
-    c, seen = p.dom, {}
+def parallel_morphisms(c: FinCategory, image):
+    """The pairs of distinct parallel morphisms of c that ``image`` sends to
+    the same morphism, as ``(first, second, image)``: a functor with those
+    images is faithful when there are none."""
+    seen = {}
     for m in c.morphisms:
-        key = (c.src[m], c.tgt[m], p.mor_map[m])
+        key = (c.src[m], c.tgt[m], image(m))
         if key in seen:
             yield seen[key], m, key[2]
         seen[key] = m
@@ -474,8 +514,8 @@ def parallel_morphisms(p: "FunctorMap"):
 
 def _faithful(p: "FunctorMap") -> bool:
     """Whether p is faithful, kept in the check context."""
-    return _recall(lambda: next(parallel_morphisms(p), None) is None,
-                   "faithful", p)
+    return _recall(lambda: next(parallel_morphisms(p.dom, p.mor_map.__getitem__),
+                                None) is None, "faithful", p)
 
 
 def validate_category(c: FinCategory, proj=None) -> list:
@@ -533,11 +573,13 @@ def terminal_objects(c: FinCategory) -> list:
 class FunctorMap:
     """A functor given by explicit object and morphism tables.
 
-    ``over``, when set, is ``(p, path, h)``: the functor F lies over a
-    base through p : cod → X, and reads its base arrow of a morphism m
-    through h from the component of m at ``path`` (see ``along``), so
-    that p∘F = h∘π_path.  ``validate_functor`` may then use the functor
-    lemma; the record is no claim, since every premise is checked."""
+    ``over``, when set, is ``(p, q, path, h)``: the functor F lies over a
+    base through p, read from the component of F's images at ``q``, and
+    reads its base arrow of a morphism m through h from the component of
+    m at ``path`` (see ``along``), so that p∘π_q∘F = h∘π_path.  For the
+    empty q, p's domain is F's codomain.  ``validate_functor`` may then use
+    the functor lemma; the record is no claim, since every premise is
+    checked."""
 
     name: str
     dom: FinCategory
@@ -583,15 +625,16 @@ def validate_functor(F: FunctorMap) -> list:
     """Exhaustively check functoriality.  Returns diagnostics ([] = ok).
 
     Images, endpoints and identities are checked on the tables.  When F
-    records ``over = (p, path, h)`` with a non-empty path, composition is
-    decided by the functor lemma of this module if its premises hold,
+    records ``over = (p, q, path, h)`` with a non-empty path, composition
+    is decided by the functor lemma of this module if its premises hold,
     each checked here: the path leads through pullbacks of F's domain to
-    the domain of h, p's domain is F's codomain and p and h share their
-    codomain X; F's domain and codomain and X are sound (every composite
-    exists, with the right endpoints); p and h pass ``validate_functor``;
-    p is faithful; and p∘F = h∘π_path on every morphism.  When a premise
-    fails, composition preservation is swept, so the diagnostics do not
-    depend on ``over``.  The verdict is kept in the check context."""
+    the domain of h, q leads through pullbacks of F's codomain to the
+    domain of p, and p and h share their codomain X; F's domain and
+    codomain and X are sound (every composite exists, with the right
+    endpoints); p and h pass ``validate_functor``; p∘π_q is faithful; and
+    p∘π_q∘F = h∘π_path on every morphism.  When a premise fails,
+    composition preservation is swept, so the diagnostics do not depend
+    on ``over``.  The verdict is kept in the check context."""
     with checking():
         return list(_validated(F))
 
@@ -631,23 +674,36 @@ def _functoriality(F: FunctorMap) -> list:
     return bad
 
 
+def _leaf(c: FinCategory, path):
+    """The factor of c at ``path``, through nested pullbacks, or None when
+    the path leaves them."""
+    for k in path:
+        if not isinstance(c.compose, Composition):
+            return None
+        c = c.compose.factors[k]
+    return c
+
+
 def _reflected(F: FunctorMap) -> bool:
     """Whether the premises of the functor lemma hold for F, whose
     endpoints are already checked."""
-    p, path, h = F.over
-    c, d, leaf = F.dom, F.cod, F.dom
-    for k in path:
-        if not isinstance(leaf.compose, Composition):
-            return False
-        leaf = leaf.compose.factors[k]
-    if not path or p.dom is not d or h.dom is not leaf or p.cod is not h.cod:
+    p, q, path, h = F.over
+    c, d = F.dom, F.cod
+    if not path or _leaf(c, path) is not h.dom or _leaf(d, q) is not p.dom \
+            or p.cod is not h.cod:
         return False
     if not (_sound(c) and _sound(d) and _sound(p.cod)):
         return False
-    if _validated(p) or _validated(h) or not _faithful(p):
+    if _validated(p) or _validated(h):
         return False
-    pm, fm, hm = p.mor_map, F.mor_map, h.mor_map
-    return all(pm[fm[m]] == hm[along(path, m)] for m in c.morphisms)
+    pm, hm, fm = p.mor_map, h.mor_map, F.mor_map
+
+    def base(m):
+        return pm[along(q, m)]
+    faithful = next(parallel_morphisms(d, base), None) is None if q \
+        else _faithful(p)
+    return faithful and all(base(fm[m]) == hm[along(path, m)]
+                            for m in c.morphisms)
 
 
 def _composition_sweep(F: FunctorMap) -> list:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
                    check_adjunction, check_category_iso, checking,
                    compose_functors, identity_functor, same_functor,
-                   validate_functor, whisker_left, whisker_right)
+                   validate_category, validate_functor, whisker_left,
+                   whisker_right)
 from .fibrations import (Classifier, cartesian_lift, factorizations,
                          is_cartesian, is_cartesian_nat_trans, is_discrete,
                          verify_kind)
@@ -64,9 +65,15 @@ class JdttData:
 
 def validate_jdtt(J: JdttData) -> list:
     """Check all the defining conditions of the dtt datum exhaustively.
-    ``verify_kind`` checks u̇ and u with their projections, then
+    ``validate_category`` checks ctx, and 𝕌 and 𝕌̇ through their
+    projections; ``verify_kind`` checks u̇ and u, then
     ``check_adjunction`` checks Σ, Δ, η and ε, so u∘Σ is formed only from
     functors.  Each step runs only when the steps before it pass."""
+    bad = (validate_category(J.theory.ctx)
+           + validate_category(J.u.total, J.u.proj)
+           + validate_category(J.udot.total, J.udot.proj))
+    if bad:
+        return bad
     bad = verify_kind(J.udot, expect="fibration")
     bad += verify_kind(J.u, expect="fibration")
     if bad:
@@ -453,8 +460,13 @@ def phi_check(J: JdttData, C: ConstructorData) -> ConstructorCheck:
     pb, pY, pU = close_pullback(T, C.Phi, J.Sigma)
     if bad:
         return ConstructorCheck(pb, None, None, bad)
+    # Λ★Ψ lies over whatever Ψ lies over, through the 𝕌̇ factor.
+    over = None
+    if C.Psi.over:
+        p, q, path, h = C.Psi.over
+        over = (p, (1, *q), path, h)
     cmp_f = mediating_functor("pullback", pb, (pY, pU), [C.Lambda, C.Psi],
-                              name=f"{C.name}★")
+                              name=f"{C.name}★", over=over)
     if C.mode == "strict":
         diag, inv = check_category_iso(cmp_f)
         if diag:
@@ -526,7 +538,8 @@ def make_pi_constructor(J: JdttData, Pi: FunctorMap, lam_intro: FunctorMap,
     X, xA, xb = close_pullback(T, J.functor("u̇Δ"), J.udot.proj)
     Lambda = mediating_functor(
         "pullback", Y, (yA, yB),
-        [xA, compose_functors(J.Sigma, xb)], name=f"{name}Λ")
+        [xA, compose_functors(J.Sigma, xb)], name=f"{name}Λ",
+        over=(J.u.proj, (0,), (0,), J.u.proj))
     return ConstructorData(name, X, Y, Lambda, Pi, lam_intro)
 
 
@@ -565,19 +578,23 @@ def id_extensionality(J: JdttData, C: ConstructorData) -> list:
     return bad
 
 
+def dependent_type(J: JdttData, dep: DependencyRules) -> FunctorMap:
+    """γ : 𝕌̇.ΣΔ𝕌 → 𝕌, type dependency followed by the type projection:
+    (a, B) ↦ B⟨a⟩, over ctx through u̇ on a."""
+    prem, rule = dep.dty.premise, dep.dty.rule
+    return FunctorMap("γ", prem, J.u.total,
+                      {o: rule.obj_map[o][1] for o in prem.objects},
+                      {m: rule.mor_map[m][1] for m in prem.morphisms},
+                      over=(J.u.proj, (), (0,), J.udot.proj))
+
+
 def make_sum_constructor(J: JdttData, dep: DependencyRules, Fj: FunctorMap,
                          pair_intro: FunctorMap, name="Ⅎ") -> ConstructorData:
     """Dependent-sum types: 𝕐 = 𝕌.Δ𝕌 as for Π; the premise 𝕏 pairs a
     term a, a type B over the extension, and a term of B⟨a⟩."""
     T = J.theory
     Y, yA, yB = close_pullback(T, J.functor("u̇Δ"), J.u.proj)
-    # γ : 𝕌̇.ΣΔ𝕌 → 𝕌 is type dependency followed by the type projection.
-    prem = dep.dty.premise
-    p_to_types = FunctorMap(
-        "γ", prem, J.u.total,
-        {o: dep.dty.rule.obj_map[o][1] for o in prem.objects},
-        {m: dep.dty.rule.mor_map[m][1] for m in prem.morphisms})
-    X, xAB, xb = close_pullback(T, p_to_types, J.Sigma)
+    X, xAB, xb = close_pullback(T, dependent_type(J, dep), J.Sigma)
     Lambda = mediating_functor(
         "pullback", Y, (yA, yB),
         [compose_functors(J.Sigma,
@@ -586,5 +603,6 @@ def make_sum_constructor(J: JdttData, dep: DependencyRules, Fj: FunctorMap,
                                      {m: m[0][0] for m in X.morphisms})),
          FunctorMap("π_B", X, J.u.total,
                     {o: o[0][1] for o in X.objects},
-                    {m: m[0][1] for m in X.morphisms})], name=f"{name}Λ")
+                    {m: m[0][1] for m in X.morphisms})], name=f"{name}Λ",
+        over=(J.u.proj, (0,), (0, 0), J.udot.proj))
     return ConstructorData(name, X, Y, Lambda, Fj, pair_intro)

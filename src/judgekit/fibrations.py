@@ -237,7 +237,8 @@ def is_thin(cl: Classifier) -> list:
     """At most one morphism between two total objects over each base
     arrow: the projection is faithful."""
     return [f"{cl.name}: parallel morphisms {m!r}, {n!r} over {sigma!r}"
-            for m, n, sigma in parallel_morphisms(cl.proj)]
+            for m, n, sigma in parallel_morphisms(cl.proj.dom,
+                                                  cl.proj.mor_map.__getitem__)]
 
 
 def verify_kind(cl: Classifier, expect=None) -> list:

@@ -14,8 +14,8 @@ from .core import FunctorMap, NatTrans, category_from, identity_functor
 from .fibrations import Classifier, over_base_comp
 from .theory import PreJudgementalTheory, close_pullback
 from .dtt import (ConstructorData, DependencyRules, JdttData,
-                  derive_dependency, make_id_constructor, make_pi_constructor,
-                  make_sum_constructor)
+                  dependent_type, derive_dependency, make_id_constructor,
+                  make_pi_constructor, make_sum_constructor)
 from .finsets import canonical_inclusion, fin_skeleton, subsets, preimage
 
 
@@ -149,7 +149,8 @@ def _former_on_y(J: JdttData, Y, point, name) -> FunctorMap:
         srcAB = Y.src[(mA, mB)]
         tgtAB = Y.tgt[(mA, mB)]
         mor_map[(mA, mB)] = (obj_map[srcAB], obj_map[tgtAB], mA[2])
-    return FunctorMap(name, Y, J.u.total, obj_map, mor_map)
+    return FunctorMap(name, Y, J.u.total, obj_map, mor_map,
+                      over=(J.u.proj, (), (0,), J.u.proj))
 
 
 def instantiate_constructor(J: JdttData, which: str,
@@ -165,7 +166,8 @@ def instantiate_constructor(J: JdttData, which: str,
             {(A, b): _tm(A[1]) for (A, b) in X.objects},
             {(mA, mb): (_tm(X.src[(mA, mb)][0][1]),
                         _tm(X.tgt[(mA, mb)][0][1]), mA[2])
-             for (mA, mb) in X.morphisms})
+             for (mA, mb) in X.morphisms},
+            over=(J.udot.proj, (), (0,), J.u.proj))
         return make_pi_constructor(J, Pi, lam_intro)
     if which == "id":
         Y, _, _ = close_pullback(T, J.Sigma, J.Sigma)
@@ -176,7 +178,8 @@ def instantiate_constructor(J: JdttData, which: str,
             {(m1, m2): (_ty(Y.src[(m1, m2)][0][1], full(Y.src[(m1, m2)][0][1])),
                         _ty(Y.tgt[(m1, m2)][0][1], full(Y.tgt[(m1, m2)][0][1])),
                         m1[2])
-             for (m1, m2) in Y.morphisms})
+             for (m1, m2) in Y.morphisms},
+            over=(J.u.proj, (), (0,), J.udot.proj))
         refl = identity_functor(J.udot.total, name="refl")
         return make_id_constructor(J, Id, refl)
     if which == "sum":
@@ -184,17 +187,13 @@ def instantiate_constructor(J: JdttData, which: str,
             dep = derive_dependency(J)
         Y, _, _ = close_pullback(T, J.functor("u̇Δ"), J.u.proj)
         Fj = _former_on_y(J, Y, _sum_subset, "Ⅎ")
-        prem = dep.dty.premise
-        p_to_types = FunctorMap(
-            "γ", prem, J.u.total,
-            {o: dep.dty.rule.obj_map[o][1] for o in prem.objects},
-            {m: dep.dty.rule.mor_map[m][1] for m in prem.morphisms})
-        X, _, _ = close_pullback(T, p_to_types, J.Sigma)
+        X, _, _ = close_pullback(T, dependent_type(J, dep), J.Sigma)
         pair_intro = FunctorMap(
             "pair", X, J.udot.total,
             {o: _tm(o[0][0][1]) for o in X.objects},
             {m: (_tm(X.src[m][0][0][1]), _tm(X.tgt[m][0][0][1]), m[0][0][2])
-             for m in X.morphisms})
+             for m in X.morphisms},
+            over=(J.udot.proj, (), (0, 0), J.udot.proj))
         return make_sum_constructor(J, dep, Fj, pair_intro)
     raise ValueError(f"unknown constructor {which!r}")
 

@@ -152,7 +152,8 @@ def joint_injectivity(p1: FunctorMap, p2: FunctorMap) -> list:
     return bad
 
 
-def mediating_functor(kind, limit_cat, projections, legs, name=None) -> FunctorMap:
+def mediating_functor(kind, limit_cat, projections, legs, name=None,
+                      over=None) -> FunctorMap:
     """Canonical mediating functor of a cone into one of our limits.
 
     ``kind`` is "pullback" or "equalizer".  For a pullback,
@@ -160,7 +161,8 @@ def mediating_functor(kind, limit_cat, projections, legs, name=None) -> FunctorM
     functors; the result tuples the legs pointwise, which is the unique
     choice because the projections are jointly injective (asserted here
     by exhaustive check).  For an equalizer, ``projections`` is the
-    inclusion and ``legs`` the one cone functor, corestricted.
+    inclusion and ``legs`` the one cone functor, corestricted.  A pullback
+    mediator records ``over`` (see ``FunctorMap``) before it is validated.
     """
     if kind == "pullback":
         W = legs[0].dom
@@ -169,7 +171,7 @@ def mediating_functor(kind, limit_cat, projections, legs, name=None) -> FunctorM
         obj_map = {o: tuple(l.obj_map[o] for l in legs) for o in W.objects}
         mor_map = {m: tuple(l.mor_map[m] for l in legs) for m in W.morphisms}
         med = FunctorMap(name or f"⟨{','.join(l.name for l in legs)}⟩",
-                         W, limit_cat, obj_map, mor_map)
+                         W, limit_cat, obj_map, mor_map, over)
     elif kind == "equalizer":
         med = FunctorMap(name or f"corestrict({legs.name})", legs.dom,
                          limit_cat, dict(legs.obj_map), dict(legs.mor_map))

@@ -256,8 +256,8 @@ def thin_rule(name, dom_cat: FinCategory, target: Classifier,
     ``path`` (``along(path, m)``), and the image of m is the one morphism
     of the target between the images of m's endpoints over that arrow,
     looked up in one index of the target's morphisms by source, target
-    and base arrow.  The rule records ``(target.proj, path, source.proj)``
-    for ``validate_functor``."""
+    and base arrow.  The rule records ``(target.proj, (), path,
+    source.proj)`` for ``validate_functor``."""
     total, proj = target.total, target.proj.mor_map
     index = {}
     for m in total.morphisms:
@@ -272,7 +272,7 @@ def thin_rule(name, dom_cat: FinCategory, target: Classifier,
         hit = index.get(key)
         mor_map[m] = _unique_over(target, *key) if hit is None else hit
     return FunctorMap(name, dom_cat, total, obj_map, mor_map,
-                      over=(target.proj, path, source.proj))
+                      over=(target.proj, (), path, source.proj))
 
 
 def _thin_adjunction(left: FunctorMap, right: FunctorMap,

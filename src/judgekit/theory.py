@@ -254,6 +254,11 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
     policy's component at (F, H) is that lift, so it is cartesian by
     construction.  Both that and the strict commuting of the square over
     λ are checked.
+
+    The image of (φ, η) has its ℍ component over g(λφ), so the rule lies
+    over 𝕏 through R.proj on that component and through g on φ wherever
+    g∘λ = g, as when λ is an identity: it records
+    ``(R.proj, (1,), (0,), g)`` for ``validate_functor``.
     """
     bad = []
     P1, p1f, p1h = close_pullback(T, f, R.proj)
@@ -278,7 +283,8 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
             else:
                 mor_map[(phi, eta)] = (lam.mor_map[phi], hits[0])
     key = f"SHARP({pol.name},{R.name})"
-    rule = FunctorMap(key, P1, P2, obj_map, mor_map)
+    rule = FunctorMap(key, P1, P2, obj_map, mor_map,
+                      over=(R.proj, (1,), (0,), g))
     if not bad:
         bad += validate_functor(rule)
     lifted = NatTrans(f"{pol.name}♯", compose_functors(p2h, rule), p1h,

@@ -329,3 +329,36 @@ def test_reports_do_not_depend_on_what_the_check_context_keeps(
     monkeypatch.setattr(core._Context, "recall",
                         lambda self, make, kind, obj: make())
     assert reports() == kept
+
+
+# Rules into 𝕌, 𝕌̇, 𝔼 or a pullback of them that lie over ctx, or over 𝔽,
+# from a factor of their pullback domain: the functor lemma decides each,
+# so a derive request sweeps none of them.
+DECIDED_OVER_A_BASE = {"Π", "ΠΛ", "λ", "Π★", "Ⅎ", "ℲΛ", "pair", "Ⅎ★",
+                       "SHARP(η′,𝕌)", "SHARP(η′,𝕌̇)", "SHARP(α,𝔼d)"}
+# Swept, since the functor lemma reads a base through a path into a
+# pullback domain and each of these has a table as its domain: the
+# projections u : 𝕌 → ctx and u̇ : 𝕌̇ → ctx, Δ : 𝕌 → 𝕌̇, Σ : 𝕌̇ → 𝕌, and
+# the composites u̇Δ and u̇ΔΣ.
+SWEPT_DTT = {"u", "u̇", "Δ", "Σ", "u̇Δ", "u̇ΔΣ"}
+
+
+@pytest.mark.parametrize(("doc", "rule"), [
+    ("instance J = dtt-finset 2", "pi"), ("instance J = dtt-finset 2", "sum"),
+    ("instance J = dtt-finset 2", "dty"), ("doctrine D = chain 2 2", "cut")])
+def test_rules_over_a_base_are_decided_without_sweeping(tmp_path, capsys,
+                                                         monkeypatch, doc,
+                                                         rule):
+    swept = []
+    real = core._composition_sweep
+    monkeypatch.setattr(core, "_composition_sweep",
+                        lambda F: swept.append(F) or real(F))
+    (tmp_path / "d.jt").write_text(doc + "\n")
+    code, out = run(capsys, "derive", str(tmp_path / "d.jt"), "--rule", rule)
+    assert code == 0, out
+    names = {F.name for F in swept}
+    assert not names & DECIDED_OVER_A_BASE
+    assert not [F.name for F in swept
+                if isinstance(F.dom.compose, core.Composition)]
+    if doc.startswith("instance"):
+        assert names <= SWEPT_DTT

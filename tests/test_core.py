@@ -52,6 +52,59 @@ def test_bad_identity_detected():
     assert validate_category(broken)
 
 
+# The table checks of validate_category, line by line.  The report stops
+# at the first morphism without endpoints, and at the first composition
+# entry that mentions an unknown morphism; lines of one kind are in
+# sort_key order of the morphism or object they name.
+ID0, ID1 = ("id", 0), ("id", 1)
+
+
+def test_endpoint_failures_are_reported_up_to_the_first_missing_one():
+    c = make_category("E", [0], [ID0, "a", "b", "c"],
+                      {ID0: 0, "a": 9}, {ID0: 0, "a": 0, "c": 0},
+                      {0: ID0}, {(ID0, ID0): ID0})
+    assert validate_category(c) == [
+        "E: morphism 'a' has endpoints outside the object set",
+        "E: morphism 'b' lacks endpoints"]
+
+
+def test_identity_failures_follow_endpoints_outside_the_object_set():
+    f, g = ("f", 0, 1), ("g", 0, 7)
+    c = make_category("I", [0, 1, "x"], [ID0, f, g],
+                      {ID0: 0, f: 0, g: 0}, {ID0: 0, f: 1, g: 7},
+                      {0: f, 1: ID1}, {(ID0, ID0): ID0})
+    assert validate_category(c) == [
+        "I: morphism ('g', 0, 7) has endpoints outside the object set",
+        "I: identity of 0 is not an endomorphism",
+        "I: object 1 has no identity morphism",
+        "I: object 'x' has no identity morphism"]
+
+
+def test_composition_entries_are_reported_up_to_an_unknown_morphism():
+    c = make_category("C", [0, 1], [ID0, ID1, "f"],
+                      {ID0: 0, ID1: 1, "f": 0}, {ID0: 0, ID1: 1, "f": 1},
+                      {0: ID0, 1: ID1},
+                      {("f", "f"): "f", (ID1, "f"): ID1, (ID0, ID0): "zz",
+                       (ID1, ID1): ID1})
+    assert validate_category(c) == [
+        "C: composition defined on non-composable pair ('f', 'f')",
+        "C: composite of (('id', 1), 'f') has wrong endpoints",
+        "C: composition entry (('id', 0), ('id', 0)) mentions unknown morphisms"]
+
+
+def test_missing_composites_are_reported_in_sort_key_order():
+    """Integers sort before strings and strings before tuples."""
+    c = make_category("M", [0, 1], [ID0, ID1, "f", 5],
+                      {ID0: 0, ID1: 1, "f": 0, 5: 0},
+                      {ID0: 0, ID1: 1, "f": 1, 5: 1},
+                      {0: ID0, 1: ID1}, {(ID0, ID0): ID0, (ID1, ID1): ID1})
+    assert validate_category(c) == [
+        "M: composition missing for (('id', 1), 5)",
+        "M: composition missing for (('id', 1), 'f')",
+        "M: composition missing for (5, ('id', 0))",
+        "M: composition missing for ('f', ('id', 0))"]
+
+
 def test_terminal_objects():
     assert terminal_objects(terminal_category()) == ["•"]
     assert terminal_objects(fin_skeleton(2)) == [1]

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
-from judgekit.core import (FunctorMap, same_functor, validate_functor,
-                           whisker_left)
+from judgekit.core import (FunctorMap, same_functor, sort_key,
+                           validate_functor, whisker_left)
 from judgekit.dtt import (context_extension, derive_dependency,
                           derive_display_transport, id_extensionality,
                           jdtt_to_nm, natural_model_round_trip, nm_to_jdtt,
@@ -29,6 +29,17 @@ def test_sigma_outside_types_is_a_diagnostic(topos2):
                         {**S.mor_map, m: "alien"})
     bad = validate_jdtt(replace(J, Sigma=broken, _derived={}))
     assert bad == [f"Σ: morphism image 'alien' not in {J.u.total.name}"]
+
+
+def test_a_missing_composite_of_types_is_reported_as_such():
+    """validate_jdtt checks the table of 𝕌 before it classifies u."""
+    J = build_finset_topos(2)
+    U = J.u.total
+    gf = next(gf for gf in sorted(U.compose, key=sort_key)
+              if not (U.is_identity(gf[0]) or U.is_identity(gf[1])))
+    del U.compose[gf]
+    assert validate_jdtt(J) == [
+        f"𝕌: composition missing for ({gf[0]!r}, {gf[1]!r})"]
 
 
 def test_context_extension_for_every_type(topos2):

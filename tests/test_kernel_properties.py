@@ -4,7 +4,7 @@ test and the cleavages of classifiers and of their opposites."""
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from judgekit import core, fibrations
 from judgekit.core import (Composition, FunctorMap, along, category_from,
@@ -14,7 +14,7 @@ from judgekit.fibrations import (Classifier, cartesian_lift, compute_cleavage,
                                  factorizations, is_cartesian,
                                  is_cartesian_functor, is_thin,
                                  opposite_classifier, slice_classifier)
-from judgekit.finset_topos import build_finset_topos
+from judgekit.finset_topos import build_finset_topos, instantiate_constructor
 from judgekit.finsets import fin_skeleton
 from judgekit.limits import (bang_functor, pullback_category,
                              terminal_category, walking_arrow_category)
@@ -212,48 +212,67 @@ def test_a_pullback_over_a_wrong_factor_agrees_with_the_identifier_sweep(
 # deduction system record how they lie over ctx: ∧ and H along a factor of
 # 𝔽 ×ctx 𝔽, W along the second factor of PB(q, 𝔽.p) and C two pullbacks
 # deep.  Over fin_skeleton(2) a hom-set of 𝔽 or 𝔼 holds morphisms over
-# several base arrows, so an image can move to a parallel morphism.
+# several base arrows, so an image can move to a parallel morphism.  λ of
+# the Π constructor lies over ctx from 𝕌̇, and two rules into pullbacks
+# read their base through a codomain path: the cut's ♯-lift SHARP(α,𝔼d)
+# through 𝔼 (over chain 1 1 no hom-set has two morphisms, so chain 1 2 is
+# used) and ΠΛ through 𝕌.
 C12 = build_deduction_system(ChainDoctrine(1, 2))
 C12_RULES = derive_structural(C12)
+DTT2 = build_finset_topos(2)
+PI2 = instantiate_constructor(DTT2, "pi")
 OVER = {"∧": C12.conj, "H": C12_RULES.assumption, "W": C12_RULES.weakening,
-        "C": C12_RULES.contraction}
+        "C": C12_RULES.contraction, "SHARP(α,𝔼d)": C12_RULES.cut_lift.rule,
+        "λ": PI2.Psi, "ΠΛ": PI2.Lambda}
 
 
 def _arrows(c):
     return [m for m in sorted(c.morphisms, key=repr) if not c.is_identity(m)]
 
 
+def _base(F):
+    """The base arrow of a morphism of F's codomain, p∘π_q."""
+    p, q, _, _ = F.over
+    return lambda n: p.mor_map[along(q, n)]
+
+
 def _moved_image(F, data):
     """F with the image of a non-identity morphism m moved to a parallel
     morphism over another base arrow; returns (m, the new image, F')."""
-    p = F.over[0]
-    d, fm = F.cod, F.mor_map
+    base, d, fm = _base(F), F.cod, F.mor_map
     m = data.draw(st.sampled_from(
         [m for m in _arrows(F.dom)
-         if any(p.mor_map[n] != p.mor_map[fm[m]] for n in _others(d, fm[m]))]))
+         if any(base(n) != base(fm[m]) for n in _others(d, fm[m]))]))
     n = data.draw(st.sampled_from(
-        [n for n in _others(d, fm[m]) if p.mor_map[n] != p.mor_map[fm[m]]]))
+        [n for n in _others(d, fm[m]) if base(n) != base(fm[m])]))
     return m, n, replace(F, mor_map={**fm, m: n})
 
 
 def _duplicated_image(F, data):
-    """F into its codomain with a copy of one image n added, parallel to n
-    and over the same arrow, composing as n does: F sends one morphism
-    to the copy, and p is no longer faithful."""
-    p, path, h = F.over
+    """F with a copy of the component n at q of one image added to the
+    leaf of its codomain at q, parallel to n and over the same arrow,
+    composing as n does: F sends one morphism to an image through the
+    copy, and p∘π_q is no longer faithful.  A pullback codomain, read
+    one step deep, is rebuilt on its leg extended to the copy."""
+    p, q, path, h = F.over
+    assert len(q) <= 1
     d = F.cod
     m = data.draw(st.sampled_from(_arrows(F.dom)))
-    n = F.mor_map[m]
+    leaf = d.compose.factors[q[0]] if q else d
+    n = along(q, F.mor_map[m])
     twin = ("twin", n)
-    mors = [*d.morphisms, twin]
-    d2 = category_from(d.name, d.objects, mors,
-                       {**d.src, twin: d.src[n]}, {**d.tgt, twin: d.tgt[n]},
-                       d.identity,
-                       lambda g, f: d.comp(n if g == twin else g,
-                                           n if f == twin else f))
-    p2 = replace(p, dom=d2, mor_map={**p.mor_map, twin: p.mor_map[n]})
-    return replace(F, cod=d2, mor_map={**F.mor_map, m: twin},
-                   over=(p2, path, h))
+    leaf2, p2 = _with_twin(leaf, p, n)
+    if not q:
+        return replace(F, cod=leaf2, mor_map={**F.mor_map, m: twin},
+                       over=(p2, q, path, h))
+    legs = list(d.compose.legs)
+    legs[q[0]] = replace(legs[q[0]], dom=leaf2, mor_map={
+        **legs[q[0]].mor_map, twin: legs[q[0]].mor_map[n]})
+    d2 = pullback_category(*legs, name=d.name)[0]
+    image = list(F.mor_map[m])
+    image[q[0]] = twin
+    return replace(F, cod=d2, mor_map={**F.mor_map, m: tuple(image)},
+                   over=(p2, q, path, h))
 
 
 def _hit_composite(F, data, keep):
@@ -264,17 +283,24 @@ def _hit_composite(F, data, keep):
     def others(k):
         return [n for n in _arrows(d) if n != k and keep(k, n)]
 
-    gf = data.draw(st.sampled_from(
-        [gf for gf in sorted({(F.mor_map[g], F.mor_map[f])
-                              for g, f in F.dom.compose}, key=repr)
-         if others(d.compose[gf])]))
+    pairs = [gf for gf in sorted({(F.mor_map[g], F.mor_map[f])
+                                  for g, f in F.dom.compose}, key=repr)
+             if others(d.compose[gf])]
+    # In 𝕌̇ a morphism is fixed by its base arrow, so no composite there
+    # can be misplaced.
+    assume(pairs)
+    gf = data.draw(st.sampled_from(pairs))
     return gf, data.draw(st.sampled_from(others(d.compose[gf])))
 
 
 def _with_composite(F, gf, k):
-    p, path, h = F.over
+    """F into a table copy of its codomain with the composite at gf
+    replaced by k.  A pullback codomain becomes a table, so its path q
+    leads nowhere."""
+    p, q, path, h = F.over
     d2 = _with_table(F.cod, {**F.cod.compose, gf: k})
-    return replace(F, cod=d2, over=(replace(p, dom=d2), path, h))
+    return replace(F, cod=d2,
+                   over=(p if q else replace(p, dom=d2), q, path, h))
 
 
 def _broken_codomain(F, data):
@@ -289,38 +315,41 @@ def _misplaced_codomain(F, data):
     """F into its codomain with the composite of two of its images
     replaced by a morphism over the same base arrow between other objects,
     so that p stays a functor."""
-    p = F.over[0].mor_map
+    base = _base(F)
     return _with_composite(F, *_hit_composite(
-        F, data, lambda k, n: p[n] == p[k]))
+        F, data, lambda k, n: base(n) == base(k)))
 
 
 def _p_not_a_functor(F, data):
     """A moved image, with p changed to agree on it: p then sends two
     parallel morphisms to one arrow and is no functor."""
-    p, path, h = F.over
+    p, q, path, h = F.over
     m, n, F2 = _moved_image(F, data)
-    p2 = replace(p, mor_map={**p.mor_map, n: p.mor_map[F.mor_map[m]]})
-    return replace(F2, over=(p2, path, h))
+    p2 = replace(p, mor_map={**p.mor_map,
+                             along(q, n): _base(F)(F.mor_map[m])})
+    return replace(F2, over=(p2, q, path, h))
 
 
 def _h_not_a_functor(F, data):
     """h moved on one arrow x of its domain to a parallel base arrow σ′,
     and the image of every morphism whose component is x moved to the
-    parallel morphism over σ′, so that p∘F = h∘π still holds.  (Over a
-    chain doctrine, restriction is the identity, so that morphism
+    parallel morphism over σ′, so that p∘π_q∘F = h∘π still holds.  (Over
+    a chain doctrine, restriction is the identity, and over the finite
+    sets model 𝕌̇ has a morphism over every arrow, so that morphism
     exists.)"""
-    p, path, h = F.over
+    p, q, path, h = F.over
+    base, d = _base(F), F.cod
     x = data.draw(st.sampled_from(
         [x for x in _arrows(h.dom) if _others(h.cod, h.mor_map[x])]))
     arrow = data.draw(st.sampled_from(_others(h.cod, h.mor_map[x])))
-    d = F.cod
-    moved = {m: next(n for n in d.hom(d.src[F.mor_map[m]],
-                                      d.tgt[F.mor_map[m]])
-                     if p.mor_map[n] == arrow)
+    moved = {m: [n for n in d.hom(d.src[F.mor_map[m]], d.tgt[F.mor_map[m]])
+                 if base(n) == arrow]
              for m in F.dom.morphisms if along(path, m) == x}
-    return replace(F, mor_map={**F.mor_map, **moved},
-                   over=(p, path, replace(h, mor_map={**h.mor_map,
-                                                      x: arrow})))
+    assume(all(moved.values()))
+    return replace(F, mor_map={**F.mor_map,
+                               **{m: ns[0] for m, ns in moved.items()}},
+                   over=(p, q, path, replace(h, mor_map={**h.mor_map,
+                                                         x: arrow})))
 
 
 MUTATIONS = {"moved image": lambda F, data: _moved_image(F, data)[2],
@@ -335,7 +364,7 @@ MUTATIONS = {"moved image": lambda F, data: _moved_image(F, data)[2],
 def test_the_functor_lemma_decides_without_sweeping_the_domain(name,
                                                                monkeypatch):
     F = OVER[name]
-    assert F.over is not None and F.over[1]
+    assert F.over is not None and F.over[2]
     numbered = []
     real = core._codes
     monkeypatch.setattr(core, "_codes",
@@ -474,7 +503,6 @@ def _twinned_powerset():
     return Classifier("twinned", total, cl.base, proj)
 
 
-DTT2 = build_finset_topos(2)
 CARTESIAN_CASES = {**OP_CASES, "dtt u": lambda: DTT2.u,
                    "dtt udot": lambda: DTT2.udot,
                    "not a functor": _moved_powerset, "doubled": _doubled,
