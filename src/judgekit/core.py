@@ -8,25 +8,25 @@ instead of storing a table.  All laws are checked by exhaustive
 enumeration.
 
 ``validate_category`` and ``validate_functor`` number the morphisms of
-the categories they read and decide the laws on those integer codes.  A
-table is numbered once, and the same pass checks it: endpoints,
-identities, and a composite with the right endpoints for exactly the
-composable pairs, compared on the codes of morphisms and objects.  The
-unit, associativity and composition laws are then swept on the codes; a
-pullback composes codes through its factors' codes.  Failures are
-reported in ``sort_key`` order, so a report does not depend on hash
-order.
+the categories they read and decide the laws on those integer codes.
+Every category, a pullback included, is numbered one way, in one pass
+over its composition that also checks it: endpoints, identities, and a
+composite with the right endpoints for exactly the composable pairs,
+compared on the codes of morphisms and objects.  The unit, associativity
+and composition laws are then swept on the codes.  Failures are reported
+in ``sort_key`` order, so a report does not depend on hash order.
 
 Every check runs inside a check context (``checking``): one per ``jt``
 request, or one per call when a validator is called outside a request.
 It keeps what the request learns about each object, for as long as the
 object lives: the verdicts of ``validate_category`` and
-``validate_functor``, failures included, the table checks and soundness
-of categories, the faithfulness of functors, the codes of tables and the
-indexes, groupings and verdicts of cartesian tests.  A pullback's codes,
-whose rows are computed from its factors', are kept for one validator
-call only.  So a category, functor or numbering is checked or built once
-per request, and a repeated check returns the same lines.
+``validate_functor``, failures included, the numbering, table checks
+and soundness of every category, the faithfulness of functors, and the
+indexes, groupings and verdicts of cartesian tests.  So a category,
+functor or numbering is checked or built once per request, and a
+repeated check returns the same lines.  A pullback is numbered only when
+a validator sweeps a law over it, which the functor lemma below spares
+every rule whose premises hold.
 
 Two lemmas let a validator decide a law on smaller categories instead of
 sweeping it.  Both rest on one fact: a faithful functor p, one that is
@@ -40,14 +40,16 @@ for f : a → b, g : b → c and h : c → d, both (h∘g)∘f and h∘(g∘f) l
 C(a, d), and p sends both to p h ∘ p g ∘ p f, so they are equal; f∘id_a
 and f both lie in C(a, b) and p sends both to p f.
 
-*Functor lemma.*  Let F : C → D preserve endpoints, where C is a pullback
-whose composites lie in C with the right endpoints, π : C → L the
-projection onto one of its leaf factors (a functor, since C composes
-componentwise), h : L → X and p : D → X functors with p faithful, p∘F =
-h∘π on morphisms, and D a category whose composable pairs have composites
-with the right endpoints.  Then F preserves composition.  Proof: for g∘f
-in C, F(g∘f) and F g ∘ F f both lie in D(F a, F c), and p sends both to
-h(π g) ∘ h(π f), so they are equal.
+*Functor lemma.*  Let F : C → D preserve endpoints, where C is a category
+whose composites lie in C with the right endpoints, π : C → L a functor
+read along a path: the projection onto one of C's leaf factors when C is
+a pullback (a functor, since C composes componentwise), or, for the empty
+path, the identity of C, with L = C.  Let h : L → X and p : D → X be
+functors with p faithful, p∘F = h∘π on morphisms, and D a category whose
+composable pairs have composites with the right endpoints.  Then F
+preserves composition.  Proof: for g∘f in C, F(g∘f) and F g ∘ F f both
+lie in D(F a, F c), and p sends both to h(π g) ∘ h(π f), so they are
+equal.
 
 *Codomain paths.*  p may itself be read through a path into D: when D is
 a pullback, p = k∘π_q for the projection π_q : D → K onto a leaf factor
@@ -241,9 +243,7 @@ class Composition(Mapping):
     componentwise: ``self[(g, f)]`` is the tuple of the factors'
     composites ``g[k] ∘ f[k]`` for each composable pair and a ``KeyError``
     otherwise, as with a table.  Iteration walks exactly the composable
-    pairs, through ``by_src``, the morphisms grouped by source object.
-    ``code_rows`` composes the same way on the integer codes that the
-    validators sweep."""
+    pairs, through ``by_src``, the morphisms grouped by source object."""
 
     def __init__(self, src, tgt, by_src, legs):
         self.src, self.tgt, self.by_src = src, tgt, by_src
@@ -274,82 +274,25 @@ class Composition(Mapping):
     def __len__(self):
         return self._len
 
-    def code_rows(self, mors, code, factors):
-        """Composition on codes: ``rows[i][j]`` is the code of
-        ``mors[j] ∘ mors[i]``, where ``code`` numbers ``mors`` and
-        ``factors`` holds the factors' ``_Codes``.  A factor that is
-        itself composed componentwise is read through its own factors, so
-        every composite is looked up by the tuple of its components' codes
-        in tables."""
-        leaves, columns = [], []
-        for k, x in enumerate(factors):
-            codes = [x.code[m[k]] for m in mors]
-            if isinstance(x.rows, _ComponentRows):
-                leaves += x.rows.leaves
-                columns += zip(*[x.rows.parts[i] for i in codes])
-            else:
-                leaves.append(x.rows)
-                columns.append(codes)
-        parts = list(zip(*columns))
-        after = {}
-        for o, ms in self.by_src.items():
-            js = [code[m] for m in ms]
-            after[o] = js, list(zip(*[parts[j] for j in js]))
-        return _ComponentRows([after[self.tgt[m]] for m in mors], parts,
-                              dict(zip(parts, range(len(mors)))), leaves)
-
-
-class _ComponentRows:
-    """The rows of a componentwise composition on codes.  ``parts[i]``
-    holds the codes of the components of i in the tables ``leaves``, and
-    ``after[i]`` the codes j composable after i with, per leaf, the
-    column of their components.  Row i is computed from the leaves' rows
-    each time it is read and never kept: kept rows would add up to the
-    table that the category does without."""
-
-    def __init__(self, after, parts, key, leaves):
-        self.after, self.parts, self.key = after, parts, key
-        self.leaves = leaves
-
-    def __getitem__(self, i):
-        js, columns = self.after[i]
-        rs = [rows[p].__getitem__
-              for rows, p in zip(self.leaves, self.parts[i])]
-        return dict(zip(js, map(self.key.__getitem__,
-                                zip(*map(map, rs, columns)))))
-
 
 class _Codes:
     """The morphisms of one category numbered 0..M-1, for the law sweeps.
     ``mors[i]`` is the morphism with code i, ``code`` the inverse, and
-    ``rows[i][j]`` is the code of ``mors[j] ∘ mors[i]``: integer rows
-    filled from a table, or computed from the factors' codes for a
-    ``Composition``.  A table's rows are filled in the pass that makes its
-    table checks, and ``errors`` holds their diagnostics."""
+    ``rows[i][j]`` is the code of ``mors[j] ∘ mors[i]``.  The rows are
+    filled in the pass over ``compose.items()`` that makes the table
+    checks of the category, a pullback's included, and ``errors`` holds
+    their diagnostics."""
 
-    def __init__(self, c: FinCategory, local: dict):
+    def __init__(self, c: FinCategory):
         self.mors = mors = list(c.morphisms)
         self.code = code = dict(zip(mors, range(len(mors))))
-        if isinstance(c.compose, Composition):
-            self.rows = c.compose.code_rows(
-                mors, code, [_codes(x, local) for x in c.compose.factors])
-        else:
-            self.rows = [{} for _ in mors]
-            self.errors = _table_errors(c, mors, code, self.rows)
+        self.rows = [{} for _ in mors]
+        self.errors = _table_errors(c, mors, code, self.rows)
 
 
-def _codes(c: FinCategory, local: dict) -> _Codes:
-    """The numbering of c.  A table's is kept in the check context.  A
-    pullback's is kept in ``local``, for one validator call: it is shared
-    there between a functor's domain and codomain and down nested
-    factors, and then dropped, since the rows it computes would add up to
-    the table that the pullback does without."""
-    if not isinstance(c.compose, Composition):
-        return _recall(lambda: _Codes(c, local), "codes", c)
-    n = local.get(id(c))
-    if n is None:
-        n = local[id(c)] = _Codes(c, local)
-    return n
+def _codes(c: FinCategory) -> _Codes:
+    """The numbering of c, kept in the check context."""
+    return _recall(lambda: _Codes(c), "codes", c)
 
 
 def subcategory(c: FinCategory, objects, keep, name) -> FinCategory:
@@ -405,14 +348,14 @@ def opposite(c: FinCategory) -> FinCategory:
                        c.tgt, c.src, c.identity, compose)
 
 
-def _table_errors(c: FinCategory, mors: list, code: dict, rows=None) -> list:
+def _table_errors(c: FinCategory, mors: list, code: dict, rows: list) -> list:
     """The well-formedness checks of ``validate_category``: endpoints,
     identities, and a composite with the right endpoints for exactly the
     composable pairs.  The composition entries are checked on ``code``,
     which numbers ``mors``, the morphisms of c, and on codes of c's
-    objects; given ``rows``, each entry of known morphisms is filled into
-    them in the same pass, whether the checks pass or not.  Returns
-    diagnostics ([] = ok)."""
+    objects; each entry of known morphisms is filled into ``rows`` in the
+    same pass, whether the checks pass or not.  Returns diagnostics ([] =
+    ok)."""
     bad, ends = [], []
     for m in c.morphisms:
         if m not in c.src or m not in c.tgt:
@@ -437,8 +380,6 @@ def _table_errors(c: FinCategory, mors: list, code: dict, rows=None) -> list:
     # Composition is total on composable pairs and only on them, checked
     # on codes once endpoints and identities pass.
     checked = not bad
-    if not checked and rows is None:
-        return bad
     if checked:
         obj = {o: k for k, o in enumerate(c.objects)}
         s = [obj[c.src[m]] for m in mors]
@@ -448,12 +389,9 @@ def _table_errors(c: FinCategory, mors: list, code: dict, rows=None) -> list:
         if i is None or j is None or k is None:
             if checked:
                 bad.append(f"{c.name}: composition entry ({g!r}, {f!r}) mentions unknown morphisms")
-                if rows is None:
-                    return bad
                 checked = False
             continue
-        if rows is not None:
-            rows[i][j] = k
+        rows[i][j] = k
         if checked:
             if t[i] != s[j]:
                 bad.append(f"{c.name}: composition defined on non-composable pair ({g!r}, {f!r})")
@@ -471,18 +409,6 @@ def _table_errors(c: FinCategory, mors: list, code: dict, rows=None) -> list:
     return bad
 
 
-def _tables(c: FinCategory) -> list:
-    """``_table_errors`` of c, kept in the check context: a table's are
-    made with its codes, a pullback's on a numbering of their own."""
-    if not isinstance(c.compose, Composition):
-        return _codes(c, {}).errors
-
-    def tables():
-        mors = list(c.morphisms)
-        return _table_errors(c, mors, dict(zip(mors, range(len(mors)))))
-    return _recall(tables, "tables", c)
-
-
 def _sound(c: FinCategory) -> bool:
     """Whether every composable pair of c has a composite in c with the
     right endpoints, kept in the check context.  A table passes the
@@ -493,7 +419,7 @@ def _sound(c: FinCategory) -> bool:
     morphism of the pullback, with the endpoints of its components."""
     def sound():
         if not isinstance(c.compose, Composition):
-            return not _tables(c)
+            return not _codes(c).errors
         legs = c.compose.legs
         return legs[0].cod is legs[1].cod and _sound(legs[0].cod) \
             and all(_sound(leg.dom) and not _validated(leg) for leg in legs)
@@ -534,14 +460,14 @@ def validate_category(c: FinCategory, proj=None) -> list:
 
 
 def _category_laws(c: FinCategory, proj) -> list:
-    bad = _tables(c)
+    bad = _codes(c).errors
     if bad:
         return bad
     if proj is not None and proj.dom is c and not validate_category(proj.cod) \
             and not _validated(proj) and _faithful(proj):
         return []
     # Unit and associativity laws, swept on codes.
-    n = _codes(c, {})
+    n = _codes(c)
     mors, rows, code = n.mors, n.rows, n.code
     ident = {o: code[m] for o, m in c.identity.items()}
     units = []
@@ -577,7 +503,8 @@ class FunctorMap:
     base through p, read from the component of F's images at ``q``, and
     reads its base arrow of a morphism m through h from the component of
     m at ``path`` (see ``along``), so that p∘π_q∘F = h∘π_path.  For the
-    empty q, p's domain is F's codomain.  ``validate_functor`` may then use
+    empty q, p's domain is F's codomain, and for the empty path, h's
+    domain is F's domain.  ``validate_functor`` may then use
     the functor lemma; the record is no claim, since every premise is
     checked."""
 
@@ -607,10 +534,14 @@ def identity_functor(c: FinCategory, name=None) -> FunctorMap:
     )
 
 
+def same_category(c: FinCategory, d: FinCategory) -> bool:
+    """Whether c and d are one category as functors read it: the same
+    object, or the same objects and morphisms."""
+    return c is d or (c.objects == d.objects and c.morphisms == d.morphisms)
+
+
 def compose_functors(g: FunctorMap, f: FunctorMap, name=None) -> FunctorMap:
-    mid, dom = f.cod, g.dom
-    if mid is not dom and (mid.objects != dom.objects
-                           or mid.morphisms != dom.morphisms):
+    if not same_category(f.cod, g.dom):
         raise ValueError(f"cannot compose {g.name} after {f.name}: middle categories differ")
     return FunctorMap(
         name=name or f"({g.name}∘{f.name})",
@@ -625,14 +556,14 @@ def validate_functor(F: FunctorMap) -> list:
     """Exhaustively check functoriality.  Returns diagnostics ([] = ok).
 
     Images, endpoints and identities are checked on the tables.  When F
-    records ``over = (p, q, path, h)`` with a non-empty path, composition
-    is decided by the functor lemma of this module if its premises hold,
-    each checked here: the path leads through pullbacks of F's domain to
-    the domain of h, q leads through pullbacks of F's codomain to the
-    domain of p, and p and h share their codomain X; F's domain and
-    codomain and X are sound (every composite exists, with the right
-    endpoints); p and h pass ``validate_functor``; p∘π_q is faithful; and
-    p∘π_q∘F = h∘π_path on every morphism.  When a premise fails,
+    records ``over = (p, q, path, h)``, composition is decided by the
+    functor lemma of this module if its premises hold, each checked here:
+    the path leads through pullbacks of F's domain to the domain of h (the
+    empty path to F's domain itself), q leads through pullbacks of F's
+    codomain to the domain of p, and p and h share their codomain X; F's
+    domain and codomain and X are sound (every composite exists, with the
+    right endpoints); p and h pass ``validate_functor``; p∘π_q is
+    faithful; and p∘π_q∘F = h∘π_path on every morphism.  When a premise fails,
     composition preservation is swept, so the diagnostics do not depend
     on ``over``.  The verdict is kept in the check context."""
     with checking():
@@ -689,7 +620,7 @@ def _reflected(F: FunctorMap) -> bool:
     endpoints are already checked."""
     p, q, path, h = F.over
     c, d = F.dom, F.cod
-    if not path or _leaf(c, path) is not h.dom or _leaf(d, q) is not p.dom \
+    if _leaf(c, path) is not h.dom or _leaf(d, q) is not p.dom \
             or p.cod is not h.cod:
         return False
     if not (_sound(c) and _sound(d) and _sound(p.cod)):
@@ -708,22 +639,17 @@ def _reflected(F: FunctorMap) -> bool:
 
 def _composition_sweep(F: FunctorMap) -> list:
     """Composition preservation, swept on codes."""
-    local = {}
-    cn, dn = _codes(F.dom, local), _codes(F.cod, local)
+    cn, dn = _codes(F.dom), _codes(F.cod)
     image = [dn.code[F.mor_map[m]] for m in cn.mors]
-    rows_c, rows_d = cn.rows, dn.rows
-    by_image = {}
-    for i, fi in enumerate(image):
-        by_image.setdefault(fi, []).append(i)
+    rows_d = dn.rows
     pairs = []
-    for fi, sources in by_image.items():
-        row_d = rows_d[fi]
-        for i in sources:
-            for j, k in rows_c[i].items():
-                if row_d[image[j]] != image[k]:
-                    gf = (cn.mors[j], cn.mors[i])
-                    pairs.append((gf, f"{F.name}: composition not preserved "
-                                      f"at ({gf[0]!r}, {gf[1]!r})"))
+    for i, row_c in enumerate(cn.rows):
+        row_d = rows_d[image[i]]
+        for j, k in row_c.items():
+            if row_d[image[j]] != image[k]:
+                gf = (cn.mors[j], cn.mors[i])
+                pairs.append((gf, f"{F.name}: composition not preserved "
+                                  f"at ({gf[0]!r}, {gf[1]!r})"))
     return _in_order(pairs)
 
 
@@ -731,8 +657,7 @@ def same_functor(F: FunctorMap, G: FunctorMap) -> bool:
     """Table equality of two functors (strict identifier equality)."""
     return (F.dom.objects == G.dom.objects
             and F.dom.morphisms == G.dom.morphisms
-            and (F.cod is G.cod or (F.cod.objects == G.cod.objects
-                                    and F.cod.morphisms == G.cod.morphisms))
+            and same_category(F.cod, G.cod)
             and F.obj_map == G.obj_map
             and F.mor_map == G.mor_map)
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
                    check_adjunction, check_category_iso, checking,
-                   compose_functors, identity_functor, same_functor,
-                   validate_category, validate_functor, whisker_left,
-                   whisker_right)
+                   compose_functors, identity_functor, same_category,
+                   same_functor, validate_category, validate_functor,
+                   whisker_left, whisker_right)
 from .fibrations import (Classifier, cartesian_lift, factorizations,
                          is_cartesian, is_cartesian_nat_trans, is_discrete,
                          verify_kind)
@@ -448,12 +448,20 @@ class ConstructorCheck:
 
 
 def phi_check(J: JdttData, C: ConstructorData) -> ConstructorCheck:
-    """Check the constructor square and produce the eliminator."""
+    """Check the constructor square and produce the eliminator.  Λ must
+    land in Φ's domain, Φ in 𝕌 and Ψ in 𝕌̇; when one does not, the square
+    is neither composed nor pulled back."""
     T = J.theory
     bad = []
     bad += validate_functor(C.Lambda)
     bad += validate_functor(C.Phi)
     bad += validate_functor(C.Psi)
+    alien = [f"{C.name}: {F.name} does not land in {c.name}"
+             for F, c in ((C.Lambda, C.Phi.dom), (C.Phi, J.u.total),
+                          (C.Psi, J.udot.total))
+             if not same_category(F.cod, c)]
+    if alien:
+        return ConstructorCheck(None, None, None, bad + alien)
     if not bad and not same_functor(compose_functors(J.Sigma, C.Psi),
                                     compose_functors(C.Phi, C.Lambda)):
         bad.append(f"{C.name}: Σ∘Ψ ≠ Φ∘Λ (the constructor square does not commute)")
@@ -551,7 +559,8 @@ def make_id_constructor(J: JdttData, Id: FunctorMap, refl: FunctorMap,
     Y, y1, y2 = close_pullback(T, J.Sigma, J.Sigma)
     idu = identity_functor(J.udot.total, name="id_𝕌̇")
     diag = mediating_functor("pullback", Y, (y1, y2), [idu, idu],
-                             name=f"{name}diag")
+                             name=f"{name}diag",
+                             over=(J.udot.proj, (0,), (), J.udot.proj))
     return ConstructorData(name, J.udot.total, Y, diag, Id, refl)
 
 

@@ -10,6 +10,8 @@ are computed pointwise from the Boolean structure of Ω.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .core import FunctorMap, NatTrans, category_from, identity_functor
 from .fibrations import Classifier, over_base_comp
 from .theory import PreJudgementalTheory, close_pullback
@@ -80,7 +82,8 @@ def build_finset_topos(n: int = 2) -> JdttData:
         "Σ", terms, types,
         {_tm(x): _ty(x, full[x]) for x in ctx.objects},
         {m: (_ty(m[0][1], full[m[0][1]]), _ty(m[1][1], full[m[1][1]]), m[2])
-         for m in terms.morphisms})
+         for m in terms.morphisms},
+        over=(u_proj, (), (), udot_proj))
     d_obj = {o: _tm(len(o[2])) for o in types.objects}
     d_mor = {}
     for m in types.morphisms:
@@ -180,7 +183,8 @@ def instantiate_constructor(J: JdttData, which: str,
                         m1[2])
              for (m1, m2) in Y.morphisms},
             over=(J.u.proj, (), (0,), J.udot.proj))
-        refl = identity_functor(J.udot.total, name="refl")
+        refl = replace(identity_functor(J.udot.total, name="refl"),
+                       over=(J.udot.proj, (), (), J.udot.proj))
         return make_id_constructor(J, Id, refl)
     if which == "sum":
         if dep is None:

@@ -5,20 +5,20 @@ that are tuples of the input identifiers, so results are strictly
 canonical: running the same construction twice yields identical tables.
 
 A pullback is defined by its legs: its composition is a ``Composition``
-over the legs' domains, which composes componentwise, on identifiers
-when a composite is asked for and on integer codes when a validator
-sweeps the laws.  It keeps no composition table of its own.  The table
-of a pullback grows with the product of its factors' tables, while each
-lookup costs only one lookup per factor.  A product is the pullback of
-two ``bang_functor``s into the terminal category.  Equalizers and arrow
-categories keep a table.
+over the legs' domains, which composes componentwise when a composite is
+asked for.  It keeps no composition table of its own.  The table of a
+pullback grows with the product of its factors' tables, while each
+lookup costs only one lookup per factor.  A validator that sweeps a law
+over a pullback numbers it as it numbers a table, from those lookups.
+A product is the pullback of two ``bang_functor``s into the terminal
+category.  Equalizers and arrow categories keep a table.
 """
 
 from __future__ import annotations
 
 from .core import (Composition, FinCategory, FunctorMap, all_functors,
                    category_from, compose_functors, make_category,
-                   same_functor, subcategory, validate_functor)
+                   same_category, same_functor, subcategory, validate_functor)
 
 
 def terminal_category(name="𝟙") -> FinCategory:
@@ -53,7 +53,7 @@ def pullback_category(F: FunctorMap, G: FunctorMap, name=None):
     Objects are pairs ``(a, b)`` with ``F a = G b``; morphisms are pairs of
     morphisms agreeing in C.  Returns ``(category, proj_A, proj_B)``.
     """
-    if F.cod.objects != G.cod.objects or F.cod.morphisms != G.cod.morphisms:
+    if not same_category(F.cod, G.cod):
         raise ValueError(f"pullback of {F.name} and {G.name}: codomains differ")
     A, B = F.dom, G.dom
     nm = name or f"PB({F.name},{G.name})"

@@ -154,6 +154,48 @@ def test_check_never_runs_over_a_broken_category(tmp_path, capsys, text,
     assert out.rstrip().endswith("status: fail")
 
 
+CONSTRUCTOR_DOC = """category X
+  object x
+
+category Y
+  object y
+
+category Z
+  object z
+
+functor L : X -> Y
+  object x |-> y
+
+functor P : Y -> Z
+  object y |-> z
+
+functor Q : X -> Z
+  object x |-> z
+
+instance dtt2 = dtt-finset 2
+
+constructor K mode {mode}
+  lambda L
+  phi P
+  psi Q
+"""
+
+
+@pytest.mark.parametrize("mode, extra", [("strict", ""),
+                                         ("weak", "  section L\n")])
+def test_a_constructor_off_the_typing_rule_is_a_diagnostic(tmp_path, capsys,
+                                                           mode, extra):
+    """Φ and Ψ land in categories of the document, not in 𝕌 and 𝕌̇, so
+    the square over Σ cannot be formed."""
+    f = tmp_path / "constructor.jt"
+    f.write_text(CONSTRUCTOR_DOC.format(mode=mode) + extra)
+    code, out = run(capsys, "check", str(f))
+    assert code == 1
+    assert "check constructor K: FAIL\n  - K: P does not land in 𝕌\n" \
+        "  - K: Q does not land in 𝕌̇\n" in out
+    assert out.rstrip().endswith("status: fail")
+
+
 def test_demo_toy(capsys):
     code, out = run(capsys, "demo", "toy")
     assert code == 0
@@ -331,21 +373,22 @@ def test_reports_do_not_depend_on_what_the_check_context_keeps(
     assert reports() == kept
 
 
-# Rules into 𝕌, 𝕌̇, 𝔼 or a pullback of them that lie over ctx, or over 𝔽,
-# from a factor of their pullback domain: the functor lemma decides each,
-# so a derive request sweeps none of them.
+# Rules into 𝕌, 𝕌̇, 𝔽, 𝔼 or a pullback of them that lie over ctx, or over
+# 𝔽, from their domain or a factor of their pullback domain: the functor
+# lemma decides each, so a derive request sweeps none of them.
 DECIDED_OVER_A_BASE = {"Π", "ΠΛ", "λ", "Π★", "Ⅎ", "ℲΛ", "pair", "Ⅎ★",
-                       "SHARP(η′,𝕌)", "SHARP(η′,𝕌̇)", "SHARP(α,𝔼d)"}
-# Swept, since the functor lemma reads a base through a path into a
-# pullback domain and each of these has a table as its domain: the
-# projections u : 𝕌 → ctx and u̇ : 𝕌̇ → ctx, Δ : 𝕌 → 𝕌̇, Σ : 𝕌̇ → 𝕌, and
-# the composites u̇Δ and u̇ΔΣ.
-SWEPT_DTT = {"u", "u̇", "Δ", "Σ", "u̇Δ", "u̇ΔΣ"}
+                       "SHARP(η′,𝕌)", "SHARP(η′,𝕌̇)", "SHARP(α,𝔼d)",
+                       "d", "c", "Iddiag", "Id★", "refl", "Σ"}
+# Swept, since none of them records a base: the projections u : 𝕌 → ctx
+# and u̇ : 𝕌̇ → ctx, Δ : 𝕌 → 𝕌̇, the composites u̇Δ and u̇ΔΣ, and IdE1,
+# which corestricts Iddiag to the equalizer of the two term projections.
+SWEPT_DTT = {"u", "u̇", "Δ", "u̇Δ", "u̇ΔΣ", "IdE1"}
 
 
 @pytest.mark.parametrize(("doc", "rule"), [
     ("instance J = dtt-finset 2", "pi"), ("instance J = dtt-finset 2", "sum"),
-    ("instance J = dtt-finset 2", "dty"), ("doctrine D = chain 2 2", "cut")])
+    ("instance J = dtt-finset 2", "dty"), ("instance J = dtt-finset 2", "id"),
+    ("doctrine D = chain 2 2", "cut")])
 def test_rules_over_a_base_are_decided_without_sweeping(tmp_path, capsys,
                                                          monkeypatch, doc,
                                                          rule):
@@ -359,6 +402,7 @@ def test_rules_over_a_base_are_decided_without_sweeping(tmp_path, capsys,
     names = {F.name for F in swept}
     assert not names & DECIDED_OVER_A_BASE
     assert not [F.name for F in swept
-                if isinstance(F.dom.compose, core.Composition)]
+                if isinstance(F.dom.compose, core.Composition)
+                or isinstance(F.cod.compose, core.Composition)]
     if doc.startswith("instance"):
         assert names <= SWEPT_DTT
