@@ -167,26 +167,7 @@ def cmd_check(ns, report):
         from .ndt import build_deduction_system, validate_system
         report.check(f"doctrine {name}", validate_system(
             build_deduction_system(doc)))
-    instances = _instances(loaded, report)
-    for name, spec in loaded.constructors.items():
-        missing = [k for k in ("lambda", "phi", "psi") if not spec.get(k)]
-        if missing:
-            report.check(f"constructor {name}",
-                         [f"missing functor(s): {', '.join(missing)}"])
-            continue
-        J = next((inst for (_, (b, inst)) in instances.items()
-                  if b == "dtt-finset" and inst is not None), None)
-        if J is None:
-            report.check(f"constructor {name}",
-                         ["needs a dtt-finset instance in the same file"])
-            continue
-        from .dtt import ConstructorData, phi_check
-        C = ConstructorData(name, spec["lambda"].dom, spec["phi"].dom,
-                            spec["lambda"], spec["phi"], spec["psi"],
-                            mode=spec["mode"], section=spec.get("section"))
-        check(f"constructor {name}",
-              ends(*(F for F in (C.Lambda, C.Phi, C.Psi, C.section) if F)),
-              lambda: phi_check(J, C).diagnostics)
+    _instances(loaded, report)
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A document is line-oriented.  A block opens with an unindented keyword
 line (``category``, ``functor``, ``nat``, ``adjunction``, ``classifier``,
-``theory``, ``doctrine``, ``instance``, ``constructor``) and its items
-are the following indented lines.  Composition tables are explicit
+``theory``, ``doctrine``, ``instance``) and its items are the following
+indented lines.  Composition tables are explicit
 triples ``g ∘ f = h``; a ``complete`` item asserts the table is total
 (verified when loading).  Identity morphisms are implicit: every object
 ``a`` owns ``id_a``, and unit compositions are filled in automatically.
@@ -51,7 +51,7 @@ _MAPS = ("|->", "↦")
 _DASHV = ("-|", "⊣")
 
 _BLOCK_KINDS = ("category", "functor", "nat", "adjunction", "classifier",
-                "theory", "doctrine", "instance", "constructor")
+                "theory", "doctrine", "instance")
 
 
 def parse_dsl(text: str) -> TheoryDocument:
@@ -134,11 +134,6 @@ def _parse_head(kind, toks, lineno) -> Decl:
               "instance header is `instance I = <builtin> [args]`")
         return Decl(kind, toks[1], lineno,
                     {"builtin": toks[3], "args": _int_args(toks[4:], lineno)})
-    if kind == "constructor":
-        _want(len(toks) == 4 and toks[2] == "mode" and
-              toks[3] in ("strict", "weak"), lineno,
-              "constructor header is `constructor K mode strict|weak`")
-        return Decl(kind, toks[1], lineno, {"mode": toks[3]})
     raise JtSyntaxError(lineno, 1, f"unknown block {kind!r}")
 
 
@@ -180,10 +175,6 @@ def _parse_item(kind, toks, lineno):
             return (lineno, "policy", (toks[1], toks[2]))
         raise JtSyntaxError(lineno, 1, f"bad theory item {key!r}",
                             expected=["judgement", "rule", "policy"])
-    if kind == "constructor":
-        _want(len(toks) == 2 and key in ("lambda", "phi", "psi", "section"),
-              lineno, "constructor items name functors: lambda/phi/psi/section")
-        return (lineno, key, toks[1])
     raise JtSyntaxError(lineno, 1, f"{kind} blocks take no items")
 
 
@@ -201,7 +192,6 @@ class LoadedDocument:
     theories: dict = field(default_factory=dict)
     doctrines: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
-    constructors: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
     complete_claims: list = field(default_factory=list)  # category names
 
@@ -277,11 +267,6 @@ def load_document(doc: TheoryDocument) -> LoadedDocument:
                            f"{fam!r} with {len(args)} argument(s)")
         elif d.kind == "instance":
             out.instances[d.name] = (d.head["builtin"], d.head["args"], d.line)
-        elif d.kind == "constructor":
-            spec = {"mode": d.head["mode"]}
-            for (ln, k, v) in d.items:
-                spec[k] = _resolve(out.functors, v, "functor", ln, err)
-            out.constructors[d.name] = spec
     return out
 
 
@@ -402,8 +387,6 @@ def print_dsl(doc: TheoryDocument) -> str:
             args = " ".join(str(a) for a in d.head["args"])
             lines.append(f"instance {d.name} = {d.head['builtin']}"
                          + (f" {args}" if args else ""))
-        elif d.kind == "constructor":
-            lines.append(f"constructor {d.name} mode {d.head['mode']}")
         for (_, k, v) in d.items:
             if k == "object" and d.kind == "category":
                 lines.append(f"  object {v}")
@@ -424,7 +407,5 @@ def print_dsl(doc: TheoryDocument) -> str:
                     lines.append(f"  policy {v[0]} {v[1]}")
                 else:
                     lines.append(f"  {k} {v}")
-            elif d.kind == "constructor":
-                lines.append(f"  {k} {v}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

@@ -9,8 +9,8 @@ the module derives, as explicit functors:
 * context extension  Γ.A with display δ_A and generic term q_A;
 * type/term dependency  (a, B) ↦ B⟨a⟩ and (a, b) ↦ b⟨a⟩ by ♯-lifting;
 * display transport  (a, a′) ↦ a′δ_A, inverse to dependency;
-* the associated comprehension category and natural model, with a
-  round-trip between the two presentations;
+* the associated natural model, with a round-trip between the two
+  presentations;
 * a generic engine for type constructors presented as a square over the
   typing rule Σ (Π, Id, Σ-types, …) with derived F/I/E/β/η rules.
 """
@@ -28,8 +28,8 @@ from .fibrations import (Classifier, cartesian_lift, factorizations,
                          is_cartesian, is_cartesian_nat_trans, is_discrete,
                          verify_kind)
 from .limits import mediating_functor
-from .theory import (PreJudgementalTheory, SharpLiftResult, close_arrow,
-                     close_equalizer, close_pullback, sharp_lift)
+from .theory import (PreJudgementalTheory, SharpLiftResult, close_equalizer,
+                     close_pullback, sharp_lift)
 
 
 @dataclass
@@ -189,51 +189,6 @@ def derive_display_transport(J: JdttData, dep: DependencyRules = None) -> Transp
         if not same_functor(back, identity_functor(tr.premise)):
             bad.append("display transport: (a′δ_A)⟨a⟩ = a′ fails as tables")
     return TransportRules(tr, bad)
-
-
-def to_comprehension_category(J: JdttData):
-    """The comprehension functor disp : 𝕌 → ctx^→, A ↦ δ_A.
-
-    Checks functoriality, cod∘disp = u, and that cartesian morphisms of 𝕌
-    are sent to pullback squares in ctx.  Returns ``(disp, diagnostics)``.
-    """
-    T = J.theory
-    arr, domf, codf = close_arrow(T, T.ctx)
-    ctx = T.ctx
-    obj_map, mor_map = {}, {}
-    with checking():
-        exts = {A: context_extension(J, A) for A in J.u.total.objects}
-    bad = []
-    for A, e in exts.items():
-        bad += e.diagnostics
-        obj_map[A] = e.delta
-    for s in J.u.total.morphisms:
-        B, A = J.u.total.src[s], J.u.total.tgt[s]
-        top = J.udot.proj.mor_map[J.Delta.mor_map[s]]
-        bottom = J.u.proj.mor_map[s]
-        mor_map[s] = (exts[B].delta, exts[A].delta, top, bottom)
-    disp = FunctorMap("disp", J.u.total, arr, obj_map, mor_map)
-    bad += validate_functor(disp)
-    if not bad and not same_functor(compose_functors(codf, disp), J.u.proj):
-        bad.append("comprehension: cod∘disp ≠ u")
-    if not bad:
-        for (obj, sigma), s in (J.u.cleavage or {}).items():
-            if J.u.total.is_identity(s):
-                continue
-            (db, da, top, bottom) = mor_map[s]
-            # Pullback test in ctx for the square (top, bottom, db, da).
-            for W in ctx.objects:
-                for l1 in ctx.hom(W, ctx.src[da]):
-                    for l2 in ctx.hom(W, ctx.tgt[db]):
-                        if ctx.comp(da, l1) != ctx.comp(bottom, l2):
-                            continue
-                        hits = [h for h in ctx.hom(W, ctx.src[db])
-                                if ctx.comp(top, h) == l1
-                                and ctx.comp(db, h) == l2]
-                        if len(hits) != 1:
-                            bad.append(f"comprehension: square at {s!r} is "
-                                       f"not a pullback (cone from {W!r})")
-    return disp, bad
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +405,8 @@ class ConstructorCheck:
 def phi_check(J: JdttData, C: ConstructorData) -> ConstructorCheck:
     """Check the constructor square and produce the eliminator.  Λ must
     land in Φ's domain, Φ in 𝕌 and Ψ in 𝕌̇; when one does not, the square
-    is neither composed nor pulled back."""
+    is neither composed nor pulled back.  A weak-mode section must run
+    from PB(Φ,Σ) to 𝕏, or it is not composed with the comparison."""
     T = J.theory
     bad = []
     bad += validate_functor(C.Lambda)
@@ -487,6 +443,10 @@ def phi_check(J: JdttData, C: ConstructorData) -> ConstructorCheck:
             return ConstructorCheck(pb, cmp_f, None, bad)
         elim = C.section
         bad += validate_functor(elim)
+        bad += [f"{C.name}: {elim.name} does not {where} {c.name}"
+                for where, end, c in (("start at", elim.dom, pb),
+                                      ("land in", elim.cod, C.X))
+                if not same_category(end, c)]
         if not bad and not same_functor(
                 compose_functors(elim, cmp_f), identity_functor(C.X)):
             bad.append(f"{C.name}: section does not retract the comparison "

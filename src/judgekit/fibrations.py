@@ -380,59 +380,6 @@ def over_base_comp(base: FinCategory):
     return lambda g, f: (f[0], g[1], base.comp(g[2], f[2]))
 
 
-def slice_classifier(ctx: FinCategory, gamma, name=None) -> Classifier:
-    """The slice ctx_{/Γ} with its domain projection (a discrete fibration).
-
-    Objects are arrows into Γ; morphisms (σ', σ, τ) are triangles σ∘τ = σ'.
-    """
-    nm = name or f"{ctx.name}/{gamma}"
-    objs = list(ctx.into(gamma))
-    mors, src, tgt = [], {}, {}
-    for s1 in objs:
-        for s2 in objs:
-            for tau in ctx.hom(ctx.src[s1], ctx.src[s2]):
-                if ctx.comp(s2, tau) == s1:
-                    m = (s1, s2, tau)
-                    mors.append(m)
-                    src[m] = s1
-                    tgt[m] = s2
-    identity = {s: (s, s, ctx.identity[ctx.src[s]]) for s in objs}
-    total = category_from(nm, objs, mors, src, tgt, identity,
-                          over_base_comp(ctx))
-    proj = FunctorMap(f"{nm}.dom", total, ctx,
-                      {s: ctx.src[s] for s in objs}, {m: m[2] for m in mors})
-    return Classifier(nm, total, ctx, proj, kind="discrete")
-
-
-def yoneda_fiber_functor(cl: Classifier, F, name=None):
-    """The functor ctx_{/Γ} → total sending σ: Θ → Γ to the domain of the
-    chosen cartesian lift of σ at F (with Γ the image of F).
-
-    Witnesses the fibrational Yoneda correspondence: sections of the
-    fibration over the slice correspond to objects of the fiber.
-    Returns ``(slice_classifier, functor)``.
-    """
-    gamma = cl.proj.obj_map[F]
-    sl = slice_classifier(cl.base, gamma)
-    total = cl.total
-    obj_map, lift_of = {}, {}
-    for s in sl.total.objects:
-        m = cartesian_lift(cl, F, s)
-        obj_map[s] = total.src[m]
-        lift_of[s] = m
-    mor_map = {}
-    with checking():
-        for (s1, s2, tau) in sl.total.morphisms:
-            hits = factorizations(cl, lift_of[s2], tau, lift_of[s1])
-            if len(hits) != 1:
-                raise ValueError(
-                    f"{cl.name}: {len(hits)} factorizations through the lift "
-                    f"of {s2!r} at {F!r} over {tau!r}")
-            mor_map[(s1, s2, tau)] = hits[0]
-    fun = FunctorMap(name or f"y({F})", sl.total, total, obj_map, mor_map)
-    return sl, fun
-
-
 def is_cartesian_functor(F: FunctorMap, cl_dom: Classifier, cl_cod: Classifier) -> list:
     """Morphism-of-fibrations check: F commutes with the projections and
     sends the chosen cartesian lifts to cartesian morphisms."""

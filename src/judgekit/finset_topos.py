@@ -229,18 +229,3 @@ def make_weak_constructor_example(J: JdttData) -> ConstructorData:
     return ConstructorData("Idw", base.X, Yw, Lambda_w, Phi_w, base.Psi,
                            mode="weak", section=section)
 
-
-def mb_translate(obj, style="prop") -> str:
-    """Dictionary between predicate and subset readings of a type/term."""
-    if obj[0] == "ty":
-        (_, x, s) = obj
-        pred = "⊤" if len(s) == x else ("⊥" if not s else f"χ{set(s)}")
-        if style == "prop":
-            return f"{x} ⊢ {pred} : Ω"
-        return f"{{x ∈ {x} ∣ {pred}(x)}}"
-    if obj[0] == "tm":
-        (_, x) = obj
-        if style == "prop":
-            return f"{x} ⊢ ⋆ : ⊤"
-        return f"{x} = {{x ∈ {x} ∣ ⊤}}"
-    raise ValueError(f"not a type or term: {obj!r}")

@@ -83,17 +83,9 @@ def preimage(m: tuple, s: tuple) -> tuple:
     return tuple(i for i in range(m[1]) if m[3][i] in keep)
 
 
-def image(m: tuple, s: tuple) -> tuple:
-    return tuple(sorted({m[3][i] for i in s}))
-
-
 def meet(s: tuple, t: tuple) -> tuple:
     keep = set(t)
     return tuple(i for i in s if i in keep)
-
-
-def join(s: tuple, t: tuple) -> tuple:
-    return tuple(sorted(set(s) | set(t)))
 
 
 def implication(x: int, s: tuple, t: tuple) -> tuple:

@@ -1,8 +1,8 @@
 """Finite-limit constructions on explicit categories.
 
-Pullbacks, equalizers and arrow categories have objects and morphisms
-that are tuples of the input identifiers, so results are strictly
-canonical: running the same construction twice yields identical tables.
+Pullbacks and equalizers have objects and morphisms that are tuples of
+the input identifiers, so results are strictly canonical: running the
+same construction twice yields identical tables.
 
 A pullback is defined by its legs: its composition is a ``Composition``
 over the legs' domains, which composes componentwise when a composite is
@@ -11,14 +11,14 @@ pullback grows with the product of its factors' tables, while each
 lookup costs only one lookup per factor.  A validator that sweeps a law
 over a pullback numbers it as it numbers a table, from those lookups.
 A product is the pullback of two ``bang_functor``s into the terminal
-category.  Equalizers and arrow categories keep a table.
+category.  Equalizers keep a table.
 """
 
 from __future__ import annotations
 
 from .core import (Composition, FinCategory, FunctorMap, all_functors,
-                   category_from, compose_functors, make_category,
-                   same_category, same_functor, subcategory, validate_functor)
+                   compose_functors, make_category, same_category,
+                   same_functor, subcategory, validate_functor)
 
 
 def terminal_category(name="𝟙") -> FinCategory:
@@ -98,38 +98,6 @@ def equalizer_category(F: FunctorMap, G: FunctorMap, name=None):
     incl = FunctorMap(f"{nm}.ι", cat, A,
                       {o: o for o in objs}, {m: m for m in cat.morphisms})
     return cat, incl
-
-
-def arrow_category(c: FinCategory, name=None):
-    """The arrow category c^→: objects are morphisms of c, morphisms are
-    commuting squares ``(f, g, a, b)`` with ``b∘f = g∘a``.
-
-    Returns ``(category, dom_functor, cod_functor)``.
-    """
-    nm = name or f"{c.name}^→"
-    objs = list(c.morphisms)
-    mors, src, tgt = [], {}, {}
-    for f in objs:
-        for g in objs:
-            for a in c.hom(c.src[f], c.src[g]):
-                ga = c.comp(g, a)
-                for b in c.hom(c.tgt[f], c.tgt[g]):
-                    if c.comp(b, f) == ga:
-                        sq = (f, g, a, b)
-                        mors.append(sq)
-                        src[sq] = f
-                        tgt[sq] = g
-    identity = {f: (f, f, c.identity[c.src[f]], c.identity[c.tgt[f]]) for f in objs}
-    cat = category_from(nm, objs, mors, src, tgt, identity,
-                        lambda sq2, sq: (sq[0], sq2[1], c.comp(sq2[2], sq[2]),
-                                         c.comp(sq2[3], sq[3])))
-    dom_f = FunctorMap(f"{nm}.dom", cat, c,
-                       {f: c.src[f] for f in objs},
-                       {sq: sq[2] for sq in mors})
-    cod_f = FunctorMap(f"{nm}.cod", cat, c,
-                       {f: c.tgt[f] for f in objs},
-                       {sq: sq[3] for sq in mors})
-    return cat, dom_f, cod_f
 
 
 def joint_injectivity(p1: FunctorMap, p2: FunctorMap) -> list:

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from .core import (FinCategory, FunctorMap, NatTrans, checking,
                    make_category, compose_functors, same_functor,
                    terminal_objects, validate_category, validate_functor,
-                   validate_nat_trans, whisker_left, whisker_right)
-from .limits import arrow_category, equalizer_category, pullback_category
+                   validate_nat_trans)
+from .limits import equalizer_category, pullback_category
 from .fibrations import (Classifier, _cartesian, cartesian_lift,
-                         factorizations, verify_kind, yoneda_fiber_functor)
+                         factorizations, verify_kind)
 
 VARIANCES = ("covariant", "contravariant", "strict")
 
@@ -168,18 +168,6 @@ def close_equalizer(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap):
     return cat, incl
 
 
-def close_arrow(T: PreJudgementalTheory, cat: FinCategory):
-    key = f"ARR({cat.name})"
-    if key in T.registry:
-        e = T.registry[key]
-        return e.value, e.extras["dom"], e.extras["cod"]
-    arr, domf, codf = arrow_category(cat, name=key)
-    T.register(key, RegistryEntry("category", arr,
-                                  ConstructionTerm("ARR", (cat.name,)),
-                                  extras={"dom": domf, "cod": codf}))
-    return arr, domf, codf
-
-
 def eager_close(T: PreJudgementalTheory, depth: int = 1) -> list:
     """Bounded eager closure: repeatedly close pullbacks of rule pairs
     with common codomain and equalizers of parallel rule pairs, feeding
@@ -310,23 +298,6 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
     return SharpLiftResult(rule, lifted, P1, P2, (p1f, p1h), (p2g, p2h), bad)
 
 
-def whisker_policy(T: PreJudgementalTheory, pol_name: str, F: FunctorMap,
-                   side: str) -> NatTrans:
-    """Whisker a registered policy with a rule on the left (post-compose)
-    or right (pre-compose); the result is registered."""
-    pol, variance = T.policies[pol_name]
-    if side == "left":
-        out = whisker_left(F, pol, name=f"WHISKL({F.name},{pol_name})")
-    elif side == "right":
-        out = whisker_right(pol, F, name=f"WHISKR({pol_name},{F.name})")
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    T.register(out.name, RegistryEntry(
-        "policy", (out, variance),
-        ConstructionTerm("WHISK", (pol_name, F.name, side))))
-    return out
-
-
 def check_axioms(T: PreJudgementalTheory, variances=None) -> list:
     """The closure axioms of a judgemental theory, checked exhaustively
     after validating ctx; every judgement is checked by ``verify_kind``:
@@ -348,31 +319,6 @@ def check_axioms(T: PreJudgementalTheory, variances=None) -> list:
                   "contravariant": "fibration",
                   "strict": "discrete"}.get(variances.get(nm, "contravariant"))
         bad += verify_kind(j, expect=expect)
-    return bad
-
-
-def check_substitutionality(T: PreJudgementalTheory) -> list:
-    """Substitution stability via the fibrational Yoneda correspondence:
-    for every judgement (fibration) and every object of every fiber, the
-    slice section exists, is a functor, and projects back onto the slice's
-    domain functor."""
-    bad = []
-    for nm, j in T.judgements.items():
-        if "fibration" not in j.kind:
-            continue
-        for F in j.total.sorted_objects():
-            try:
-                sl, sec = yoneda_fiber_functor(j, F)
-            except ValueError as e:
-                bad.append(f"{T.name}: {nm}: {e}")
-                continue
-            vb = validate_functor(sec)
-            if vb:
-                bad.append(f"{T.name}: {nm}: slice section at {F!r}: {vb[0]}")
-                continue
-            if not same_functor(compose_functors(j.proj, sec), sl.proj):
-                bad.append(f"{T.name}: {nm}: slice section at {F!r} does not "
-                           f"project to the slice domain")
     return bad
 
 

@@ -2,15 +2,17 @@
 
 Everything here works on plain Python sets and dicts, deliberately
 avoiding the library's own subset helpers, so agreement between the
-derived rules and these functions is meaningful evidence.  The two
-builders at the top are the exception: they give the tests a product and
-a coslice out of the library's pullback, slice and opposite.
+derived rules and these functions is meaningful evidence.  The three
+builders at the top are the exception: they give the tests a product, a
+slice and a coslice out of the library's category builder, pullback and
+opposite.
 """
 
 from itertools import product
 
-from judgekit.core import opposite
-from judgekit.fibrations import opposite_classifier, slice_classifier
+from judgekit.core import FunctorMap, category_from, opposite
+from judgekit.fibrations import (Classifier, opposite_classifier,
+                                 over_base_comp)
 from judgekit.limits import bang_functor, pullback_category, terminal_category
 
 
@@ -18,6 +20,30 @@ def product_category(a, b):
     """a × b with its projections: the pullback over the terminal category."""
     one = terminal_category()
     return pullback_category(bang_functor(a, one), bang_functor(b, one))
+
+
+def slice_classifier(ctx, gamma):
+    """The slice ctx/Γ with its domain projection (a discrete fibration).
+
+    Objects are arrows into Γ; morphisms (σ', σ, τ) are triangles σ∘τ = σ'.
+    """
+    nm = f"{ctx.name}/{gamma}"
+    objs = list(ctx.into(gamma))
+    mors, src, tgt = [], {}, {}
+    for s1 in objs:
+        for s2 in objs:
+            for tau in ctx.hom(ctx.src[s1], ctx.src[s2]):
+                if ctx.comp(s2, tau) == s1:
+                    m = (s1, s2, tau)
+                    mors.append(m)
+                    src[m] = s1
+                    tgt[m] = s2
+    identity = {s: (s, s, ctx.identity[ctx.src[s]]) for s in objs}
+    total = category_from(nm, objs, mors, src, tgt, identity,
+                          over_base_comp(ctx))
+    proj = FunctorMap(f"{nm}.dom", total, ctx,
+                      {s: ctx.src[s] for s in objs}, {m: m[2] for m in mors})
+    return Classifier(nm, total, ctx, proj, kind="discrete")
 
 
 def coslice_classifier(ctx, gamma):

@@ -174,26 +174,28 @@ functor Q : X -> Z
 
 instance dtt2 = dtt-finset 2
 
-constructor K mode {mode}
+constructor K mode strict
   lambda L
   phi P
   psi Q
 """
 
 
-@pytest.mark.parametrize("mode, extra", [("strict", ""),
-                                         ("weak", "  section L\n")])
-def test_a_constructor_off_the_typing_rule_is_a_diagnostic(tmp_path, capsys,
-                                                           mode, extra):
-    """Φ and Ψ land in categories of the document, not in 𝕌 and 𝕌̇, so
-    the square over Σ cannot be formed."""
+def test_a_constructor_block_is_a_parse_failure(tmp_path, capsys):
+    """The language has no ``constructor`` block: a document that still
+    declares one ends in the parse failure of a jt/1 report."""
     f = tmp_path / "constructor.jt"
-    f.write_text(CONSTRUCTOR_DOC.format(mode=mode) + extra)
+    f.write_text(CONSTRUCTOR_DOC)
     code, out = run(capsys, "check", str(f))
     assert code == 1
-    assert "check constructor K: FAIL\n  - K: P does not land in 𝕌\n" \
-        "  - K: Q does not land in 𝕌̇\n" in out
-    assert out.rstrip().endswith("status: fail")
+    assert out == (
+        "report jt/1\n"
+        f"command: check {f}\n"
+        f"check parse {f}: FAIL\n"
+        "  - line 21, column 1: unknown block 'constructor' (expected "
+        "category, functor, nat, adjunction, classifier, theory, doctrine, "
+        "instance)\n"
+        "status: fail\n")
 
 
 def test_demo_toy(capsys):

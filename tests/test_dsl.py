@@ -196,8 +196,6 @@ ITEMS = {
     "theory": st.one_of(
         st.tuples(st.sampled_from(["judgement", "rule"]), NAME),
         st.tuples(st.just("policy"), PAIR)),
-    "constructor": st.tuples(
-        st.sampled_from(["lambda", "phi", "psi", "section"]), NAME),
 }
 
 HEADS = {
@@ -211,8 +209,6 @@ HEADS = {
     "doctrine": st.fixed_dictionaries(
         {"family": NAME, "args": NUMS.filter(bool)}),
     "instance": st.fixed_dictionaries({"builtin": NAME, "args": NUMS}),
-    "constructor": st.fixed_dictionaries(
-        {"mode": st.sampled_from(["strict", "weak"])}),
 }
 
 

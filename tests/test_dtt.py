@@ -1,17 +1,15 @@
 from dataclasses import replace
 
-from judgekit.core import (FunctorMap, same_functor, sort_key,
-                           validate_functor, whisker_left)
+from judgekit.core import (FunctorMap, identity_functor, same_functor,
+                           sort_key, whisker_left)
 from judgekit.dtt import (context_extension, derive_dependency,
                           derive_display_transport, id_extensionality,
                           jdtt_to_nm, natural_model_round_trip, nm_to_jdtt,
-                          phi_check, phi_derive, to_comprehension_category,
-                          validate_jdtt, validate_natural_model)
-from judgekit.fibrations import is_cartesian
+                          phi_check, phi_derive, validate_jdtt,
+                          validate_natural_model)
 from judgekit.finset_topos import (_pi_subset, build_finset_topos,
                                    instantiate_constructor,
-                                   make_weak_constructor_example,
-                                   mb_translate)
+                                   make_weak_constructor_example)
 from judgekit.finsets import preimage
 
 from oracles import dec, enc, pi_adjunction_oracle
@@ -73,12 +71,6 @@ def test_dependency_rules(topos2):
 def test_display_transport_inverts_dependency(topos2):
     tr = derive_display_transport(topos2)
     assert tr.diagnostics == []
-
-
-def test_comprehension_category(topos2):
-    disp, bad = to_comprehension_category(topos2)
-    assert bad == []
-    assert validate_functor(disp) == []
 
 
 def test_natural_model_round_trip(topos2):
@@ -157,6 +149,17 @@ def test_weak_mode_requires_section(topos2):
     assert any("section" in d for d in chk.diagnostics)
 
 
+def test_a_weak_section_off_the_pullback_is_a_diagnostic(topos2):
+    """A section that does not start at PB(Φ,Σ) is reported, not composed
+    with the comparison."""
+    C = instantiate_constructor(topos2, "id")
+    C.mode, C.section = "weak", identity_functor(C.X)
+    chk = phi_check(topos2, C)
+    assert chk.diagnostics == [
+        f"Id: {C.section.name} does not start at {chk.pullback.name}"]
+    assert chk.comparison is not None
+
+
 def test_id_extensionality(topos2):
     C = instantiate_constructor(topos2, "id")
     assert id_extensionality(topos2, C) == []
@@ -177,10 +180,3 @@ def test_pi_adjunction_oracle():
         return dec(_pi_subset(x, s, enc(t)))
     assert pi_adjunction_oracle(2, pi) == []
     assert pi_adjunction_oracle(3, pi) == []
-
-
-def test_mb_translate():
-    assert mb_translate(("ty", 2, (0, 1))) == "2 ⊢ ⊤ : Ω"
-    assert mb_translate(("ty", 2, ()), style="set").startswith("{x ∈ 2")
-    assert "⊥" in mb_translate(("ty", 2, ()))
-    assert mb_translate(("tm", 1)) == "1 ⊢ ⋆ : ⊤"

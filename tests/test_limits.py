@@ -3,8 +3,7 @@ import pytest
 from judgekit.core import (FunctorMap, compose_functors, identity_functor,
                            same_functor, validate_category, validate_functor)
 from judgekit.finsets import fin_skeleton
-from judgekit.limits import (arrow_category, bang_functor,
-                             equalizer_category, joint_injectivity,
+from judgekit.limits import (bang_functor, equalizer_category, joint_injectivity,
                              mediating_functor, pullback_category,
                              terminal_category, verify_equalizer_universal,
                              verify_pullback_universal,
@@ -94,20 +93,6 @@ def test_power_category():
     assert validate_functor(compose_functors(p1, q1)) == []
     assert validate_functor(q2) == []
     assert len(cube.objects) == 8 and len(cube.morphisms) == 27
-
-
-def test_arrow_category_and_diagonal():
-    arr, dom_f, cod_f = arrow_category(SK1)
-    assert validate_category(arr) == []
-    assert validate_functor(dom_f) == [] and validate_functor(cod_f) == []
-    assert set(arr.objects) == set(SK1.morphisms)
-    # The diagonal sends each object to its identity arrow.
-    diag = FunctorMap("I", SK1, arr, {o: SK1.identity[o] for o in SK1.objects},
-                      {m: (SK1.identity[SK1.src[m]], SK1.identity[SK1.tgt[m]],
-                           m, m) for m in SK1.morphisms})
-    assert validate_functor(diag) == []
-    assert same_functor(compose_functors(dom_f, diag), identity_functor(SK1))
-    assert same_functor(compose_functors(cod_f, diag), identity_functor(SK1))
 
 
 def test_mediating_functor_for_pullback():

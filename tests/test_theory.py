@@ -7,20 +7,15 @@ from judgekit.finsets import fin_skeleton, preimage
 from judgekit.limits import (bang_functor, terminal_category,
                              walking_arrow_category)
 from judgekit.theory import (PreJudgementalTheory, RegistryEntry,
-                             check_axioms, check_substitutionality,
-                             close_equalizer, close_pullback, eager_close,
-                             empty_classifier, expand_nested, sharp_lift,
-                             validate_prejt, whisker_policy)
+                             check_axioms, close_equalizer, close_pullback,
+                             eager_close, empty_classifier, expand_nested,
+                             sharp_lift, validate_prejt)
 from judgekit.toy import build_toy_theory, extension_oracle
 
 
 def test_toy_theory_is_well_formed(toy):
     assert validate_prejt(toy.theory) == []
     assert check_axioms(toy.theory) == []
-
-
-def test_toy_substitutionality(toy):
-    assert check_substitutionality(toy.theory) == []
 
 
 def test_empty_classifier_registered(toy):
@@ -88,12 +83,6 @@ def test_sharp_lift_conclusion_reindexes(toy):
 def test_sharp_lift_registered(toy):
     keys = [k for k in toy.theory.registry if k.startswith("SHARP")]
     assert keys
-
-
-def test_whisker_policy(toy):
-    out = whisker_policy(toy.theory, "ε", identity_functor(toy.C), "left")
-    assert out.components == toy.eps.components
-    assert out.name in toy.theory.registry
 
 
 def test_expand_nested(toy):
