@@ -174,18 +174,22 @@ functor Q : X -> Z
 
 instance dtt2 = dtt-finset 2
 
-constructor K mode strict
+constructor K mode {mode}
   lambda L
   phi P
   psi Q
 """
 
 
-def test_a_constructor_block_is_a_parse_failure(tmp_path, capsys):
+@pytest.mark.parametrize("mode, extra", [("strict", ""),
+                                         ("weak", "  section L\n")])
+def test_a_constructor_block_is_a_parse_failure(tmp_path, capsys, mode,
+                                                extra):
     """The language has no ``constructor`` block: a document that still
-    declares one ends in the parse failure of a jt/1 report."""
+    declares one, in either mode, ends in the parse failure of a jt/1
+    report."""
     f = tmp_path / "constructor.jt"
-    f.write_text(CONSTRUCTOR_DOC)
+    f.write_text(CONSTRUCTOR_DOC.format(mode=mode) + extra)
     code, out = run(capsys, "check", str(f))
     assert code == 1
     assert out == (
