@@ -153,7 +153,8 @@ def cmd_check(ns, report):
         check(f"adjunction {name}", ends(adj.left, adj.right),
               lambda: check_adjunction(adj))
     for name, cl in loaded.classifiers.items():
-        expect = cl.kind if cl.kind != "functor" else None
+        kind = loaded.kinds[name]
+        expect = kind if kind != "functor" else None
         check(f"classifier {name}", ends(cl.proj),
               lambda: verify_kind(cl, expect=expect))
     for name, T in loaded.theories.items():

@@ -597,9 +597,14 @@ def _functoriality(F: FunctorMap) -> list:
                 ends.append((m, f"{F.name}: image of {m!r} has wrong endpoints"))
         bad = _in_order(ends)
     if not bad:
+        # An identity that is no morphism of c, or an image object without
+        # an identity in d, is an identity not preserved.
+        def preserved(o):
+            i, a = c.identity.get(o), F.obj_map[o]
+            return i in c.morphisms and a in d.identity \
+                and F.mor_map[i] == d.identity[a]
         bad = _in_order([(o, f"{F.name}: identity of {o!r} not preserved")
-                         for o in c.objects
-                         if F.mor_map[c.identity[o]] != d.identity[F.obj_map[o]]])
+                         for o in c.objects if not preserved(o)])
         if not (F.over and _reflected(F)):
             bad += _composition_sweep(F)
     return bad
@@ -638,7 +643,8 @@ def _reflected(F: FunctorMap) -> bool:
 
 
 def _composition_sweep(F: FunctorMap) -> list:
-    """Composition preservation, swept on codes."""
+    """Composition preservation, swept on codes.  A composite of images
+    that the codomain lacks is a composite not preserved."""
     cn, dn = _codes(F.dom), _codes(F.cod)
     image = [dn.code[F.mor_map[m]] for m in cn.mors]
     rows_d = dn.rows
@@ -646,7 +652,7 @@ def _composition_sweep(F: FunctorMap) -> list:
     for i, row_c in enumerate(cn.rows):
         row_d = rows_d[image[i]]
         for j, k in row_c.items():
-            if row_d[image[j]] != image[k]:
+            if row_d.get(image[j]) != image[k]:
                 gf = (cn.mors[j], cn.mors[i])
                 pairs.append((gf, f"{F.name}: composition not preserved "
                                   f"at ({gf[0]!r}, {gf[1]!r})"))

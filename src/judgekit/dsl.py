@@ -189,6 +189,7 @@ class LoadedDocument:
     nats: dict = field(default_factory=dict)
     adjunctions: dict = field(default_factory=dict)
     classifiers: dict = field(default_factory=dict)
+    kinds: dict = field(default_factory=dict)       # classifier -> declared kind
     theories: dict = field(default_factory=dict)
     doctrines: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
@@ -230,8 +231,8 @@ def load_document(doc: TheoryDocument) -> LoadedDocument:
             proj = _resolve(out.functors, d.head["proj"], "functor", d.line, err)
             if proj is not None:
                 out.classifiers[d.name] = Classifier(
-                    d.name, proj.dom, proj.cod, proj,
-                    kind=d.head["kind"] or "functor")
+                    d.name, proj.dom, proj.cod, proj)
+                out.kinds[d.name] = d.head["kind"] or "functor"
         elif d.kind == "theory":
             ctx = _resolve(out.categories, d.head["ctx"], "category", d.line, err)
             if ctx is None:

@@ -103,14 +103,14 @@ def context_extension(J: JdttData, A) -> ContextExtension:
     a cartesian lift of δ_A at A, so it agrees with the chosen cleavage
     lift up to the unique vertical factorization isomorphism.
     """
-    bad = []
-    qa = J.Delta.obj_map[A]
-    ext = J.udot.proj.obj_map[qa]
-    eps_a = J.eps.components[A]
-    delta = J.u.proj.mor_map[eps_a]
-    total, vertical = J.u.total, J.u.base.identity[ext]
-    chosen = cartesian_lift(J.u, A, delta)
     with checking():
+        bad = []
+        qa = J.Delta.obj_map[A]
+        ext = J.udot.proj.obj_map[qa]
+        eps_a = J.eps.components[A]
+        delta = J.u.proj.mor_map[eps_a]
+        total, vertical = J.u.total, J.u.base.identity[ext]
+        chosen = cartesian_lift(J.u, A, delta)
         hits = factorizations(J.u, chosen, vertical, eps_a)
         if len(hits) != 1:
             bad.append(f"extension of {A!r}: {len(hits)} vertical "

@@ -1,9 +1,9 @@
 """Grothendieck fibrations over a finite base.
 
 A classifier is a functor into the context category remembered together
-with its total category and (when it exists) a chosen cleavage.  All
-fibrational properties — cartesianness, (op)fibration-hood, discreteness,
-thinness — are decided by exhaustive enumeration.
+with its total category.  All fibrational properties — cartesianness,
+(op)fibration-hood, discreteness, thinness — are decided by exhaustive
+enumeration.
 
 A morphism m : E → F over σ : θ → γ is cartesian when every m' : E' → F
 over σ∘g, for a base arrow g : P E' → θ, is m∘h for exactly one h : E' → E
@@ -15,33 +15,31 @@ or not, and over a faithful one each group holds at most one morphism,
 so it compares one composite per pair (Jacobs, *Categorical Logic and
 Type Theory*, ch. 1).  ``factorizations`` reads the same index.
 
-Indexes, groupings and verdicts are kept in the check context, per
-projection or per category they were read from, and shared by all the
-tests of one request; nothing is kept on a category or a classifier.  A
-loop over morphisms reads the index once.  A cleavage takes, for
-each object and base arrow, the first cartesian candidate in
+Indexes, groupings, verdicts and cleavages are kept in the check
+context, per projection, category or classifier they were read from, and
+shared by all the tests of one request; nothing is kept on a category or
+a classifier.  A loop over morphisms reads the index once.  A cleavage
+takes, for each object and base arrow, the first cartesian candidate in
 ``sort_key`` order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import (FinCategory, FunctorMap, NatTrans, _recall, category_from,
-                   checking, opposite, parallel_morphisms, subcategory,
+from .core import (FinCategory, FunctorMap, NatTrans, _recall, checking,
+                   opposite, parallel_morphisms, subcategory,
                    validate_functor)
 
 
 @dataclass
 class Classifier:
-    """A functor ``proj : total → base`` packaged with fibration data."""
+    """A functor ``proj : total → base`` with its total and base."""
 
     name: str
     total: FinCategory
     base: FinCategory
     proj: FunctorMap
-    kind: str = "functor"     # "fibration", "opfibration", "discrete", "functor"
-    cleavage: dict = field(default=None, repr=False)    # (obj, base mor) -> mor
 
     def fiber_objects(self, gamma):
         return [o for o in self.total.sorted_objects()
@@ -189,15 +187,19 @@ def _hole(cl: Classifier, F, sigma) -> str:
 
 def compute_cleavage(cl: Classifier):
     """Choose a cartesian lift for every (object, arrow-into-it) pair, as
-    ``_lifts`` does.  Returns ``(cleavage, diagnostics)``."""
-    cleavage, bad = {}, []
-    with checking():
+    ``_lifts`` does.  Returns ``(cleavage, diagnostics)``, kept in the
+    check context per classifier and shared by its callers, who do not
+    change it; the cleavage maps ``(obj, σ)`` to its lift."""
+    def cleave():
+        cleavage, bad = {}, []
         for (F, sigma), lift in _lifts(cl):
             if lift is None:
                 bad.append(_hole(cl, F, sigma))
             else:
                 cleavage[(F, sigma)] = lift
-    return cleavage, bad
+        return cleavage, bad
+    with checking():
+        return _recall(cleave, "cleavage", cl)
 
 
 def _first_hole(cl: Classifier) -> list:
@@ -209,14 +211,14 @@ def _first_hole(cl: Classifier) -> list:
 
 
 def cartesian_lift(cl: Classifier, obj, sigma):
-    """The chosen cartesian lift of ``sigma`` at ``obj`` (cleavage lookup).
-    A cleavage is stored on cl only when it has no holes."""
-    if cl.cleavage is None:
-        cleavage, bad = compute_cleavage(cl)
-        if bad:
-            raise ValueError(bad[0])
-        cl.cleavage = cleavage
-    return cl.cleavage[(obj, sigma)]
+    """The chosen cartesian lift of ``sigma`` at ``obj``, read from the
+    cleavage of ``compute_cleavage``; raises when the cleavage has a hole.
+    A loop calls it inside one check context, so that the cleavage is
+    computed once."""
+    cleavage, bad = compute_cleavage(cl)
+    if bad:
+        raise ValueError(bad[0])
+    return cleavage[(obj, sigma)]
 
 
 def is_discrete(cl: Classifier) -> list:
@@ -242,8 +244,8 @@ def is_thin(cl: Classifier) -> list:
 
 
 def verify_kind(cl: Classifier, expect=None) -> list:
-    """Classify a classifier (fibration / opfibration / discrete, and
-    thin when ``expect`` asks for it) and populate its cleavage.
+    """Classify a classifier: fibration / opfibration / discrete, and
+    thin when ``expect`` asks for it.
 
     Validates the projection functor first and stops there when it
     fails; it does not validate the total or base category.  The
@@ -257,10 +259,9 @@ def verify_kind(cl: Classifier, expect=None) -> list:
         if bad:
             return bad
         kinds = []
-        cleavage, fib_bad = compute_cleavage(cl)
+        fib_bad = compute_cleavage(cl)[1]
         if not fib_bad:
             kinds.append("fibration")
-            cl.cleavage = cleavage
         opfib_bad = _first_hole(opposite_classifier(cl))
         if not opfib_bad:
             kinds.append("opfibration")
@@ -269,109 +270,13 @@ def verify_kind(cl: Classifier, expect=None) -> list:
         if expect and "thin" in expect:
             if not is_thin(cl):
                 kinds.append("thin")
-        cl.kind = "+".join(kinds) if kinds else "functor"
         if expect:
-            have = set(kinds)
+            kind = "+".join(kinds) if kinds else "functor"
             for want in expect.split("+"):
-                if want not in have:
+                if want not in kinds:
                     reason = fib_bad or opfib_bad or [f"{cl.name}: not {want}"]
-                    bad.append(f"{cl.name}: expected {want}, got {cl.kind}: {reason[0]}")
+                    bad.append(f"{cl.name}: expected {want}, got {kind}: {reason[0]}")
         return bad
-
-
-@dataclass
-class IndexedData:
-    """A strict contravariant indexing: a fiber category per base object
-    and a restriction functor per base morphism."""
-
-    name: str
-    base: FinCategory
-    fibers: dict        # base object -> FinCategory
-    restrictions: dict  # base morphism σ: Θ→Γ -> FunctorMap fiber(Γ) → fiber(Θ)
-
-
-def validate_indexed(ix: IndexedData) -> list:
-    bad = []
-    for o in ix.base.objects:
-        if o not in ix.fibers:
-            bad.append(f"{ix.name}: missing fiber over {o!r}")
-    for m in ix.base.morphisms:
-        if m not in ix.restrictions:
-            bad.append(f"{ix.name}: missing restriction along {m!r}")
-    if bad:
-        return bad
-    for m in ix.base.morphisms:
-        r = ix.restrictions[m]
-        bad += validate_functor(r)
-        if r.dom.objects != ix.fibers[ix.base.tgt[m]].objects:
-            bad.append(f"{ix.name}: restriction along {m!r} has wrong domain")
-        if r.cod.objects != ix.fibers[ix.base.src[m]].objects:
-            bad.append(f"{ix.name}: restriction along {m!r} has wrong codomain")
-    if bad:
-        return bad
-    for o in ix.base.objects:
-        r = ix.restrictions[ix.base.identity[o]]
-        if any(r.obj_map[x] != x for x in r.dom.objects) or \
-           any(r.mor_map[x] != x for x in r.dom.morphisms):
-            bad.append(f"{ix.name}: restriction along id_{o!r} is not the identity")
-    for (g, f), h in ix.base.compose.items():
-        rg, rf, rh = ix.restrictions[g], ix.restrictions[f], ix.restrictions[h]
-        for x in rg.dom.objects:
-            if rf.obj_map[rg.obj_map[x]] != rh.obj_map[x]:
-                bad.append(f"{ix.name}: strict functoriality fails at ({g!r},{f!r})")
-                break
-    return bad
-
-
-def grothendieck_construct(ix: IndexedData, name=None) -> Classifier:
-    """Total category of a strict indexing, with its canonical projection
-    and split cleavage (lift of σ at (Γ,φ) is (σ, id over the restriction)).
-    """
-    nm = name or f"∫{ix.name}"
-    base = ix.base
-    objs, mors, src, tgt = [], [], {}, {}
-    for gamma in base.objects:
-        for phi in ix.fibers[gamma].objects:
-            objs.append((gamma, phi))
-    # A morphism (Θ,ψ) → (Γ,φ) is (σ: Θ→Γ, φ, α: ψ → σ*φ vertical over Θ).
-    for sigma in base.morphisms:
-        theta, gamma = base.src[sigma], base.tgt[sigma]
-        r = ix.restrictions[sigma]
-        fib = ix.fibers[theta]
-        for phi in ix.fibers[gamma].objects:
-            rphi = r.obj_map[phi]
-            for alpha in fib.morphisms:
-                if fib.tgt[alpha] != rphi:
-                    continue
-                m = (sigma, phi, alpha)
-                mors.append(m)
-                src[m] = (theta, fib.src[alpha])
-                tgt[m] = (gamma, phi)
-    identity = {}
-    for (gamma, phi) in objs:
-        identity[(gamma, phi)] = (base.identity[gamma], phi,
-                                  ix.fibers[gamma].identity[phi])
-
-    def compose(m2, m):
-        # m = (τ, ψ, β): (Ξ,χ) → (Θ,ψ),  m2 = (σ, φ, α): (Θ,ψ) → (Γ,φ)
-        tau, _, beta = m
-        sigma, phi, alpha = m2
-        return (base.comp(sigma, tau), phi,
-                ix.fibers[base.src[tau]].comp(
-                    ix.restrictions[tau].mor_map[alpha], beta))
-
-    total = category_from(nm, objs, mors, src, tgt, identity, compose)
-    proj = FunctorMap(f"{nm}.p", total, base,
-                      {o: o[0] for o in objs}, {m: m[0] for m in mors})
-    cl = Classifier(nm, total, base, proj, kind="fibration")
-    cl.cleavage = {}
-    for (gamma, phi) in objs:
-        for sigma in base.into(gamma):
-            theta = base.src[sigma]
-            rphi = ix.restrictions[sigma].obj_map[phi]
-            cl.cleavage[((gamma, phi), sigma)] = \
-                (sigma, phi, ix.fibers[theta].identity[rphi])
-    return cl
 
 
 def over_base_comp(base: FinCategory):
@@ -387,14 +292,12 @@ def is_cartesian_functor(F: FunctorMap, cl_dom: Classifier, cl_cod: Classifier) 
     for o in cl_dom.total.objects:
         if cl_cod.proj.obj_map.get(F.obj_map[o]) is None:
             return [f"{F.name}: image of {o!r} not in {cl_cod.name}"]
-    if cl_dom.cleavage is None:
-        cleavage, cbad = compute_cleavage(cl_dom)
-        if cbad:
-            return cbad
-        cl_dom.cleavage = cleavage
     with checking():
+        cleavage, holes = compute_cleavage(cl_dom)
+        if holes:
+            return list(holes)
         cartesian = _cartesian(cl_cod)
-        for (obj, sigma), m in cl_dom.cleavage.items():
+        for (obj, sigma), m in cleavage.items():
             if cl_dom.total.is_identity(m):
                 continue
             if not cartesian(F.mor_map[m]):

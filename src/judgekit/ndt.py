@@ -18,11 +18,16 @@ the tautological policy α : d ⇒ c.  Everything deductive is then
   as fiberwise adjoints ∃ ⊣ w ⊣ ∀ of weakening, with introduction and
   elimination rules and the trivial-substitution law.
 
-Every fibration is ``proposition_classifier`` of a doctrine: 𝔽 of the
-doctrine itself, 𝔼 of its ``SequentDoctrine`` and 𝔽·y of its extension
-``doc.extend(y)``.  A doctrine supplies ``ctx``, ``tag``, ``formulas``,
-``leq``, ``meet``, ``top`` and ``restrict`` (the fibration needs only
-``ctx``, ``tag``, ``formulas``, ``leq`` and ``restrict``); one with
+Every fibration is a ``thin_classifier``: one morphism over σ between
+two formulas exactly when the first entails the restriction of the
+second, the total category of the Grothendieck construction on the
+doctrine's posets of formulas (Jacobs, *Categorical Logic and Type
+Theory*, ch. 1).  𝔽 is ``proposition_classifier`` of the doctrine
+itself, 𝔼 of its ``SequentDoctrine`` and 𝔽·y of its extension
+``doc.extend(y)``; the proposition pairs s𝔽 and the hypothetical
+judgements 𝔸_y are thin classifiers too.  A doctrine supplies ``ctx``,
+``formulas``, ``leq``, ``meet``, ``top`` and ``restrict`` (the fibration
+needs only ``ctx``, ``formulas``, ``leq`` and ``restrict``); one with
 quantifiers also supplies ``extend``, ``weaken``, ``forall`` and
 ``exists``.
 """
@@ -38,8 +43,7 @@ from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
                    same_functor, subcategory, validate_category,
                    validate_functor, validate_nat_trans, whisker_left,
                    whisker_right, vertical_compose, identity_nat_trans)
-from .fibrations import (Classifier, IndexedData, grothendieck_construct,
-                         is_cartesian_functor, validate_indexed, verify_kind)
+from .fibrations import Classifier, is_cartesian_functor, verify_kind
 from .finsets import (cross_map, fin_skeleton, graph_map, meet as set_meet,
                       pair_index, preimage, subsets, subset_leq)
 from .theory import (PreJudgementalTheory, close_pullback, empty_classifier,
@@ -48,8 +52,7 @@ from .theory import (PreJudgementalTheory, close_pullback, empty_classifier,
 
 # --------------------------------------------------------------------------
 # Doctrines: a poset of formulas over every context, restricted
-# contravariantly along context morphisms.  ``tag(x)`` names the fiber
-# over x inside the identifiers of its order morphisms.
+# contravariantly along context morphisms.
 # --------------------------------------------------------------------------
 
 class PowersetDoctrine:
@@ -60,9 +63,6 @@ class PowersetDoctrine:
         self.n = n
         self.name = f"powerset({n})"
         self.ctx = fin_skeleton(n)
-
-    def tag(self, x):
-        return x
 
     def formulas(self, x):
         return subsets(x)
@@ -124,9 +124,6 @@ class ChainDoctrine:
         self.name = f"chain({k},{n})"
         self.ctx = fin_skeleton(n)
 
-    def tag(self, x):
-        return x
-
     def formulas(self, x):
         return list(range(self.k + 1))
 
@@ -151,9 +148,6 @@ class SequentDoctrine:
         self.doc = doc
         self.ctx = doc.ctx
 
-    def tag(self, x):
-        return ("⊢", x)
-
     def formulas(self, x):
         doc = self.doc
         return [(a, b) for a in doc.formulas(x) for b in doc.formulas(x)
@@ -176,9 +170,6 @@ class ExtensionDoctrine:
         self.ctx = doc.ctx
         self._id_y = ("f", y, y, tuple(range(y)))
 
-    def tag(self, x):
-        return ("×", x, self.y)
-
     def formulas(self, x):
         return self.doc.formulas(x * self.y)
 
@@ -190,46 +181,43 @@ class ExtensionDoctrine:
 
 
 # --------------------------------------------------------------------------
-# The fibration of a doctrine: propositions 𝔽, sequents 𝔼 and the
-# extended propositions 𝔽·y are all built here.
+# Thin fibrations: propositions 𝔽, sequents 𝔼, the extended
+# propositions 𝔽·y, the pairs s𝔽 and the hypotheses 𝔸_y are all built
+# by ``thin_classifier``.
 # --------------------------------------------------------------------------
 
-def _poset_category(name, tag, elements, leq) -> FinCategory:
-    """A finite poset as a category, morphisms ``("≤", tag, a, b)``."""
+def thin_classifier(name, ctx: FinCategory, formulas, restrict,
+                    leq) -> Classifier:
+    """A classifier thin over each base arrow: objects (x, a) for a in
+    ``formulas(x)``, and one morphism ``(name, σ, b, a)`` : (θ, b) → (x, a)
+    over σ : θ → x exactly when ``leq(θ, b, restrict(σ, a))``.  Morphisms
+    compose through ``ctx.comp``.  A restriction that is not monotone or
+    not functorial yields a total that ``validate_category`` rejects."""
+    over = {x: formulas(x) for x in ctx.objects}
+    objs = [(x, a) for x in ctx.objects for a in over[x]]
     mors, src, tgt = [], {}, {}
-    for a in elements:
-        for b in elements:
-            if leq(a, b):
-                m = ("≤", tag, a, b)
-                mors.append(m)
-                src[m] = a
-                tgt[m] = b
-    identity = {a: ("≤", tag, a, a) for a in elements}
-    return category_from(name, elements, mors, src, tgt, identity,
-                         lambda g, f: ("≤", tag, f[2], g[3]))
+    for sigma in ctx.morphisms:
+        theta, x = ctx.src[sigma], ctx.tgt[sigma]
+        for a in over[x]:
+            ra = restrict(sigma, a)
+            for b in over[theta]:
+                if leq(theta, b, ra):
+                    m = (name, sigma, b, a)
+                    mors.append(m)
+                    src[m] = (theta, b)
+                    tgt[m] = (x, a)
+    identity = {(x, a): (name, ctx.identity[x], a, a) for (x, a) in objs}
+    cat = category_from(name, objs, mors, src, tgt, identity,
+                        lambda g, f: (name, ctx.comp(g[1], f[1]), f[2], g[3]))
+    proj = FunctorMap(f"{name}.p", cat, ctx,
+                      {o: o[0] for o in objs}, {m: m[1] for m in mors})
+    return Classifier(name, cat, ctx, proj)
 
 
 def proposition_classifier(doc, name="𝔽") -> Classifier:
     """The Grothendieck fibration of a doctrine: the fiber over x is the
     poset of formulas over x, reindexed by the doctrine's restriction."""
-    ctx = doc.ctx
-    fibers = {x: _poset_category(f"{name}({x})", doc.tag(x), doc.formulas(x),
-                                 lambda a, b, x=x: doc.leq(x, a, b))
-              for x in ctx.objects}
-    restrictions = {}
-    for sigma in ctx.morphisms:
-        theta, x = ctx.src[sigma], ctx.tgt[sigma]
-        tag = doc.tag(theta)
-        obj_map = {a: doc.restrict(sigma, a) for a in doc.formulas(x)}
-        mor_map = {m: ("≤", tag, obj_map[m[2]], obj_map[m[3]])
-                   for m in fibers[x].morphisms}
-        restrictions[sigma] = FunctorMap(f"{name}*{sigma}", fibers[x],
-                                         fibers[theta], obj_map, mor_map)
-    ix = IndexedData(name, ctx, fibers, restrictions)
-    bad = validate_indexed(ix)
-    if bad:
-        raise ValueError(bad[0])
-    return grothendieck_construct(ix, name=name)
+    return thin_classifier(name, doc.ctx, doc.formulas, doc.restrict, doc.leq)
 
 
 def _unique_over(cl: Classifier, src, tgt, sigma):
@@ -425,7 +413,7 @@ def derive_structural(ds: DeductionSystem) -> StructuralRules:
     # Cut is not postulated: re-index the tautological policy α along the
     # antecedent fibration d : 𝔼 → 𝔽 and project.  The premise of the lift
     # is exactly the composable pairs (Γ ⊢ φ, φ ⊢ ψ).
-    e_over_p = Classifier("𝔼d", E.total, P.total, ds.d, kind="fibration")
+    e_over_p = Classifier("𝔼d", E.total, P.total, ds.d)
     lift = sharp_lift(T, identity_functor(E.total), ds.c, ds.d,
                       ds.alpha, e_over_p)
     bad += lift.diagnostics
@@ -558,38 +546,12 @@ def sequent_monad(ds: DeductionSystem) -> SequentMonad:
 # Proposition pairs (the simple construction on 𝔽) and the comparison.
 # --------------------------------------------------------------------------
 
-def _pair_classifier(name, tag, ctx: FinCategory, pairs, restrict,
-                     leq) -> Classifier:
-    """A thin-per-base classifier of pairs: objects (x, p) for p in
-    ``pairs(x)``, and one morphism ``(tag, σ, p1, p)`` : (θ, p1) → (x, p)
-    over σ : θ → x exactly when ``leq(θ, p1, restrict(σ, p))``."""
-    over = {x: pairs(x) for x in ctx.objects}
-    objs = [(x, p) for x in ctx.objects for p in over[x]]
-    mors, src, tgt = [], {}, {}
-    for sigma in ctx.morphisms:
-        theta, x = ctx.src[sigma], ctx.tgt[sigma]
-        for p in over[x]:
-            rp = restrict(sigma, p)
-            for p1 in over[theta]:
-                if leq(theta, p1, rp):
-                    m = (tag, sigma, p1, p)
-                    mors.append(m)
-                    src[m] = (theta, p1)
-                    tgt[m] = (x, p)
-    identity = {(x, p): (tag, ctx.identity[x], p, p) for (x, p) in objs}
-    cat = category_from(name, objs, mors, src, tgt, identity,
-                        lambda g, f: (tag, ctx.comp(g[1], f[1]), f[2], g[3]))
-    proj = FunctorMap(f"{name}.p", cat, ctx,
-                      {o: o[0] for o in objs}, {m: m[1] for m in mors})
-    return Classifier(name, cat, ctx, proj)
-
-
 def pair_classifier(ds: DeductionSystem, name="s𝔽") -> Classifier:
     """The category of proposition pairs (φ, φ′) in a common fiber; a
     morphism over σ is a pair (φ ≤ σ*ψ, φ∧φ′ ≤ σ*ψ′)."""
     doc = ds.doctrine
-    return _pair_classifier(
-        name, "s", ds.ctx,
+    return thin_classifier(
+        name, ds.ctx,
         lambda x: list(iproduct(doc.formulas(x), repeat=2)),
         lambda sigma, p: (doc.restrict(sigma, p[0]), doc.restrict(sigma, p[1])),
         lambda x, p1, q: (doc.leq(x, p1[0], q[0]) and
@@ -753,8 +715,8 @@ def hypothesis_classifier(ds: DeductionSystem, y: int,
     both components (along σ and σ × id_y respectively)."""
     doc = ds.doctrine
     ext = doc.extend(y)
-    return _pair_classifier(
-        name or f"𝔸{y}", "a", ds.ctx,
+    return thin_classifier(
+        name or f"𝔸{y}", ds.ctx,
         lambda x: [(g, f) for g in doc.formulas(x) for f in ext.formulas(x)
                    if ext.leq(x, doc.weaken(x, y, g), f)],
         lambda sigma, p: (doc.restrict(sigma, p[0]), ext.restrict(sigma, p[1])),

@@ -211,9 +211,7 @@ def empty_classifier(T: PreJudgementalTheory) -> Classifier:
     if key in T.registry:
         return T.registry[key].value
     empty = make_category("∅", [], [], {}, {}, {}, {})
-    cl = Classifier("∅", empty, T.ctx,
-                    FunctorMap("0", empty, T.ctx, {}, {}), kind="fibration")
-    cl.cleavage = {}
+    cl = Classifier("∅", empty, T.ctx, FunctorMap("0", empty, T.ctx, {}, {}))
     T.register(key, RegistryEntry("classifier", cl, ConstructionTerm("empty", ())))
     return cl
 
@@ -246,19 +244,20 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
     The image of (φ, η) has its ℍ component over g(λφ), so the rule lies
     over 𝕏 through R.proj on that component and through g on φ wherever
     g∘λ = g, as when λ is an identity: it records
-    ``(R.proj, (1,), (0,), g)`` for ``validate_functor``.
+    ``(R.proj, (1,), (0,), g)`` for ``validate_functor``.  It runs in one
+    check context, so the cleavage of R is computed once.
     """
-    bad = []
-    P1, p1f, p1h = close_pullback(T, f, R.proj)
-    P2, p2g, p2h = close_pullback(T, g, R.proj)
-    total = R.total
-    obj_map, lift_at = {}, {}
-    for (F, H) in P1.objects:
-        m = cartesian_lift(R, H, pol.components[F])
-        obj_map[(F, H)] = (lam.obj_map[F], total.src[m])
-        lift_at[(F, H)] = m
-    mor_map = {}
     with checking():
+        bad = []
+        P1, p1f, p1h = close_pullback(T, f, R.proj)
+        P2, p2g, p2h = close_pullback(T, g, R.proj)
+        total = R.total
+        obj_map, lift_at = {}, {}
+        for (F, H) in P1.objects:
+            m = cartesian_lift(R, H, pol.components[F])
+            obj_map[(F, H)] = (lam.obj_map[F], total.src[m])
+            lift_at[(F, H)] = m
+        mor_map = {}
         for (phi, eta) in P1.morphisms:
             m, m2 = lift_at[P1.src[(phi, eta)]], lift_at[P1.tgt[(phi, eta)]]
             want_proj = g.mor_map[lam.mor_map[phi]]
@@ -270,31 +269,30 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
                 mor_map[(phi, eta)] = None
             else:
                 mor_map[(phi, eta)] = (lam.mor_map[phi], hits[0])
-    key = f"SHARP({pol.name},{R.name})"
-    rule = FunctorMap(key, P1, P2, obj_map, mor_map,
-                      over=(R.proj, (1,), (0,), g))
-    if not bad:
-        bad += validate_functor(rule)
-    lifted = NatTrans(f"{pol.name}♯", compose_functors(p2h, rule), p1h,
-                      {o: lift_at[o] for o in P1.objects})
-    if not bad:
-        bad += validate_nat_trans(lifted)
-        if not same_functor(compose_functors(p2g, rule),
-                            compose_functors(lam, p1f)):
-            bad.append(f"♯-lift of {pol.name}: square over {lam.name} does not "
-                       f"commute strictly")
-        with checking():
+        key = f"SHARP({pol.name},{R.name})"
+        rule = FunctorMap(key, P1, P2, obj_map, mor_map,
+                          over=(R.proj, (1,), (0,), g))
+        if not bad:
+            bad += validate_functor(rule)
+        lifted = NatTrans(f"{pol.name}♯", compose_functors(p2h, rule), p1h,
+                          {o: lift_at[o] for o in P1.objects})
+        if not bad:
+            bad += validate_nat_trans(lifted)
+            if not same_functor(compose_functors(p2g, rule),
+                                compose_functors(lam, p1f)):
+                bad.append(f"♯-lift of {pol.name}: square over {lam.name} "
+                           f"does not commute strictly")
             cartesian = _cartesian(R)
             for o, m in lifted.components.items():
                 if not cartesian(m):
                     bad.append(f"♯-lift of {pol.name}: component at {o!r} "
                                f"is not cartesian")
-    if not bad and key in T.registry:
-        _refuse_others(key, (T.registry[key].value,), (rule,))
-    elif not bad:
-        T.register(key, RegistryEntry(
-            "rule", rule, ConstructionTerm("SHARP", (pol.name, R.name)),
-            extras={"policy": lifted}))
+        if not bad and key in T.registry:
+            _refuse_others(key, (T.registry[key].value,), (rule,))
+        elif not bad:
+            T.register(key, RegistryEntry(
+                "rule", rule, ConstructionTerm("SHARP", (pol.name, R.name)),
+                extras={"policy": lifted}))
     return SharpLiftResult(rule, lifted, P1, P2, (p1f, p1h), (p2g, p2h), bad)
 
 

@@ -51,23 +51,21 @@ def build_toy_theory() -> ToyTheory:
     doc = PowersetDoctrine(1)
     U = proposition_classifier(doc, name="𝕌")
 
-    t = Classifier("t", one, one, identity_functor(one, name="t"),
-                   kind="fibration")
-    c = Classifier("c", C, one, bang_functor(C, one, "c"), kind="fibration")
-    v = Classifier("v", U.total, one, bang_functor(U.total, one, "v"),
-                   kind="fibration")
+    t = Classifier("t", one, one, identity_functor(one, name="t"))
+    c = Classifier("c", C, one, bang_functor(C, one, "c"))
+    v = Classifier("v", U.total, one, bang_functor(U.total, one, "v"))
 
     e = FunctorMap("e", one, C, {star: 0},
                    {one.identity[star]: C.identity[0]})
     u = FunctorMap("u", U.total, C, dict(U.proj.obj_map), dict(U.proj.mor_map))
 
     # Extension: a subset becomes a context of its own size.  On a
-    # morphism (σ, φ, α) : (θ,ψ) → (γ,φ) the induced map sends the i-th
+    # morphism (𝕌, σ, ψ, φ) : (θ,ψ) → (γ,φ) the induced map sends the i-th
     # element of ψ to the position of its σ-image inside φ.
     ext_obj = {(x, s): len(s) for (x, s) in U.total.objects}
     ext_mor = {}
     for m in U.total.morphisms:
-        sigma, phi, _ = m
+        sigma = m[1]
         _, psi = U.total.src[m]
         _, top = U.total.tgt[m]
         images = tuple(top.index(apply_map(sigma, i)) for i in psi)
@@ -85,10 +83,8 @@ def build_toy_theory() -> ToyTheory:
         T.add_rule(r)
     T.add_policy(eps, "contravariant")
 
-    # The type classifier again, now over contexts, carrying the split
-    # cleavage inherited from the subset indexing.
-    R = Classifier("𝕌/ℂ", U.total, C, u, kind="fibration",
-                   cleavage=dict(U.cleavage))
+    # The type classifier again, now over contexts.
+    R = Classifier("𝕌/ℂ", U.total, C, u)
     lift = sharp_lift(T, identity_functor(U.total), u, ext, eps, R)
 
     out = ToyTheory(T, one, C, U, t, c, v, e, u, ext, eps, ext_lift=lift)

@@ -2,10 +2,10 @@
 
 Everything here works on plain Python sets and dicts, deliberately
 avoiding the library's own subset helpers, so agreement between the
-derived rules and these functions is meaningful evidence.  The three
-builders at the top are the exception: they give the tests a product, a
-slice and a coslice out of the library's category builder, pullback and
-opposite.
+derived rules and these functions is meaningful evidence.  The builders
+at the top are the exception: they give the tests a product, a slice, a
+coslice and the Grothendieck construction of a doctrine out of the
+library's category builder, pullback and opposite.
 """
 
 from itertools import product
@@ -43,13 +43,58 @@ def slice_classifier(ctx, gamma):
                           over_base_comp(ctx))
     proj = FunctorMap(f"{nm}.dom", total, ctx,
                       {s: ctx.src[s] for s in objs}, {m: m[2] for m in mors})
-    return Classifier(nm, total, ctx, proj, kind="discrete")
+    return Classifier(nm, total, ctx, proj)
 
 
 def coslice_classifier(ctx, gamma):
     """The coslice Γ/ctx with its codomain projection, as the opposite of
     the slice of ctxᵒᵖ over Γ."""
     return opposite_classifier(slice_classifier(opposite(ctx), gamma))
+
+
+def grothendieck_classifier(doc, name="∫"):
+    """The Grothendieck construction of a doctrine's indexed posets, with
+    its split cleavage.  Returns ``(classifier, cleavage)``.
+
+    The fiber over x is the poset of ``doc.formulas(x)``, with a morphism
+    ``("≤", x, b, c)`` for each b ≤ c, and σ : θ → x restricts it by
+    ``doc.restrict``.  A morphism (θ, b) → (x, a) over σ is (σ, a, α) for
+    α : b → σ*a in the fiber over θ, and (σ, a, α) ∘ (τ, b, β) is
+    (σ∘τ, a, τ*α ∘ β).  The lift of σ at (x, a) is (σ, a, id of σ*a)."""
+    ctx = doc.ctx
+    fiber = {x: list(doc.formulas(x)) for x in ctx.objects}
+    restrict = {sigma: {a: doc.restrict(sigma, a)
+                        for a in fiber[ctx.tgt[sigma]]}
+                for sigma in ctx.morphisms}
+    objs = [(x, a) for x in ctx.objects for a in fiber[x]]
+    mors, src, tgt = [], {}, {}
+    for sigma in ctx.morphisms:
+        theta, x = ctx.src[sigma], ctx.tgt[sigma]
+        for a in fiber[x]:
+            ra = restrict[sigma][a]
+            for b in fiber[theta]:
+                if doc.leq(theta, b, ra):
+                    m = (sigma, a, ("≤", theta, b, ra))
+                    mors.append(m)
+                    src[m], tgt[m] = (theta, b), (x, a)
+    identity = {(x, a): (ctx.identity[x], a, ("≤", x, a, a))
+                for (x, a) in objs}
+
+    def compose(g, f):
+        (sigma, a, (_, _, _, ra)), (tau, _, (_, xi, c, _)) = g, f
+        # τ*α runs from τ*b to τ*(σ*a), so τ*α ∘ β runs from c to τ*(σ*a).
+        return (ctx.comp(sigma, tau), a, ("≤", xi, c, restrict[tau][ra]))
+
+    total = category_from(name, objs, mors, src, tgt, identity, compose)
+    proj = FunctorMap(f"{name}.p", total, ctx,
+                      {o: o[0] for o in objs}, {m: m[0] for m in mors})
+    cleavage = {}
+    for (x, a) in objs:
+        for sigma in ctx.into(x):
+            ra = restrict[sigma][a]
+            cleavage[((x, a), sigma)] = (sigma, a,
+                                         ("≤", ctx.src[sigma], ra, ra))
+    return Classifier(name, total, ctx, proj), cleavage
 
 
 def all_subsets(x):

@@ -154,6 +154,68 @@ def test_check_never_runs_over_a_broken_category(tmp_path, capsys, text,
     assert out.rstrip().endswith("status: fail")
 
 
+KINDS_DOC = """category One
+  object *
+
+category Two
+  object x
+  object y
+  morphism a : x -> y
+  complete
+
+functor top : One -> Two
+  object * |-> y
+
+functor bang : Two -> One
+  object x |-> *
+  object y |-> *
+  morphism a |-> id_*
+
+classifier Y : top kind functor
+classifier B : bang kind discrete
+classifier P : top
+
+theory T over Two
+  judgement Y
+  judgement P
+
+theory S over One
+  judgement B
+"""
+
+
+def test_a_declared_kind_is_checked_once_per_classifier(tmp_path, capsys):
+    """``top`` picks y, so no morphism lies over a : x → y: Y and P are
+    no fibrations.  Declared ``kind functor``, or no kind, expects
+    nothing, so their classifier checks pass; B declares a kind it does
+    not have.  As judgements, each is checked again against the variance
+    of its theory."""
+    f = tmp_path / "kinds.jt"
+    f.write_text(KINDS_DOC)
+    code, out = run(capsys, "check", str(f))
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        f"check parse {f}: ok",
+        "check resolve names: ok",
+        "check category One: ok",
+        "check category Two: ok",
+        "check functor top: ok",
+        "check functor bang: ok",
+        "check classifier Y: ok",
+        "check classifier B: FAIL",
+        "  - B: expected discrete, got fibration+opfibration: B: not discrete",
+        "check classifier P: ok",
+        "check theory T: shape: ok",
+        "check theory T: closure axioms: FAIL",
+        "  - Y: expected fibration, got opfibration: Y: no cartesian lift "
+        "of 'a' at '*'",
+        "  - P: expected fibration, got opfibration: P: no cartesian lift "
+        "of 'a' at '*'",
+        "check theory S: shape: ok",
+        "check theory S: closure axioms: ok",
+        "status: fail"]
+
+
 CONSTRUCTOR_DOC = """category X
   object x
 

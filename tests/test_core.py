@@ -145,6 +145,45 @@ def test_functor_must_preserve_composition():
     assert validate_functor(worse)              # endpoints wrong
 
 
+def test_an_identity_outside_the_tables_is_not_preserved():
+    """An identity that is no morphism of the domain, or an image object
+    without an identity in the codomain, is reported, not a KeyError."""
+    one = terminal_category()
+    star = next(iter(one.objects))
+    c = make_category("C", ["o"], ["f"], {"f": "o"}, {"f": "o"},
+                      {"o": "id_o"}, {("f", "f"): "f"})
+    F = FunctorMap("F", c, one, {"o": star}, {"f": one.identity[star]})
+    assert validate_functor(F) == ["F: identity of 'o' not preserved"]
+    d = make_category("D", ["d"], ["e"], {"e": "d"}, {"e": "d"}, {},
+                      {("e", "e"): "e"})
+    G = FunctorMap("G", one, d, {star: "d"}, {one.identity[star]: "e"})
+    assert validate_functor(G) == [f"G: identity of {star!r} not preserved"]
+
+
+def test_a_composite_the_codomain_lacks_is_not_preserved():
+    """A functor into a table without g ∘ f is reported, not a KeyError."""
+    m = make_category("M", ["a", "b"], ["id_a", "id_b", "f", "g"],
+                      {"id_a": "a", "id_b": "b", "f": "a", "g": "b"},
+                      {"id_a": "a", "id_b": "b", "f": "b", "g": "b"},
+                      {"a": "id_a", "b": "id_b"},
+                      {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
+                       ("f", "id_a"): "f", ("id_b", "f"): "f",
+                       ("g", "id_b"): "g", ("id_b", "g"): "g",
+                       ("g", "g"): "g"})
+    d = make_category("D", ["x", "y"], ["id_x", "id_y", "s", "e"],
+                      {"id_x": "x", "id_y": "y", "s": "x", "e": "y"},
+                      {"id_x": "x", "id_y": "y", "s": "y", "e": "y"},
+                      {"x": "id_x", "y": "id_y"},
+                      {("id_x", "id_x"): "id_x", ("id_y", "id_y"): "id_y",
+                       ("s", "id_x"): "s", ("id_y", "s"): "s",
+                       ("e", "id_y"): "e", ("id_y", "e"): "e",
+                       ("e", "e"): "e", ("e", "s"): "s"})
+    F = FunctorMap("F", d, m, {"x": "a", "y": "b"},
+                   {"id_x": "id_a", "id_y": "id_b", "s": "f", "e": "g"})
+    assert validate_functor(F) == [
+        "F: composition not preserved at ('e', 's')"]
+
+
 def test_nat_trans_naturality_enforced():
     c = fin_skeleton(1)
     idc = identity_functor(c)

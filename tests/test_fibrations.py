@@ -1,14 +1,18 @@
-from judgekit.core import (FunctorMap, identity_functor, validate_category,
-                           validate_functor)
-from judgekit.fibrations import (Classifier, IndexedData, cartesian_lift,
+import pytest
+
+from judgekit.core import (FunctorMap, check_category_iso, identity_functor,
+                           validate_category, validate_functor)
+from judgekit.fibrations import (Classifier, cartesian_lift,
                                  compute_cleavage, is_cartesian,
                                  is_cartesian_functor, is_discrete, is_thin,
-                                 validate_indexed, verify_kind)
+                                 verify_kind)
 from judgekit.finsets import fin_skeleton, preimage, subset_leq
 from judgekit.limits import terminal_category, walking_arrow_category
-from judgekit.ndt import PowersetDoctrine, proposition_classifier
+from judgekit.ndt import (ChainDoctrine, PowersetDoctrine, SequentDoctrine,
+                          proposition_classifier)
 
-from oracles import coslice_classifier, slice_classifier
+from oracles import (coslice_classifier, grothendieck_classifier,
+                     slice_classifier)
 
 
 def powerset_classifier(n=2):
@@ -36,16 +40,15 @@ def test_fiber_categories_are_the_subset_posets():
 
 def test_split_cleavage_is_cartesian_and_deterministic():
     cl = powerset_classifier(2)
-    for ((obj, sigma), lift) in cl.cleavage.items():
+    cleavage, bad = compute_cleavage(cl)
+    assert bad == []
+    for ((obj, sigma), lift) in cleavage.items():
         assert is_cartesian(cl, lift)
         assert cl.proj.mor_map[lift] == sigma
-    recomputed, bad = compute_cleavage(cl)
-    assert bad == []
-    for key in cl.cleavage:
         # Identity arrows lift to identities.
-        obj, sigma = key
         if cl.base.is_identity(sigma):
-            assert recomputed[key] == cl.total.identity[obj]
+            assert lift == cl.total.identity[obj]
+    assert compute_cleavage(powerset_classifier(2)) == (cleavage, [])
 
 
 def test_cartesian_lift_restricts_by_preimage():
@@ -61,7 +64,6 @@ def test_cartesian_lift_restricts_by_preimage():
 def test_verify_kind_classifies():
     cl = powerset_classifier(1)
     assert verify_kind(cl, expect="fibration") == []
-    assert "fibration" in cl.kind
     # The subset fibration over ≥1 contexts is not discrete: fibers have
     # non-identity inclusion arrows.
     assert is_discrete(cl)
@@ -77,23 +79,67 @@ def test_verify_kind_rejects_wrong_expectation():
     assert verify_kind(cl, expect="discrete")   # two is no discrete fibration
 
 
-def test_indexed_data_validation_catches_non_functoriality():
-    doc = PowersetDoctrine(1)
-    cl = proposition_classifier(doc)
-    # Rebuild the indexing and damage one restriction.
+class _Antitone(PowersetDoctrine):
+    """Restriction along a non-identity map is the complement of the
+    preimage: it reverses the order."""
+
+    def restrict(self, sigma, a):
+        pre = preimage(sigma, a)
+        if sigma[3] == tuple(range(sigma[2])):
+            return pre
+        return tuple(i for i in range(sigma[1]) if i not in pre)
+
+
+class _EmptyIdentity(PowersetDoctrine):
+    """Restriction along an identity sends every subset to the empty one."""
+
+    def restrict(self, sigma, a):
+        return () if sigma[3] == tuple(range(sigma[2])) else preimage(sigma, a)
+
+
+@pytest.mark.parametrize("doctrine, diagnostic", [
+    (_Antitone, "mentions unknown morphisms"),
+    (_EmptyIdentity, "has no identity morphism"),
+], ids=["antitone", "identity"])
+def test_a_broken_doctrine_has_no_valid_total(doctrine, diagnostic):
+    """The total of a doctrine whose restriction is not monotone, or not
+    the identity along an identity, is rejected by ``validate_category``."""
+    P = proposition_classifier(doctrine(2))
+    bad = validate_category(P.total, P.proj)
+    assert bad and diagnostic in bad[0]
+
+
+GROTHENDIECK_CASES = {
+    "powerset 1": PowersetDoctrine(1), "powerset 2": PowersetDoctrine(2),
+    "chain 2 1": ChainDoctrine(2, 1),
+    "sequents powerset 1": SequentDoctrine(PowersetDoctrine(1)),
+    "sequents powerset 2": SequentDoctrine(PowersetDoctrine(2)),
+    "sequents chain 2 1": SequentDoctrine(ChainDoctrine(2, 1)),
+    "extend(1) powerset 1": PowersetDoctrine(1).extend(1),
+    "extend(1) powerset 2": PowersetDoctrine(2).extend(1),
+}
+
+
+@pytest.mark.parametrize("name", GROTHENDIECK_CASES)
+def test_thin_classifier_is_the_grothendieck_construction(name):
+    """``proposition_classifier`` is isomorphic to the Grothendieck
+    construction of the doctrine's indexed posets, through (σ, b, a) ↦
+    (σ, a, b ≤ σ*a), and its computed cleavage is the split one: lifts in
+    a fibration of posets are unique."""
+    doc = GROTHENDIECK_CASES[name]
+    P = proposition_classifier(doc)
+    ref, split = grothendieck_classifier(doc)
     ctx = doc.ctx
-    fibers = {x: cl.fiber_category(x) for x in ctx.objects}
-    restrictions = {}
-    for sigma in ctx.morphisms:
-        theta, x = ctx.src[sigma], ctx.tgt[sigma]
-        obj_map = {o: (theta, preimage(sigma, o[1]))
-                   for o in fibers[x].objects}
-        mor_map = {m: fibers[theta].identity[obj_map[fibers[x].tgt[m]]]
-                   for m in fibers[x].morphisms}
-        restrictions[sigma] = FunctorMap(f"r{sigma}", fibers[x],
-                                         fibers[theta], obj_map, mor_map)
-    ix = IndexedData("broken", ctx, fibers, restrictions)
-    assert validate_indexed(ix)
+    assert validate_category(ref.total) == []
+    to_ref = FunctorMap("iso", P.total, ref.total,
+                        {o: o for o in P.total.objects},
+                        {m: (m[1], m[3], ("≤", ctx.src[m[1]], m[2],
+                                          doc.restrict(m[1], m[3])))
+                         for m in P.total.morphisms})
+    assert check_category_iso(to_ref)[0] == []
+    cleavage, bad = compute_cleavage(P)
+    assert bad == []
+    assert {key: to_ref.mor_map[m] for key, m in cleavage.items()} == split
 
 
 def test_slice_and_coslice():

@@ -580,9 +580,9 @@ def test_factorizations_agree_with_the_naive_search(name, data):
     assert factorizations(cl, m, g, m2) == naive_factorizations(cl, m, g, m2)
 
 
-def test_a_cleavage_with_holes_is_not_kept():
+def test_a_cleavage_with_holes_gives_the_same_answer_again():
     """Asking again about a classifier whose cleavage has a hole gives
-    the same answer: the partial cleavage is not stored on it."""
+    the same answer, in a new check context each time."""
     cl = CARTESIAN_CASES["not a functor"]()
     F = identity_functor(cl.total)
     holes = is_cartesian_functor(F, cl, cl)
@@ -592,7 +592,6 @@ def test_a_cleavage_with_holes_is_not_kept():
     for _ in range(2):
         with pytest.raises(ValueError, match="no cartesian lift"):
             cartesian_lift(cl, obj, sigma)
-    assert cl.cleavage is None
 
 
 # The cartesian test against the naive test on mutated tables.  A

@@ -68,8 +68,7 @@ def test_cut_lift_is_cartesian(ds2):
     assert lift.diagnostics == []
     # The lifted policy consists of cartesian arrows of 𝔼 regarded as
     # fibered over the propositions via the antecedent projection.
-    e_over_p = Classifier("𝔼d", ds2.E.total, ds2.P.total, ds2.d,
-                          kind="fibration")
+    e_over_p = Classifier("𝔼d", ds2.E.total, ds2.P.total, ds2.d)
     for m in lift.policy.components.values():
         assert is_cartesian(e_over_p, m)
 
