@@ -21,12 +21,12 @@ request, or one per call when a validator is called outside a request.
 It keeps what the request learns about each object, for as long as the
 object lives: the verdicts of ``validate_category`` and
 ``validate_functor``, failures included, the numbering, table checks
-and soundness of every category, the faithfulness of functors, and the
-indexes, groupings and verdicts of cartesian tests.  So a category,
-functor or numbering is checked or built once per request, and a
-repeated check returns the same lines.  A pullback is numbered only when
-a validator sweeps a law over it, which the functor lemma below spares
-every rule whose premises hold.
+and soundness of every category, the faithfulness of functors, the
+discreteness of classifiers, and the indexes, groupings and verdicts of
+cartesian tests.  So a category, functor or numbering is checked or
+built once per request, and a repeated check returns the same lines.  A
+pullback is numbered only when a validator sweeps a law over it, which
+the functor lemma below spares every rule whose premises hold.
 
 Two lemmas let a validator decide a law on smaller categories instead of
 sweeping it.  Both rest on one fact: a faithful functor p, one that is
@@ -679,7 +679,11 @@ class NatTrans:
 
 
 def validate_nat_trans(t: NatTrans) -> list:
-    """Exhaustively check every naturality square.  Returns diagnostics."""
+    """Exhaustively check every naturality square.  Returns diagnostics.
+
+    The functors are not validated here: an image a functor lacks is a
+    component with wrong endpoints, and a composite the codomain lacks is
+    a square that fails."""
     F, G = t.source, t.target
     if F.dom.objects != G.dom.objects or F.cod.objects != G.cod.objects:
         return [f"{t.name}: source and target functors are not parallel"]
@@ -689,14 +693,18 @@ def validate_nat_trans(t: NatTrans) -> list:
         m = t.components.get(o)
         if m is None or m not in d.morphisms:
             comps.append((o, f"{t.name}: missing or alien component at {o!r}"))
-        elif d.src[m] != F.obj_map[o] or d.tgt[m] != G.obj_map[o]:
+        elif d.src[m] != F.obj_map.get(o) or d.tgt[m] != G.obj_map.get(o):
             comps.append((o, f"{t.name}: component at {o!r} has wrong endpoints"))
     if comps:
         return _in_order(comps)
+    at, compose = t.components, d.compose
+
+    def fails(f):
+        lhs = compose.get((at[c.tgt[f]], F.mor_map.get(f)))
+        return lhs is None \
+            or lhs != compose.get((G.mor_map.get(f), at[c.src[f]]))
     return _in_order([(f, f"{t.name}: naturality square fails at {f!r}")
-                      for f in c.morphisms
-                      if d.comp(t.components[c.tgt[f]], F.mor_map[f])
-                      != d.comp(G.mor_map[f], t.components[c.src[f]])])
+                      for f in c.morphisms if fails(f)])
 
 
 def identity_nat_trans(F: FunctorMap, name=None) -> NatTrans:
@@ -765,17 +773,18 @@ def check_adjunction(adj: AdjunctionData) -> list:
     bad += validate_nat_trans(adj.counit)
     if bad:
         return bad
+    # A composite the category lacks is a triangle that fails.
     # counit_{F a} ∘ F(unit_a) = id_{F a}
     left = [(a, f"{adj.name}: triangle identity (left leg) fails at {a!r}")
             for a in A.objects
-            if B.comp(adj.counit.components[F.obj_map[a]],
-                      F.mor_map[adj.unit.components[a]])
+            if B.compose.get((adj.counit.components[F.obj_map[a]],
+                              F.mor_map[adj.unit.components[a]]))
             != B.identity[F.obj_map[a]]]
     # G(counit_b) ∘ unit_{G b} = id_{G b}
     right = [(b, f"{adj.name}: triangle identity (right leg) fails at {b!r}")
              for b in B.objects
-             if A.comp(G.mor_map[adj.counit.components[b]],
-                       adj.unit.components[G.obj_map[b]])
+             if A.compose.get((G.mor_map[adj.counit.components[b]],
+                               adj.unit.components[G.obj_map[b]]))
              != A.identity[G.obj_map[b]]]
     return _in_order(left) + _in_order(right)
 

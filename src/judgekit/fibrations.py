@@ -15,6 +15,25 @@ or not, and over a faithful one each group holds at most one morphism,
 so it compares one composite per pair (Jacobs, *Categorical Logic and
 Type Theory*, ch. 1).  ``factorizations`` reads the same index.
 
+*Discrete-fibration lemma.*  Let P : E → B be a functor, and let every
+composable pair of E have a composite in E with the right endpoints.
+Suppose that for every object F of E and every σ : θ → P F exactly one
+morphism into F lies over σ.  Then every morphism of E is cartesian, and
+that one morphism is the only lift of σ at F.  Proof: let m : E → F lie
+over σ, m' : E' → F over σ∘g, and h be the one morphism into E over g.
+Then m∘h lies over σ∘g and ends at F, so m∘h = m', and h starts at E';
+any h' : E' → E over g is that one morphism too, so exactly one h works.
+These are the discrete fibrations, the fibrations of presheaves (Jacobs,
+*Categorical Logic and Type Theory*, 1999, ch. 1); the typing judgements
+𝕌 → ctx and 𝕌̇ → ctx of a natural model are such (Awodey, "Natural
+models of homotopy type theory", *MSCS* 28, 2018).  ``_cartesian``
+checks the premises in the call: the count of ``is_discrete``, which
+stops at the first pair it refutes, the soundness of the total and P's
+``validate_functor`` verdict, all kept in the check context.  When they
+hold, it answers without the count or the index, and a cleavage takes
+the only candidate over each arrow; when one fails, it counts.  An
+opposite classifier reads the last two premises from its original.
+
 Indexes, groupings, verdicts and cleavages are kept in the check
 context, per projection, category or classifier they were read from, and
 shared by all the tests of one request; nothing is kept on a category or
@@ -27,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FinCategory, FunctorMap, NatTrans, _recall, checking,
-                   opposite, parallel_morphisms, subcategory,
-                   validate_functor)
+from .core import (FinCategory, FunctorMap, NatTrans, _recall, _sound,
+                   _validated, checking, opposite, parallel_morphisms,
+                   subcategory, validate_functor)
 
 
 @dataclass
@@ -56,11 +75,14 @@ class Classifier:
 def opposite_classifier(cl: Classifier) -> Classifier:
     """``projᵒᵖ : totalᵒᵖ → baseᵒᵖ``.  Its cartesian morphisms are the
     cocartesian morphisms of ``cl``: an opfibration is a fibration of the
-    opposite functor."""
+    opposite functor.  In a check context it is recorded as the opposite
+    of cl, whose premises of the discrete-fibration lemma it reads."""
     total, base = opposite(cl.total), opposite(cl.base)
     proj = FunctorMap(f"{cl.proj.name}ᵒᵖ", total, base,
                       cl.proj.obj_map, cl.proj.mor_map)
-    return Classifier(f"{cl.name}ᵒᵖ", total, base, proj)
+    op = Classifier(f"{cl.name}ᵒᵖ", total, base, proj)
+    _recall(lambda: cl, "opposite of", op)
+    return op
 
 
 def is_cartesian(cl: Classifier, m) -> bool:
@@ -76,12 +98,16 @@ def is_cartesian(cl: Classifier, m) -> bool:
 
 
 def _cartesian(cl: Classifier):
-    """The cartesian test of cl as a function of the morphism, reading the
-    index of cl's projection once.  For m : E → F it counts, for each
-    required pair (g, m'), the morphisms over g in the index entry of E'
-    and E whose composite with m is m'.  Verdicts are kept per projection
-    and morphism when the projection runs between cl's total and base."""
+    """The cartesian test of cl as a function of the morphism.  When the
+    discrete-fibration lemma decides cl (``_by_lemma``), it is true for
+    exactly the morphisms of the total.  Otherwise it reads the index of
+    cl's projection once: for m : E → F it counts, for each required pair
+    (g, m'), the morphisms over g in the index entry of E' and E whose
+    composite with m is m'.  Verdicts are kept per projection and
+    morphism when the projection runs between cl's total and base."""
     total, base, P = cl.total, cl.base, cl.proj
+    if _by_lemma(cl):
+        return total.morphisms.__contains__
     pobj, pmor, compose = P.obj_map, P.mor_map, total.compose
     index, after_in = _kept_index(cl), _recall(dict, "after", base)
     kept = _recall(dict, "cartesian", P) \
@@ -110,6 +136,20 @@ def _cartesian(cl: Classifier):
             verdict = kept[m] = counted(m)
         return verdict
     return test
+
+
+def _by_lemma(cl: Classifier) -> bool:
+    """Whether the premises of the discrete-fibration lemma hold for cl,
+    each checked here: cl's projection runs from its total to its base,
+    cl is discrete (``_discrete``), its total is sound and its projection
+    passes ``validate_functor``.  An opposite made by
+    ``opposite_classifier`` in the same check context reads all but
+    discreteness from its original, since Pᵒᵖ is a functor exactly when P
+    is and a transposed table is sound exactly when its original is."""
+    orig = _recall(lambda: None, "opposite of", cl) or cl
+    P = orig.proj
+    return P.dom is orig.total and P.cod is orig.base and _discrete(cl) \
+        and _sound(orig.total) and not _validated(P)
 
 
 def factorizations(cl: Classifier, m, g, m2) -> list:
@@ -168,7 +208,8 @@ def _lifts(cl: Classifier):
     ``((F, σ), lift)``.  The lift of an identity is the identity, and of
     the cartesian candidate lifts the one with the least ``sort_key`` is
     chosen: candidates are tested in that order and the first cartesian
-    one is taken.  ``lift`` is None where there is none."""
+    one is taken, which over a discrete fibration is the only candidate.
+    ``lift`` is None where there is none."""
     total, base, P = cl.total, cl.base, cl.proj
     cartesian = _cartesian(cl)
     for F in total.sorted_objects():
@@ -189,7 +230,11 @@ def compute_cleavage(cl: Classifier):
     """Choose a cartesian lift for every (object, arrow-into-it) pair, as
     ``_lifts`` does.  Returns ``(cleavage, diagnostics)``, kept in the
     check context per classifier and shared by its callers, who do not
-    change it; the cleavage maps ``(obj, σ)`` to its lift."""
+    change it; the cleavage maps ``(obj, σ)`` to its lift.  When the
+    premises of the discrete-fibration lemma of this module hold, every
+    morphism is cartesian and the lift of σ at F is the one morphism into
+    F over σ, so no factorization is counted; the cleavage is the one the
+    count would choose, in the same order."""
     def cleave():
         cleavage, bad = {}, []
         for (F, sigma), lift in _lifts(cl):
@@ -221,18 +266,30 @@ def cartesian_lift(cl: Classifier, obj, sigma):
     return cleavage[(obj, sigma)]
 
 
-def is_discrete(cl: Classifier) -> list:
-    """Unique-lift check: exactly one morphism over each arrow into each
-    object's image, and fibers contain only identities."""
-    total, base, P = cl.total, cl.base, cl.proj
-    bad = []
-    for F in total.sorted_objects():
+def _miscounted(cl: Classifier):
+    """``(F, σ, n)`` for each object F of the total and base arrow σ into
+    its image with n ≠ 1 morphisms into F over σ, in ``sort_key`` order."""
+    base, P = cl.base, cl.proj
+    for F in cl.total.sorted_objects():
         over = _over(cl, F)
         for sigma in base.into(P.obj_map[F]):
             n = len(over.get(sigma, ()))
             if n != 1:
-                bad.append(f"{cl.name}: {n} lifts of {sigma!r} at {F!r}")
-    return bad
+                yield F, sigma, n
+
+
+def is_discrete(cl: Classifier) -> list:
+    """Unique-lift check: exactly one morphism over each arrow into each
+    object's image, and fibers contain only identities."""
+    return [f"{cl.name}: {n} lifts of {sigma!r} at {F!r}"
+            for F, sigma, n in _miscounted(cl)]
+
+
+def _discrete(cl: Classifier) -> bool:
+    """Whether ``is_discrete`` finds nothing, kept in the check context
+    per classifier; the count stops at the first pair it refutes."""
+    return _recall(lambda: next(_miscounted(cl), None) is None,
+                   "discrete", cl)
 
 
 def is_thin(cl: Classifier) -> list:
@@ -253,7 +310,15 @@ def verify_kind(cl: Classifier, expect=None) -> list:
     hole, since the kind and the diagnostic read no more of it.  Returns
     diagnostics; ``expect`` (if given) adds a diagnostic when the
     computed kind does not include it.  It runs in one check context,
-    so the opposite classifier reads what was learnt about ``cl``."""
+    so the opposite classifier reads what was learnt about ``cl``.
+
+    A discrete classifier whose total is sound is a fibration by the
+    discrete-fibration lemma of this module, and its cleavage is read off
+    without counting factorizations; the opposite classifier takes the
+    functoriality of its projection and the soundness of its total from
+    ``cl``, so it is never swept or numbered, and decides its own
+    cleavage by the lemma when it is discrete too.  The ``discrete`` kind
+    reuses the kept count."""
     with checking():
         bad = validate_functor(cl.proj)
         if bad:
@@ -265,7 +330,7 @@ def verify_kind(cl: Classifier, expect=None) -> list:
         opfib_bad = _first_hole(opposite_classifier(cl))
         if not opfib_bad:
             kinds.append("opfibration")
-        if not is_discrete(cl):
+        if _discrete(cl):
             kinds.append("discrete")
         if expect and "thin" in expect:
             if not is_thin(cl):

@@ -238,7 +238,7 @@ def valid(seq_obj):
 def naive_is_cartesian(cl, m):
     """m : E → F over σ is cartesian when every m2 : E2 → F whose image
     is σ∘g, for g : P(E2) → src σ, factors as m∘h through exactly one
-    h : E2 → E over g."""
+    h : E2 → E over g.  A composite m∘h the table lacks is no factor."""
     tot, base = cl.total, cl.base
     pobj, pmor = cl.proj.obj_map, cl.proj.mor_map
     E, F, sigma = tot.src[m], tot.tgt[m], pmor[m]
@@ -253,7 +253,7 @@ def naive_is_cartesian(cl, m):
                 continue
             hits = [h for h in tot.morphisms
                     if tot.src[h] == E2 and tot.tgt[h] == E
-                    and pmor[h] == g and tot.compose[(m, h)] == m2]
+                    and pmor[h] == g and tot.compose.get((m, h)) == m2]
             if len(hits) != 1:
                 return False
     return True
@@ -283,7 +283,8 @@ def naive_cartesian_lifts(cl):
 
 def naive_is_cocartesian(cl, m):
     """m : E → F over σ is cocartesian when every m2 : E → F2 whose image
-    is g∘σ factors as h∘m through exactly one h : F → F2 over g."""
+    is g∘σ factors as h∘m through exactly one h : F → F2 over g.  A
+    composite h∘m the table lacks is no factor."""
     tot, base = cl.total, cl.base
     pobj, pmor = cl.proj.obj_map, cl.proj.mor_map
     E, F, sigma = tot.src[m], tot.tgt[m], pmor[m]
@@ -298,7 +299,7 @@ def naive_is_cocartesian(cl, m):
                 continue
             hits = [h for h in tot.morphisms
                     if tot.src[h] == F and tot.tgt[h] == F2
-                    and pmor[h] == g and tot.compose[(h, m)] == m2]
+                    and pmor[h] == g and tot.compose.get((h, m)) == m2]
             if len(hits) != 1:
                 return False
     return True

@@ -37,6 +37,31 @@ def test_check_broken_adjunction(capsys):
     assert "status: fail" in out
 
 
+def test_a_nat_over_a_functor_that_failed_is_a_failed_check(tmp_path,
+                                                             capsys):
+    """Sending f to id_a breaks the functor Id of adjunction.jt; the nat
+    and the adjunction over it then report failed squares, not a
+    traceback."""
+    text = (DEMOS / "adjunction.jt").read_text()
+    assert "morphism f |-> f\n" in text
+    path = tmp_path / "adjunction.jt"
+    path.write_text(text.replace("morphism f |-> f\n",
+                                 "morphism f |-> id_a\n"))
+    code, out = run(capsys, "check", str(path))
+    assert code == 1
+    assert out.split("check category Two: ok\n")[1] == (
+        "check functor Id: FAIL\n"
+        "  - Id: image of 'f' has wrong endpoints\n"
+        "check nat idt: FAIL\n"
+        "  - idt: naturality square fails at 'f'\n"
+        "check adjunction triv: FAIL\n"
+        "  - Id: image of 'f' has wrong endpoints\n"
+        "  - Id: image of 'f' has wrong endpoints\n"
+        "  - idt: naturality square fails at 'f'\n"
+        "  - idt: naturality square fails at 'f'\n"
+        "status: fail\n")
+
+
 def test_check_json(capsys):
     code, out = run(capsys, "check", "--json", str(DEMOS / "toy.jt"))
     assert code == 0

@@ -160,16 +160,21 @@ def test_an_identity_outside_the_tables_is_not_preserved():
     assert validate_functor(G) == [f"G: identity of {star!r} not preserved"]
 
 
+def _without_g_after_f():
+    """f : a → b and an idempotent g : b → b, with no entry for g ∘ f."""
+    return make_category("M", ["a", "b"], ["id_a", "id_b", "f", "g"],
+                         {"id_a": "a", "id_b": "b", "f": "a", "g": "b"},
+                         {"id_a": "a", "id_b": "b", "f": "b", "g": "b"},
+                         {"a": "id_a", "b": "id_b"},
+                         {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
+                          ("f", "id_a"): "f", ("id_b", "f"): "f",
+                          ("g", "id_b"): "g", ("id_b", "g"): "g",
+                          ("g", "g"): "g"})
+
+
 def test_a_composite_the_codomain_lacks_is_not_preserved():
     """A functor into a table without g ∘ f is reported, not a KeyError."""
-    m = make_category("M", ["a", "b"], ["id_a", "id_b", "f", "g"],
-                      {"id_a": "a", "id_b": "b", "f": "a", "g": "b"},
-                      {"id_a": "a", "id_b": "b", "f": "b", "g": "b"},
-                      {"a": "id_a", "b": "id_b"},
-                      {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b",
-                       ("f", "id_a"): "f", ("id_b", "f"): "f",
-                       ("g", "id_b"): "g", ("id_b", "g"): "g",
-                       ("g", "g"): "g"})
+    m = _without_g_after_f()
     d = make_category("D", ["x", "y"], ["id_x", "id_y", "s", "e"],
                       {"id_x": "x", "id_y": "y", "s": "x", "e": "y"},
                       {"id_x": "x", "id_y": "y", "s": "y", "e": "y"},
@@ -192,6 +197,33 @@ def test_nat_trans_naturality_enforced():
     h = next(m for m in c.morphisms if c.src[m] == 0 and c.tgt[m] == 1)
     skew = NatTrans("skew", idc, idc, {0: c.identity[0], 1: h})
     assert validate_nat_trans(skew)
+
+
+def test_a_composite_a_naturality_square_lacks_is_a_failed_square():
+    """t : Fa ⇒ Fg out of 𝟙 with component f : a → b reads g ∘ f, which
+    the table lacks: the square fails, not with a KeyError."""
+    one, m = terminal_category(), _without_g_after_f()
+    star, i = "•", ("id", "•")
+    fa = FunctorMap("Fa", one, m, {star: "a"}, {i: "id_a"})
+    fg = FunctorMap("Fg", one, m, {star: "b"}, {i: "g"})
+    t = NatTrans("t", fa, fg, {star: "f"})
+    assert validate_nat_trans(t) == [f"t: naturality square fails at {i!r}"]
+
+
+def test_an_image_a_functor_lacks_is_a_failed_naturality_check():
+    """A source functor without an image of an object or a morphism fails
+    the transformation's check instead of raising."""
+    c = walking_arrow_category()
+    idc = identity_functor(c)
+    t = identity_nat_trans(idc)
+    no_arrow = FunctorMap("F", c, c, idc.obj_map,
+                          {m: n for m, n in idc.mor_map.items()
+                           if m != ("a", 0, 1)})
+    assert validate_nat_trans(NatTrans("t", no_arrow, idc, t.components)) \
+        == ["t: naturality square fails at ('a', 0, 1)"]
+    no_object = FunctorMap("F", c, c, {0: 0}, idc.mor_map)
+    assert validate_nat_trans(NatTrans("t", no_object, idc, t.components)) \
+        == ["t: component at 1 has wrong endpoints"]
 
 
 def test_whiskering_and_vertical_composition():
@@ -363,3 +395,33 @@ def test_a_request_that_is_cut_leaves_no_context_behind(monkeypatch):
     assert core._request.get() is None
     del c.compose[("f", "id_a")]
     assert validate_category(c) == MISSING
+
+
+def test_a_composite_a_triangle_identity_lacks_is_a_failed_triangle():
+    """F ⊣ G for the inclusion F : 𝟚 → (a ≅ b) and G constant at 1.  Its
+    left triangle at 0 reads ba ∘ ab, and no other check of
+    ``check_adjunction`` does; a table without that entry fails the
+    triangle, not with a KeyError."""
+    two, arrow = walking_arrow_category(), ("a", 0, 1)
+    ab = {(x, y): f"{x}{y}" for x in "ab" for y in "ab"}
+
+    def adjunction(missing):
+        iso = make_category("a≅b", "ab", ab.values(),
+                            {m: x for (x, _), m in ab.items()},
+                            {m: y for (_, y), m in ab.items()},
+                            {x: ab[x, x] for x in "ab"},
+                            {(ab[y, z], ab[x, y]): ab[x, z]
+                             for x in "ab" for y in "ab" for z in "ab"
+                             if (ab[y, z], ab[x, y]) not in missing})
+        F = FunctorMap("F", two, iso, {0: "a", 1: "b"},
+                       {("id", 0): "aa", ("id", 1): "bb", arrow: "ab"})
+        G = FunctorMap("G", iso, two, {"a": 1, "b": 1},
+                       {m: ("id", 1) for m in ab.values()})
+        unit = NatTrans("η", identity_functor(two), compose_functors(G, F),
+                        {0: arrow, 1: ("id", 1)})
+        counit = NatTrans("ε", compose_functors(F, G), identity_functor(iso),
+                          {"a": "ba", "b": "bb"})
+        return AdjunctionData("F⊣G", F, G, unit, counit)
+    assert check_adjunction(adjunction(())) == []
+    assert check_adjunction(adjunction({("ba", "ab")})) == [
+        "F⊣G: triangle identity (left leg) fails at 0"]

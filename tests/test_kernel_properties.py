@@ -13,7 +13,7 @@ from judgekit.core import (Composition, FunctorMap, along, category_from,
 from judgekit.fibrations import (Classifier, cartesian_lift, compute_cleavage,
                                  factorizations, is_cartesian,
                                  is_cartesian_functor, is_thin,
-                                 opposite_classifier)
+                                 opposite_classifier, verify_kind)
 from judgekit.finset_topos import build_finset_topos, instantiate_constructor
 from judgekit.finsets import fin_skeleton
 from judgekit.limits import (bang_functor, pullback_category,
@@ -25,8 +25,8 @@ from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
 from oracles import (coslice_classifier, naive_cartesian_lifts,
                      naive_category_laws, naive_cocartesian_lifts,
                      naive_composition_preserved, naive_factorizations,
-                     naive_is_cartesian, product_category,
-                     slice_classifier)
+                     naive_is_cartesian, naive_is_cocartesian,
+                     product_category, slice_classifier)
 
 P1 = proposition_classifier(PowersetDoctrine(1))
 TWO = walking_arrow_category()
@@ -594,6 +594,60 @@ def test_a_cleavage_with_holes_gives_the_same_answer_again():
             cartesian_lift(cl, obj, sigma)
 
 
+# The discrete-fibration lemma against the naive test and the count.  The
+# slice, the coslice and the typing fibrations of dtt are discrete, so
+# the lemma decides them, and so are the opposites of the coslice and of
+# 𝕌̇, which read the other premises from their originals.  A second
+# morphism over some σ, or a composite dropped from the table, breaks a
+# premise: the lemma must decline, and the count it falls back to must
+# agree with the naive test too.
+DISCRETE_CASES = {"classifier": {"coslice", "dtt u", "dtt udot", "slice"},
+                  "opposite": {"coslice", "dtt udot"}}
+
+
+def _dropped_composite(c, proj, data):
+    gone = data.draw(st.sampled_from(sorted(c.compose, key=repr)))
+    c2 = _with_table(c, {gf: h for gf, h in c.compose.items() if gf != gone})
+    return c2, replace(proj, dom=c2)
+
+
+DECLINING = {"second lift": _twin_morphism,
+             "dropped composite": _dropped_composite}
+
+
+def _counted_cleavage(cl):
+    """``compute_cleavage`` of cl with the lemma declined, so that every
+    lift is found by counting factorizations."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fibrations, "_by_lemma", lambda cl: False)
+        return compute_cleavage(cl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CARTESIAN_CASES)),
+       side=st.sampled_from(sorted(DISCRETE_CASES)),
+       mutation=st.sampled_from(["none", *sorted(DECLINING)]), data=st.data())
+def test_the_discrete_fibration_lemma_agrees_with_the_count(name, side,
+                                                            mutation, data):
+    cl = CARTESIAN_CASES[name]()
+    if mutation != "none":
+        total, proj = DECLINING[mutation](cl.total, cl.proj, data)
+        cl = Classifier(cl.name, total, cl.base, proj)
+    arrows = sorted(cl.total.morphisms, key=repr)
+    with core.checking():
+        asked = cl if side == "classifier" else opposite_classifier(cl)
+        decided = fibrations._by_lemma(asked)
+        verdicts = [is_cartesian(asked, m) for m in arrows]
+        cleavage, bad = compute_cleavage(asked)
+    assert decided == (mutation == "none" and name in DISCRETE_CASES[side])
+    naive = naive_is_cartesian if side == "classifier" \
+        else naive_is_cocartesian
+    assert verdicts == [naive(cl, m) for m in arrows]
+    counted, counted_bad = _counted_cleavage(asked)
+    assert list(cleavage.items()) == list(counted.items())
+    assert bad == counted_bad
+
+
 # The cartesian test against the naive test on mutated tables.  A
 # misplaced composite m∘h is replaced by a morphism over the same base
 # arrow between other objects, so the projection stays a faithful functor
@@ -641,13 +695,15 @@ def test_faithful_projections_are_decided_without_counting(name,
     index entry the cartesian test reads holds at most one morphism, so
     each required pair is decided by one composite lookup, not a count
     over candidates; only ``validate_functor(cl.proj)`` sweeps, the
-    opposite is not swept."""
+    opposite is not swept.  dtt u is a discrete fibration, so the
+    discrete-fibration lemma decides it and no index of it is built; only
+    its opposite, which is not discrete, is counted."""
     cl = MUTATED_CASES[name]
     indexes, swept = [], []
     real_index, real_sweep = fibrations._index, core._composition_sweep
     monkeypatch.setattr(fibrations, "_index",
-                        lambda c, pmor: indexes.append(real_index(c, pmor))
-                        or indexes[-1])
+                        lambda c, pmor: indexes.append((c, real_index(c, pmor)))
+                        or indexes[-1][1])
     monkeypatch.setattr(core, "_composition_sweep",
                         lambda F: swept.append(F) or real_sweep(F))
     with core.checking():
@@ -656,7 +712,36 @@ def test_faithful_projections_are_decided_without_counting(name,
         assert [is_cartesian(cl, m) for m in _arrows(cl.total)] \
             == [naive_is_cartesian(cl, m) for m in _arrows(cl.total)]
         compute_cleavage(opposite_classifier(cl))
-    assert len(indexes) == 2
-    assert all(len(over) <= 1 for index in indexes for into in index.values()
+    if name == "dtt u":
+        assert not [c for c, _ in indexes if c is cl.total]
+        assert len(indexes) == 1
+    else:
+        assert len(indexes) == 2
+    assert all(len(over) <= 1 for _, index in indexes
+               for into in index.values()
                for by in into.values() for over in by.values())
     assert swept == [cl.proj]
+
+
+def test_the_opposite_of_a_discrete_fibration_is_neither_swept_nor_numbered(
+        monkeypatch):
+    """𝕌̇ and its opposite are both discrete, so ``verify_kind`` decides
+    both cleavages by the discrete-fibration lemma.  The opposite reads
+    the functoriality of u̇ and the soundness of 𝕌̇ from the original:
+    u̇ᵒᵖ is not swept, 𝕌̇ᵒᵖ is not numbered and no index is built."""
+    cl = DTT2.udot
+    indexes, swept, numbered = [], [], []
+    real_index, real_sweep = fibrations._index, core._composition_sweep
+    real_codes = core._Codes
+    monkeypatch.setattr(fibrations, "_index",
+                        lambda c, pmor: indexes.append(c) or real_index(c, pmor))
+    monkeypatch.setattr(core, "_composition_sweep",
+                        lambda F: swept.append(F) or real_sweep(F))
+    monkeypatch.setattr(core, "_Codes",
+                        lambda c: numbered.append(c) or real_codes(c))
+    with core.checking():
+        assert verify_kind(cl, "fibration+opfibration+discrete") == []
+    assert swept == [cl.proj]
+    assert numbered and not [c for c in numbered
+                             if isinstance(c.compose, core._Transposed)]
+    assert indexes == []
