@@ -22,11 +22,11 @@ It keeps what the request learns about each object, for as long as the
 object lives: the verdicts of ``validate_category`` and
 ``validate_functor``, failures included, the numbering, table checks
 and soundness of every category, the faithfulness of functors, the
-discreteness of classifiers, and the indexes, groupings and verdicts of
-cartesian tests.  So a category, functor or numbering is checked or
-built once per request, and a repeated check returns the same lines.  A
-pullback is numbered only when a validator sweeps a law over it, which
-the functor lemma below spares every rule whose premises hold.
+discreteness and cleavages of classifiers, and the indexes and groupings
+that cartesian tests read.  So a category, functor or numbering is
+checked or built once per request, and a repeated check returns the same
+lines.  A pullback is numbered only when a validator sweeps a law over
+it, which the functor lemma below spares every rule whose premises hold.
 
 Two lemmas let a validator decide a law on smaller categories instead of
 sweeping it.  Both rest on one fact: a faithful functor p, one that is
@@ -761,16 +761,28 @@ class AdjunctionData:
 
 def check_adjunction(adj: AdjunctionData) -> list:
     """Validate both functors and both transformations (naturality
-    included), then check both triangle identities."""
+    included), check that the unit runs Id_A ⇒ G∘F and the counit
+    F∘G ⇒ Id_B, then check both triangle identities."""
     bad = []
     F, G = adj.left, adj.right
     A, B = F.dom, G.dom
-    if F.cod.objects != B.objects or G.cod.objects != A.objects:
+    if not (same_category(F.cod, B) and same_category(G.cod, A)):
         return [f"{adj.name}: functor endpoints do not match"]
     bad += validate_functor(F)
     bad += validate_functor(G)
     bad += validate_nat_trans(adj.unit)
     bad += validate_nat_trans(adj.counit)
+    if bad:
+        return bad
+    unit, counit = adj.unit, adj.counit
+    if not (same_functor(unit.source, identity_functor(A))
+            and same_functor(unit.target, compose_functors(G, F))):
+        bad.append(f"{adj.name}: unit {unit.name} does not run "
+                   f"Id ⇒ {G.name}∘{F.name}")
+    if not (same_functor(counit.source, compose_functors(F, G))
+            and same_functor(counit.target, identity_functor(B))):
+        bad.append(f"{adj.name}: counit {counit.name} does not run "
+                   f"{F.name}∘{G.name} ⇒ Id")
     if bad:
         return bad
     # A composite the category lacks is a triangle that fails.

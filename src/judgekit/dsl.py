@@ -230,8 +230,7 @@ def load_document(doc: TheoryDocument) -> LoadedDocument:
         elif d.kind == "classifier":
             proj = _resolve(out.functors, d.head["proj"], "functor", d.line, err)
             if proj is not None:
-                out.classifiers[d.name] = Classifier(
-                    d.name, proj.dom, proj.cod, proj)
+                out.classifiers[d.name] = Classifier(d.name, proj)
                 out.kinds[d.name] = d.head["kind"] or "functor"
         elif d.kind == "theory":
             ctx = _resolve(out.categories, d.head["ctx"], "category", d.line, err)

@@ -24,7 +24,7 @@ from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
                    compose_functors, identity_functor, same_category,
                    same_functor, validate_category, validate_functor,
                    whisker_left, whisker_right)
-from .fibrations import (Classifier, cartesian_lift, factorizations,
+from .fibrations import (Classifier, _over, cartesian_lift, factorizations,
                          is_cartesian, is_cartesian_nat_trans, is_discrete,
                          verify_kind)
 from .limits import mediating_functor
@@ -210,10 +210,20 @@ class NaturalModelData:
 
 def _restrict(cl: Classifier, obj, sigma):
     """Restriction in a discrete fibration: source of the unique lift."""
-    lifts = [m for m in cl.total.into(obj) if cl.proj.mor_map[m] == sigma]
+    lifts = _over(cl, obj).get(sigma, ())
     if len(lifts) != 1:
         raise ValueError(f"{cl.name}: {len(lifts)} lifts of {sigma!r} at {obj!r}")
     return cl.total.src[lifts[0]], lifts[0]
+
+
+def _mediators(M: NaturalModelData, A, sigma, b) -> list:
+    """The τ : θ → Γ.A with δ∘τ = σ and q·τ = b, for σ : θ → Γ and the
+    representability data (Γ.A, δ, q) of A: the maps that represent the
+    pair (σ, b) in the pullback of p along A."""
+    ctx, (ext, delta, q) = M.ctx, M.repr_data[A]
+    return [tau for tau in ctx.hom(ctx.src[sigma], ext)
+            if ctx.comp(delta, tau) == sigma
+            and _restrict(M.terms, q, tau)[0] == b]
 
 
 def validate_natural_model(M: NaturalModelData) -> list:
@@ -250,13 +260,7 @@ def validate_natural_model(M: NaturalModelData) -> list:
                 for b in M.terms.fiber_objects(theta):
                     if M.p.obj_map[b] != As:
                         continue
-                    hits = []
-                    for tau in ctx.hom(theta, ext):
-                        if ctx.comp(delta, tau) != sigma:
-                            continue
-                        qt, _ = _restrict(M.terms, q, tau)
-                        if qt == b:
-                            hits.append(tau)
+                    hits = _mediators(M, A, sigma, b)
                     if len(hits) != 1:
                         bad.append(f"{M.name}: representability fails at "
                                    f"{A!r} for ({sigma!r}, {b!r}): "
@@ -282,53 +286,26 @@ def nm_to_jdtt(M: NaturalModelData, theory=None) -> JdttData:
     the universal dotted arrow of the representing pullback."""
     ctx = M.ctx
     T = theory or PreJudgementalTheory(f"jdtt({M.name})", ctx)
-    d_obj, d_mor = {}, {}
-    tau_of = {}
-    for A in M.types.total.objects:
-        ext, delta, q = M.repr_data[A]
-        d_obj[A] = q
+    d_obj = {A: M.repr_data[A][2] for A in M.types.total.objects}
+    d_mor = {}
     for s in M.types.total.morphisms:
         B, A = M.types.total.src[s], M.types.total.tgt[s]
-        sigma = M.types.proj.mor_map[s]
-        extB, deltaB, qB = M.repr_data[B]
-        extA, deltaA, qA = M.repr_data[A]
-        gammaA = M.types.proj.obj_map[A]
+        _, deltaB, qB = M.repr_data[B]
         # Mediating τ : Θ.B → Γ.A for the cone (σ∘δ_B, q_B).
-        want_base = ctx.comp(sigma, deltaB)
-        hits = []
-        for tau in ctx.hom(extB, extA):
-            if ctx.comp(deltaA, tau) != want_base:
-                continue
-            qt, _ = _restrict(M.terms, qA, tau)
-            if qt == qB:
-                hits.append(tau)
+        hits = _mediators(M, A, ctx.comp(M.types.proj.mor_map[s], deltaB), qB)
         if len(hits) != 1:
             raise ValueError(f"{M.name}: {len(hits)} mediating maps for {s!r}")
-        tau = hits[0]
-        _, lift = _restrict(M.terms, qA, tau)
-        d_mor[s] = lift
+        _, d_mor[s] = _restrict(M.terms, M.repr_data[A][2], hits[0])
     Delta = FunctorMap("Δ", M.types.total, M.terms.total, d_obj, d_mor)
-    eps_comp = {}
-    for A in M.types.total.objects:
-        ext, delta, q = M.repr_data[A]
-        _, lift = _restrict(M.types, A, delta)
-        eps_comp[A] = lift
+    eps_comp = {A: _restrict(M.types, A, M.repr_data[A][1])[1]
+                for A in M.types.total.objects}
     eta_comp = {}
     for a in M.terms.total.objects:
         A = M.p.obj_map[a]
-        gamma = M.terms.proj.obj_map[a]
-        ext, delta, q = M.repr_data[A]
-        hits = []
-        for tau in ctx.hom(gamma, ext):
-            if ctx.comp(delta, tau) != ctx.identity[gamma]:
-                continue
-            qt, _ = _restrict(M.terms, q, tau)
-            if qt == a:
-                hits.append(tau)
+        hits = _mediators(M, A, ctx.identity[M.terms.proj.obj_map[a]], a)
         if len(hits) != 1:
             raise ValueError(f"{M.name}: {len(hits)} sections for term {a!r}")
-        _, lift = _restrict(M.terms, q, hits[0])
-        eta_comp[a] = lift
+        _, eta_comp[a] = _restrict(M.terms, M.repr_data[A][2], hits[0])
     Sigma = FunctorMap("Σ", M.terms.total, M.types.total,
                        dict(M.p.obj_map), dict(M.p.mor_map))
     eta = NatTrans("η", identity_functor(M.terms.total, name="Id_𝕌̇"),

@@ -1,9 +1,9 @@
 """Grothendieck fibrations over a finite base.
 
-A classifier is a functor into the context category remembered together
-with its total category.  All fibrational properties — cartesianness,
-(op)fibration-hood, discreteness, thinness — are decided by exhaustive
-enumeration.
+A classifier is a name and a functor into the context category, its
+projection; its total and base are the projection's domain and codomain.
+All fibrational properties — cartesianness, (op)fibration-hood,
+discreteness, thinness — are decided by exhaustive enumeration.
 
 A morphism m : E → F over σ : θ → γ is cartesian when every m' : E' → F
 over σ∘g, for a base arrow g : P E' → θ, is m∘h for exactly one h : E' → E
@@ -13,7 +13,9 @@ morphisms between them grouped by the base arrow they lie over.  The
 count reads only the tables, so it is exact for any projection, functor
 or not, and over a faithful one each group holds at most one morphism,
 so it compares one composite per pair (Jacobs, *Categorical Logic and
-Type Theory*, ch. 1).  ``factorizations`` reads the same index.
+Type Theory*, ch. 1).  ``factorizations`` reads the same index, and so
+does ``one_over``, the one lookup of "the morphism E → F over σ" that
+the thin rules, vertical morphisms and comparisons of ``ndt`` read.
 
 *Discrete-fibration lemma.*  Let P : E → B be a functor, and let every
 composable pair of E have a composite in E with the right endpoints.
@@ -34,12 +36,13 @@ hold, it answers without the count or the index, and a cleavage takes
 the only candidate over each arrow; when one fails, it counts.  An
 opposite classifier reads the last two premises from its original.
 
-Indexes, groupings, verdicts and cleavages are kept in the check
-context, per projection, category or classifier they were read from, and
-shared by all the tests of one request; nothing is kept on a category or
-a classifier.  A loop over morphisms reads the index once.  A cleavage
-takes, for each object and base arrow, the first cartesian candidate in
-``sort_key`` order.
+Indexes, groupings, discreteness verdicts and cleavages are kept in the
+check context, per projection, category or classifier they were read
+from, and shared by all the tests of one request; nothing is kept on a
+category or a classifier.  The verdict of the cartesian test on one
+morphism is not kept: a loop over morphisms takes the test once and reads
+the index once.  A cleavage takes, for each object and base arrow, the
+first cartesian candidate in ``sort_key`` order.
 """
 
 from __future__ import annotations
@@ -53,12 +56,19 @@ from .core import (FinCategory, FunctorMap, NatTrans, _recall, _sound,
 
 @dataclass
 class Classifier:
-    """A functor ``proj : total → base`` with its total and base."""
+    """A functor ``proj : total → base``: its total and base are the
+    domain and codomain of its projection, so they cannot disagree."""
 
     name: str
-    total: FinCategory
-    base: FinCategory
     proj: FunctorMap
+
+    @property
+    def total(self) -> FinCategory:
+        return self.proj.dom
+
+    @property
+    def base(self) -> FinCategory:
+        return self.proj.cod
 
     def fiber_objects(self, gamma):
         return [o for o in self.total.sorted_objects()
@@ -77,10 +87,9 @@ def opposite_classifier(cl: Classifier) -> Classifier:
     cocartesian morphisms of ``cl``: an opfibration is a fibration of the
     opposite functor.  In a check context it is recorded as the opposite
     of cl, whose premises of the discrete-fibration lemma it reads."""
-    total, base = opposite(cl.total), opposite(cl.base)
-    proj = FunctorMap(f"{cl.proj.name}ᵒᵖ", total, base,
-                      cl.proj.obj_map, cl.proj.mor_map)
-    op = Classifier(f"{cl.name}ᵒᵖ", total, base, proj)
+    op = Classifier(f"{cl.name}ᵒᵖ", FunctorMap(
+        f"{cl.proj.name}ᵒᵖ", opposite(cl.total), opposite(cl.base),
+        cl.proj.obj_map, cl.proj.mor_map))
     _recall(lambda: cl, "opposite of", op)
     return op
 
@@ -91,8 +100,8 @@ def is_cartesian(cl: Classifier, m) -> bool:
     ``m : E → F`` over ``σ : θ → γ`` is cartesian when every ``m' : E' → F``
     whose projection factors as ``σ∘g`` with ``g : P(E') → θ`` lifts that
     factorization uniquely: exactly one ``h : E' → E`` has ``P h = g`` and
-    ``m∘h = m'``.  The verdict is kept in the check context.  A loop over
-    morphisms takes the test of its classifier once, from ``_cartesian``."""
+    ``m∘h = m'``.  A loop over morphisms takes the test of its classifier
+    once, from ``_cartesian``."""
     with checking():
         return _cartesian(cl)(m)
 
@@ -103,15 +112,12 @@ def _cartesian(cl: Classifier):
     exactly the morphisms of the total.  Otherwise it reads the index of
     cl's projection once: for m : E → F it counts, for each required pair
     (g, m'), the morphisms over g in the index entry of E' and E whose
-    composite with m is m'.  Verdicts are kept per projection and
-    morphism when the projection runs between cl's total and base."""
+    composite with m is m'."""
     total, base, P = cl.total, cl.base, cl.proj
     if _by_lemma(cl):
         return total.morphisms.__contains__
     pobj, pmor, compose = P.obj_map, P.mor_map, total.compose
     index, after_in = _kept_index(cl), _recall(dict, "after", base)
-    kept = _recall(dict, "cartesian", P) \
-        if P.dom is total and P.cod is base else {}
 
     def counted(m):
         sigma, into_e = pmor[m], index[total.src[m]]
@@ -129,27 +135,18 @@ def _cartesian(cl: Classifier):
                         if n != 1:
                             return False
         return True
-
-    def test(m):
-        verdict = kept.get(m)
-        if verdict is None:
-            verdict = kept[m] = counted(m)
-        return verdict
-    return test
+    return counted
 
 
 def _by_lemma(cl: Classifier) -> bool:
     """Whether the premises of the discrete-fibration lemma hold for cl,
-    each checked here: cl's projection runs from its total to its base,
-    cl is discrete (``_discrete``), its total is sound and its projection
-    passes ``validate_functor``.  An opposite made by
+    each checked here: cl is discrete (``_discrete``), its total is sound
+    and its projection passes ``validate_functor``.  An opposite made by
     ``opposite_classifier`` in the same check context reads all but
     discreteness from its original, since Pᵒᵖ is a functor exactly when P
     is and a transposed table is sound exactly when its original is."""
     orig = _recall(lambda: None, "opposite of", cl) or cl
-    P = orig.proj
-    return P.dom is orig.total and P.cod is orig.base and _discrete(cl) \
-        and _sound(orig.total) and not _validated(P)
+    return _discrete(cl) and _sound(orig.total) and not _validated(orig.proj)
 
 
 def factorizations(cl: Classifier, m, g, m2) -> list:
@@ -163,12 +160,24 @@ def factorizations(cl: Classifier, m, g, m2) -> list:
 
 def _kept_index(cl: Classifier) -> dict:
     """The ``_index`` of cl's total along its projection, kept in the check
-    context per projection when the projection runs from cl's total, and
-    built for the call otherwise."""
+    context per projection."""
     P = cl.proj
-    if P.dom is not cl.total:
-        return _index(cl.total, P.mor_map)
     return _recall(lambda: _index(P.dom, P.mor_map), "index", P)
+
+
+def one_over(cl: Classifier):
+    """The one morphism E → F over σ, as a function of ``(E, F, σ)`` read
+    from the index of cl's projection; it raises when there is not
+    exactly one.  A loop takes it once, so that the index is read once."""
+    index = _kept_index(cl)
+
+    def over(E, F, sigma):
+        hits = index.get(F, {}).get(E, {}).get(sigma, ())
+        if len(hits) != 1:
+            raise ValueError(f"{cl.name}: {len(hits)} morphisms {E!r} → "
+                             f"{F!r} over {sigma!r}")
+        return hits[0]
+    return over
 
 
 def _index(c: FinCategory, pmor) -> dict:

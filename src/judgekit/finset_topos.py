@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .core import FunctorMap, NatTrans, category_from, identity_functor
+from .core import (FunctorMap, NatTrans, category_from, compose_functors,
+                   identity_functor)
 from .fibrations import Classifier, over_base_comp
 from .theory import PreJudgementalTheory, close_pullback
 from .dtt import (ConstructorData, DependencyRules, JdttData,
-                  dependent_type, derive_dependency, make_id_constructor,
-                  make_pi_constructor, make_sum_constructor)
+                  dependent_type, make_id_constructor, make_pi_constructor,
+                  make_sum_constructor)
 from .finsets import canonical_inclusion, fin_skeleton, subsets, preimage
 
 
@@ -75,8 +76,8 @@ def build_finset_topos(n: int = 2) -> JdttData:
     udot_proj = FunctorMap("u̇", terms, ctx,
                            {o: o[1] for o in terms.objects},
                            {m: m[2] for m in terms.morphisms})
-    u = Classifier("𝕌", types, ctx, u_proj)
-    udot = Classifier("𝕌̇", terms, ctx, udot_proj)
+    u = Classifier("𝕌", u_proj)
+    udot = Classifier("𝕌̇", udot_proj)
     full = {x: tuple(range(x)) for x in ctx.objects}
     Sigma = FunctorMap(
         "Σ", terms, types,
@@ -91,31 +92,14 @@ def build_finset_topos(n: int = 2) -> JdttData:
         d_mor[m] = (_tm(len(a[2])), _tm(len(b[2])),
                     _delta_map(sigma, a[2], b[2]))
     Delta = FunctorMap("Δ", types, terms, d_obj, d_mor)
-    eta = NatTrans(
-        "η", identity_functor(terms, name="Id_𝕌̇"),
-        FunctorMap("ΔΣ", terms, terms,
-                   {o: o for o in terms.objects},
-                   {m: m for m in terms.morphisms}),
-        {o: terms.identity[o] for o in terms.objects})
-    eps_comp = {}
-    for o in types.objects:
-        (_, x, s) = o
-        extended = _ty(len(s), full[len(s)] if len(s) in full
-                       else tuple(range(len(s))))
-        eps_comp[o] = (extended, o, canonical_inclusion(x, s))
-    eps = NatTrans(
-        "ε",
-        FunctorMap("ΣΔ", types, types,
-                   {o: _ty(len(o[2]), tuple(range(len(o[2]))))
-                    for o in types.objects},
-                   {m: (_ty(len(types.src[m][2]),
-                            tuple(range(len(types.src[m][2])))),
-                        _ty(len(types.tgt[m][2]),
-                            tuple(range(len(types.tgt[m][2])))),
-                        _delta_map(m[2], types.src[m][2], types.tgt[m][2]))
-                    for m in types.morphisms}),
-        identity_functor(types, name="Id_𝕌"),
-        eps_comp)
+    eta = NatTrans("η", identity_functor(terms, name="Id_𝕌̇"),
+                   compose_functors(Delta, Sigma, name="ΔΣ"),
+                   {o: terms.identity[o] for o in terms.objects})
+    SigmaDelta = compose_functors(Sigma, Delta, name="ΣΔ")
+    eps = NatTrans("ε", SigmaDelta, identity_functor(types, name="Id_𝕌"),
+                   {o: (SigmaDelta.obj_map[o], o,
+                        canonical_inclusion(o[1], o[2]))
+                    for o in types.objects})
     T = PreJudgementalTheory(f"dtt-finset({n})", ctx)
     T.add_judgement(udot)
     T.add_judgement(u)
@@ -158,7 +142,8 @@ def _former_on_y(J: JdttData, Y, point, name) -> FunctorMap:
 
 def instantiate_constructor(J: JdttData, which: str,
                             dep: DependencyRules = None) -> ConstructorData:
-    """Construct Π / Id / dependent-sum data for the finite-sets model."""
+    """Construct Π / Id / dependent-sum data for the finite-sets model;
+    the dependent sum reads the dependency rules ``dep``."""
     T = J.theory
     if which == "pi":
         Y, _, _ = close_pullback(T, J.functor("u̇Δ"), J.u.proj)
@@ -187,8 +172,6 @@ def instantiate_constructor(J: JdttData, which: str,
                        over=(J.udot.proj, (), (), J.udot.proj))
         return make_id_constructor(J, Id, refl)
     if which == "sum":
-        if dep is None:
-            dep = derive_dependency(J)
         Y, _, _ = close_pullback(T, J.functor("u̇Δ"), J.u.proj)
         Fj = _former_on_y(J, Y, _sum_subset, "Ⅎ")
         X, _, _ = close_pullback(T, dependent_type(J, dep), J.Sigma)

@@ -43,7 +43,8 @@ from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
                    same_functor, subcategory, validate_category,
                    validate_functor, validate_nat_trans, whisker_left,
                    whisker_right, vertical_compose, identity_nat_trans)
-from .fibrations import Classifier, is_cartesian_functor, verify_kind
+from .fibrations import (Classifier, is_cartesian_functor, one_over,
+                         verify_kind)
 from .finsets import (cross_map, fin_skeleton, graph_map, meet as set_meet,
                       pair_index, preimage, subsets, subset_leq)
 from .theory import (PreJudgementalTheory, close_pullback, empty_classifier,
@@ -211,7 +212,7 @@ def thin_classifier(name, ctx: FinCategory, formulas, restrict,
                         lambda g, f: (name, ctx.comp(g[1], f[1]), f[2], g[3]))
     proj = FunctorMap(f"{name}.p", cat, ctx,
                       {o: o[0] for o in objs}, {m: m[1] for m in mors})
-    return Classifier(name, cat, ctx, proj)
+    return Classifier(name, proj)
 
 
 def proposition_classifier(doc, name="𝔽") -> Classifier:
@@ -220,19 +221,12 @@ def proposition_classifier(doc, name="𝔽") -> Classifier:
     return thin_classifier(name, doc.ctx, doc.formulas, doc.restrict, doc.leq)
 
 
-def _unique_over(cl: Classifier, src, tgt, sigma):
-    """The unique morphism src → tgt of a thin-per-base classifier lying
-    over sigma; raises when existence or uniqueness fails."""
-    hits = [m for m in cl.total.hom(src, tgt) if cl.proj.mor_map[m] == sigma]
-    if len(hits) != 1:
-        raise ValueError(f"{cl.name}: {len(hits)} morphisms {src!r} → {tgt!r} "
-                         f"over {sigma!r}")
-    return hits[0]
-
-
-def _vertical(cl: Classifier, src, tgt):
-    """The unique morphism src → tgt over the identity of their base."""
-    return _unique_over(cl, src, tgt, cl.base.identity[cl.proj.obj_map[src]])
+def _vertical(cl: Classifier):
+    """The unique morphism E → F over the identity of their base, as a
+    function of ``(E, F)``; it raises when existence or uniqueness
+    fails."""
+    over, identity, pobj = one_over(cl), cl.base.identity, cl.proj.obj_map
+    return lambda E, F: over(E, F, identity[pobj[E]])
 
 
 def thin_rule(name, dom_cat: FinCategory, target: Classifier,
@@ -243,23 +237,14 @@ def thin_rule(name, dom_cat: FinCategory, target: Classifier,
     The base arrow of a morphism m is ``source.proj`` of its component at
     ``path`` (``along(path, m)``), and the image of m is the one morphism
     of the target between the images of m's endpoints over that arrow,
-    looked up in one index of the target's morphisms by source, target
-    and base arrow.  The rule records ``(target.proj, (), path,
+    read by ``one_over``.  The rule records ``(target.proj, (), path,
     source.proj)`` for ``validate_functor``."""
-    total, proj = target.total, target.proj.mor_map
-    index = {}
-    for m in total.morphisms:
-        key = (total.src[m], total.tgt[m], proj[m])
-        index[key] = None if key in index else m
-    base = source.proj.mor_map
+    over, base = one_over(target), source.proj.mor_map
     obj_map = {o: obj_fn(o) for o in dom_cat.objects}
-    mor_map = {}
-    for m in dom_cat.morphisms:
-        key = (obj_map[dom_cat.src[m]], obj_map[dom_cat.tgt[m]],
-               base[along(path, m)])
-        hit = index.get(key)
-        mor_map[m] = _unique_over(target, *key) if hit is None else hit
-    return FunctorMap(name, dom_cat, total, obj_map, mor_map,
+    mor_map = {m: over(obj_map[dom_cat.src[m]], obj_map[dom_cat.tgt[m]],
+                       base[along(path, m)])
+               for m in dom_cat.morphisms}
+    return FunctorMap(name, dom_cat, target.total, obj_map, mor_map,
                       over=(target.proj, (), path, source.proj))
 
 
@@ -270,13 +255,14 @@ def _thin_adjunction(left: FunctorMap, right: FunctorMap,
     the vertical morphisms, forced by thinness; raises when one does not
     exist.  ``check_adjunction`` still checks the result."""
     name = f"{left.name}⊣{right.name}"
+    in_a, in_b = _vertical(A), _vertical(B)
     unit = NatTrans(f"η({name})", identity_functor(A.total),
                     compose_functors(right, left),
-                    {o: _vertical(A, o, right.obj_map[left.obj_map[o]])
+                    {o: in_a(o, right.obj_map[left.obj_map[o]])
                      for o in A.total.objects})
     counit = NatTrans(f"ε({name})", compose_functors(left, right),
                       identity_functor(B.total),
-                      {o: _vertical(B, left.obj_map[right.obj_map[o]], o)
+                      {o: in_b(left.obj_map[right.obj_map[o]], o)
                        for o in B.total.objects})
     return AdjunctionData(name, left, right, unit, counit)
 
@@ -316,7 +302,8 @@ def build_deduction_system(doc) -> DeductionSystem:
     q = compose_functors(P.proj, d, name="q")
     T.add_rule(q)
 
-    alpha = NatTrans("α", d, c, {e: _vertical(P, d.obj_map[e], c.obj_map[e])
+    vertical = _vertical(P)
+    alpha = NatTrans("α", d, c, {e: vertical(d.obj_map[e], c.obj_map[e])
                                  for e in E.total.objects})
     T.add_policy(alpha, "covariant")
 
@@ -413,7 +400,7 @@ def derive_structural(ds: DeductionSystem) -> StructuralRules:
     # Cut is not postulated: re-index the tautological policy α along the
     # antecedent fibration d : 𝔼 → 𝔽 and project.  The premise of the lift
     # is exactly the composable pairs (Γ ⊢ φ, φ ⊢ ψ).
-    e_over_p = Classifier("𝔼d", E.total, P.total, ds.d)
+    e_over_p = Classifier("𝔼d", ds.d)
     lift = sharp_lift(T, identity_functor(E.total), ds.c, ds.d,
                       ds.alpha, e_over_p)
     bad += lift.diagnostics
@@ -496,10 +483,11 @@ def sequent_monad(ds: DeductionSystem) -> SequentMonad:
     total = E.total
 
     SS = compose_functors(S, S, name="SS")
+    vertical = _vertical(E)
     unit = NatTrans("ηS", identity_functor(total), S,
-                    {e: _vertical(E, e, S.obj_map[e]) for e in total.objects})
+                    {e: vertical(e, S.obj_map[e]) for e in total.objects})
     mult = NatTrans("μS", SS, S,
-                    {e: _vertical(E, SS.obj_map[e], S.obj_map[e])
+                    {e: vertical(SS.obj_map[e], S.obj_map[e])
                      for e in total.objects})
     bad += validate_nat_trans(unit) + validate_nat_trans(mult)
 
@@ -613,11 +601,10 @@ def pair_comparison(ds: DeductionSystem, mon: SequentMonad) -> PairComparison:
         return (e[0], (e[1][1], e[1][0]))
 
     comp_obj = {e: kobj(e) for e in mon.kleisli.objects}
-    comp_mor = {}
+    over, comp_mor = one_over(sp), {}
     for k in mon.kleisli.morphisms:
         _, e2, m = k
-        comp_mor[k] = _unique_over(sp, kobj(mon.kleisli.src[k]), kobj(e2),
-                                   ds.q.mor_map[m])
+        comp_mor[k] = over(kobj(mon.kleisli.src[k]), kobj(e2), ds.q.mor_map[m])
     comparison = FunctorMap("K", mon.kleisli, sp.total, comp_obj, comp_mor)
     bad += validate_functor(comparison)
 
@@ -626,7 +613,7 @@ def pair_comparison(ds: DeductionSystem, mon: SequentMonad) -> PairComparison:
     top_objs = [(x, (a, doc.top(x))) for x in ds.ctx.objects
                 for a in doc.formulas(x)]
     top_part = subcategory(sp.total, top_objs, lambda m: True, f"{sp.name}⊤")
-    top_cl = Classifier(top_part.name, top_part, ds.ctx,
+    top_cl = Classifier(top_part.name,
                         FunctorMap(f"{top_part.name}.p", top_part, ds.ctx,
                                    {o: o[0] for o in top_objs},
                                    {m: m[1] for m in top_part.morphisms}))

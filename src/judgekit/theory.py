@@ -211,7 +211,7 @@ def empty_classifier(T: PreJudgementalTheory) -> Classifier:
     if key in T.registry:
         return T.registry[key].value
     empty = make_category("∅", [], [], {}, {}, {}, {})
-    cl = Classifier("∅", empty, T.ctx, FunctorMap("0", empty, T.ctx, {}, {}))
+    cl = Classifier("∅", FunctorMap("0", empty, T.ctx, {}, {}))
     T.register(key, RegistryEntry("classifier", cl, ConstructionTerm("empty", ())))
     return cl
 

@@ -51,9 +51,9 @@ def build_toy_theory() -> ToyTheory:
     doc = PowersetDoctrine(1)
     U = proposition_classifier(doc, name="𝕌")
 
-    t = Classifier("t", one, one, identity_functor(one, name="t"))
-    c = Classifier("c", C, one, bang_functor(C, one, "c"))
-    v = Classifier("v", U.total, one, bang_functor(U.total, one, "v"))
+    t = Classifier("t", identity_functor(one, name="t"))
+    c = Classifier("c", bang_functor(C, one, "c"))
+    v = Classifier("v", bang_functor(U.total, one, "v"))
 
     e = FunctorMap("e", one, C, {star: 0},
                    {one.identity[star]: C.identity[0]})
@@ -84,7 +84,7 @@ def build_toy_theory() -> ToyTheory:
     T.add_policy(eps, "contravariant")
 
     # The type classifier again, now over contexts.
-    R = Classifier("𝕌/ℂ", U.total, C, u)
+    R = Classifier("𝕌/ℂ", u)
     lift = sharp_lift(T, identity_functor(U.total), u, ext, eps, R)
 
     out = ToyTheory(T, one, C, U, t, c, v, e, u, ext, eps, ext_lift=lift)

@@ -43,7 +43,7 @@ def slice_classifier(ctx, gamma):
                           over_base_comp(ctx))
     proj = FunctorMap(f"{nm}.dom", total, ctx,
                       {s: ctx.src[s] for s in objs}, {m: m[2] for m in mors})
-    return Classifier(nm, total, ctx, proj)
+    return Classifier(nm, proj)
 
 
 def coslice_classifier(ctx, gamma):
@@ -94,7 +94,7 @@ def grothendieck_classifier(doc, name="∫"):
             ra = restrict[sigma][a]
             cleavage[((x, a), sigma)] = (sigma, a,
                                          ("≤", ctx.src[sigma], ra, ra))
-    return Classifier(name, total, ctx, proj), cleavage
+    return Classifier(name, proj), cleavage
 
 
 def all_subsets(x):

@@ -100,7 +100,7 @@ def test_criterion_2_sharp_lift_soundness(toy, topos2, ds2):
     bad += _lift_sound(tr.transport, topos2.udot, lam)
     st = derive_structural(ds2)
     bad += st.diagnostics
-    e_over_p = Classifier("𝔼d", ds2.E.total, ds2.P.total, ds2.d)
+    e_over_p = Classifier("𝔼d", ds2.d)
     bad += _lift_sound(st.cut_lift, e_over_p, identity_functor(ds2.E.total))
     _verdict(2, "lifted policies cartesian, squares commute", bad)
 

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from judgekit import core
 from judgekit.cli import REPORT_VERSION, build_parser, main
@@ -60,6 +65,146 @@ def test_a_nat_over_a_functor_that_failed_is_a_failed_check(tmp_path,
         "  - idt: naturality square fails at 'f'\n"
         "  - idt: naturality square fails at 'f'\n"
         "status: fail\n")
+
+
+BOGUS_ADJUNCTION = """\
+category C
+  object a
+  object b
+  morphism i : a -> b
+  morphism j : b -> a
+  j ∘ i = id_a
+  i ∘ j = id_b
+  complete
+
+functor Id : C -> C
+  object a |-> a
+  object b |-> b
+  morphism i |-> i
+  morphism j |-> j
+
+functor K : C -> C
+  object a |-> b
+  object b |-> a
+  morphism i |-> j
+  morphism j |-> i
+
+nat eta : Id => K
+  at a = i
+  at b = j
+
+nat eps : K => Id
+  at a = j
+  at b = i
+
+adjunction bogus : Id -| Id
+  unit eta
+  counit eps
+"""
+
+ODD_ADJUNCTION = """\
+category C
+  object c
+
+category D
+  object x
+  morphism e : x -> x
+  e ∘ e = e
+  complete
+
+category E
+  object x
+
+functor L : C -> D
+  object c |-> x
+
+functor R : E -> C
+  object x |-> c
+
+functor IdC : C -> C
+  object c |-> c
+
+functor IdE : E -> E
+  object x |-> x
+
+nat u : IdC => IdC
+  at c = id_c
+
+nat v : IdE => IdE
+  at x = id_x
+
+adjunction odd : L -| R
+  unit u
+  counit v
+"""
+
+
+@pytest.mark.parametrize("text, tail", [
+    (BOGUS_ADJUNCTION,
+     "check nat eps: ok\n"
+     "check adjunction bogus: FAIL\n"
+     "  - bogus: unit eta does not run Id ⇒ Id∘Id\n"
+     "  - bogus: counit eps does not run Id∘Id ⇒ Id\n"
+     "status: fail\n"),
+    (ODD_ADJUNCTION,
+     "check nat v: ok\n"
+     "check adjunction odd: FAIL\n"
+     "  - odd: functor endpoints do not match\n"
+     "status: fail\n")], ids=["unit between the wrong functors",
+                               "categories that share only objects"])
+def test_an_adjunction_whose_parts_do_not_fit_together_fails(tmp_path,
+                                                             capsys, text,
+                                                             tail):
+    """Every category, functor and nat of the document passes its check,
+    but the adjunction's parts do not fit together, so it fails."""
+    path = tmp_path / "adjunction.jt"
+    path.write_text(text)
+    code, out = run(capsys, "check", str(path))
+    assert code == 1
+    assert out.endswith(tail)
+    assert out.count("FAIL") == 1
+
+
+DEMO_LINES = {p.name: p.read_text(encoding="utf-8").splitlines()
+              for p in sorted(DEMOS.glob("*.jt"))}
+
+
+@st.composite
+def edited_demos(draw):
+    """A demo document after one to three edits: delete a line, duplicate
+    a line, or replace a name on a line by another name of the document."""
+    lines = list(DEMO_LINES[draw(st.sampled_from(sorted(DEMO_LINES)))])
+    names = sorted({w for line in lines
+                    for w in re.findall(r"\w+", line.partition("#")[0])})
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "rename"]))
+        spans = [w.span() for w in
+                 re.finditer(r"\w+", lines[i].partition("#")[0])]
+        if edit == "delete" and len(lines) > 1:
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "rename" and spans:
+            a, b = draw(st.sampled_from(spans))
+            lines[i] = lines[i][:a] + draw(st.sampled_from(names)) \
+                + lines[i][b:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=edited_demos())
+def test_an_edited_demo_ends_in_a_status_line(text):
+    """However a demo is edited, ``jt check`` ends in a report with a
+    ``status:`` line, never in an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.jt"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", str(path)])
+    assert code in (0, 1)
+    assert out.getvalue().splitlines()[-1] in ("status: ok", "status: fail")
 
 
 def test_check_json(capsys):

@@ -262,6 +262,47 @@ def test_adjunction_failure_is_reported():
     assert any("triangle identity" in d for d in diags)
 
 
+def test_an_adjunction_whose_parts_do_not_fit_together_fails():
+    """Every part passes its own check, but (a) the unit runs Id ⇒ K for
+    the swap K of a ≅ b, and the counit K ⇒ Id, instead of Id ⇒ Id∘Id and
+    Id∘Id ⇒ Id; (b) L lands in D and R starts at E, which have the same
+    one object but not the same morphisms."""
+    ab = {(x, y): f"{x}{y}" for x in "ab" for y in "ab"}
+    iso = make_category("a≅b", "ab", ab.values(),
+                        {m: x for (x, _), m in ab.items()},
+                        {m: y for (_, y), m in ab.items()},
+                        {x: ab[x, x] for x in "ab"},
+                        {(ab[y, z], ab[x, y]): ab[x, z]
+                         for x in "ab" for y in "ab" for z in "ab"})
+    swap = {"a": "b", "b": "a"}
+    Id = identity_functor(iso, name="Id")
+    K = FunctorMap("K", iso, iso, swap,
+                   {ab[x, y]: ab[swap[x], swap[y]] for (x, y) in ab})
+    eta = NatTrans("η", Id, K, {"a": "ab", "b": "ba"})
+    eps = NatTrans("ε", K, Id, {"a": "ba", "b": "ab"})
+    assert validate_functor(K) == []
+    assert validate_nat_trans(eta) == validate_nat_trans(eps) == []
+    assert check_adjunction(AdjunctionData("bogus", Id, Id, eta, eps)) == [
+        "bogus: unit η does not run Id ⇒ Id∘Id",
+        "bogus: counit ε does not run Id∘Id ⇒ Id"]
+
+    def one_object(name, obj, loops):
+        mors = [f"id_{obj}", *loops]
+        return make_category(name, [obj], mors, {m: obj for m in mors},
+                             {m: obj for m in mors}, {obj: f"id_{obj}"},
+                             {(g, f): f if g == f"id_{obj}" else g
+                              for g in mors for f in mors})
+    C, D, E = one_object("C", "c", []), one_object("D", "x", ["e"]), \
+        one_object("E", "x", [])
+    L = FunctorMap("L", C, D, {"c": "x"}, {"id_c": "id_x"})
+    R = FunctorMap("R", E, C, {"x": "c"}, {"id_x": "id_c"})
+    assert validate_category(D) == validate_functor(L) == \
+        validate_functor(R) == []
+    odd = AdjunctionData("odd", L, R, identity_nat_trans(identity_functor(C)),
+                         identity_nat_trans(identity_functor(E)))
+    assert check_adjunction(odd) == ["odd: functor endpoints do not match"]
+
+
 def test_category_iso_round_trip():
     c = fin_skeleton(1)
     diag, inv = check_category_iso(identity_functor(c))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from judgekit.core import (FunctorMap, check_category_iso, identity_functor,
@@ -70,12 +72,21 @@ def test_verify_kind_classifies():
     assert is_thin(cl) == []          # at most one arrow per (pair, base)
 
 
+def test_a_classifier_is_its_projection():
+    """Its total and base are read from its projection, so a classifier
+    whose total or base disagrees with it cannot be built."""
+    proj = powerset_classifier(1).proj
+    cl = Classifier("P", proj)
+    assert [f.name for f in fields(Classifier)] == ["name", "proj"]
+    assert cl.total is proj.dom and cl.base is proj.cod
+
+
 def test_verify_kind_rejects_wrong_expectation():
     one = terminal_category()
     two = walking_arrow_category()
     bang = FunctorMap("!", two, one, {0: "•", 1: "•"},
                       {m: ("id", "•") for m in two.morphisms})
-    cl = Classifier("arrow", two, one, bang)
+    cl = Classifier("arrow", bang)
     assert verify_kind(cl, expect="discrete")   # two is no discrete fibration
 
 

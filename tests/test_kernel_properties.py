@@ -12,7 +12,7 @@ from judgekit.core import (Composition, FunctorMap, along, category_from,
                            sort_key, validate_category, validate_functor)
 from judgekit.fibrations import (Classifier, cartesian_lift, compute_cleavage,
                                  factorizations, is_cartesian,
-                                 is_cartesian_functor, is_thin,
+                                 is_cartesian_functor, is_thin, one_over,
                                  opposite_classifier, verify_kind)
 from judgekit.finset_topos import build_finset_topos, instantiate_constructor
 from judgekit.finsets import fin_skeleton
@@ -477,7 +477,7 @@ def _moved(cl, m, image):
     """cl with the projection of m replaced by ``image``: no functor."""
     proj = FunctorMap(f"{cl.proj.name}'", cl.total, cl.base, cl.proj.obj_map,
                       {**cl.proj.mor_map, m: image})
-    return Classifier(f"{cl.name}'", cl.total, cl.base, proj)
+    return Classifier(f"{cl.name}'", proj)
 
 
 def _moved_powerset():
@@ -500,17 +500,17 @@ def _doubled():
                         {(ab[y, z], ab[x, y]): ab[x, z]
                          for x in "ab" for y in "ab" for z in "ab"})
     ctx = fin_skeleton(1)
-    total, p1, _ = product_category(ctx, iso)
-    return Classifier("doubled", total, ctx, p1)
+    _, p1, _ = product_category(ctx, iso)
+    return Classifier("doubled", p1)
 
 
 def _twinned_powerset():
     """The powerset fibration with a twin of its least arrow: its
     projection is a functor but not faithful."""
     cl = OP_CASES["powerset"]()
-    total, proj = _with_twin(cl.total, cl.proj, min(_arrows(cl.total),
-                                                    key=sort_key))
-    return Classifier("twinned", total, cl.base, proj)
+    _, proj = _with_twin(cl.total, cl.proj, min(_arrows(cl.total),
+                                                key=sort_key))
+    return Classifier("twinned", proj)
 
 
 CARTESIAN_CASES = {**OP_CASES, "dtt u": lambda: DTT2.u,
@@ -615,6 +615,30 @@ DECLINING = {"second lift": _twin_morphism,
              "dropped composite": _dropped_composite}
 
 
+def test_one_over_raises_unless_exactly_one_morphism_lies_over_the_arrow():
+    """The "not faithful" case has two morphisms over one arrow between
+    the same objects; elsewhere some pair of objects has none over an
+    arrow between their images."""
+    cl = CARTESIAN_CASES["not faithful"]()
+    total, pmor = cl.total, cl.proj.mor_map
+    over = one_over(cl)
+
+    def hits(E, F, sigma):
+        return [m for m in total.hom(E, F) if pmor[m] == sigma]
+    triples = [(E, F, sigma) for E in total.sorted_objects()
+               for F in total.sorted_objects()
+               for sigma in cl.base.hom(cl.proj.obj_map[E],
+                                        cl.proj.obj_map[F])]
+    for n in (0, 2):
+        E, F, sigma = next(t for t in triples if len(hits(*t)) == n)
+        with pytest.raises(ValueError) as raised:
+            over(E, F, sigma)
+        assert str(raised.value) == \
+            f"twinned: {n} morphisms {E!r} → {F!r} over {sigma!r}"
+    E, F, sigma = next(t for t in triples if len(hits(*t)) == 1)
+    assert over(E, F, sigma) == hits(E, F, sigma)[0]
+
+
 def _counted_cleavage(cl):
     """``compute_cleavage`` of cl with the lemma declined, so that every
     lift is found by counting factorizations."""
@@ -631,8 +655,8 @@ def test_the_discrete_fibration_lemma_agrees_with_the_count(name, side,
                                                             mutation, data):
     cl = CARTESIAN_CASES[name]()
     if mutation != "none":
-        total, proj = DECLINING[mutation](cl.total, cl.proj, data)
-        cl = Classifier(cl.name, total, cl.base, proj)
+        _, proj = DECLINING[mutation](cl.total, cl.proj, data)
+        cl = Classifier(cl.name, proj)
     arrows = sorted(cl.total.morphisms, key=repr)
     with core.checking():
         asked = cl if side == "classifier" else opposite_classifier(cl)
@@ -683,7 +707,7 @@ def test_the_cartesian_test_agrees_with_the_naive_test_on_mutated_totals(
         name, mutation, data):
     cl = MUTATED_CASES[name]
     total, proj = TOTAL_MUTATIONS[mutation](cl.total, cl.proj, data)
-    cl = Classifier(cl.name, total, cl.base, proj)
+    cl = Classifier(cl.name, proj)
     for m in sorted(total.morphisms, key=repr):
         assert is_cartesian(cl, m) == naive_is_cartesian(cl, m), m
 

@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import pytest
 
-from judgekit.core import (FunctorMap, check_adjunction, check_category_iso,
-                           compose_functors, identity_functor, same_functor,
-                           subcategory, validate_category, validate_functor)
+from judgekit import ndt
+from judgekit.core import (FunctorMap, along, check_adjunction,
+                           check_category_iso, compose_functors,
+                           identity_functor, same_functor, subcategory,
+                           validate_category, validate_functor)
 from judgekit.fibrations import Classifier, is_cartesian
 from judgekit.finsets import cross_map, preimage
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
@@ -36,11 +38,49 @@ def test_system_reports_a_non_fibration_once():
                        lambda m: ctx.is_identity(P.proj.mor_map[m]), "𝔽")
     proj = FunctorMap(P.proj.name, vert, ctx, dict(P.proj.obj_map),
                       {m: P.proj.mor_map[m] for m in vert.morphisms})
-    F = Classifier(P.name, vert, ctx, proj)
+    F = Classifier(P.name, proj)
     ds.theory.judgements[P.name] = F
     fib = [b for b in validate_system(replace(ds, P=F))
            if "expected fibration" in b]
     assert len(fib) == 1 and fib[0].startswith("𝔽: expected fibration")
+
+
+THIN_RULES = ["d", "c", "∧", "H", "W", "∧∧", "C", "Sw", "cut∘"]
+
+
+@pytest.mark.parametrize("doc, names", [
+    (ChainDoctrine(2, 2), THIN_RULES),
+    (PowersetDoctrine(2), [*THIN_RULES, "w1", "∀1", "∃1"])],
+    ids=["chain 2 2", "powerset 2"])
+def test_every_thin_rule_takes_the_one_morphism_over_its_base_arrow(
+        doc, names, monkeypatch):
+    """Each image of a thin rule is the one morphism of its target between
+    the images of the endpoints over the rule's base arrow, found here by
+    a scan of the target's hom-set."""
+    built, thin_rule = [], ndt.thin_rule
+
+    def recorded(name, dom_cat, target, obj_fn, path, source):
+        rule = thin_rule(name, dom_cat, target, obj_fn, path, source)
+        built.append((rule, target, path, source))
+        return rule
+    monkeypatch.setattr(ndt, "thin_rule", recorded)
+    ds = build_deduction_system(doc)
+    derive_structural(ds)
+    if names != THIN_RULES:
+        quantifier_package(ds, 1)
+    assert [rule.name for rule, *_ in built] == names
+    for rule, target, path, source in built:
+        c, pmor = rule.dom, target.proj.mor_map
+
+        def scanned(m):
+            sigma = source.proj.mor_map[along(path, m)]
+            hits = [n for n in target.total.hom(rule.obj_map[c.src[m]],
+                                                rule.obj_map[c.tgt[m]])
+                    if pmor[n] == sigma]
+            assert len(hits) == 1, (rule.name, m)
+            return hits[0]
+        assert rule.mor_map == {m: scanned(m) for m in c.morphisms}, \
+            rule.name
 
 
 def test_sequents_are_entailments(ds2):
@@ -68,7 +108,7 @@ def test_cut_lift_is_cartesian(ds2):
     assert lift.diagnostics == []
     # The lifted policy consists of cartesian arrows of 𝔼 regarded as
     # fibered over the propositions via the antecedent projection.
-    e_over_p = Classifier("𝔼d", ds2.E.total, ds2.P.total, ds2.d)
+    e_over_p = Classifier("𝔼d", ds2.d)
     for m in lift.policy.components.values():
         assert is_cartesian(e_over_p, m)
 

@@ -138,7 +138,7 @@ def test_memo_refuses_other_functors_of_the_same_name():
 def test_sharp_lift_refuses_a_key_held_by_another_rule():
     toy = build_toy_theory()
     T, rule = toy.theory, toy.ext_lift.rule
-    R = Classifier("𝕌/ℂ", toy.U.total, toy.C, toy.u)
+    R = Classifier("𝕌/ℂ", toy.u)
     args = (T, identity_functor(toy.U.total), toy.u, toy.ext, toy.eps, R)
     # Lifting the same data again finds its own rule under the key.
     assert sharp_lift(*args).diagnostics == []
