@@ -588,12 +588,19 @@ def _functoriality(F: FunctorMap) -> list:
         [(m, f"{F.name}: no image for morphism {m!r}")
          for m in c.morphisms if m not in F.mor_map])
     if not bad:
+        # An endpoint missing from a table, on either side, is a wrong one.
+        def fits(m, fm):
+            try:
+                return (d.src[fm] == F.obj_map[c.src[m]]
+                        and d.tgt[fm] == F.obj_map[c.tgt[m]])
+            except KeyError:
+                return False
         ends = []
         for m in c.morphisms:
             fm = F.mor_map[m]
             if fm not in d.morphisms:
                 ends.append((m, f"{F.name}: morphism image {fm!r} not in {d.name}"))
-            elif (d.src[fm] != F.obj_map[c.src[m]] or d.tgt[fm] != F.obj_map[c.tgt[m]]):
+            elif not fits(m, fm):
                 ends.append((m, f"{F.name}: image of {m!r} has wrong endpoints"))
         bad = _in_order(ends)
     if not bad:

@@ -15,7 +15,16 @@ or not, and over a faithful one each group holds at most one morphism,
 so it compares one composite per pair (Jacobs, *Categorical Logic and
 Type Theory*, ch. 1).  ``factorizations`` reads the same index, and so
 does ``one_over``, the one lookup of "the morphism E → F over σ" that
-the thin rules, vertical morphisms and comparisons of ``ndt`` read.
+``thin_rule``, Δ and ε of ``finset_topos`` and the vertical morphisms
+and comparisons of ``ndt`` read.
+
+Every fibration over a context category is built by one function,
+``thin_classifier``: the Grothendieck construction on posets of formulas
+indexed by the contexts, with at most one morphism between two objects
+over each base arrow.  The fibrations of ``ndt`` order formulas by
+entailment, and the types 𝕌 and terms 𝕌̇ of ``finset_topos`` by
+equality, which makes them discrete.  ``thin_rule`` builds a functor
+into such a classifier from its object map alone.
 
 *Discrete-fibration lemma.*  Let P : E → B be a functor, and let every
 composable pair of E have a composite in E with the right endpoints.
@@ -50,8 +59,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FunctorMap, NatTrans, _recall, _sound,
-                   _validated, checking, opposite, parallel_morphisms,
-                   subcategory, validate_functor)
+                   _validated, along, category_from, checking, opposite,
+                   parallel_morphisms, subcategory, validate_functor)
 
 
 @dataclass
@@ -353,10 +362,51 @@ def verify_kind(cl: Classifier, expect=None) -> list:
         return bad
 
 
-def over_base_comp(base: FinCategory):
-    """Composition of morphisms written ``(source, target, σ)`` with σ an
-    arrow of base: ``(b, c, τ) ∘ (a, b, σ) = (a, c, τ∘σ)``."""
-    return lambda g, f: (f[0], g[1], base.comp(g[2], f[2]))
+def thin_classifier(name, ctx: FinCategory, formulas, restrict,
+                    leq) -> Classifier:
+    """A classifier thin over each base arrow: objects (x, a) for a in
+    ``formulas(x)``, and one morphism ``(name, σ, b, a)`` : (θ, b) → (x, a)
+    over σ : θ → x exactly when ``leq(θ, b, restrict(σ, a))``.  Morphisms
+    compose through ``ctx.comp``.  A restriction that is not monotone or
+    not functorial yields a total that ``validate_category`` rejects."""
+    over = {x: formulas(x) for x in ctx.objects}
+    objs = [(x, a) for x in ctx.objects for a in over[x]]
+    mors, src, tgt = [], {}, {}
+    for sigma in ctx.morphisms:
+        theta, x = ctx.src[sigma], ctx.tgt[sigma]
+        for a in over[x]:
+            ra = restrict(sigma, a)
+            for b in over[theta]:
+                if leq(theta, b, ra):
+                    m = (name, sigma, b, a)
+                    mors.append(m)
+                    src[m] = (theta, b)
+                    tgt[m] = (x, a)
+    identity = {(x, a): (name, ctx.identity[x], a, a) for (x, a) in objs}
+    cat = category_from(name, objs, mors, src, tgt, identity,
+                        lambda g, f: (name, ctx.comp(g[1], f[1]), f[2], g[3]))
+    proj = FunctorMap(f"{name}.p", cat, ctx,
+                      {o: o[0] for o in objs}, {m: m[1] for m in mors})
+    return Classifier(name, proj)
+
+
+def thin_rule(name, dom_cat: FinCategory, target: Classifier,
+              obj_fn, path, source: Classifier) -> FunctorMap:
+    """Build a rule into a thin-per-base classifier from its object
+    assignment alone; the morphism table is forced by uniqueness.
+
+    The base arrow of a morphism m is ``source.proj`` of its component at
+    ``path`` (``along(path, m)``), and the image of m is the one morphism
+    of the target between the images of m's endpoints over that arrow,
+    read by ``one_over``.  The rule records ``(target.proj, (), path,
+    source.proj)`` for ``validate_functor``."""
+    over, base = one_over(target), source.proj.mor_map
+    obj_map = {o: obj_fn(o) for o in dom_cat.objects}
+    mor_map = {m: over(obj_map[dom_cat.src[m]], obj_map[dom_cat.tgt[m]],
+                       base[along(path, m)])
+               for m in dom_cat.morphisms}
+    return FunctorMap(name, dom_cat, target.total, obj_map, mor_map,
+                      over=(target.proj, (), path, source.proj))
 
 
 def is_cartesian_functor(F: FunctorMap, cl_dom: Classifier, cl_cod: Classifier) -> list:

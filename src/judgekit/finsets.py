@@ -83,6 +83,15 @@ def preimage(m: tuple, s: tuple) -> tuple:
     return tuple(i for i in range(m[1]) if m[3][i] in keep)
 
 
+def induced_map(sigma: tuple, s: tuple, t: tuple) -> tuple:
+    """The map |s| → |t| that σ induces on a subset s of its domain and a
+    subset t of its codomain with σ(s) ⊆ t: the i-th element of s goes to
+    the position of its σ-image in t."""
+    position = {v: i for i, v in enumerate(t)}
+    return ("f", len(s), len(t),
+            tuple(position[apply_map(sigma, v)] for v in s))
+
+
 def meet(s: tuple, t: tuple) -> tuple:
     keep = set(t)
     return tuple(i for i in s if i in keep)

@@ -18,11 +18,12 @@ the tautological policy α : d ⇒ c.  Everything deductive is then
   as fiberwise adjoints ∃ ⊣ w ⊣ ∀ of weakening, with introduction and
   elimination rules and the trivial-substitution law.
 
-Every fibration is a ``thin_classifier``: one morphism over σ between
-two formulas exactly when the first entails the restriction of the
-second, the total category of the Grothendieck construction on the
-doctrine's posets of formulas (Jacobs, *Categorical Logic and Type
-Theory*, ch. 1).  𝔽 is ``proposition_classifier`` of the doctrine
+Every fibration is a ``thin_classifier`` and every rule into one a
+``thin_rule``, both of ``fibrations``: one morphism over σ between two
+formulas exactly when the first entails the restriction of the second,
+the total category of the Grothendieck construction on the doctrine's
+posets of formulas (Jacobs, *Categorical Logic and Type Theory*,
+ch. 1).  𝔽 is ``proposition_classifier`` of the doctrine
 itself, 𝔼 of its ``SequentDoctrine`` and 𝔽·y of its extension
 ``doc.extend(y)``; the proposition pairs s𝔽 and the hypothetical
 judgements 𝔸_y are thin classifiers too.  A doctrine supplies ``ctx``,
@@ -38,13 +39,13 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
-                   along, check_adjunction, check_category_iso,
+                   check_adjunction, check_category_iso,
                    compose_functors, identity_functor, category_from,
                    same_functor, subcategory, validate_category,
                    validate_functor, validate_nat_trans, whisker_left,
                    whisker_right, vertical_compose, identity_nat_trans)
 from .fibrations import (Classifier, is_cartesian_functor, one_over,
-                         verify_kind)
+                         thin_classifier, thin_rule, verify_kind)
 from .finsets import (cross_map, fin_skeleton, graph_map, meet as set_meet,
                       pair_index, preimage, subsets, subset_leq)
 from .theory import (PreJudgementalTheory, close_pullback, empty_classifier,
@@ -187,34 +188,6 @@ class ExtensionDoctrine:
 # by ``thin_classifier``.
 # --------------------------------------------------------------------------
 
-def thin_classifier(name, ctx: FinCategory, formulas, restrict,
-                    leq) -> Classifier:
-    """A classifier thin over each base arrow: objects (x, a) for a in
-    ``formulas(x)``, and one morphism ``(name, σ, b, a)`` : (θ, b) → (x, a)
-    over σ : θ → x exactly when ``leq(θ, b, restrict(σ, a))``.  Morphisms
-    compose through ``ctx.comp``.  A restriction that is not monotone or
-    not functorial yields a total that ``validate_category`` rejects."""
-    over = {x: formulas(x) for x in ctx.objects}
-    objs = [(x, a) for x in ctx.objects for a in over[x]]
-    mors, src, tgt = [], {}, {}
-    for sigma in ctx.morphisms:
-        theta, x = ctx.src[sigma], ctx.tgt[sigma]
-        for a in over[x]:
-            ra = restrict(sigma, a)
-            for b in over[theta]:
-                if leq(theta, b, ra):
-                    m = (name, sigma, b, a)
-                    mors.append(m)
-                    src[m] = (theta, b)
-                    tgt[m] = (x, a)
-    identity = {(x, a): (name, ctx.identity[x], a, a) for (x, a) in objs}
-    cat = category_from(name, objs, mors, src, tgt, identity,
-                        lambda g, f: (name, ctx.comp(g[1], f[1]), f[2], g[3]))
-    proj = FunctorMap(f"{name}.p", cat, ctx,
-                      {o: o[0] for o in objs}, {m: m[1] for m in mors})
-    return Classifier(name, proj)
-
-
 def proposition_classifier(doc, name="𝔽") -> Classifier:
     """The Grothendieck fibration of a doctrine: the fiber over x is the
     poset of formulas over x, reindexed by the doctrine's restriction."""
@@ -227,25 +200,6 @@ def _vertical(cl: Classifier):
     fails."""
     over, identity, pobj = one_over(cl), cl.base.identity, cl.proj.obj_map
     return lambda E, F: over(E, F, identity[pobj[E]])
-
-
-def thin_rule(name, dom_cat: FinCategory, target: Classifier,
-              obj_fn, path, source: Classifier) -> FunctorMap:
-    """Build a rule into a thin-per-base classifier from its object
-    assignment alone; the morphism table is forced by uniqueness.
-
-    The base arrow of a morphism m is ``source.proj`` of its component at
-    ``path`` (``along(path, m)``), and the image of m is the one morphism
-    of the target between the images of m's endpoints over that arrow,
-    read by ``one_over``.  The rule records ``(target.proj, (), path,
-    source.proj)`` for ``validate_functor``."""
-    over, base = one_over(target), source.proj.mor_map
-    obj_map = {o: obj_fn(o) for o in dom_cat.objects}
-    mor_map = {m: over(obj_map[dom_cat.src[m]], obj_map[dom_cat.tgt[m]],
-                       base[along(path, m)])
-               for m in dom_cat.morphisms}
-    return FunctorMap(name, dom_cat, target.total, obj_map, mor_map,
-                      over=(target.proj, (), path, source.proj))
 
 
 def _thin_adjunction(left: FunctorMap, right: FunctorMap,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .core import FunctorMap, NatTrans, identity_functor
 from .fibrations import Classifier
-from .finsets import apply_map, canonical_inclusion, fin_skeleton, preimage
+from .finsets import canonical_inclusion, fin_skeleton, induced_map, preimage
 from .limits import bang_functor, terminal_category
 from .ndt import PowersetDoctrine, proposition_classifier
 from .theory import PreJudgementalTheory, SharpLiftResult, sharp_lift
@@ -59,18 +59,13 @@ def build_toy_theory() -> ToyTheory:
                    {one.identity[star]: C.identity[0]})
     u = FunctorMap("u", U.total, C, dict(U.proj.obj_map), dict(U.proj.mor_map))
 
-    # Extension: a subset becomes a context of its own size.  On a
-    # morphism (𝕌, σ, ψ, φ) : (θ,ψ) → (γ,φ) the induced map sends the i-th
-    # element of ψ to the position of its σ-image inside φ.
-    ext_obj = {(x, s): len(s) for (x, s) in U.total.objects}
-    ext_mor = {}
-    for m in U.total.morphisms:
-        sigma = m[1]
-        _, psi = U.total.src[m]
-        _, top = U.total.tgt[m]
-        images = tuple(top.index(apply_map(sigma, i)) for i in psi)
-        ext_mor[m] = ("f", len(psi), len(top), images)
-    ext = FunctorMap("ext", U.total, C, ext_obj, ext_mor)
+    # Extension: a subset becomes a context of its own size, and a
+    # morphism (𝕌, σ, ψ, φ) : (θ,ψ) → (γ,φ) the map |ψ| → |φ| that σ
+    # induces.
+    ext = FunctorMap("ext", U.total, C,
+                     {(x, s): len(s) for (x, s) in U.total.objects},
+                     {m: induced_map(m[1], m[2], m[3])
+                      for m in U.total.morphisms})
 
     eps = NatTrans("ε", ext, u,
                    {(x, s): canonical_inclusion(x, s)

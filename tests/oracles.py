@@ -11,8 +11,7 @@ library's category builder, pullback and opposite.
 from itertools import product
 
 from judgekit.core import FunctorMap, category_from, opposite
-from judgekit.fibrations import (Classifier, opposite_classifier,
-                                 over_base_comp)
+from judgekit.fibrations import Classifier, opposite_classifier
 from judgekit.limits import bang_functor, pullback_category, terminal_category
 
 
@@ -40,7 +39,7 @@ def slice_classifier(ctx, gamma):
                     tgt[m] = s2
     identity = {s: (s, s, ctx.identity[ctx.src[s]]) for s in objs}
     total = category_from(nm, objs, mors, src, tgt, identity,
-                          over_base_comp(ctx))
+                          lambda g, f: (f[0], g[1], ctx.comp(g[2], f[2])))
     proj = FunctorMap(f"{nm}.dom", total, ctx,
                       {s: ctx.src[s] for s in objs}, {m: m[2] for m in mors})
     return Classifier(nm, proj)

@@ -9,6 +9,7 @@ from judgekit.core import (AdjunctionData, FinCategory, FunctorMap,
                            terminal_objects, validate_category,
                            validate_functor, validate_nat_trans,
                            vertical_compose, whisker_left, whisker_right)
+from judgekit.fibrations import Classifier, verify_kind
 from judgekit.finsets import fin_skeleton
 from judgekit.limits import terminal_category, walking_arrow_category
 
@@ -158,6 +159,28 @@ def test_an_identity_outside_the_tables_is_not_preserved():
                       {("e", "e"): "e"})
     G = FunctorMap("G", one, d, {star: "d"}, {one.identity[star]: "e"})
     assert validate_functor(G) == [f"G: identity of {star!r} not preserved"]
+
+
+def test_an_endpoint_missing_from_a_table_is_a_wrong_endpoint():
+    """An image morphism without endpoints in the codomain, or a morphism
+    whose source is no object of the domain, gives the same line from
+    every validator that checks a functor, not a KeyError."""
+    c1 = make_category("C", ["a"], ["ia"], {"ia": "a"}, {"ia": "a"},
+                       {"a": "ia"}, {("ia", "ia"): "ia"})
+    d1 = make_category("D", ["x"], ["ix", "f"], {"ix": "x"}, {"ix": "x"},
+                       {"x": "ix"}, {("ix", "ix"): "ix"})
+    F = FunctorMap("F", c1, d1, {"a": "x"}, {"ia": "f"})
+    c2 = make_category("C", ["a"], ["ia", "g"], {"ia": "a", "g": "zz"},
+                       {"ia": "a", "g": "a"}, {"a": "ia"},
+                       {("ia", "ia"): "ia"})
+    d2 = make_category("E", ["x"], ["ix"], {"ix": "x"}, {"ix": "x"},
+                       {"x": "ix"}, {("ix", "ix"): "ix"})
+    G = FunctorMap("G", c2, d2, {"a": "x"}, {"ia": "ix", "g": "ix"})
+    for H, line in ((F, "F: image of 'ia' has wrong endpoints"),
+                    (G, "G: image of 'g' has wrong endpoints")):
+        assert validate_functor(H) == [line]
+        assert check_category_iso(H) == ([line], None)
+        assert verify_kind(Classifier("K", H), "fibration") == [line]
 
 
 def _without_g_after_f():

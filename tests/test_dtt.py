@@ -45,7 +45,7 @@ def test_context_extension_for_every_type(topos2):
     for A in J.u.total.objects:
         e = context_extension(J, A)
         assert e.diagnostics == []
-        (_, x, s) = A
+        (x, s) = A
         # Extending by the subtype S of X yields the context |S|.
         assert e.ext == len(s)
         assert J.theory.ctx.src[e.delta] == e.ext
@@ -64,8 +64,8 @@ def test_dependency_rules(topos2):
     for (a, B) in dep.dty.premise.objects:
         got = dep.dty.rule.obj_map[(a, B)]
         assert got[0] == a
-        (_, x, t) = B
-        assert got[1] == ("ty", x, preimage(eta_p.components[a], t))
+        (x, t) = B
+        assert got[1] == (x, preimage(eta_p.components[a], t))
 
 
 def test_display_transport_inverts_dependency(topos2):
@@ -109,14 +109,14 @@ def test_pi_matches_subset_implication(topos2):
     # Formation computes the dependent product of subsets.
     C = instantiate_constructor(topos2, "pi")
     for (A, B) in C.Y.objects:
-        (_, x, s) = A
-        (_, xs, t) = B
+        (x, s) = A
+        (xs, t) = B
         assert xs == len(s)
         got = C.Phi.obj_map[(A, B)]
         # Every v ∈ S whose index lies outside T blocks membership.
         want = frozenset(v for v in range(x)
                          if v not in s or s.index(v) in set(t))
-        assert dec(got[2]) == want
+        assert dec(got[1]) == want
 
 
 def test_id_constructor_is_strict(topos2):

@@ -8,7 +8,8 @@ from judgekit.fibrations import (Classifier, cartesian_lift,
                                  compute_cleavage, is_cartesian,
                                  is_cartesian_functor, is_discrete, is_thin,
                                  verify_kind)
-from judgekit.finsets import fin_skeleton, preimage, subset_leq
+from judgekit.finset_topos import build_finset_topos
+from judgekit.finsets import fin_skeleton, preimage, subset_leq, subsets
 from judgekit.limits import terminal_category, walking_arrow_category
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine, SequentDoctrine,
                           proposition_classifier)
@@ -120,6 +121,29 @@ def test_a_broken_doctrine_has_no_valid_total(doctrine, diagnostic):
     assert bad and diagnostic in bad[0]
 
 
+class FinsetJudgement:
+    """The doctrine of 𝕌 (``whole`` false) or 𝕌̇ (``whole`` true) of
+    ``build_finset_topos(n)``: over x the subsets of x, or x alone,
+    restricted by preimage and ordered by equality."""
+
+    def __init__(self, n, whole):
+        self.n, self.whole = n, whole
+        self.ctx = fin_skeleton(n)
+
+    def formulas(self, x):
+        return [tuple(range(x))] if self.whole else subsets(x)
+
+    def leq(self, x, a, b):
+        return a == b
+
+    def restrict(self, sigma, a):
+        return preimage(sigma, a)
+
+    def classifier(self):
+        J = build_finset_topos(self.n)
+        return J.udot if self.whole else J.u
+
+
 GROTHENDIECK_CASES = {
     "powerset 1": PowersetDoctrine(1), "powerset 2": PowersetDoctrine(2),
     "chain 2 1": ChainDoctrine(2, 1),
@@ -128,17 +152,25 @@ GROTHENDIECK_CASES = {
     "sequents chain 2 1": SequentDoctrine(ChainDoctrine(2, 1)),
     "extend(1) powerset 1": PowersetDoctrine(1).extend(1),
     "extend(1) powerset 2": PowersetDoctrine(2).extend(1),
+    "types of dtt-finset 1": FinsetJudgement(1, False),
+    "types of dtt-finset 2": FinsetJudgement(2, False),
+    "terms of dtt-finset 1": FinsetJudgement(1, True),
+    "terms of dtt-finset 2": FinsetJudgement(2, True),
 }
 
 
 @pytest.mark.parametrize("name", GROTHENDIECK_CASES)
 def test_thin_classifier_is_the_grothendieck_construction(name):
-    """``proposition_classifier`` is isomorphic to the Grothendieck
-    construction of the doctrine's indexed posets, through (σ, b, a) ↦
-    (σ, a, b ≤ σ*a), and its computed cleavage is the split one: lifts in
-    a fibration of posets are unique."""
+    """``proposition_classifier``, and u and u̇ of ``build_finset_topos``,
+    are isomorphic to the Grothendieck construction of the doctrine's
+    indexed posets, through (σ, b, a) ↦ (σ, a, b ≤ σ*a), and the computed
+    cleavage is the split one: lifts in a fibration of posets are
+    unique."""
     doc = GROTHENDIECK_CASES[name]
-    P = proposition_classifier(doc)
+    if isinstance(doc, FinsetJudgement):
+        P = doc.classifier()
+    else:
+        P = proposition_classifier(doc)
     ref, split = grothendieck_classifier(doc)
     ctx = doc.ctx
     assert validate_category(ref.total) == []
