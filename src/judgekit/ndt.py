@@ -18,12 +18,11 @@ the tautological policy α : d ⇒ c.  Everything deductive is then
   as fiberwise adjoints ∃ ⊣ w ⊣ ∀ of weakening, with introduction and
   elimination rules and the trivial-substitution law.
 
-Every fibration is a ``thin_classifier`` and every rule into one a
-``thin_rule``, both of ``fibrations``: one morphism over σ between two
-formulas exactly when the first entails the restriction of the second,
-the total category of the Grothendieck construction on the doctrine's
-posets of formulas (Jacobs, *Categorical Logic and Type Theory*,
-ch. 1).  𝔽 is ``proposition_classifier`` of the doctrine
+Every fibration is a ``fibrations.thin_classifier``: one morphism over
+σ between two formulas exactly when the first entails the restriction of
+the second, the total category of the Grothendieck construction on the
+doctrine's posets of formulas (Jacobs, *Categorical Logic and Type
+Theory*, ch. 1).  𝔽 is ``proposition_classifier`` of the doctrine
 itself, 𝔼 of its ``SequentDoctrine`` and 𝔽·y of its extension
 ``doc.extend(y)``; the proposition pairs s𝔽 and the hypothetical
 judgements 𝔸_y are thin classifiers too.  A doctrine supplies ``ctx``,

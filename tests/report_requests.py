@@ -6,9 +6,10 @@ directory.  The output is every report in order, each under a ``==``
 heading and followed by ``exit N``; the repository root and the
 temporary directory are printed as ``$TMP`` and relative paths, so the
 output is the same wherever it runs.  ``tests/golden/reports.txt`` holds
-it, and ``tests/test_reports.py`` compares against it.
+it, and ``tests/test_reports.py`` compares against it.  Run it from
+anywhere, with ``judgekit`` importable:
 
-    PYTHONHASHSEED=0 python tests/report_requests.py > reports-0.txt
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/report_requests.py
 """
 
 import contextlib
