@@ -18,13 +18,14 @@ does ``one_over``, the one lookup of "the morphism E → F over σ" that
 ``thin_rule``, Δ and ε of ``finset_topos`` and the vertical morphisms
 and comparisons of ``ndt`` read.
 
-Every fibration over a context category is built by one function,
-``thin_classifier``: the Grothendieck construction on posets of formulas
-indexed by the contexts, with at most one morphism between two objects
-over each base arrow.  The fibrations of ``ndt`` order formulas by
-entailment, and the types 𝕌 and terms 𝕌̇ of ``finset_topos`` by
-equality, which makes them discrete.  ``thin_rule`` builds a functor
-into such a classifier from its object map alone.
+The fibrations that ``ndt`` and ``finset_topos`` construct over a
+context category come from one function, ``thin_classifier``: the
+Grothendieck construction on posets of formulas indexed by the contexts,
+with at most one morphism between two objects over each base arrow.
+The fibrations of ``ndt`` order formulas by entailment, and the types 𝕌
+and terms 𝕌̇ of ``finset_topos`` by equality, which makes them
+discrete.  ``thin_rule`` builds a functor into such a classifier from
+its object map alone.
 
 *Discrete-fibration lemma.*  Let P : E → B be a functor, and let every
 composable pair of E have a composite in E with the right endpoints.
