@@ -3,18 +3,23 @@
 Everything downstream (limits, fibrations, derived deduction rules) is
 built on four kinds of data: finite categories, functors between them,
 natural transformations, and adjunctions.  All of them are plain tables,
-except that a pullback keeps its legs and composes through their domains
-instead of storing a table.  All laws are checked by exhaustive
-enumeration.
+except for two compositions that are computed, not stored: a pullback
+keeps its legs and composes through their domains (``Composition``), and
+a thin total over ctx, whose morphism over σ after the one over τ is
+forced to be the one over σ∘τ, composes through ctx
+(``ThinComposition``).  All laws are checked by exhaustive enumeration.
 
 ``validate_category`` and ``validate_functor`` number the morphisms of
 the categories they read and decide the laws on those integer codes.
-Every category, a pullback included, is numbered one way, in one pass
-over its composition that also checks it: endpoints, identities, and a
-composite with the right endpoints for exactly the composable pairs,
-compared on the codes of morphisms and objects.  The unit, associativity
-and composition laws are then swept on the codes.  Failures are reported
-in ``sort_key`` order, so a report does not depend on hash order.
+Every category is numbered in one pass over its composition that also
+checks it: endpoints, identities, and a composite with the right
+endpoints for exactly the composable pairs, compared on the codes of
+morphisms and objects.  A table or a pullback is read entry by entry; a
+thin total whose endpoints and identities pass is read on codes, each
+composite keyed from ctx's numbering, and every composable pair is still
+checked.  The unit, associativity and composition laws are then swept on
+the codes.  Failures are reported in ``sort_key`` order, so a report does
+not depend on hash order.
 
 Every check runs inside a check context (``checking``): one per ``jt``
 request, or one per call when a validator is called outside a request.
@@ -151,8 +156,9 @@ class FinCategory:
     * ``identity`` maps each object to its identity morphism.
     * ``compose`` is a read-only ``Mapping`` from every composable pair
       ``(g, f)`` (meaning g after f) to the composite morphism: a dict, a
-      ``Composition`` that computes each composite when it is asked for,
-      or the transposed view of an opposite category's original.
+      ``Composition`` or ``ThinComposition`` that computes each composite
+      when it is asked for, or the transposed view of an opposite
+      category's original.
     """
 
     name: str
@@ -237,26 +243,12 @@ def category_from(name, objects, morphisms, src, tgt, identity, compose_fn):
                        src, tgt, identity, compose)
 
 
-class Composition(Mapping):
-    """The composition of a pullback, whose morphisms are tuples of
-    morphisms of its ``factors``, the domains of its ``legs``, composed
-    componentwise: ``self[(g, f)]`` is the tuple of the factors'
-    composites ``g[k] ∘ f[k]`` for each composable pair and a ``KeyError``
-    otherwise, as with a table.  Iteration walks exactly the composable
-    pairs, through ``by_src``, the morphisms grouped by source object."""
-
-    def __init__(self, src, tgt, by_src, legs):
-        self.src, self.tgt, self.by_src = src, tgt, by_src
-        self.legs = tuple(legs)
-        self.factors = tuple(leg.dom for leg in self.legs)
-        self._len = sum(len(by_src.get(t, ())) for t in tgt.values())
-
-    def __getitem__(self, gf):
-        if gf not in self:
-            raise KeyError(gf)
-        g, f = gf
-        return tuple(x.compose[gk, fk]
-                     for x, gk, fk in zip(self.factors, g, f))
+class _Pairs(Mapping):
+    """A composition computed when it is asked for, defined on exactly the
+    composable pairs ``(g, f)`` of the morphisms in ``src`` and ``tgt``.
+    Iteration walks those pairs, the morphisms grouped by source, in the
+    order of ``tgt`` and ``src``; it reads the endpoint tables as they
+    are, so it holds the pairs that membership holds."""
 
     def __contains__(self, gf):
         try:
@@ -266,22 +258,70 @@ class Composition(Mapping):
             return False
 
     def __iter__(self):
-        by_src = self.by_src
+        by_src = {}
+        for g, a in self.src.items():
+            by_src.setdefault(a, []).append(g)
         for f, t in self.tgt.items():
             for g in by_src.get(t, ()):
                 yield g, f
 
     def __len__(self):
-        return self._len
+        out = Counter(self.src.values())
+        return sum(out[t] for t in self.tgt.values())
+
+
+class Composition(_Pairs):
+    """The composition of a pullback, whose morphisms are tuples of
+    morphisms of its ``factors``, the domains of its ``legs``, composed
+    componentwise: ``self[(g, f)]`` is the tuple of the factors'
+    composites ``g[k] ∘ f[k]`` for each composable pair and a ``KeyError``
+    otherwise, as with a table."""
+
+    def __init__(self, src, tgt, legs):
+        self.src, self.tgt = src, tgt
+        self.legs = tuple(legs)
+        self.factors = tuple(leg.dom for leg in self.legs)
+
+    def __getitem__(self, gf):
+        if gf not in self:
+            raise KeyError(gf)
+        g, f = gf
+        return tuple(x.compose[gk, fk]
+                     for x, gk, fk in zip(self.factors, g, f))
+
+
+class ThinComposition(_Pairs):
+    """The composition of a thin total over ``ctx``, whose morphisms are
+    ``(name, σ, b, a)`` : (src σ, b) → (tgt σ, a): the composite of
+    ``(name, σ, b, a)`` after ``(name, τ, c, b)`` is ``(name, σ∘τ, c, a)``,
+    with σ∘τ read from ctx, for each composable pair, and a ``KeyError``
+    otherwise, as with a table.  When ctx lacks σ∘τ it reads None, so the
+    composite is no morphism of the total."""
+
+    def __init__(self, name, ctx, src, tgt):
+        self.name, self.ctx, self.src, self.tgt = name, ctx, src, tgt
+
+    def get(self, gf, default=None):
+        g, f = gf
+        a = self.src.get(g)
+        if a is None or a != self.tgt.get(f):
+            return default
+        return (self.name, self.ctx.compose.get((g[1], f[1])), f[2], g[3])
+
+    def __getitem__(self, gf):
+        h = self.get(gf)
+        if h is None:
+            raise KeyError(gf)
+        return h
 
 
 class _Codes:
     """The morphisms of one category numbered 0..M-1, for the law sweeps.
     ``mors[i]`` is the morphism with code i, ``code`` the inverse, and
     ``rows[i][j]`` is the code of ``mors[j] ∘ mors[i]``.  The rows are
-    filled in the pass over ``compose.items()`` that makes the table
-    checks of the category, a pullback's included, and ``errors`` holds
-    their diagnostics."""
+    filled in the pass that makes the table checks of the category, over
+    ``compose.items()`` or, for a thin total, on codes, and ``errors``
+    holds their diagnostics."""
 
     def __init__(self, c: FinCategory):
         self.mors = mors = list(c.morphisms)
@@ -297,19 +337,25 @@ def _codes(c: FinCategory) -> _Codes:
 
 def subcategory(c: FinCategory, objects, keep, name) -> FinCategory:
     """The subcategory of c on ``objects`` and the morphisms between them
-    that satisfy ``keep``.  Composition entries are kept where both factors
-    and the composite are kept; the caller chooses ``keep`` closed under
-    identities and composites."""
+    that satisfy ``keep``.  The composite in c of each composable pair of
+    kept morphisms is kept where it is kept; the caller chooses ``keep``
+    closed under identities and composites."""
     objs = set(objects)
     mors = [m for m in c.morphisms
             if c.src[m] in objs and c.tgt[m] in objs and keep(m)]
-    kept = set(mors)
+    kept, out = set(mors), {}
+    for g in mors:
+        out.setdefault(c.src[g], []).append(g)
+    compose = {}
+    for f in mors:
+        for g in out.get(c.tgt[f], ()):
+            h = c.compose.get((g, f))
+            if h in kept:
+                compose[g, f] = h
     return make_category(name, objs, mors,
                          {m: c.src[m] for m in mors},
                          {m: c.tgt[m] for m in mors},
-                         {o: c.identity[o] for o in objs},
-                         {gf: h for gf, h in c.compose.items()
-                          if gf[0] in kept and gf[1] in kept and h in kept})
+                         {o: c.identity[o] for o in objs}, compose)
 
 
 class _Transposed(Mapping):
@@ -326,6 +372,10 @@ class _Transposed(Mapping):
             return self.compose[g, f]
         except KeyError:
             raise KeyError(fg) from None
+
+    def get(self, fg, default=None):
+        f, g = fg
+        return self.compose.get((g, f), default)
 
     def __iter__(self):
         return ((f, g) for g, f in self.compose)
@@ -384,6 +434,9 @@ def _table_errors(c: FinCategory, mors: list, code: dict, rows: list) -> list:
         obj = {o: k for k, o in enumerate(c.objects)}
         s = [obj[c.src[m]] for m in mors]
         t = [obj[c.tgt[m]] for m in mors]
+        thin = _thin_entries(c, mors, code, rows, s, t)
+        if thin is not None:
+            return thin
     for (g, f), h in c.compose.items():
         i, j, k = code.get(f), code.get(g), code.get(h)
         if i is None or j is None or k is None:
@@ -406,6 +459,52 @@ def _table_errors(c: FinCategory, mors: list, code: dict, rows: list) -> list:
         bad += _in_order([(f, f"{c.name}: composition missing for ({g!r}, {f!r})")
                           for f in mors for g in c.out_of(c.tgt[f])
                           if (g, f) not in c.compose])
+    return bad
+
+
+def _thin_entries(c: FinCategory, mors, code, rows, s, t):
+    """The composition checks of ``_table_errors`` over a thin total
+    (``ThinComposition``) whose endpoints and identities passed, on
+    codes, or None for any other category.  A morphism (name, σ, b, a) is
+    keyed by (ctx's code of σ, b, a), so the composite of codes i and j
+    is the morphism keyed (ctx's code of σⱼ∘σᵢ, bᵢ, aⱼ), read from ctx's
+    numbering.  Every composable pair is walked, in the composition's
+    order, and its composite checked as a table entry is: a missing key
+    is an unknown morphism, and endpoints are compared on codes."""
+    comp = c.compose
+    if not isinstance(comp, ThinComposition) or comp.src is not c.src \
+            or comp.tgt is not c.tgt or len(c.src) != len(mors) \
+            or len(c.tgt) != len(mors):
+        return None
+    n = _codes(comp.ctx)
+    sig = [n.code[m[1]] for m in mors]
+    # The key (x, b, a) is the int x·F² + b·F + a on F codes of formulas;
+    # a composite that ctx lacks reads x = -1, which keys nothing.
+    formula = {}
+    low = [formula.setdefault(m[2], len(formula)) for m in mors]
+    high = [formula.setdefault(m[3], len(formula)) for m in mors]
+    nf = len(formula)
+    ff = nf * nf
+    key = {x * ff + b * nf + a: i
+           for i, (x, b, a) in enumerate(zip(sig, low, high))}
+    out = [[] for _ in c.objects]
+    for g in comp.src:
+        j = code[g]
+        out[s[j]].append((j, sig[j], high[j], t[j]))
+    bad, checked, after = [], True, n.rows
+    for f in comp.tgt:
+        i = code[f]
+        row, then, b, si = rows[i], after[sig[i]], low[i] * nf, s[i]
+        for j, x, a, tj in out[t[i]]:
+            k = key.get(then.get(x, -1) * ff + b + a)
+            if k is None:
+                if checked:
+                    bad.append(f"{c.name}: composition entry ({mors[j]!r}, {f!r}) mentions unknown morphisms")
+                    checked = False
+                continue
+            row[j] = k
+            if checked and (s[k] != si or t[k] != tj):
+                bad.append(f"{c.name}: composite of ({mors[j]!r}, {f!r}) has wrong endpoints")
     return bad
 
 
@@ -688,28 +787,37 @@ class NatTrans:
 def validate_nat_trans(t: NatTrans) -> list:
     """Exhaustively check every naturality square.  Returns diagnostics.
 
-    The functors are not validated here: an image a functor lacks is a
-    component with wrong endpoints, and a composite the codomain lacks is
-    a square that fails."""
+    The functors are not validated here: an image a functor lacks, or an
+    endpoint a table lacks, is a component with wrong endpoints or a
+    square that fails, and so is a composite the codomain lacks."""
     F, G = t.source, t.target
     if F.dom.objects != G.dom.objects or F.cod.objects != G.cod.objects:
         return [f"{t.name}: source and target functors are not parallel"]
     c, d = F.dom, F.cod
+
+    def fits(o, m):
+        try:
+            return d.src[m] == F.obj_map[o] and d.tgt[m] == G.obj_map[o]
+        except KeyError:
+            return False
     comps = []
     for o in c.objects:
         m = t.components.get(o)
         if m is None or m not in d.morphisms:
             comps.append((o, f"{t.name}: missing or alien component at {o!r}"))
-        elif d.src[m] != F.obj_map.get(o) or d.tgt[m] != G.obj_map.get(o):
+        elif not fits(o, m):
             comps.append((o, f"{t.name}: component at {o!r} has wrong endpoints"))
     if comps:
         return _in_order(comps)
     at, compose = t.components, d.compose
 
     def fails(f):
-        lhs = compose.get((at[c.tgt[f]], F.mor_map.get(f)))
-        return lhs is None \
-            or lhs != compose.get((G.mor_map.get(f), at[c.src[f]]))
+        try:
+            lhs = compose.get((at[c.tgt[f]], F.mor_map.get(f)))
+            return lhs is None \
+                or lhs != compose.get((G.mor_map.get(f), at[c.src[f]]))
+        except KeyError:
+            return True
     return _in_order([(f, f"{t.name}: naturality square fails at {f!r}")
                       for f in c.morphisms if fails(f)])
 

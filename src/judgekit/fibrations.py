@@ -24,8 +24,10 @@ Grothendieck construction on posets of formulas indexed by the contexts,
 with at most one morphism between two objects over each base arrow.
 The fibrations of ``ndt`` order formulas by entailment, and the types 𝕌
 and terms 𝕌̇ of ``finset_topos`` by equality, which makes them
-discrete.  ``thin_rule`` builds a functor into such a classifier from
-its object map alone.
+discrete.  Their totals store no composition table: the composite of
+the morphism over σ with the one over τ is the one over σ∘τ, computed
+through ctx (``core.ThinComposition``).  ``thin_rule`` builds a functor
+into such a classifier from its object map alone.
 
 *Discrete-fibration lemma.*  Let P : E → B be a functor, and let every
 composable pair of E have a composite in E with the right endpoints.
@@ -59,8 +61,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (FinCategory, FunctorMap, NatTrans, _recall, _sound,
-                   _validated, along, category_from, checking, opposite,
+from .core import (FinCategory, FunctorMap, NatTrans, ThinComposition,
+                   _recall, _sound, _validated, along, checking, opposite,
                    parallel_morphisms, subcategory, validate_functor)
 
 
@@ -126,7 +128,7 @@ def _cartesian(cl: Classifier):
     total, base, P = cl.total, cl.base, cl.proj
     if _by_lemma(cl):
         return total.morphisms.__contains__
-    pobj, pmor, compose = P.obj_map, P.mor_map, total.compose
+    pobj, pmor, composite = P.obj_map, P.mor_map, total.compose.get
     index, after_in = _kept_index(cl), _recall(dict, "after", base)
 
     def counted(m):
@@ -140,7 +142,7 @@ def _cartesian(cl: Classifier):
                     for m2 in m2s:
                         n = 0
                         for h in hs:
-                            if compose.get((m, h)) == m2:
+                            if composite((m, h)) == m2:
                                 n += 1
                         if n != 1:
                             return False
@@ -324,7 +326,8 @@ def verify_kind(cl: Classifier, expect=None) -> list:
     thin when ``expect`` asks for it.
 
     Validates the projection functor first and stops there when it
-    fails; it does not validate the total or base category.  The
+    fails, then stops when the base fails its table checks; it does not
+    validate the total or base category further.  The
     opposite classifier's cleavage is computed only up to its first
     hole, since the kind and the diagnostic read no more of it.  Returns
     diagnostics; ``expect`` (if given) adds a diagnostic when the
@@ -342,6 +345,8 @@ def verify_kind(cl: Classifier, expect=None) -> list:
         bad = validate_functor(cl.proj)
         if bad:
             return bad
+        if not _sound(cl.base):
+            return [f"uses category {cl.base.name}, which fails its table checks"]
         kinds = []
         fib_bad = compute_cleavage(cl)[1]
         if not fib_bad:
@@ -367,9 +372,12 @@ def thin_classifier(name, ctx: FinCategory, formulas, restrict,
                     leq) -> Classifier:
     """A classifier thin over each base arrow: objects (x, a) for a in
     ``formulas(x)``, and one morphism ``(name, σ, b, a)`` : (θ, b) → (x, a)
-    over σ : θ → x exactly when ``leq(θ, b, restrict(σ, a))``.  Morphisms
-    compose through ``ctx.comp``.  A restriction that is not monotone or
-    not functorial yields a total that ``validate_category`` rejects."""
+    over σ : θ → x exactly when ``leq(θ, b, restrict(σ, a))``.  The total
+    stores no composition table: ``(name, σ, b, a) ∘ (name, τ, c, b)`` is
+    ``(name, σ∘τ, c, a)``, with σ∘τ read from ctx when it is asked for
+    (``ThinComposition``).  A restriction that is not monotone or not
+    functorial yields a total whose composites leave it or whose
+    identities are missing, which ``validate_category`` rejects."""
     over = {x: formulas(x) for x in ctx.objects}
     objs = [(x, a) for x in ctx.objects for a in over[x]]
     mors, src, tgt = [], {}, {}
@@ -384,8 +392,8 @@ def thin_classifier(name, ctx: FinCategory, formulas, restrict,
                     src[m] = (theta, b)
                     tgt[m] = (x, a)
     identity = {(x, a): (name, ctx.identity[x], a, a) for (x, a) in objs}
-    cat = category_from(name, objs, mors, src, tgt, identity,
-                        lambda g, f: (name, ctx.comp(g[1], f[1]), f[2], g[3]))
+    cat = FinCategory(name, frozenset(objs), frozenset(mors), src, tgt,
+                      identity, ThinComposition(name, ctx, src, tgt))
     proj = FunctorMap(f"{name}.p", cat, ctx,
                       {o: o[0] for o in objs}, {m: m[1] for m in mors})
     return Classifier(name, proj)

@@ -64,18 +64,17 @@ def pullback_category(F: FunctorMap, G: FunctorMap, name=None):
     by_image_mor = {}
     for n in B.morphisms:
         by_image_mor.setdefault(G.mor_map[n], []).append(n)
-    mors, src, tgt, by_src = [], {}, {}, {}
+    mors, src, tgt = [], {}, {}
     for m in A.morphisms:
         sa, ta = A.src[m], A.tgt[m]
         for n in by_image_mor.get(F.mor_map[m], ()):
             mn = (m, n)
             mors.append(mn)
-            src[mn] = s = (sa, B.src[n])
+            src[mn] = (sa, B.src[n])
             tgt[mn] = (ta, B.tgt[n])
-            by_src.setdefault(s, []).append(mn)
     identity = {(a, b): (A.identity[a], B.identity[b]) for (a, b) in objs}
     cat = FinCategory(nm, frozenset(objs), frozenset(mors), src, tgt, identity,
-                      Composition(src, tgt, by_src, (F, G)))
+                      Composition(src, tgt, (F, G)))
     p1 = FunctorMap(f"{nm}.π1", cat, A,
                     {o: o[0] for o in objs}, {mn: mn[0] for mn in mors})
     p2 = FunctorMap(f"{nm}.π2", cat, B,

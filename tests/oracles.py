@@ -4,15 +4,18 @@ Everything here works on plain Python sets and dicts, deliberately
 avoiding the library's own subset helpers, so agreement between the
 derived rules and these functions is meaningful evidence.  The builders
 at the top are the exception: they give the tests a product, a slice, a
-coslice and the Grothendieck construction of a doctrine out of the
-library's category builder, pullback and opposite.
+coslice, the Grothendieck construction of a doctrine and the composition
+table of a thin total out of the library's category builder, pullback
+and opposite, and two broken doctrines out of its powerset doctrine.
 """
 
 from itertools import product
 
 from judgekit.core import FunctorMap, category_from, opposite
 from judgekit.fibrations import Classifier, opposite_classifier
+from judgekit.finsets import preimage
 from judgekit.limits import bang_functor, pullback_category, terminal_category
+from judgekit.ndt import PowersetDoctrine
 
 
 def product_category(a, b):
@@ -94,6 +97,40 @@ def grothendieck_classifier(doc, name="∫"):
             cleavage[((x, a), sigma)] = (sigma, a,
                                          ("≤", ctx.src[sigma], ra, ra))
     return Classifier(name, proj), cleavage
+
+
+def thin_table(cl):
+    """The composition table of a thin classifier's total, as
+    ``category_from`` tabulated it before thin totals composed through
+    their base: ``(name, σ, b, a) ∘ (name, τ, c, b)`` is
+    ``(name, σ∘τ, c, a)`` on every composable pair, with σ∘τ read from the
+    base's table, or None where the base lacks it."""
+    c, ctx = cl.total, cl.base
+    return category_from(
+        c.name, c.objects, c.morphisms, dict(c.src), dict(c.tgt),
+        dict(c.identity),
+        lambda g, f: (c.name, ctx.compose.get((g[1], f[1])), f[2], g[3])
+    ).compose
+
+
+class Antitone(PowersetDoctrine):
+    """A broken doctrine: restriction along a non-identity map is the
+    complement of the preimage, so it reverses the order and composites
+    leave the total."""
+
+    def restrict(self, sigma, a):
+        pre = preimage(sigma, a)
+        if sigma[3] == tuple(range(sigma[2])):
+            return pre
+        return tuple(i for i in range(sigma[1]) if i not in pre)
+
+
+class EmptyIdentity(PowersetDoctrine):
+    """A broken doctrine: restriction along an identity sends every subset
+    to the empty one, so most objects of the total have no identity."""
+
+    def restrict(self, sigma, a):
+        return () if sigma[3] == tuple(range(sigma[2])) else preimage(sigma, a)
 
 
 def all_subsets(x):

@@ -183,6 +183,37 @@ def test_an_endpoint_missing_from_a_table_is_a_wrong_endpoint():
         assert verify_kind(Classifier("K", H), "fibration") == [line]
 
 
+def test_an_endpoint_missing_from_a_table_fails_a_naturality_square():
+    """A morphism of the source category without a source, or a component
+    without endpoints in the codomain, is a failed square or a component
+    with wrong endpoints, not a KeyError."""
+    c = make_category("C", ["a"], ["ia"], {}, {"ia": "a"}, {"a": "ia"},
+                      {("ia", "ia"): "ia"})
+    d = make_category("D", ["x"], ["ix"], {"ix": "x"}, {"ix": "x"},
+                      {"x": "ix"}, {("ix", "ix"): "ix"})
+    F = FunctorMap("F", c, d, {"a": "x"}, {"ia": "ix"})
+    assert validate_nat_trans(NatTrans("t", F, F, {"a": "ix"})) == [
+        "t: naturality square fails at 'ia'"]
+    e = make_category("E", ["x"], ["ix"], {}, {"ix": "x"}, {"x": "ix"},
+                      {("ix", "ix"): "ix"})
+    G = FunctorMap("G", d, e, {"x": "x"}, {"ix": "ix"})
+    assert validate_nat_trans(NatTrans("s", G, G, {"x": "ix"})) == [
+        "s: component at 'x' has wrong endpoints"]
+
+
+def test_a_classifier_over_a_broken_base_is_reported():
+    """A base arrow that no morphism of the total lies over, and that
+    lacks its target, makes the base fail its table checks; verify_kind
+    says so instead of raising."""
+    total = make_category("T", ["e"], ["ie"], {"ie": "e"}, {"ie": "e"},
+                          {"e": "ie"}, {("ie", "ie"): "ie"})
+    base = make_category("B", ["x"], ["ix", "f"], {"ix": "x", "f": "x"},
+                         {"ix": "x"}, {"x": "ix"}, {("ix", "ix"): "ix"})
+    P = FunctorMap("P", total, base, {"e": "x"}, {"ie": "ix"})
+    assert verify_kind(Classifier("K", P), "fibration") == [
+        "uses category B, which fails its table checks"]
+
+
 def _without_g_after_f():
     """f : a → b and an idempotent g : b → b, with no entry for g ∘ f."""
     return make_category("M", ["a", "b"], ["id_a", "id_b", "f", "g"],

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
-from judgekit.core import (FunctorMap, identity_functor, same_functor,
-                           sort_key, whisker_left)
+from judgekit.core import (FunctorMap, identity_functor, make_category,
+                           same_functor, sort_key, whisker_left)
 from judgekit.dtt import (context_extension, derive_dependency,
                           derive_display_transport, id_extensionality,
                           jdtt_to_nm, natural_model_round_trip, nm_to_jdtt,
@@ -30,12 +30,18 @@ def test_sigma_outside_types_is_a_diagnostic(topos2):
 
 
 def test_a_missing_composite_of_types_is_reported_as_such():
-    """validate_jdtt checks the table of 𝕌 before it classifies u."""
+    """validate_jdtt checks the table of 𝕌 before it classifies u.  𝕌
+    computes its composites, so u is put over a table copy of 𝕌 that
+    lacks one."""
     J = build_finset_topos(2)
     U = J.u.total
     gf = next(gf for gf in sorted(U.compose, key=sort_key)
               if not (U.is_identity(gf[0]) or U.is_identity(gf[1])))
-    del U.compose[gf]
+    table = dict(U.compose.items())
+    del table[gf]
+    copy = make_category(U.name, U.objects, U.morphisms, U.src, U.tgt,
+                         U.identity, table)
+    J = replace(J, u=replace(J.u, proj=replace(J.u.proj, dom=copy)))
     assert validate_jdtt(J) == [
         f"𝕌: composition missing for ({gf[0]!r}, {gf[1]!r})"]
 

@@ -14,8 +14,8 @@ from judgekit.limits import terminal_category, walking_arrow_category
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine, SequentDoctrine,
                           proposition_classifier)
 
-from oracles import (coslice_classifier, grothendieck_classifier,
-                     slice_classifier)
+from oracles import (Antitone, EmptyIdentity, coslice_classifier,
+                     grothendieck_classifier, slice_classifier)
 
 
 def powerset_classifier(n=2):
@@ -91,27 +91,9 @@ def test_verify_kind_rejects_wrong_expectation():
     assert verify_kind(cl, expect="discrete")   # two is no discrete fibration
 
 
-class _Antitone(PowersetDoctrine):
-    """Restriction along a non-identity map is the complement of the
-    preimage: it reverses the order."""
-
-    def restrict(self, sigma, a):
-        pre = preimage(sigma, a)
-        if sigma[3] == tuple(range(sigma[2])):
-            return pre
-        return tuple(i for i in range(sigma[1]) if i not in pre)
-
-
-class _EmptyIdentity(PowersetDoctrine):
-    """Restriction along an identity sends every subset to the empty one."""
-
-    def restrict(self, sigma, a):
-        return () if sigma[3] == tuple(range(sigma[2])) else preimage(sigma, a)
-
-
 @pytest.mark.parametrize("doctrine, diagnostic", [
-    (_Antitone, "mentions unknown morphisms"),
-    (_EmptyIdentity, "has no identity morphism"),
+    (Antitone, "mentions unknown morphisms"),
+    (EmptyIdentity, "has no identity morphism"),
 ], ids=["antitone", "identity"])
 def test_a_broken_doctrine_has_no_valid_total(doctrine, diagnostic):
     """The total of a doctrine whose restriction is not monotone, or not

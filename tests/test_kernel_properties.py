@@ -7,26 +7,29 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from judgekit import core, fibrations
-from judgekit.core import (Composition, FunctorMap, along, category_from,
-                           identity_functor, make_category, opposite,
-                           sort_key, validate_category, validate_functor)
+from judgekit.core import (Composition, FunctorMap, ThinComposition, along,
+                           category_from, identity_functor, make_category,
+                           opposite, sort_key, validate_category,
+                           validate_functor)
 from judgekit.fibrations import (Classifier, cartesian_lift, compute_cleavage,
                                  factorizations, is_cartesian,
                                  is_cartesian_functor, is_thin, one_over,
-                                 opposite_classifier, verify_kind)
+                                 opposite_classifier, thin_classifier,
+                                 verify_kind)
 from judgekit.finset_topos import build_finset_topos, instantiate_constructor
-from judgekit.finsets import fin_skeleton
+from judgekit.finsets import fin_skeleton, preimage, subsets
 from judgekit.limits import (bang_functor, pullback_category,
                              terminal_category, walking_arrow_category)
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
                           build_deduction_system, derive_structural,
                           proposition_classifier)
 
-from oracles import (coslice_classifier, naive_cartesian_lifts,
-                     naive_category_laws, naive_cocartesian_lifts,
+from oracles import (Antitone, EmptyIdentity, coslice_classifier,
+                     naive_cartesian_lifts, naive_category_laws,
+                     naive_cocartesian_lifts,
                      naive_composition_preserved, naive_factorizations,
                      naive_is_cartesian, naive_is_cocartesian,
-                     product_category, slice_classifier)
+                     product_category, slice_classifier, thin_table)
 
 P1 = proposition_classifier(PowersetDoctrine(1))
 TWO = walking_arrow_category()
@@ -132,6 +135,79 @@ def test_a_wrong_computed_composition_is_flagged(name):
     assert any(d.startswith("wrong: composite of (")
                and d.endswith(") has wrong endpoints")
                for d in validate_category(wrong))
+
+
+def _over_a_broken_ctx():
+    """The subsets over Fin(≤2), ordered by equality, over a copy of
+    Fin(≤2) that lacks one composite of non-identities."""
+    ctx = fin_skeleton(2)
+    gone = next(gf for gf in sorted(ctx.compose, key=sort_key)
+                if not (ctx.is_identity(gf[0]) or ctx.is_identity(gf[1])))
+    broken = _with_table(ctx, {gf: h for gf, h in ctx.compose.items()
+                               if gf != gone})
+    return thin_classifier("T", broken, subsets, preimage,
+                           lambda x, a, b: a == b)
+
+
+F1, F2 = build_finset_topos(1), build_finset_topos(2)
+# Every thin total is built by thin_classifier and composes through ctx.
+THIN = {
+    "powerset 1": P1,
+    "powerset 1 sequents": build_deduction_system(PowersetDoctrine(1)).E,
+    "powerset 2": proposition_classifier(PowersetDoctrine(2)),
+    "powerset 2 sequents": build_deduction_system(PowersetDoctrine(2)).E,
+    "chain 2 1": C21.P,
+    "chain 2 1 sequents": C21.E,
+    "u 1": F1.u, "u̇ 1": F1.udot, "u 2": F2.u, "u̇ 2": F2.udot,
+    "antitone": proposition_classifier(Antitone(2)),
+    "identity": proposition_classifier(EmptyIdentity(2)),
+    "broken ctx": _over_a_broken_ctx(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THIN))
+def test_thin_composition_is_the_table_it_replaces(name):
+    """On every pair of morphisms, composable or not, the computed
+    composition answers as the tabulated one does."""
+    c = THIN[name].total
+    assert isinstance(c.compose, ThinComposition)
+    table = thin_table(THIN[name])
+    assert dict(c.compose.items()) == table
+    assert len(c.compose) == len(table)
+    mors = sorted(c.morphisms, key=sort_key) + ["alien"]
+    for g in mors:
+        for f in mors:
+            assert ((g, f) in c.compose) == ((g, f) in table)
+            assert c.compose.get((g, f)) == table.get((g, f))
+
+
+def _coded(c):
+    """The table checks of c and its composites by identifier."""
+    n = core._Codes(c)
+    return n.errors, {(n.mors[i], n.mors[j]): n.mors[k]
+                      for i, row in enumerate(n.rows) for j, k in row.items()}
+
+
+def _mutations(c):
+    """c itself, c without an identity and c without an endpoint."""
+    o = min(c.objects, key=sort_key)
+    m = max(c.morphisms, key=sort_key)
+    identity = {x: i for x, i in c.identity.items() if x != o}
+    src = {x: a for x, a in c.src.items() if x != m}
+    yield c
+    yield replace(c, identity=identity)
+    yield replace(c, src=src, compose=ThinComposition(
+        c.compose.name, c.compose.ctx, src, c.tgt))
+
+
+@pytest.mark.parametrize("name", sorted(THIN))
+def test_a_thin_total_is_numbered_as_its_table_is(name):
+    """The numbering pass over a thin total, on codes, or on its entries
+    when an identity or an endpoint is missing, gives the lines and the
+    composites that it gives over a table copy."""
+    for c in _mutations(THIN[name].total):
+        with core.checking():
+            assert _coded(c) == _coded(_with_table(c, dict(c.compose.items())))
 
 
 # Wrong but well-formed tables: one composite, one image or one composite
