@@ -80,7 +80,6 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import product
 from weakref import ref
 
 
@@ -948,29 +947,3 @@ def check_category_iso(F: FunctorMap):
     inverse = FunctorMap(
         name=f"{F.name}⁻¹", dom=d, cod=c, obj_map=obj_inv, mor_map=mor_inv)
     return [], inverse
-
-
-def all_functors(c: FinCategory, d: FinCategory):
-    """Enumerate every functor c → d (exhaustive; use on tiny categories)."""
-    objs = c.sorted_objects()
-    results = []
-    for images in product(d.sorted_objects(), repeat=len(objs)):
-        obj_map = dict(zip(objs, images))
-        mors = c.sorted_morphisms()
-        choices = []
-        ok = True
-        for m in mors:
-            cands = d.hom(obj_map[c.src[m]], obj_map[c.tgt[m]])
-            if c.is_identity(m):
-                cands = [d.identity[obj_map[c.src[m]]]]
-            if not cands:
-                ok = False
-                break
-            choices.append(cands)
-        if not ok:
-            continue
-        for picks in product(*choices):
-            F = FunctorMap("cand", c, d, obj_map, dict(zip(mors, picks)))
-            if not validate_functor(F):
-                results.append(F)
-    return results

@@ -1,4 +1,4 @@
-"""The ``.jt`` declaration language: parser, loader and printer.
+"""The ``.jt`` declaration language: parser and loader.
 
 A document is line-oriented.  A block opens with an unindented keyword
 line (``category``, ``functor``, ``nat``, ``adjunction``, ``classifier``,
@@ -9,9 +9,8 @@ triples ``g ∘ f = h``; a ``complete`` item asserts the table is total
 ``a`` owns ``id_a``, and unit compositions are filled in automatically.
 
 ``parse_dsl`` produces a :class:`TheoryDocument` carrying source lines
-for diagnostics; ``load_document`` resolves it into live library
-objects; ``print_dsl`` regenerates canonical text (parse → print →
-parse is a fixpoint).
+for diagnostics, and ``load_document`` resolves it into live library
+objects.
 """
 
 from __future__ import annotations
@@ -358,54 +357,3 @@ def _load_nat(d: Decl, out: LoadedDocument):
             continue
         comps[o] = m
     out.nats[d.name] = NatTrans(d.name, source, target, comps)
-
-
-# --------------------------------------------------------------------------
-# Printing: canonical text (stable under parse → print → parse).
-# --------------------------------------------------------------------------
-
-def print_dsl(doc: TheoryDocument) -> str:
-    lines = []
-    for d in doc.decls:
-        if d.kind == "category":
-            lines.append(f"category {d.name}")
-        elif d.kind == "functor":
-            lines.append(f"functor {d.name} : {d.head['dom']} -> {d.head['cod']}")
-        elif d.kind == "nat":
-            lines.append(f"nat {d.name} : {d.head['source']} => {d.head['target']}")
-        elif d.kind == "adjunction":
-            lines.append(f"adjunction {d.name} : {d.head['left']} -| {d.head['right']}")
-        elif d.kind == "classifier":
-            tail = f" kind {d.head['kind']}" if d.head["kind"] else ""
-            lines.append(f"classifier {d.name} : {d.head['proj']}{tail}")
-        elif d.kind == "theory":
-            lines.append(f"theory {d.name} over {d.head['ctx']}")
-        elif d.kind == "doctrine":
-            args = " ".join(str(a) for a in d.head["args"])
-            lines.append(f"doctrine {d.name} = {d.head['family']} {args}")
-        elif d.kind == "instance":
-            args = " ".join(str(a) for a in d.head["args"])
-            lines.append(f"instance {d.name} = {d.head['builtin']}"
-                         + (f" {args}" if args else ""))
-        for (_, k, v) in d.items:
-            if k == "object" and d.kind == "category":
-                lines.append(f"  object {v}")
-            elif k == "morphism" and d.kind == "category":
-                lines.append(f"  morphism {v[0]} : {v[1]} -> {v[2]}")
-            elif k == "compose":
-                lines.append(f"  {v[0]} ∘ {v[1]} = {v[2]}")
-            elif k == "complete":
-                lines.append("  complete")
-            elif d.kind == "functor":
-                lines.append(f"  {k} {v[0]} |-> {v[1]}")
-            elif k == "at":
-                lines.append(f"  at {v[0]} = {v[1]}")
-            elif d.kind == "adjunction":
-                lines.append(f"  {k} {v}")
-            elif d.kind == "theory":
-                if k == "policy":
-                    lines.append(f"  policy {v[0]} {v[1]}")
-                else:
-                    lines.append(f"  {k} {v}")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from .core import (FinCategory, FunctorMap, NatTrans, ThinComposition,
                    _recall, _sound, _validated, along, checking, opposite,
-                   parallel_morphisms, subcategory, validate_functor)
+                   parallel_morphisms, validate_functor)
 
 
 @dataclass
@@ -85,13 +85,6 @@ class Classifier:
     def fiber_objects(self, gamma):
         return [o for o in self.total.sorted_objects()
                 if self.proj.obj_map[o] == gamma]
-
-    def fiber_category(self, gamma) -> FinCategory:
-        """The fiber over an object: vertical morphisms only."""
-        vid = self.base.identity[gamma]
-        return subcategory(self.total, self.fiber_objects(gamma),
-                           lambda m: self.proj.mor_map[m] == vid,
-                           f"{self.name}({gamma})")
 
 
 def opposite_classifier(cl: Classifier) -> Classifier:

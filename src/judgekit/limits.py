@@ -12,13 +12,18 @@ lookup costs only one lookup per factor.  A validator that sweeps a law
 over a pullback numbers it as it numbers a table, from those lookups.
 A product is the pullback of two ``bang_functor``s into the terminal
 category.  Equalizers keep a table.
+
+``mediating_functor`` builds the one functor through which a cone
+factors and checks that it commutes.  The brute-force checks of the
+universal properties, which enumerate every cone from small apexes, are
+test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from .core import (Composition, FinCategory, FunctorMap, all_functors,
-                   compose_functors, make_category, same_category,
-                   same_functor, subcategory, validate_functor)
+from .core import (Composition, FinCategory, FunctorMap, compose_functors,
+                   make_category, same_category, same_functor, subcategory,
+                   validate_functor)
 
 
 def terminal_category(name="𝟙") -> FinCategory:
@@ -26,17 +31,6 @@ def terminal_category(name="𝟙") -> FinCategory:
                          {("id", "•"): "•"}, {("id", "•"): "•"},
                          {"•": ("id", "•")},
                          {(("id", "•"), ("id", "•")): ("id", "•")})
-
-
-def walking_arrow_category(name="𝟚") -> FinCategory:
-    """The category • → • (two objects, one non-identity morphism)."""
-    objs = [0, 1]
-    i0, i1, a = ("id", 0), ("id", 1), ("a", 0, 1)
-    mors = [i0, i1, a]
-    src = {i0: 0, i1: 1, a: 0}
-    tgt = {i0: 0, i1: 1, a: 1}
-    compose = {(i0, i0): i0, (i1, i1): i1, (a, i0): a, (i1, a): a}
-    return make_category(name, objs, mors, src, tgt, {0: i0, 1: i1}, compose)
 
 
 def bang_functor(c: FinCategory, one: FinCategory, name=None) -> FunctorMap:
@@ -154,44 +148,3 @@ def mediating_functor(kind, limit_cat, projections, legs, name=None,
     elif not same_functor(compose_functors(projections, med), legs):
         raise ValueError("mediating functor does not commute with the inclusion")
     return med
-
-
-def verify_pullback_universal(F, G, pb, p1, p2, apexes) -> list:
-    """Brute-force universal-property check of a pullback square.
-
-    For every commuting cone whose apex is one of ``apexes`` (enumerating
-    all functors), exactly one functor into the pullback commutes with
-    both projections.
-    """
-    bad = []
-    for W in apexes:
-        into_pb = all_functors(W, pb)
-        for l1 in all_functors(W, F.dom):
-            fl1 = compose_functors(F, l1)
-            for l2 in all_functors(W, G.dom):
-                if not same_functor(fl1, compose_functors(G, l2)):
-                    continue
-                hits = [H for H in into_pb
-                        if same_functor(compose_functors(p1, H), l1)
-                        and same_functor(compose_functors(p2, H), l2)]
-                if len(hits) != 1:
-                    bad.append(
-                        f"{pb.name}: cone from {W.name} via ({l1.name},{l2.name}) "
-                        f"has {len(hits)} mediating functors")
-    return bad
-
-
-def verify_equalizer_universal(F, G, eq, incl, apexes) -> list:
-    """Brute-force universal-property check of an equalizer."""
-    bad = []
-    for W in apexes:
-        into_eq = all_functors(W, eq)
-        for leg in all_functors(W, F.dom):
-            if not same_functor(compose_functors(F, leg), compose_functors(G, leg)):
-                continue
-            hits = [H for H in into_eq
-                    if same_functor(compose_functors(incl, H), leg)]
-            if len(hits) != 1:
-                bad.append(f"{eq.name}: cone from {W.name} via {leg.name} "
-                           f"has {len(hits)} mediating functors")
-    return bad

@@ -14,9 +14,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .theory import DerivedRule, PreJudgementalTheory, expand_nested
+from .theory import DerivedRule
 
 #: ASCII spellings, applied to every emitted character when JT_ASCII=1.
+#: A combining mark is spelled after the letter it follows, so 𝕌̇ reads
+#: U. and K̄ reads Kbar; ᵒᵖ reads ^op and ⁻¹ reads ^-1.
 ASCII_TABLE = {
     "⊢": "|-", "⊣": "-|", "⊨": "|=", "∀": "forall ", "∃": "exists ",
     "∧": "/\\", "∨": "\\/", "¬": "~", "⊤": "T", "⊥": "F", "∅": "0",
@@ -28,9 +30,11 @@ ASCII_TABLE = {
     "×": "*", "∘": "o", "≤": "<=", "≥": ">=", "≅": "~=", "≠": "/=",
     "⟨": "<", "⟩": ">", "⇒": "=>", "→": "->", "↪": ">->", "∈": "in",
     "∣": "|", "⋆": "*", "∗": "*", "♯": "#", "·": ".", "𝟙": "1",
-    "𝟚": "2", "𝕌": "U", "𝕌̇": "U.", "u̇": "u.", "𝔽": "F", "𝔾": "G",
+    "𝟚": "2", "𝕌": "U", "𝔽": "F", "𝔾": "G",
     "𝔼": "E", "ℍ": "H", "ℂ": "C", "𝔸": "A", "𝕏": "X", "𝕐": "Y",
     "─": "-", "═": "=", "ℰ": "E", "𝒥": "J", "ℛ": "R", "𝒫": "P",
+    "Ⅎ": "Finv", "★": "*", "•": "*", "′": "'", "ᵒ": "^o", "ᵖ": "p",
+    "⁻": "^-", "¹": "1", "↦": "|->", "\u0307": ".", "\u0304": "bar",
 }
 
 #: LaTeX math spellings for the same symbols (identity on plain ASCII).
@@ -146,24 +150,13 @@ SCHEMAS = {s.name: s for s in [
 ]}
 
 
-def render_rule_tree(rule: DerivedRule, format: str = "text",
-                     expand: bool = False,
-                     theory: PreJudgementalTheory = None) -> str:
-    """One rule as a proof figure.
-
-    By default premises appear in their synthetic (aliased) form; with
-    ``expand=True`` the premise slots are replaced by the nested-
-    judgement expansion of the rule's premise classifier, so their
-    number equals the number of expansion components.
-    """
+def render_rule_tree(rule: DerivedRule, format: str = "text") -> str:
+    """One rule as a proof figure, its premises in their synthetic
+    (aliased) form."""
     schema = rule.schema
     if schema is None:
         raise ValueError(f"rule {rule.name} has no display schema")
     premises = list(schema.premises)
-    if expand:
-        if theory is None:
-            raise ValueError("expansion needs the owning theory")
-        premises = expand_nested(theory, rule.premise)
     if format == "text":
         return _text_tree(premises, schema)
     if format == "latex":

@@ -3,10 +3,10 @@ between their total categories, and policies (transformations) between
 rules — together with the finite-limit closure of that data.
 
 The two workhorses are the closure registry (every derived category is
-recorded under a canonical construction term, so re-deriving is free and
-names are stable) and ♯-lifting, which turns a policy over a triangle of
-rules into a rule between pullback classifiers by re-indexing along a
-fibration.
+recorded under a canonical name, such as ``PB(f,g)``, so re-deriving is
+free and names are stable) and ♯-lifting, which turns a policy over a
+triangle of rules into a rule between pullback classifiers by
+re-indexing along a fibration.
 """
 
 from __future__ import annotations
@@ -25,18 +25,9 @@ VARIANCES = ("covariant", "contravariant", "strict")
 
 
 @dataclass
-class ConstructionTerm:
-    """How a registry entry was built: an operation and argument names."""
-
-    op: str
-    args: tuple
-
-
-@dataclass
 class RegistryEntry:
     kind: str          # "classifier" | "rule" | "policy" | "category"
     value: object
-    term: ConstructionTerm = None
     extras: dict = field(default_factory=dict)  # e.g. projections of a PB
 
 
@@ -54,22 +45,19 @@ class PreJudgementalTheory:
 
     def add_judgement(self, cl: Classifier):
         self.judgements[cl.name] = cl
-        self.registry[cl.name] = RegistryEntry(
-            "classifier", cl, ConstructionTerm("gen", (cl.name,)))
+        self.registry[cl.name] = RegistryEntry("classifier", cl)
         return cl
 
     def add_rule(self, F: FunctorMap):
         self.rules[F.name] = F
-        self.registry[F.name] = RegistryEntry(
-            "rule", F, ConstructionTerm("gen", (F.name,)))
+        self.registry[F.name] = RegistryEntry("rule", F)
         return F
 
     def add_policy(self, t: NatTrans, variance: str):
         if variance not in VARIANCES:
             raise ValueError(f"unknown variance {variance!r}")
         self.policies[t.name] = (t, variance)
-        self.registry[t.name] = RegistryEntry(
-            "policy", (t, variance), ConstructionTerm("gen", (t.name,)))
+        self.registry[t.name] = RegistryEntry("policy", (t, variance))
         return t
 
     def register(self, name: str, entry: RegistryEntry):
@@ -151,7 +139,6 @@ def close_pullback(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap):
         return e.value, e.extras["p1"], e.extras["p2"]
     cat, p1, p2 = pullback_category(f, g, name=key)
     T.register(key, RegistryEntry("category", cat,
-                                  ConstructionTerm("PB", (f.name, g.name)),
                                   extras={"p1": p1, "p2": p2, "legs": (f, g)}))
     return cat, p1, p2
 
@@ -163,7 +150,6 @@ def close_equalizer(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap):
         return e.value, e.extras["incl"]
     cat, incl = equalizer_category(f, g, name=key)
     T.register(key, RegistryEntry("category", cat,
-                                  ConstructionTerm("EQ", (f.name, g.name)),
                                   extras={"incl": incl, "legs": (f, g)}))
     return cat, incl
 
@@ -212,7 +198,7 @@ def empty_classifier(T: PreJudgementalTheory) -> Classifier:
         return T.registry[key].value
     empty = make_category("∅", [], [], {}, {}, {}, {})
     cl = Classifier("∅", FunctorMap("0", empty, T.ctx, {}, {}))
-    T.register(key, RegistryEntry("classifier", cl, ConstructionTerm("empty", ())))
+    T.register(key, RegistryEntry("classifier", cl))
     return cl
 
 
@@ -290,9 +276,8 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
         if not bad and key in T.registry:
             _refuse_others(key, (T.registry[key].value,), (rule,))
         elif not bad:
-            T.register(key, RegistryEntry(
-                "rule", rule, ConstructionTerm("SHARP", (pol.name, R.name)),
-                extras={"policy": lifted}))
+            T.register(key, RegistryEntry("rule", rule,
+                                          extras={"policy": lifted}))
     return SharpLiftResult(rule, lifted, P1, P2, (p1f, p1h), (p2g, p2h), bad)
 
 
@@ -318,21 +303,3 @@ def check_axioms(T: PreJudgementalTheory, variances=None) -> list:
                   "strict": "discrete"}.get(variances.get(nm, "contravariant"))
         bad += verify_kind(j, expect=expect)
     return bad
-
-
-def expand_nested(T: PreJudgementalTheory, key: str) -> list:
-    """Expand a derived classifier into its judgement reading.
-
-    A pullback ``PB(λ∘g-side, f-side)`` of rules over ctx reads as a list
-    of two judgements (the second in the context produced by the first);
-    an equalizer reads as a membership judgement plus an equality
-    judgement on the two compared rules.
-    """
-    entry = T.registry[key]
-    term = entry.term
-    if term is None or term.op not in ("PB", "EQ"):
-        return [f"{key} ⊢ (generator)"]
-    a, b = term.args
-    if term.op == "PB":
-        return [f"Γ ⊢ H {a}", f"{a}(H) ⊢ F {b}"]
-    return [f"Γ ⊢ H {a}", f"Γ ⊢ {a}(H) = {b}(H)"]

@@ -4,14 +4,20 @@ Everything here works on plain Python sets and dicts, deliberately
 avoiding the library's own subset helpers, so agreement between the
 derived rules and these functions is meaningful evidence.  The builders
 at the top are the exception: they give the tests a product, a slice, a
-coslice, the Grothendieck construction of a doctrine and the composition
-table of a thin total out of the library's category builder, pullback
-and opposite, and two broken doctrines out of its powerset doctrine.
+coslice, the fiber of a classifier, the walking arrow, the Grothendieck
+construction of a doctrine and the composition table of a thin total out
+of the library's category builders, pullback and opposite, and two
+broken doctrines out of its powerset doctrine.  The brute-force checks of
+the universal properties of pullbacks and equalizers, and the canonical
+printer of the ``.jt`` language, sit at the end; no ``jt`` request needs
+them, so they live with the tests.
 """
 
 from itertools import product
 
-from judgekit.core import FunctorMap, category_from, opposite
+from judgekit.core import (FunctorMap, category_from, compose_functors,
+                           make_category, opposite, same_functor, subcategory,
+                           validate_functor)
 from judgekit.fibrations import Classifier, opposite_classifier
 from judgekit.finsets import preimage
 from judgekit.limits import bang_functor, pullback_category, terminal_category
@@ -52,6 +58,25 @@ def coslice_classifier(ctx, gamma):
     """The coslice Γ/ctx with its codomain projection, as the opposite of
     the slice of ctxᵒᵖ over Γ."""
     return opposite_classifier(slice_classifier(opposite(ctx), gamma))
+
+
+def fiber_category(cl, gamma):
+    """The fiber of a classifier over an object: vertical morphisms only."""
+    vid = cl.base.identity[gamma]
+    return subcategory(cl.total, cl.fiber_objects(gamma),
+                       lambda m: cl.proj.mor_map[m] == vid,
+                       f"{cl.name}({gamma})")
+
+
+def walking_arrow_category(name="𝟚"):
+    """The category • → • (two objects, one non-identity morphism)."""
+    objs = [0, 1]
+    i0, i1, a = ("id", 0), ("id", 1), ("a", 0, 1)
+    mors = [i0, i1, a]
+    src = {i0: 0, i1: 1, a: 0}
+    tgt = {i0: 0, i1: 1, a: 1}
+    compose = {(i0, i0): i0, (i1, i1): i1, (a, i0): a, (i1, a): a}
+    return make_category(name, objs, mors, src, tgt, {0: i0, 1: i1}, compose)
 
 
 def grothendieck_classifier(doc, name="∫"):
@@ -545,3 +570,129 @@ def naive_composition_preserved(F):
     return [f"{F.name}: composition not preserved at ({g!r}, {f!r})"
             for (g, f), h in F.dom.compose.items()
             if cod[image[g], image[f]] != image[h]]
+
+
+# --------------------------------------------------------------------------
+# The universal properties of the library's limits by brute force: every
+# functor from a small apex is enumerated, and every commuting cone must
+# factor through the limit in exactly one way.
+# --------------------------------------------------------------------------
+
+def all_functors(c, d):
+    """Enumerate every functor c → d (exhaustive; use on tiny categories)."""
+    objs = c.sorted_objects()
+    results = []
+    for images in product(d.sorted_objects(), repeat=len(objs)):
+        obj_map = dict(zip(objs, images))
+        mors = c.sorted_morphisms()
+        choices = []
+        ok = True
+        for m in mors:
+            cands = d.hom(obj_map[c.src[m]], obj_map[c.tgt[m]])
+            if c.is_identity(m):
+                cands = [d.identity[obj_map[c.src[m]]]]
+            if not cands:
+                ok = False
+                break
+            choices.append(cands)
+        if not ok:
+            continue
+        for picks in product(*choices):
+            F = FunctorMap("cand", c, d, obj_map, dict(zip(mors, picks)))
+            if not validate_functor(F):
+                results.append(F)
+    return results
+
+
+def verify_pullback_universal(F, G, pb, p1, p2, apexes) -> list:
+    """Brute-force universal-property check of a pullback square.
+
+    For every commuting cone whose apex is one of ``apexes`` (enumerating
+    all functors), exactly one functor into the pullback commutes with
+    both projections.
+    """
+    bad = []
+    for W in apexes:
+        into_pb = all_functors(W, pb)
+        for l1 in all_functors(W, F.dom):
+            fl1 = compose_functors(F, l1)
+            for l2 in all_functors(W, G.dom):
+                if not same_functor(fl1, compose_functors(G, l2)):
+                    continue
+                hits = [H for H in into_pb
+                        if same_functor(compose_functors(p1, H), l1)
+                        and same_functor(compose_functors(p2, H), l2)]
+                if len(hits) != 1:
+                    bad.append(
+                        f"{pb.name}: cone from {W.name} via ({l1.name},{l2.name}) "
+                        f"has {len(hits)} mediating functors")
+    return bad
+
+
+def verify_equalizer_universal(F, G, eq, incl, apexes) -> list:
+    """Brute-force universal-property check of an equalizer."""
+    bad = []
+    for W in apexes:
+        into_eq = all_functors(W, eq)
+        for leg in all_functors(W, F.dom):
+            if not same_functor(compose_functors(F, leg), compose_functors(G, leg)):
+                continue
+            hits = [H for H in into_eq
+                    if same_functor(compose_functors(incl, H), leg)]
+            if len(hits) != 1:
+                bad.append(f"{eq.name}: cone from {W.name} via {leg.name} "
+                           f"has {len(hits)} mediating functors")
+    return bad
+
+
+# --------------------------------------------------------------------------
+# The canonical printer of a parsed ``.jt`` document.
+# --------------------------------------------------------------------------
+
+def print_dsl(doc):
+    """Canonical text of a parsed document: parse → print → parse is a
+    fixpoint."""
+    lines = []
+    for d in doc.decls:
+        if d.kind == "category":
+            lines.append(f"category {d.name}")
+        elif d.kind == "functor":
+            lines.append(f"functor {d.name} : {d.head['dom']} -> {d.head['cod']}")
+        elif d.kind == "nat":
+            lines.append(f"nat {d.name} : {d.head['source']} => {d.head['target']}")
+        elif d.kind == "adjunction":
+            lines.append(f"adjunction {d.name} : {d.head['left']} -| {d.head['right']}")
+        elif d.kind == "classifier":
+            tail = f" kind {d.head['kind']}" if d.head["kind"] else ""
+            lines.append(f"classifier {d.name} : {d.head['proj']}{tail}")
+        elif d.kind == "theory":
+            lines.append(f"theory {d.name} over {d.head['ctx']}")
+        elif d.kind == "doctrine":
+            args = " ".join(str(a) for a in d.head["args"])
+            lines.append(f"doctrine {d.name} = {d.head['family']} {args}")
+        elif d.kind == "instance":
+            args = " ".join(str(a) for a in d.head["args"])
+            lines.append(f"instance {d.name} = {d.head['builtin']}"
+                         + (f" {args}" if args else ""))
+        for (_, k, v) in d.items:
+            if k == "object" and d.kind == "category":
+                lines.append(f"  object {v}")
+            elif k == "morphism" and d.kind == "category":
+                lines.append(f"  morphism {v[0]} : {v[1]} -> {v[2]}")
+            elif k == "compose":
+                lines.append(f"  {v[0]} ∘ {v[1]} = {v[2]}")
+            elif k == "complete":
+                lines.append("  complete")
+            elif d.kind == "functor":
+                lines.append(f"  {k} {v[0]} |-> {v[1]}")
+            elif k == "at":
+                lines.append(f"  at {v[0]} = {v[1]}")
+            elif d.kind == "adjunction":
+                lines.append(f"  {k} {v}")
+            elif d.kind == "theory":
+                if k == "policy":
+                    lines.append(f"  policy {v[0]} {v[1]}")
+                else:
+                    lines.append(f"  {k} {v}")
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n"

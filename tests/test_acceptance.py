@@ -22,10 +22,7 @@ from judgekit.finset_topos import (instantiate_constructor,
                                    make_weak_constructor_example)
 from judgekit.finsets import fin_skeleton
 from judgekit.limits import (bang_functor, equalizer_category,
-                             pullback_category, terminal_category,
-                             verify_equalizer_universal,
-                             verify_pullback_universal,
-                             walking_arrow_category)
+                             pullback_category, terminal_category)
 from judgekit.ndt import (PowersetDoctrine, derive_connectives,
                           derive_structural, forall_rules, pair_comparison,
                           quantifier_package, sequent_monad)
@@ -34,7 +31,8 @@ from judgekit.render import derived_rule, render_rule_tree
 from oracles import (all_maps, cut_reindex_oracle, dec, naive_forall,
                      naive_substitute, quantifier_oracle, rule_tables,
                      skeleton_map, structural_oracle, substitution_oracle,
-                     valid)
+                     valid, verify_equalizer_universal,
+                     verify_pullback_universal, walking_arrow_category)
 
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"

@@ -457,6 +457,19 @@ def test_demo_ndt(capsys):
         assert label in out
 
 
+@pytest.mark.parametrize("argv", [["demo", "dtt-finset"],
+                                  ["close", "dtt2.jt", "--depth", "1"]])
+def test_ascii_mode_prints_only_ascii(tmp_path, capsys, monkeypatch, argv):
+    """Constructor Ⅎ of the demo and the pullbacks of u̇ in the closure
+    are spelled in ASCII too."""
+    monkeypatch.setenv("JT_ASCII", "1")
+    (tmp_path / "dtt2.jt").write_text("instance J = dtt-finset 2\n")
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert [line for line in out.splitlines() if not line.isascii()] == []
+
+
 def test_derive_pi(capsys):
     code, out = run(capsys, "derive", "--rule", "pi",
                     str(DEMOS / "dtt_finset.jt"))

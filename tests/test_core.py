@@ -1,17 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from judgekit import cli, core
 from judgekit.core import (AdjunctionData, FinCategory, FunctorMap,
-                           NatTrans, all_functors, check_adjunction,
-                           check_category_iso, checking, compose_functors,
-                           identity_functor, identity_nat_trans,
-                           make_category, same_functor, sort_key,
-                           terminal_objects, validate_category,
+                           NatTrans, check_adjunction, check_category_iso,
+                           checking, compose_functors, identity_functor,
+                           identity_nat_trans, make_category, same_functor,
+                           sort_key, terminal_objects, validate_category,
                            validate_functor, validate_nat_trans,
                            vertical_compose, whisker_left, whisker_right)
 from judgekit.fibrations import Classifier, verify_kind
 from judgekit.finsets import fin_skeleton
-from judgekit.limits import terminal_category, walking_arrow_category
+from judgekit.limits import terminal_category
+
+from oracles import all_functors, walking_arrow_category
 
 
 def test_terminal_category_laws():
@@ -520,3 +522,90 @@ def test_a_composite_a_triangle_identity_lacks_is_a_failed_triangle():
     assert check_adjunction(adjunction(())) == []
     assert check_adjunction(adjunction({("ba", "ab")})) == [
         "F⊣G: triangle identity (left leg) fails at 0"]
+
+
+# Validators on broken tables: whatever a table lacks or gets wrong, each
+# validator returns its diagnostics as a list of strings and raises
+# nothing.
+
+ALIEN = ("alien",)
+
+
+@st.composite
+def posets(draw):
+    """The category of a partial order on 1–3 objects: ``("a", i, j)``
+    for each i < j of the transitive closure of the drawn pairs, which
+    one step reaches on three objects."""
+    n = draw(st.integers(1, 3))
+    below = {(i, j) for i in range(n) for j in range(i + 1, n)
+             if draw(st.booleans())}
+    below |= {(i, k) for (i, j) in below for (j2, k) in below if j == j2}
+    arrow = {(i, i): ("id", i) for i in range(n)}
+    arrow.update({(i, j): ("a", i, j) for (i, j) in below})
+    return make_category(
+        f"P{n}", range(n), arrow.values(),
+        {m: i for (i, _), m in arrow.items()},
+        {m: j for (_, j), m in arrow.items()},
+        {i: arrow[i, i] for i in range(n)},
+        {(g, f): arrow[i, k] for (i, j), f in arrow.items()
+         for (j2, k), g in arrow.items() if j == j2})
+
+
+def _corrupt(c, kind, draw):
+    """A copy of c's tables with one thing lost or wrong."""
+    objs, mors = sorted(c.objects), sorted(c.morphisms, key=sort_key)
+    src, tgt, identity = dict(c.src), dict(c.tgt), dict(c.identity)
+    compose = dict(c.compose)
+    pick = lambda xs: draw(st.sampled_from(xs))
+    pair = (pick(mors), pick(mors))
+    if kind == "dropped composite":
+        compose.pop(pair, None)
+    elif kind == "alien composite":
+        compose[pair] = pick(mors + [ALIEN])
+    elif kind == "missing source":
+        src.pop(pick(mors), None)
+    elif kind == "wrong target":
+        tgt[pick(mors)] = pick(objs + [len(objs)])
+    elif kind == "wrong identity":
+        identity[pick(objs)] = pick(mors + [ALIEN])
+    else:
+        identity.pop(pick(objs), None)
+    return FinCategory(c.name, c.objects, c.morphisms, src, tgt, identity,
+                       compose)
+
+
+CORRUPTIONS = ("dropped composite", "alien composite", "missing source",
+               "wrong target", "wrong identity", "missing identity")
+
+
+@settings(max_examples=150, deadline=None)
+@given(clean=posets(), kinds=st.lists(st.sampled_from(CORRUPTIONS),
+                                      max_size=2), data=st.data())
+def test_validators_on_broken_tables_return_diagnostics(clean, kinds, data):
+    """F : B → C and G : C → B are identities on names between a broken
+    copy B of a poset C and C itself; the unit and counit of F ⊣ G and a
+    transformation F ⇒ F have identities of C as components."""
+    broken = clean
+    for kind in kinds:
+        broken = _corrupt(broken, kind, data.draw)
+    ids = {o: ("id", o) for o in clean.objects}
+    F = FunctorMap("F", broken, clean, {o: o for o in broken.objects},
+                   {m: m for m in broken.morphisms})
+    G = FunctorMap("G", clean, broken, dict(F.obj_map), dict(F.mor_map))
+    adjunction = AdjunctionData(
+        "F⊣G", F, G,
+        NatTrans("η", identity_functor(broken), compose_functors(G, F), ids),
+        NatTrans("ε", compose_functors(F, G), identity_functor(clean), ids))
+    with checking():
+        found = [validate_category(broken), validate_category(clean),
+                 validate_functor(F), validate_functor(G),
+                 validate_nat_trans(NatTrans("t", F, F, ids)),
+                 check_adjunction(adjunction),
+                 check_category_iso(F)[0], check_category_iso(G)[0],
+                 verify_kind(Classifier("B/C", F)),
+                 verify_kind(Classifier("C/B", G), expect="fibration+thin")]
+    for diagnostics in found:
+        assert isinstance(diagnostics, list)
+        assert all(isinstance(d, str) for d in diagnostics)
+    if not kinds:
+        assert found == [[]] * len(found)

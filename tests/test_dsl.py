@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from judgekit.core import validate_category, validate_functor
 from judgekit.dsl import (Decl, JtSyntaxError, TheoryDocument, load_document,
-                          parse_dsl, print_dsl)
+                          parse_dsl)
+
+from oracles import print_dsl
 
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.jt"))
 

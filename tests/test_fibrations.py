@@ -10,12 +10,13 @@ from judgekit.fibrations import (Classifier, cartesian_lift,
                                  verify_kind)
 from judgekit.finset_topos import build_finset_topos
 from judgekit.finsets import fin_skeleton, preimage, subset_leq, subsets
-from judgekit.limits import terminal_category, walking_arrow_category
+from judgekit.limits import terminal_category
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine, SequentDoctrine,
                           proposition_classifier)
 
 from oracles import (Antitone, EmptyIdentity, coslice_classifier,
-                     grothendieck_classifier, slice_classifier)
+                     fiber_category, grothendieck_classifier,
+                     slice_classifier, walking_arrow_category)
 
 
 def powerset_classifier(n=2):
@@ -33,7 +34,7 @@ def test_grothendieck_total_is_a_category():
 def test_fiber_categories_are_the_subset_posets():
     cl = powerset_classifier(2)
     for x in range(3):
-        fib = cl.fiber_category(x)
+        fib = fiber_category(cl, x)
         assert validate_category(fib) == []
         assert len(fib.objects) == 2 ** x
         for m in fib.morphisms:

@@ -18,8 +18,7 @@ from judgekit.fibrations import (Classifier, cartesian_lift, compute_cleavage,
                                  verify_kind)
 from judgekit.finset_topos import build_finset_topos, instantiate_constructor
 from judgekit.finsets import fin_skeleton, preimage, subsets
-from judgekit.limits import (bang_functor, pullback_category,
-                             terminal_category, walking_arrow_category)
+from judgekit.limits import bang_functor, pullback_category, terminal_category
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
                           build_deduction_system, derive_structural,
                           proposition_classifier)
@@ -29,7 +28,8 @@ from oracles import (Antitone, EmptyIdentity, coslice_classifier,
                      naive_cocartesian_lifts,
                      naive_composition_preserved, naive_factorizations,
                      naive_is_cartesian, naive_is_cocartesian,
-                     product_category, slice_classifier, thin_table)
+                     product_category, slice_classifier, thin_table,
+                     walking_arrow_category)
 
 P1 = proposition_classifier(PowersetDoctrine(1))
 TWO = walking_arrow_category()

@@ -5,11 +5,10 @@ from judgekit.core import (FunctorMap, compose_functors, identity_functor,
 from judgekit.finsets import fin_skeleton
 from judgekit.limits import (bang_functor, equalizer_category, joint_injectivity,
                              mediating_functor, pullback_category,
-                             terminal_category, verify_equalizer_universal,
-                             verify_pullback_universal,
-                             walking_arrow_category)
+                             terminal_category)
 
-from oracles import product_category
+from oracles import (product_category, verify_equalizer_universal,
+                     verify_pullback_universal, walking_arrow_category)
 
 ONE = terminal_category()
 TWO = walking_arrow_category()

@@ -1,10 +1,11 @@
-"""Every name defined or imported under ``src/judgekit/`` is used.
+"""No code under ``src/judgekit/`` is dead.  Two rules check it.
 
-A definition counts as used when something scanned references it outside
-its own definition: ``src/``, ``verdictbench/`` or
-``tests/test_acceptance.py``, the one-test-per-guarantee gate.  A
-reference from any other test does not count: code that only its own
-unit tests reach is dead.
+The static rule reads the sources.  It covers classes and imports, and
+module-level functions and non-dunder methods too: a definition counts as
+used when something scanned references it outside its own definition:
+``src/``, ``verdictbench/`` or ``tests/test_acceptance.py``, the
+one-test-per-guarantee gate.  A reference from any other test does not
+count.
 
 The check knows which module a reference points into.  A module-level
 function or class ``f`` of module ``mod`` is referenced only where
@@ -28,11 +29,22 @@ cannot go stale.
 
 A name that a module of the package imports counts as used when the
 same module reads it as a ``Name``.
-"""
 
+The trace rule runs ``jt`` requests under ``cProfile`` and covers every
+function and method, nested ones and dunders included: each must be
+called by a request or be named in ``UNCALLED`` with its reason, and the
+same staleness checks hold for that list.  It is the only rule that a
+function called only from tests, or only from other dead code, cannot
+pass: the static rule counts ``tests/test_acceptance.py`` and any
+reference from ``src/`` as a use, whether or not the referrer ever runs.
+"""
 import ast
+import cProfile
+import tempfile
 from collections import Counter
 from pathlib import Path
+
+from report_requests import DEMOS, documents, requests, run
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "judgekit"
@@ -42,8 +54,6 @@ SCANNED = (ROOT / "src", ROOT / "verdictbench",
 #: ``module.qualname`` of each definition kept without a scanned
 #: reference, with the reason it is kept.
 KEPT = {
-    "dsl.print_dsl":
-        "the printer of the parser's parse → print → parse property test",
     "finsets.implication":
         "Heyting implication, which the Heyting-valued and sieve doctrines "
         "planned in ROADMAP.md call",
@@ -221,3 +231,139 @@ def test_every_imported_name_is_referenced():
         unused += [f"{path.relative_to(ROOT)}: {name}"
                    for name in _imported(tree) if name not in read]
     assert unused == []
+
+
+# --------------------------------------------------------------------------
+# The trace rule.
+# --------------------------------------------------------------------------
+
+#: ``module.qualname`` of each function under ``src/judgekit/`` that no
+#: request of ``_trace_requests`` calls, with the reason it is kept.
+UNCALLED = {
+    "core._Pairs.__iter__":
+        "Mapping protocol: _table_errors walks a pullback's composition "
+        "only when it sweeps one whose premises fail",
+    "core._Pairs.__len__":
+        "Mapping protocol, as _Pairs.__iter__",
+    "core._Transposed.__iter__":
+        "Mapping protocol: _table_errors walks an opposite's composition "
+        "only when it sweeps one whose premises fail",
+    "core._Transposed.__len__":
+        "Mapping protocol, as _Transposed.__iter__",
+    "dtt.context_extension":
+        "the extension equation ΣΔA = A[δ_A], a paper result that waits "
+        "for a request (ROADMAP item 7 step a)",
+    "dtt._restrict":
+        "reached only from the natural-model bridge, as dtt.nm_to_jdtt",
+    "dtt._mediators":
+        "reached only from the natural-model bridge, as dtt.nm_to_jdtt",
+    "dtt.validate_natural_model":
+        "Awodey's natural-model bridge, a paper result that waits for a "
+        "request (ROADMAP item 7 step a)",
+    "dtt.jdtt_to_nm":
+        "the natural-model bridge, as dtt.validate_natural_model",
+    "dtt.nm_to_jdtt":
+        "the natural-model bridge, as dtt.validate_natural_model",
+    "dtt.natural_model_round_trip":
+        "the natural-model bridge, as dtt.validate_natural_model",
+    "finset_topos.make_weak_constructor_example":
+        "the weak constructor mode, a paper result that waits for a "
+        "request (ROADMAP item 7 step a)",
+    "fibrations.is_cartesian":
+        "the cartesian test of one morphism, reached only from "
+        "dtt.context_extension",
+    "fibrations.is_discrete":
+        "the discrete-fibration test, reached only from "
+        "dtt.validate_natural_model",
+    "fibrations.Classifier.fiber_objects":
+        "the objects over Γ, reached only from dtt.context_extension",
+    "finsets.graph_map":
+        "the graph of a term, which the Heyting doctrines planned in "
+        "ROADMAP item 8 read",
+    "finsets.implication":
+        "Heyting implication, which the doctrines of ROADMAP item 8 call",
+    "ndt.PowersetDoctrine.substitute":
+        "substitution φ[t/y], which the doctrines of ROADMAP item 8 call",
+    "ndt.PowersetDoctrine.forall_elim":
+        "universal elimination, which the doctrines of ROADMAP item 8 call",
+    "ndt.ChainDoctrine.top":
+        "the top of a fiber, part of the doctrine interface that "
+        "PowersetDoctrine.top implements",
+}
+
+
+def _functions(tree, prefix=""):
+    """``(qualname, first line)`` of every function in ``tree``, nested
+    ones included.  The first line of a decorated function is that of its
+    first decorator, as in its code object's ``co_firstlineno``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + node.name
+            yield name, min([node.lineno] +
+                            [d.lineno for d in node.decorator_list])
+            yield from _functions(node, f"{name}.<locals>.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _functions(node, prefix)
+
+
+def _trace_requests(tmp: Path) -> list:
+    """The argv of every request the trace runs, over documents it writes
+    to ``tmp``: the hash-seed requests with dtt-finset 2 in place of 3,
+    which reach the same functions in less time; ``check --json`` of the
+    toy theory; ``render`` of a dtt rule and an ndt rule in both formats;
+    and ``check`` of the toy theory with ``t`` declared thin, the one
+    request that reaches ``fibrations.is_thin``."""
+    toy = (DEMOS / "toy.jt").read_text(encoding="utf-8")
+    declared = "classifier t : t kind fibration\n"
+    assert declared in toy
+    docs = {**documents(), "toy-thin.jt": toy.replace(
+        declared, "classifier t : t kind fibration+thin\n")}
+    for file, text in docs.items():
+        (tmp / file).write_text(text, encoding="utf-8")
+    dtt3, dtt2 = str(tmp / "dtt3.jt"), str(tmp / "dtt2.jt")
+    out = [[dtt2 if a == dtt3 else a for a in argv]
+           for _, argv in requests(tmp)]
+    out.append(["check", "--json", str(DEMOS / "toy.jt")])
+    out += [["render", "--rule", rule, "--format", fmt]
+            for rule in ("ΠF", "Cut") for fmt in ("text", "latex")]
+    out.append(["check", str(tmp / "toy-thin.jt")])
+    return out
+
+
+def _uncalled():
+    """``(defined, uncalled)``: the ``module.qualname`` of every function
+    under ``src/judgekit/``, and of those that no request calls.  A code
+    object is keyed by its file, first line and name."""
+    profile = cProfile.Profile()
+    with tempfile.TemporaryDirectory() as name:
+        argvs = _trace_requests(Path(name))
+        profile.enable()
+        try:
+            for argv in argvs:
+                run(argv)
+        finally:
+            profile.disable()
+    profile.create_stats()
+    called = {(Path(file).resolve(), line, fn)
+              for file, line, fn in profile.stats if file != "~"}
+    defined, uncalled = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, line in _functions(tree):
+            key = f"{path.stem}.{qualname}"
+            defined.append(key)
+            if (path.resolve(), line, qualname.rsplit(".", 1)[-1]) \
+                    not in called:
+                uncalled.append(key)
+    return defined, uncalled
+
+
+def test_every_function_is_called_by_a_request_or_kept():
+    """Every function is called by a ``jt`` request, or named in
+    ``UNCALLED``; every name there is defined and still uncalled."""
+    defined, uncalled = _uncalled()
+    assert [k for k in uncalled if k not in UNCALLED] == []
+    assert [k for k in UNCALLED if k not in defined] == []
+    assert [k for k in UNCALLED if k not in uncalled] == []

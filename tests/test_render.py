@@ -1,12 +1,13 @@
+import ast
 from pathlib import Path
 
 import pytest
 
 from judgekit.render import (SCHEMAS, ascii_enabled, derived_rule, finalize,
                              latex_math, render_rule_tree)
-from judgekit.theory import expand_nested
 
 GOLDEN = Path(__file__).parent / "golden"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "judgekit"
 
 FIGURES = [
     ("ΠF", "pi_formation"),
@@ -61,20 +62,35 @@ def test_ascii_mode(monkeypatch):
     assert not ascii_enabled()
 
 
+def _string_constants(tree):
+    """The string constants of a module, docstrings aside."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docs]
+
+
+def test_ascii_mode_spells_every_symbol_the_library_prints(monkeypatch):
+    """Every non-ASCII character of a string constant under
+    ``src/judgekit``, docstrings aside, has an ASCII spelling; a letter
+    with a combining mark is spelled as the letter and the mark."""
+    monkeypatch.setenv("JT_ASCII", "1")
+    left = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for s in _string_constants(tree):
+            if not finalize(s).isascii():
+                left[s] = path.name
+    assert left == {}
+    assert finalize("PB(u̇,𝕌̇) K̄ Cᵒᵖ F⁻¹ η′") == "PB(u.,U.) Kbar C^op F^-1 eta'"
+
+
 def test_latex_math_table():
     assert "\\vdash" in latex_math("⊢")
     assert "\\Gamma" in latex_math("Γ")
-
-
-def test_expanded_tree_has_one_premise_per_component(toy):
-    T = toy.theory
-    rule = derived_rule("ε-ext", toy.ext_lift.premise.name,
-                        toy.ext_lift.conclusion.name, toy.ext_lift.rule,
-                        schema_name="ε-ext")
-    expanded = render_rule_tree(rule, "text", expand=True, theory=T)
-    premises = expand_nested(T, rule.premise)
-    assert expanded.splitlines()[0].strip() == "   ".join(premises)
-    assert expanded.splitlines()[-1].strip() == "ext(A) ⊢ A ε_A Type"
 
 
 def test_unknown_schema_is_an_error():

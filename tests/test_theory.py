@@ -4,13 +4,14 @@ from judgekit.core import (FunctorMap, compose_functors, identity_functor,
                            same_functor, validate_functor)
 from judgekit.fibrations import Classifier, is_cartesian
 from judgekit.finsets import fin_skeleton, preimage
-from judgekit.limits import (bang_functor, terminal_category,
-                             walking_arrow_category)
+from judgekit.limits import bang_functor, terminal_category
 from judgekit.theory import (PreJudgementalTheory, RegistryEntry,
                              check_axioms, close_equalizer, close_pullback,
-                             eager_close, empty_classifier, expand_nested,
-                             sharp_lift, validate_prejt)
+                             eager_close, empty_classifier, sharp_lift,
+                             validate_prejt)
 from judgekit.toy import build_toy_theory, extension_oracle
+
+from oracles import walking_arrow_category
 
 
 def test_toy_theory_is_well_formed(toy):
@@ -83,16 +84,6 @@ def test_sharp_lift_conclusion_reindexes(toy):
 def test_sharp_lift_registered(toy):
     keys = [k for k in toy.theory.registry if k.startswith("SHARP")]
     assert keys
-
-
-def test_expand_nested(toy):
-    T = toy.theory
-    close_pullback(T, toy.u, toy.u)
-    lines = expand_nested(T, "PB(u,u)")
-    assert len(lines) == 2
-    eq_lines = expand_nested(T, "EQ(u,ext)")
-    assert any("=" in ln for ln in eq_lines)
-    assert expand_nested(T, "v") == ["v ⊢ (generator)"]
 
 
 def test_eager_close_rounds():
