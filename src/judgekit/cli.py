@@ -292,10 +292,6 @@ def cmd_derive(ns, report):
 # --------------------------------------------------------------------------
 
 def cmd_render(ns, report):
-    if ns.file is not None:
-        loaded = _load(ns.file, report)
-        if loaded is None:
-            return
     if ns.rule not in SCHEMAS:
         known = ", ".join(sorted(SCHEMAS))
         report.check(f"rule {ns.rule}",
@@ -401,7 +397,6 @@ def build_parser():
     sp.set_defaults(fn=cmd_derive)
 
     sp = sub.add_parser("render", help="print one rule as a proof figure")
-    sp.add_argument("file", nargs="?", default=None)
     sp.add_argument("--rule", required=True)
     sp.add_argument("--format", choices=("text", "latex"), default="text")
     common(sp)
@@ -423,8 +418,7 @@ def _command(ns) -> str:
     if ns.cmd == "derive":
         return f"derive {ns.file} --rule {ns.rule}"
     if ns.cmd == "render":
-        where = f"{ns.file} " if ns.file else ""
-        return f"render {where}--rule {ns.rule} --format {ns.format}"
+        return f"render --rule {ns.rule} --format {ns.format}"
     return f"demo {ns.which}"
 
 

@@ -821,9 +821,9 @@ def validate_nat_trans(t: NatTrans) -> list:
                       for f in c.morphisms if fails(f)])
 
 
-def identity_nat_trans(F: FunctorMap, name=None) -> NatTrans:
+def identity_nat_trans(F: FunctorMap) -> NatTrans:
     return NatTrans(
-        name=name or f"id_{F.name}",
+        name=f"id_{F.name}",
         source=F,
         target=F,
         components={o: F.cod.identity[F.obj_map[o]] for o in F.dom.objects},
@@ -850,11 +850,11 @@ def whisker_right(t: NatTrans, K: FunctorMap, name=None) -> NatTrans:
     )
 
 
-def vertical_compose(u: NatTrans, t: NatTrans, name=None) -> NatTrans:
+def vertical_compose(u: NatTrans, t: NatTrans) -> NatTrans:
     """``u ∘ t`` where t: F ⇒ G and u: G ⇒ H."""
     d = t.source.cod
     return NatTrans(
-        name=name or f"({u.name}∘{t.name})",
+        name=f"({u.name}∘{t.name})",
         source=t.source,
         target=u.target,
         components={o: d.comp(u.components[o], t.components[o])

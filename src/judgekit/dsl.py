@@ -81,9 +81,9 @@ def parse_dsl(text: str) -> TheoryDocument:
     return doc
 
 
-def _want(cond, lineno, msg, expected=None):
+def _want(cond, lineno, msg):
     if not cond:
-        raise JtSyntaxError(lineno, 1, msg, expected)
+        raise JtSyntaxError(lineno, 1, msg)
 
 
 def _int_args(toks, lineno):
@@ -193,7 +193,6 @@ class LoadedDocument:
     doctrines: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
-    complete_claims: list = field(default_factory=list)  # category names
 
 
 def _resolve(table, name, what, decl_line, errors):

@@ -17,7 +17,8 @@ the module derives, as explicit functors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (FinCategory, FunctorMap, NatTrans, AdjunctionData,
                    check_adjunction, check_category_iso, checking,
@@ -43,24 +44,19 @@ class JdttData:
     Delta: FunctorMap      # 𝕌 → 𝕌̇, context extension / generic term
     eta: NatTrans          # Id_𝕌̇ ⇒ ΔΣ
     eps: NatTrans          # ΣΔ ⇒ Id_𝕌
-    _derived: dict = field(default_factory=dict, repr=False)
 
-    def functor(self, key):
-        """Composite functors used throughout, built once with stable names
-        so closure-registry keys stay canonical."""
-        if key not in self._derived:
-            if key == "ΔΣ":
-                self._derived[key] = compose_functors(
-                    self.Delta, self.Sigma, name="ΔΣ")
-            elif key == "u̇ΔΣ":
-                self._derived[key] = compose_functors(
-                    self.udot.proj, self.functor("ΔΣ"), name="u̇ΔΣ")
-            elif key == "u̇Δ":
-                self._derived[key] = compose_functors(
-                    self.udot.proj, self.Delta, name="u̇Δ")
-            else:
-                raise KeyError(key)
-        return self._derived[key]
+    # The two composites read throughout, built once with stable names so
+    # closure-registry keys stay canonical.
+
+    @cached_property
+    def udot_delta(self) -> FunctorMap:
+        """u̇Δ : 𝕌 → ctx, the extended context Γ.A of a type A."""
+        return compose_functors(self.udot.proj, self.Delta, name="u̇Δ")
+
+    @cached_property
+    def udot_delta_sigma(self) -> FunctorMap:
+        """u̇ΔΣ : 𝕌̇ → ctx, the extended context of a term's type."""
+        return compose_functors(self.udot_delta, self.Sigma, name="u̇ΔΣ")
 
 
 def validate_jdtt(J: JdttData) -> list:
@@ -140,16 +136,15 @@ class DependencyRules:
 def derive_dependency(J: JdttData) -> DependencyRules:
     """Type and term dependency by ♯-lifting the whiskered unit.
 
-    η′ := u̇·η : u̇ ⇒ u̇ΔΣ is a policy over the identity triangle on 𝕌̇;
+    η′ := u̇·η : u̇ ⇒ u̇ΔΣ is a policy between two rules out of 𝕌̇;
     lifting it along u re-indexes a type B over Γ.A to B⟨a⟩ over Γ, and
     lifting along u̇ does the same for terms.
     """
     T = J.theory
     eta_p = whisker_left(J.udot.proj, J.eta, name="η′")
-    # Contravariant policy  g∘λ = u̇  ⇒  f = u̇ΔΣ  with λ = id.
-    lam = identity_functor(J.udot.total, name="id_𝕌̇")
-    dty = sharp_lift(T, lam, J.functor("u̇ΔΣ"), J.udot.proj, eta_p, J.u)
-    dtm = sharp_lift(T, lam, J.functor("u̇ΔΣ"), J.udot.proj, eta_p, J.udot)
+    # Contravariant policy  g = u̇  ⇒  f = u̇ΔΣ.
+    dty = sharp_lift(T, J.udot_delta_sigma, J.udot.proj, eta_p, J.u)
+    dtm = sharp_lift(T, J.udot_delta_sigma, J.udot.proj, eta_p, J.udot)
     bad = list(dty.diagnostics) + list(dtm.diagnostics)
     if not bad:
         # Typing commutes with dependency: Σ(b⟨a⟩) = (Σb)⟨a⟩.
@@ -177,9 +172,8 @@ def derive_display_transport(J: JdttData, dep: DependencyRules = None) -> Transp
     """
     T = J.theory
     eps_p = whisker_right(whisker_left(J.u.proj, J.eps), J.Sigma, name="ε′")
-    lam = identity_functor(J.udot.total, name="id_𝕌̇")
-    # Contravariant policy  g∘λ = u̇ΔΣ  ⇒  f = u̇.
-    tr = sharp_lift(T, lam, J.udot.proj, J.functor("u̇ΔΣ"), eps_p, J.udot)
+    # Contravariant policy  g = u̇ΔΣ  ⇒  f = u̇.
+    tr = sharp_lift(T, J.udot.proj, J.udot_delta_sigma, eps_p, J.udot)
     bad = list(tr.diagnostics)
     if dep is None:
         dep = derive_dependency(J)
@@ -268,7 +262,7 @@ def validate_natural_model(M: NaturalModelData) -> list:
     return bad
 
 
-def jdtt_to_nm(J: JdttData, name=None) -> NaturalModelData:
+def jdtt_to_nm(J: JdttData) -> NaturalModelData:
     """Extract the natural model: Γ.A = u̇ΔA, δ_A = u(ε_A), q_A = ΔA."""
     repr_data = {}
     with checking():
@@ -277,15 +271,15 @@ def jdtt_to_nm(J: JdttData, name=None) -> NaturalModelData:
             if e.diagnostics:
                 raise ValueError(e.diagnostics[0])
             repr_data[A] = (e.ext, e.delta, e.q)
-    return NaturalModelData(name or f"nm({J.theory.name})", J.theory.ctx,
+    return NaturalModelData(f"nm({J.theory.name})", J.theory.ctx,
                             J.udot, J.u, J.Sigma, repr_data)
 
 
-def nm_to_jdtt(M: NaturalModelData, theory=None) -> JdttData:
+def nm_to_jdtt(M: NaturalModelData) -> JdttData:
     """Rebuild the adjunction: Δ_p(A) = q_A, counit from δ_A, unit from
     the universal dotted arrow of the representing pullback."""
     ctx = M.ctx
-    T = theory or PreJudgementalTheory(f"jdtt({M.name})", ctx)
+    T = PreJudgementalTheory(f"jdtt({M.name})", ctx)
     d_obj = {A: M.repr_data[A][2] for A in M.types.total.objects}
     d_mor = {}
     for s in M.types.total.morphisms:
@@ -397,8 +391,8 @@ def phi_check(J: JdttData, C: ConstructorData) -> ConstructorCheck:
     if C.Psi.over:
         p, q, path, h = C.Psi.over
         over = (p, (1, *q), path, h)
-    cmp_f = mediating_functor("pullback", pb, (pY, pU), [C.Lambda, C.Psi],
-                              name=f"{C.name}★", over=over)
+    cmp_f = mediating_functor(pb, (pY, pU), [C.Lambda, C.Psi],
+                              f"{C.name}★", over)
     if C.mode == "strict":
         diag, inv = check_category_iso(cmp_f)
         if diag:
@@ -464,48 +458,44 @@ def phi_derive(J: JdttData, C: ConstructorData) -> DerivedConstructorRules:
 # -- canonical constructor squares over a dtt ------------------------------
 
 
-def make_pi_constructor(J: JdttData, Pi: FunctorMap, lam_intro: FunctorMap,
-                        name="Π") -> ConstructorData:
+def make_pi_constructor(J: JdttData, Pi: FunctorMap,
+                        lam_intro: FunctorMap) -> ConstructorData:
     """Π-types: 𝕐 = 𝕌.Δ𝕌 (a type and a type over its extension),
     𝕏 = 𝕌.Δ𝕌̇ (a type and a term over its extension), Λ applies typing
     to the dependent part."""
     T = J.theory
-    Y, yA, yB = close_pullback(T, J.functor("u̇Δ"), J.u.proj)
-    X, xA, xb = close_pullback(T, J.functor("u̇Δ"), J.udot.proj)
-    Lambda = mediating_functor(
-        "pullback", Y, (yA, yB),
-        [xA, compose_functors(J.Sigma, xb)], name=f"{name}Λ",
-        over=(J.u.proj, (0,), (0,), J.u.proj))
-    return ConstructorData(name, X, Y, Lambda, Pi, lam_intro)
+    Y, yA, yB = close_pullback(T, J.udot_delta, J.u.proj)
+    X, xA, xb = close_pullback(T, J.udot_delta, J.udot.proj)
+    Lambda = mediating_functor(Y, (yA, yB),
+                               [xA, compose_functors(J.Sigma, xb)], "ΠΛ",
+                               (J.u.proj, (0,), (0,), J.u.proj))
+    return ConstructorData("Π", X, Y, Lambda, Pi, lam_intro)
 
 
-def make_id_constructor(J: JdttData, Id: FunctorMap, refl: FunctorMap,
-                        name="Id") -> ConstructorData:
+def make_id_constructor(J: JdttData, Id: FunctorMap,
+                        refl: FunctorMap) -> ConstructorData:
     """Id-types: 𝕐 = 𝕌̇×_Σ𝕌̇ (pairs of terms of the same type),
     𝕏 = 𝕌̇ with the diagonal, Ψ = reflexivity."""
     T = J.theory
     Y, y1, y2 = close_pullback(T, J.Sigma, J.Sigma)
     idu = identity_functor(J.udot.total, name="id_𝕌̇")
-    diag = mediating_functor("pullback", Y, (y1, y2), [idu, idu],
-                             name=f"{name}diag",
-                             over=(J.udot.proj, (0,), (), J.udot.proj))
-    return ConstructorData(name, J.udot.total, Y, diag, Id, refl)
+    diag = mediating_functor(Y, (y1, y2), [idu, idu], "Iddiag",
+                             (J.udot.proj, (0,), (), J.udot.proj))
+    return ConstructorData("Id", J.udot.total, Y, diag, Id, refl)
 
 
 def id_extensionality(J: JdttData, C: ConstructorData) -> list:
     """The first Id eliminator: the reflexivity square factors through the
-    equalizer of the two term projections, and every inhabited identity
-    type sits over a pair with a = b (checked by enumeration)."""
+    equalizer of the two term projections, so that Λ corestricts to a
+    functor IdE1 into it, and every inhabited identity type sits over a
+    pair with a = b (checked by enumeration)."""
     T = J.theory
-    bad = []
-    Yname = f"PB({J.Sigma.name},{J.Sigma.name})"
-    e = T.registry[Yname]
-    Y, y1, y2 = e.value, e.extras["p1"], e.extras["p2"]
-    eq, incl = close_equalizer(T, y1, y2)
-    try:
-        mediating_functor("equalizer", eq, incl, C.Lambda, name="IdE1")
-    except ValueError as exc:
-        bad.append(f"Id E1: {exc}")
+    Y, y1, y2 = close_pullback(T, J.Sigma, J.Sigma)
+    eq, _ = close_equalizer(T, y1, y2)
+    IdE1 = FunctorMap("IdE1", C.Lambda.dom, eq, C.Lambda.obj_map,
+                      C.Lambda.mor_map)
+    bad = [f"Id E1: cone does not factor through {eq.name}: {d}"
+           for d in validate_functor(IdE1)[:1]]
     sigma_of = J.Sigma.obj_map
     inhabited = {sigma_of[c] for c in J.udot.total.objects}
     for (a, b) in Y.objects:
@@ -526,20 +516,20 @@ def dependent_type(J: JdttData, dep: DependencyRules) -> FunctorMap:
 
 
 def make_sum_constructor(J: JdttData, dep: DependencyRules, Fj: FunctorMap,
-                         pair_intro: FunctorMap, name="Ⅎ") -> ConstructorData:
+                         pair_intro: FunctorMap) -> ConstructorData:
     """Dependent-sum types: 𝕐 = 𝕌.Δ𝕌 as for Π; the premise 𝕏 pairs a
     term a, a type B over the extension, and a term of B⟨a⟩."""
     T = J.theory
-    Y, yA, yB = close_pullback(T, J.functor("u̇Δ"), J.u.proj)
+    Y, yA, yB = close_pullback(T, J.udot_delta, J.u.proj)
     X, xAB, xb = close_pullback(T, dependent_type(J, dep), J.Sigma)
     Lambda = mediating_functor(
-        "pullback", Y, (yA, yB),
+        Y, (yA, yB),
         [compose_functors(J.Sigma,
                           FunctorMap("π_a", X, J.udot.total,
                                      {o: o[0][0] for o in X.objects},
                                      {m: m[0][0] for m in X.morphisms})),
          FunctorMap("π_B", X, J.u.total,
                     {o: o[0][1] for o in X.objects},
-                    {m: m[0][1] for m in X.morphisms})], name=f"{name}Λ",
-        over=(J.u.proj, (0,), (0, 0), J.udot.proj))
-    return ConstructorData(name, X, Y, Lambda, Fj, pair_intro)
+                    {m: m[0][1] for m in X.morphisms})], "ℲΛ",
+        (J.u.proj, (0,), (0, 0), J.udot.proj))
+    return ConstructorData("Ⅎ", X, Y, Lambda, Fj, pair_intro)

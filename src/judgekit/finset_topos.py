@@ -110,9 +110,9 @@ def instantiate_constructor(J: JdttData, which: str,
     the dependent sum reads the dependency rules ``dep``."""
     T = J.theory
     if which == "pi":
-        Y, _, _ = close_pullback(T, J.functor("u̇Δ"), J.u.proj)
+        Y, _, _ = close_pullback(T, J.udot_delta, J.u.proj)
         Pi = _former_on_y(J, Y, _pi_subset, "Π")
-        X, _, _ = close_pullback(T, J.functor("u̇Δ"), J.udot.proj)
+        X, _, _ = close_pullback(T, J.udot_delta, J.udot.proj)
         lam_intro = thin_rule("λ", X, J.udot, lambda Ab: _term(Ab[0][0]),
                               (0,), J.u)
         return make_pi_constructor(J, Pi, lam_intro)
@@ -125,7 +125,7 @@ def instantiate_constructor(J: JdttData, which: str,
                        over=(J.udot.proj, (), (), J.udot.proj))
         return make_id_constructor(J, Id, refl)
     if which == "sum":
-        Y, _, _ = close_pullback(T, J.functor("u̇Δ"), J.u.proj)
+        Y, _, _ = close_pullback(T, J.udot_delta, J.u.proj)
         Fj = _former_on_y(J, Y, _sum_subset, "Ⅎ")
         X, _, _ = close_pullback(T, dependent_type(J, dep), J.Sigma)
         pair_intro = thin_rule("pair", X, J.udot, lambda o: o[0][0],

@@ -14,9 +14,10 @@ A product is the pullback of two ``bang_functor``s into the terminal
 category.  Equalizers keep a table.
 
 ``mediating_functor`` builds the one functor through which a cone
-factors and checks that it commutes.  The brute-force checks of the
-universal properties, which enumerate every cone from small apexes, are
-test oracles (``tests/oracles.py``).
+factors into a pullback, and checks that it commutes; it handles
+pullbacks only.  The brute-force checks of the universal properties,
+which enumerate every cone from small apexes, are test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .core import (Composition, FinCategory, FunctorMap, compose_functors,
                    validate_functor)
 
 
-def terminal_category(name="𝟙") -> FinCategory:
-    return make_category(name, ["•"], [("id", "•")],
+def terminal_category() -> FinCategory:
+    return make_category("𝟙", ["•"], [("id", "•")],
                          {("id", "•"): "•"}, {("id", "•"): "•"},
                          {"•": ("id", "•")},
                          {(("id", "•"), ("id", "•")): ("id", "•")})
@@ -113,38 +114,25 @@ def joint_injectivity(p1: FunctorMap, p2: FunctorMap) -> list:
     return bad
 
 
-def mediating_functor(kind, limit_cat, projections, legs, name=None,
-                      over=None) -> FunctorMap:
-    """Canonical mediating functor of a cone into one of our limits.
+def mediating_functor(limit_cat, projections, legs, name, over) -> FunctorMap:
+    """The mediating functor of a cone into a pullback.
 
-    ``kind`` is "pullback" or "equalizer".  For a pullback,
-    ``projections`` and ``legs`` are the two projections and the two cone
-    functors; the result tuples the legs pointwise, which is the unique
-    choice because the projections are jointly injective (asserted here
-    by exhaustive check).  For an equalizer, ``projections`` is the
-    inclusion and ``legs`` the one cone functor, corestricted.  A pullback
-    mediator records ``over`` (see ``FunctorMap``) before it is validated.
+    ``projections`` are the pullback's two projections and ``legs`` the
+    two cone functors; the result tuples the legs pointwise, which is the
+    unique choice because the projections are jointly injective (asserted
+    here by exhaustive check).  It records ``over`` (see ``FunctorMap``)
+    before it is validated.
     """
-    if kind == "pullback":
-        W = legs[0].dom
-        if joint_injectivity(*projections):
-            raise ValueError("limit projections are not jointly injective")
-        obj_map = {o: tuple(l.obj_map[o] for l in legs) for o in W.objects}
-        mor_map = {m: tuple(l.mor_map[m] for l in legs) for m in W.morphisms}
-        med = FunctorMap(name or f"⟨{','.join(l.name for l in legs)}⟩",
-                         W, limit_cat, obj_map, mor_map, over)
-    elif kind == "equalizer":
-        med = FunctorMap(name or f"corestrict({legs.name})", legs.dom,
-                         limit_cat, dict(legs.obj_map), dict(legs.mor_map))
-    else:
-        raise ValueError(f"unknown limit kind {kind!r}")
+    W = legs[0].dom
+    if joint_injectivity(*projections):
+        raise ValueError("limit projections are not jointly injective")
+    obj_map = {o: tuple(l.obj_map[o] for l in legs) for o in W.objects}
+    mor_map = {m: tuple(l.mor_map[m] for l in legs) for m in W.morphisms}
+    med = FunctorMap(name, W, limit_cat, obj_map, mor_map, over)
     bad = validate_functor(med)
     if bad:
         raise ValueError(f"cone does not factor through {limit_cat.name}: {bad[0]}")
-    if kind == "pullback":
-        for proj, leg in zip(projections, legs):
-            if not same_functor(compose_functors(proj, med), leg):
-                raise ValueError(f"mediating functor does not commute with {proj.name}")
-    elif not same_functor(compose_functors(projections, med), legs):
-        raise ValueError("mediating functor does not commute with the inclusion")
+    for proj, leg in zip(projections, legs):
+        if not same_functor(compose_functors(proj, med), leg):
+            raise ValueError(f"mediating functor does not commute with {proj.name}")
     return med

@@ -279,8 +279,7 @@ def validate_system(ds: DeductionSystem) -> list:
     bad = validate_category(ds.P.total, ds.P.proj) \
         + validate_category(ds.E.total, ds.E.proj)
     bad += validate_prejt(ds.theory)
-    bad += check_axioms(ds.theory, variances={ds.P.name: "contravariant",
-                                              ds.E.name: "contravariant"})
+    bad += check_axioms(ds.theory)
     return bad
 
 
@@ -354,8 +353,7 @@ def derive_structural(ds: DeductionSystem) -> StructuralRules:
     # antecedent fibration d : 𝔼 → 𝔽 and project.  The premise of the lift
     # is exactly the composable pairs (Γ ⊢ φ, φ ⊢ ψ).
     e_over_p = Classifier("𝔼d", ds.d)
-    lift = sharp_lift(T, identity_functor(E.total), ds.c, ds.d,
-                      ds.alpha, e_over_p)
+    lift = sharp_lift(T, ds.c, ds.d, ds.alpha, e_over_p)
     bad += lift.diagnostics
     if not lift.diagnostics:
         cut = compose_functors(lift.conclusion_projs[1], lift.rule, name="cut")
@@ -487,12 +485,12 @@ def sequent_monad(ds: DeductionSystem) -> SequentMonad:
 # Proposition pairs (the simple construction on 𝔽) and the comparison.
 # --------------------------------------------------------------------------
 
-def pair_classifier(ds: DeductionSystem, name="s𝔽") -> Classifier:
+def pair_classifier(ds: DeductionSystem) -> Classifier:
     """The category of proposition pairs (φ, φ′) in a common fiber; a
     morphism over σ is a pair (φ ≤ σ*ψ, φ∧φ′ ≤ σ*ψ′)."""
     doc = ds.doctrine
     return thin_classifier(
-        name, ds.ctx,
+        "s𝔽", ds.ctx,
         lambda x: list(iproduct(doc.formulas(x), repeat=2)),
         lambda sigma, p: (doc.restrict(sigma, p[0]), doc.restrict(sigma, p[1])),
         lambda x, p1, q: (doc.leq(x, p1[0], q[0]) and
@@ -508,7 +506,7 @@ def _find_iso(cat: FinCategory, a, b):
     return None
 
 
-def skeleton_category(cat: FinCategory, name=None):
+def skeleton_category(cat: FinCategory):
     """A skeleton: one representative per isomorphism class, as a full
     subcategory.  Returns ``(skeleton, data)`` where ``data`` maps every
     object to ``(representative, iso to it, iso back)``."""
@@ -522,8 +520,7 @@ def skeleton_category(cat: FinCategory, name=None):
         else:
             reps.append(o)
             data[o] = (o, cat.identity[o], cat.identity[o])
-    return subcategory(cat, reps, lambda m: True,
-                       name or f"sk({cat.name})"), data
+    return subcategory(cat, reps, lambda m: True, f"sk({cat.name})"), data
 
 
 @dataclass
@@ -648,15 +645,14 @@ def quantifier_package(ds: DeductionSystem, y: int) -> QuantifierPackage:
                              adj_l, adj_r, bad)
 
 
-def hypothesis_classifier(ds: DeductionSystem, y: int,
-                          name=None) -> Classifier:
+def hypothesis_classifier(ds: DeductionSystem, y: int) -> Classifier:
     """Hypothetical judgements over an extended context: objects are
     (Γ over x, φ over x·y) with w_y Γ ≤ φ; morphisms over σ restrict
     both components (along σ and σ × id_y respectively)."""
     doc = ds.doctrine
     ext = doc.extend(y)
     return thin_classifier(
-        name or f"𝔸{y}", ds.ctx,
+        f"𝔸{y}", ds.ctx,
         lambda x: [(g, f) for g in doc.formulas(x) for f in ext.formulas(x)
                    if ext.leq(x, doc.weaken(x, y, g), f)],
         lambda sigma, p: (doc.restrict(sigma, p[0]), ext.restrict(sigma, p[1])),

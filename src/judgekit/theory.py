@@ -4,9 +4,9 @@ rules — together with the finite-limit closure of that data.
 
 The two workhorses are the closure registry (every derived category is
 recorded under a canonical name, such as ``PB(f,g)``, so re-deriving is
-free and names are stable) and ♯-lifting, which turns a policy over a
-triangle of rules into a rule between pullback classifiers by
-re-indexing along a fibration.
+free and names are stable) and ♯-lifting, which turns a policy between
+two rules out of one category into a rule between pullback classifiers
+by re-indexing along a fibration.
 """
 
 from __future__ import annotations
@@ -204,32 +204,31 @@ def empty_classifier(T: PreJudgementalTheory) -> Classifier:
 
 @dataclass
 class SharpLiftResult:
-    """Outcome of ♯-lifting a policy along a fibration."""
+    """Outcome of ♯-lifting a policy g ⇒ f over 𝔽 along a fibration."""
 
-    rule: FunctorMap          # ℛ*λ : premise → conclusion
+    rule: FunctorMap          # premise → conclusion, (F, H) ↦ (F, H[pol_F])
     policy: NatTrans          # lifted policy, components are cartesian lifts
     premise: FinCategory
     conclusion: FinCategory
     premise_projs: tuple      # (to 𝔽, to ℍ)
-    conclusion_projs: tuple   # (to 𝔾, to ℍ)
+    conclusion_projs: tuple   # (to 𝔽, to ℍ)
     diagnostics: list
 
 
-def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
-               g: FunctorMap, pol: NatTrans, R: Classifier) -> SharpLiftResult:
+def sharp_lift(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap,
+               pol: NatTrans, R: Classifier) -> SharpLiftResult:
     """♯-lift a contravariant policy along a fibration.
 
-    Data: a triangle λ : 𝔽 → 𝔾 over 𝕏 with legs f : 𝔽 → 𝕏, g : 𝔾 → 𝕏
-    and policy components ``pol_F : g(λF) → f(F)``, plus a fibration
-    ``R.proj : ℍ → 𝕏``.  The lifted rule sends a premise pair (F, H) to
-    (λF, H[pol_F]) where H[pol_F] is the chosen cartesian lift; the lifted
-    policy's component at (F, H) is that lift, so it is cartesian by
-    construction.  Both that and the strict commuting of the square over
-    λ are checked.
+    Data: two rules f, g : 𝔽 → 𝕏 with policy components
+    ``pol_F : g(F) → f(F)``, plus a fibration ``R.proj : ℍ → 𝕏``.  The
+    lifted rule sends a premise pair (F, H) of PB(f, R.proj) to the pair
+    (F, H[pol_F]) of PB(g, R.proj), where H[pol_F] is the chosen
+    cartesian lift; the lifted policy's component at (F, H) is that lift,
+    so it is cartesian by construction.  Both that and the strict
+    commuting of the square over 𝔽 are checked.
 
-    The image of (φ, η) has its ℍ component over g(λφ), so the rule lies
-    over 𝕏 through R.proj on that component and through g on φ wherever
-    g∘λ = g, as when λ is an identity: it records
+    The image of (φ, η) is (φ, h) with h over g(φ), so the rule lies over
+    𝕏 through R.proj on its ℍ component and through g on φ: it records
     ``(R.proj, (1,), (0,), g)`` for ``validate_functor``.  It runs in one
     check context, so the cleavage of R is computed once.
     """
@@ -241,12 +240,12 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
         obj_map, lift_at = {}, {}
         for (F, H) in P1.objects:
             m = cartesian_lift(R, H, pol.components[F])
-            obj_map[(F, H)] = (lam.obj_map[F], total.src[m])
+            obj_map[(F, H)] = (F, total.src[m])
             lift_at[(F, H)] = m
         mor_map = {}
         for (phi, eta) in P1.morphisms:
             m, m2 = lift_at[P1.src[(phi, eta)]], lift_at[P1.tgt[(phi, eta)]]
-            want_proj = g.mor_map[lam.mor_map[phi]]
+            want_proj = g.mor_map[phi]
             hits = factorizations(R, m2, want_proj, total.comp(eta, m))
             if len(hits) != 1:
                 bad.append(f"♯-lift of {pol.name}: {len(hits)} factorizations "
@@ -254,7 +253,7 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
                            f"({phi!r},{eta!r})")
                 mor_map[(phi, eta)] = None
             else:
-                mor_map[(phi, eta)] = (lam.mor_map[phi], hits[0])
+                mor_map[(phi, eta)] = (phi, hits[0])
         key = f"SHARP({pol.name},{R.name})"
         rule = FunctorMap(key, P1, P2, obj_map, mor_map,
                           over=(R.proj, (1,), (0,), g))
@@ -264,9 +263,8 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
                           {o: lift_at[o] for o in P1.objects})
         if not bad:
             bad += validate_nat_trans(lifted)
-            if not same_functor(compose_functors(p2g, rule),
-                                compose_functors(lam, p1f)):
-                bad.append(f"♯-lift of {pol.name}: square over {lam.name} "
+            if not same_functor(compose_functors(p2g, rule), p1f):
+                bad.append(f"♯-lift of {pol.name}: square over {f.dom.name} "
                            f"does not commute strictly")
             cartesian = _cartesian(R)
             for o, m in lifted.components.items():
@@ -276,19 +274,17 @@ def sharp_lift(T: PreJudgementalTheory, lam: FunctorMap, f: FunctorMap,
         if not bad and key in T.registry:
             _refuse_others(key, (T.registry[key].value,), (rule,))
         elif not bad:
-            T.register(key, RegistryEntry("rule", rule,
-                                          extras={"policy": lifted}))
+            T.register(key, RegistryEntry("rule", rule))
     return SharpLiftResult(rule, lifted, P1, P2, (p1f, p1h), (p2g, p2h), bad)
 
 
-def check_axioms(T: PreJudgementalTheory, variances=None) -> list:
+def check_axioms(T: PreJudgementalTheory) -> list:
     """The closure axioms of a judgemental theory, checked exhaustively
-    after validating ctx; every judgement is checked by ``verify_kind``:
+    after validating ctx:
 
     * ctx has a terminal object;
     * the empty classifier is available (and registered);
-    * every judgement is a fibration/opfibration/discrete fibration as its
-      declared variance demands.
+    * every judgement is a fibration, as ``verify_kind`` checks it.
     """
     bad = validate_category(T.ctx)
     if bad:
@@ -296,10 +292,6 @@ def check_axioms(T: PreJudgementalTheory, variances=None) -> list:
     if not terminal_objects(T.ctx):
         bad.append(f"{T.name}: ctx has no terminal object")
     empty_classifier(T)
-    variances = variances or {}
-    for nm, j in T.judgements.items():
-        expect = {"covariant": "opfibration",
-                  "contravariant": "fibration",
-                  "strict": "discrete"}.get(variances.get(nm, "contravariant"))
-        bad += verify_kind(j, expect=expect)
+    for j in T.judgements.values():
+        bad += verify_kind(j, expect="fibration")
     return bad

@@ -45,7 +45,7 @@ class ToyTheory:
 
 
 def build_toy_theory() -> ToyTheory:
-    one = terminal_category("𝟙")
+    one = terminal_category()
     star = one.sorted_objects()[0]
     C = fin_skeleton(1, name="ℂ")
     doc = PowersetDoctrine(1)
@@ -80,7 +80,7 @@ def build_toy_theory() -> ToyTheory:
 
     # The type classifier again, now over contexts.
     R = Classifier("𝕌/ℂ", u)
-    lift = sharp_lift(T, identity_functor(U.total), u, ext, eps, R)
+    lift = sharp_lift(T, u, ext, eps, R)
 
     out = ToyTheory(T, one, C, U, t, c, v, e, u, ext, eps, ext_lift=lift)
     from .render import derived_rule

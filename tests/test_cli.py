@@ -513,6 +513,17 @@ def test_render_unknown_rule(capsys):
     assert code == 1
 
 
+def test_render_takes_no_file(capsys):
+    """``render`` prints a display schema by name and reads no document,
+    so a FILE is a stray argument, refused as any other."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["render", str(DEMOS / "toy.jt"), "--rule", "Cut"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + str(DEMOS / "toy.jt") in captured.err
+
+
 def test_close_reports_new_keys(capsys):
     code, out = run(capsys, "close", str(DEMOS / "toy.jt"))
     assert code == 0

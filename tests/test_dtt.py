@@ -25,7 +25,7 @@ def test_sigma_outside_types_is_a_diagnostic(topos2):
     m = next(m for m in S.dom.sorted_morphisms() if not S.dom.is_identity(m))
     broken = FunctorMap(S.name, S.dom, S.cod, S.obj_map,
                         {**S.mor_map, m: "alien"})
-    bad = validate_jdtt(replace(J, Sigma=broken, _derived={}))
+    bad = validate_jdtt(replace(J, Sigma=broken))
     assert bad == [f"Σ: morphism image 'alien' not in {J.u.total.name}"]
 
 
@@ -179,6 +179,21 @@ def test_id_extensionality(topos2):
                 continue
             if C.Phi.obj_map[(a, b)] in inhabited:
                 assert a == b
+
+
+def test_a_reflexivity_off_the_equalizer_is_one_diagnostic(topos2):
+    """A Λ that sends one term off the diagonal does not corestrict to
+    the equalizer of the two term projections: id_extensionality reports
+    that in one line, naming the equalizer."""
+    C = instantiate_constructor(topos2, "id")
+    L = C.Lambda
+    o = L.dom.sorted_objects()[0]
+    C2 = replace(C, Lambda=FunctorMap(L.name, L.dom, L.cod,
+                                      {**L.obj_map, o: "alien"}, L.mor_map))
+    bad = id_extensionality(topos2, C2)
+    assert len(bad) == 1
+    assert bad[0].startswith("Id E1: cone does not factor through EQ(")
+    assert "'alien'" in bad[0]
 
 
 def test_pi_adjunction_oracle():

@@ -101,16 +101,15 @@ def test_mediating_functor_for_pullback():
     legs = [identity_functor(TWO), FunctorMap(
         "const0", TWO, SK1, {0: 0, 1: 0},
         {m: SK1.identity[0] for m in TWO.morphisms})]
-    med = mediating_functor("pullback", pb, (p1, p2), legs)
+    med = mediating_functor(pb, (p1, p2), legs, "med", None)
     assert validate_functor(med) == []
     assert same_functor(compose_functors(p1, med), legs[0])
     assert same_functor(compose_functors(p2, med), legs[1])
 
 
 def test_mediating_functor_rejects_non_factoring_cone():
-    pick0 = _pick(SK1, 0)
-    pick1 = _pick(SK1, 1)
-    eq, incl = equalizer_category(pick0, pick1)  # empty: never agree
-    assert len(eq.objects) == 0
-    with pytest.raises(ValueError):
-        mediating_functor("equalizer", eq, incl, _pick(SK1, 0))
+    pb, p1, p2 = pullback_category(_pick(SK2, 0), _pick(SK2, 1))
+    assert len(pb.objects) == 0  # the two points never agree
+    legs = [identity_functor(ONE), identity_functor(ONE)]
+    with pytest.raises(ValueError, match=r"^cone does not factor through "):
+        mediating_functor(pb, (p1, p2), legs, "med", None)

@@ -1,4 +1,5 @@
-"""No code under ``src/judgekit/`` is dead.  Two rules check it.
+"""No code under ``src/judgekit/`` is dead, and no setting is idle.
+Three rules check it.
 
 The static rule reads the sources.  It covers classes and imports, and
 module-level functions and non-dunder methods too: a definition counts as
@@ -37,6 +38,16 @@ same staleness checks hold for that list.  It is the only rule that a
 function called only from tests, or only from other dead code, cannot
 pass: the static rule counts ``tests/test_acceptance.py`` and any
 reference from ``src/`` as a use, whether or not the referrer ever runs.
+
+The settings rule reads the same sources as the static rule.  Every
+parameter with a default, of every function under ``src/judgekit/``,
+must be passed a value other than its default's source text by some
+call there: a parameter that no caller sets is a setting nobody varies,
+and its function should use the default itself.  A call is matched by
+the name it calls, ``f(…)`` or ``x.f(…)``, and a call to a class counts
+for its ``__init__``; a call with ``*args`` or ``**kwargs`` counts as
+setting every parameter.  ``KEPT_DEFAULTS`` names the exceptions, with
+the same staleness checks as ``KEPT``.
 """
 import ast
 import cProfile
@@ -367,3 +378,123 @@ def test_every_function_is_called_by_a_request_or_kept():
     assert [k for k in uncalled if k not in UNCALLED] == []
     assert [k for k in UNCALLED if k not in defined] == []
     assert [k for k in UNCALLED if k not in uncalled] == []
+
+
+# --------------------------------------------------------------------------
+# The settings rule.
+# --------------------------------------------------------------------------
+
+#: ``module.qualname(parameter)`` of each defaulted parameter that no
+#: scanned call sets, with the reason it is kept.
+KEPT_DEFAULTS = {}
+
+
+def _defaulted(tree, prefix="", cls=None):
+    """``(called, key, filled, parameter, default)`` for every defaulted
+    parameter of every function in ``tree``, nested ones included:
+    ``called`` is the name a call to the function reads (the class's,
+    for an ``__init__``), ``filled`` the parameters that positional
+    arguments fill (after ``self``, for a method), and ``default`` the
+    default's source text."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = prefix + node.name
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            filled = positional[1:] if cls and not static else positional
+            called = cls if node.name == "__init__" else node.name
+            pairs = list(zip(positional[len(positional) - len(a.defaults):],
+                             a.defaults))
+            pairs += [(p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+            for param, default in pairs:
+                yield (called, f"{qualname}({param})", filled, param,
+                       ast.unparse(default))
+            yield from _defaulted(node, f"{qualname}.<locals>.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _defaulted(node, f"{prefix}{node.name}.", node.name)
+        else:
+            yield from _defaulted(node, prefix, cls)
+
+
+def _calls(trees) -> dict:
+    """The calls in ``trees`` under the name they call: ``f(…)`` and
+    ``x.f(…)`` both call ``f``."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, filled, param, default) -> bool:
+    """Whether ``call`` passes ``param`` a value whose source text is not
+    ``default``; a call with ``*args`` or ``**kwargs`` sets every
+    parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return True
+    given = [k.value for k in call.keywords if k.arg == param]
+    if param in filled and filled.index(param) < len(call.args):
+        given.append(call.args[filled.index(param)])
+    return any(ast.unparse(v) != default for v in given)
+
+
+def _unset_defaults(trees):
+    """``(defaulted, unset)``: the ``module.qualname(parameter)`` of every
+    defaulted parameter of the package among ``trees``, and of those
+    that no call in ``trees`` sets."""
+    calls = _calls(trees)
+    defaulted, unset = [], []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for called, key, filled, param, default in _defaulted(tree):
+            key = f"{path.stem}.{key}"
+            defaulted.append(key)
+            if not any(_sets(c, filled, param, default)
+                       for c in calls.get(called, ())):
+                unset.append(key)
+    return defaulted, unset
+
+
+def test_every_default_is_set_by_a_call():
+    _, unset = _unset_defaults(_scanned())
+    assert [k for k in unset if k not in KEPT_DEFAULTS] == []
+
+
+def test_every_kept_default_is_defined_and_unset():
+    defaulted, unset = _unset_defaults(_scanned())
+    assert [k for k in KEPT_DEFAULTS if k not in defaulted] == []
+    assert [k for k in KEPT_DEFAULTS if k not in unset] == []
+
+
+def test_a_call_sets_a_default_only_with_another_value():
+    """``unit`` and ``pick`` are passed their defaults' source text only,
+    and the method ``Err.at`` only its default through the argument after
+    ``self``; ``over`` is set by keyword, ``spread`` through ``*args``
+    and ``Err.__init__`` through a call to the class."""
+    sources = {
+        PACKAGE / "a.py": (
+            "def unit(name='𝟙'): return name\n"
+            "def pick(c, name=None, *, over=None): return c\n"
+            "def spread(x=0, y=1): return x\n"
+            "class Err(Exception):\n"
+            "    def __init__(self, msg, expected=None): pass\n"
+            "    def at(self, line=1): return line\n"),
+        ROOT / "tests" / "test_acceptance.py": (
+            "from judgekit.a import Err, pick, spread, unit\n"
+            "unit(\"𝟙\")\n"
+            "pick(1, None, over=2)\n"
+            "spread(*[0, 1])\n"
+            "Err('m', expected=['x']).at(1)\n"),
+    }
+    trees = {p: ast.parse(s) for p, s in sources.items()}
+    defaulted, unset = _unset_defaults(trees)
+    assert len(defaulted) == 7
+    assert unset == ["a.unit(name)", "a.pick(name)", "a.Err.at(line)"]

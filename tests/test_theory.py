@@ -64,11 +64,9 @@ def test_sharp_lift_components_are_cartesian(toy):
 
 def test_sharp_lift_square_commutes(toy):
     lift = toy.ext_lift
-    lam = identity_functor(toy.U.total)
     p2g, _ = lift.conclusion_projs
     p1f, _ = lift.premise_projs
-    assert same_functor(compose_functors(p2g, lift.rule),
-                        compose_functors(lam, p1f))
+    assert same_functor(compose_functors(p2g, lift.rule), p1f)
 
 
 def test_sharp_lift_conclusion_reindexes(toy):
@@ -130,7 +128,7 @@ def test_sharp_lift_refuses_a_key_held_by_another_rule():
     toy = build_toy_theory()
     T, rule = toy.theory, toy.ext_lift.rule
     R = Classifier("𝕌/ℂ", toy.u)
-    args = (T, identity_functor(toy.U.total), toy.u, toy.ext, toy.eps, R)
+    args = (T, toy.u, toy.ext, toy.eps, R)
     # Lifting the same data again finds its own rule under the key.
     assert sharp_lift(*args).diagnostics == []
     assert T.registry[rule.name].value is rule
