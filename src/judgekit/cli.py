@@ -18,7 +18,7 @@ from .core import (check_adjunction, checking, validate_category,
                    validate_functor, validate_nat_trans)
 from .dsl import JtSyntaxError, load_document, parse_dsl
 from .fibrations import verify_kind
-from .render import SCHEMAS, derived_rule, finalize, render_rule_tree
+from .render import SCHEMAS, finalize, render_rule_tree
 from .theory import check_axioms, eager_close, validate_prejt
 
 REPORT_VERSION = "jt/1"
@@ -114,7 +114,7 @@ def _build_instance(builtin, args, report):
 def _instances(loaded, report, want=None):
     """Build every instance a file declares (optionally only one kind)."""
     out = {}
-    for name, (builtin, args, _) in loaded.instances.items():
+    for name, (builtin, args) in loaded.instances.items():
         if want is not None and builtin != want:
             continue
         out[name] = (builtin, _build_instance(builtin, args, report))
@@ -160,7 +160,7 @@ def cmd_check(ns, report):
     for name, T in loaded.theories.items():
         cats = [T.ctx, *ends(*T.rules.values(),
                              *(cl.proj for cl in T.judgements.values()),
-                             *(F for (t, _) in T.policies.values()
+                             *(F for t in T.policies.values()
                                for F in (t.source, t.target)))]
         check(f"theory {name}: shape", cats, lambda: validate_prejt(T))
         check(f"theory {name}: closure axioms", cats, lambda: check_axioms(T))
@@ -202,10 +202,16 @@ def cmd_close(ns, report):
 # derive
 # --------------------------------------------------------------------------
 
+#: The figures of each dtt derivation, by the ``--rule`` that runs it.
+DTT_FIGURES = {"dty": ("DTy",), "dtm": ("DTm",),
+               "pi": ("ΠF", "ΠI", "ΠE", "ΠβC", "ΠηC"),
+               "id": ("IdF", "IdI", "IdE1", "IdE2"),
+               "sum": ("⅀F", "⅀I")}
+
+
 def _show_rules(report, names):
     for name in names:
-        rule = derived_rule(name, "", "", None)
-        report.say("", *render_rule_tree(rule, "text").splitlines())
+        report.say("", *render_rule_tree(name, "text").splitlines())
 
 
 def _derive_dtt(J, which, report):
@@ -213,37 +219,34 @@ def _derive_dtt(J, which, report):
     from .finset_topos import instantiate_constructor
     if which in ("dty", "dtm"):
         dep = derive_dependency(J)
-        report.check("dependency lifts", dep.diagnostics)
-        _show_rules(report, ["DTy" if which == "dty" else "DTm"])
+        if report.check("dependency lifts", dep.diagnostics):
+            _show_rules(report, DTT_FIGURES[which])
         return
     dep = derive_dependency(J) if which == "sum" else None
     C = instantiate_constructor(J, which, dep)
     rules = phi_derive(J, C)
-    report.check(f"constructor {C.name}", rules.diagnostics)
-    if which == "pi":
-        _show_rules(report, ["ΠF", "ΠI", "ΠE", "ΠβC", "ΠηC"])
-    elif which == "id":
-        report.check("Id extensionality", id_extensionality(J, C))
-        _show_rules(report, ["IdF", "IdI", "IdE1", "IdE2"])
-    else:
-        _show_rules(report, ["⅀F", "⅀I"])
+    ok = report.check(f"constructor {C.name}", rules.diagnostics)
+    if which == "id":
+        ok = report.check("Id extensionality", id_extensionality(J, C)) and ok
+    if ok:
+        _show_rules(report, DTT_FIGURES[which])
 
 
 def _derive_ndt(ds, which, report):
     from .ndt import derive_structural, forall_rules, quantifier_package
     if which == "cut":
         st = derive_structural(ds)
-        report.check("structural derivations", st.diagnostics)
-        _show_rules(report, ["Cut"])
+        if report.check("structural derivations", st.diagnostics):
+            _show_rules(report, ["Cut"])
         return
     if which.startswith("structural:"):
         name = which.split(":", 1)[1]
         st = derive_structural(ds)
-        report.check("structural derivations", st.diagnostics)
+        ok = report.check("structural derivations", st.diagnostics)
         if name not in ("H", "W", "C", "Sw"):
             report.check(f"rule {name}", [f"unknown structural rule {name!r}"])
-            return
-        _show_rules(report, [name])
+        elif ok:
+            _show_rules(report, [name])
         return
     if which == "forall":
         y = min(1, ds.doctrine.n)
@@ -252,10 +255,11 @@ def _derive_ndt(ds, which, report):
                          ["quantifiers need a powerset doctrine"])
             return
         qp = quantifier_package(ds, y)
-        report.check(f"quantifier adjunctions (sort {y})", qp.diagnostics)
+        ok = report.check(f"quantifier adjunctions (sort {y})",
+                          qp.diagnostics)
         qr = forall_rules(ds, y)
-        report.check("universal introduction", qr.diagnostics)
-        _show_rules(report, ["∀I", "∀E"])
+        if report.check("universal introduction", qr.diagnostics) and ok:
+            _show_rules(report, ["∀I", "∀E"])
         return
     report.check(f"derive {which}", [f"no derivation named {which!r}"])
 
@@ -264,8 +268,7 @@ def cmd_derive(ns, report):
     loaded = _load(ns.file, report)
     if loaded is None:
         return
-    dtt_rules = ("dty", "dtm", "pi", "id", "sum")
-    want = "dtt-finset" if ns.rule in dtt_rules else "ndt-powerset"
+    want = "dtt-finset" if ns.rule in DTT_FIGURES else "ndt-powerset"
     instances = _instances(loaded, report, want=want)
     if want == "ndt-powerset" and not instances:
         # A bare doctrine block also supports the sequent-side derivations.
@@ -297,8 +300,7 @@ def cmd_render(ns, report):
         report.check(f"rule {ns.rule}",
                      [f"no display schema named {ns.rule!r}; known: {known}"])
         return
-    rule = derived_rule(ns.rule, "", "", None)
-    report.say(*render_rule_tree(rule, ns.format).splitlines())
+    report.say(*render_rule_tree(ns.rule, ns.format).splitlines())
 
 
 # --------------------------------------------------------------------------
@@ -306,10 +308,10 @@ def cmd_render(ns, report):
 # --------------------------------------------------------------------------
 
 def _demo_toy(report):
-    toy = _build_instance("toy", [], report)
+    _build_instance("toy", [], report)
     report.say("judgements: t, c, v   rules: e, u, ext, id_ℂ   policy: ε")
-    for r in toy.rules:
-        report.say("", *render_rule_tree(r, "text").splitlines())
+    if report.ok:
+        _show_rules(report, ["e", "u", "ε-ext"])
 
 
 def _demo_dtt(report):
@@ -321,18 +323,17 @@ def _demo_dtt(report):
     report.check("dependency lifts", dep.diagnostics)
     tr = derive_display_transport(J, dep)
     report.check("display transport", tr.diagnostics)
-    shown = ["ext", "DTy", "DTm"]
-    for which, names in (("pi", ["ΠF", "ΠI", "ΠE", "ΠβC", "ΠηC"]),
-                         ("id", ["IdF", "IdI", "IdE1", "IdE2"]),
-                         ("sum", ["⅀F", "⅀I"])):
+    shown = ["ext", *DTT_FIGURES["dty"], *DTT_FIGURES["dtm"]]
+    for which in ("pi", "id", "sum"):
         C = instantiate_constructor(J, which, dep)
         rules = phi_derive(J, C)
         report.check(f"constructor {C.name}", rules.diagnostics)
         if which == "id":
             report.check("Id extensionality", id_extensionality(J, C))
-        shown += names
+        shown += DTT_FIGURES[which]
     report.say(f"rules: {', '.join(shown)}")
-    _show_rules(report, shown)
+    if report.ok:
+        _show_rules(report, shown)
 
 
 def _demo_ndt(report):
@@ -355,7 +356,8 @@ def _demo_ndt(report):
     report.check("universal introduction", qr.diagnostics)
     shown = ["H", "Sw", "C", "W", "Cut", "∧I", "∧E1", "∧E2", "∀I", "∀E"]
     report.say(f"rules: {', '.join(shown)}")
-    _show_rules(report, shown)
+    if report.ok:
+        _show_rules(report, shown)
 
 
 def cmd_demo(ns, report):

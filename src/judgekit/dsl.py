@@ -24,7 +24,7 @@ from .theory import PreJudgementalTheory
 
 class JtSyntaxError(Exception):
     def __init__(self, line, col, message, expected=None):
-        self.line, self.col, self.expected = line, col, expected or []
+        self.line, self.expected = line, expected or []
         tail = f" (expected {', '.join(self.expected)})" if expected else ""
         super().__init__(f"line {line}, column {col}: {message}{tail}")
 
@@ -170,8 +170,9 @@ def _parse_item(kind, toks, lineno):
     if kind == "theory":
         if key in ("judgement", "rule") and len(toks) == 2:
             return (lineno, key, toks[1])
-        if key == "policy" and len(toks) == 3:
-            return (lineno, "policy", (toks[1], toks[2]))
+        if key == "policy":
+            _want(len(toks) == 2, lineno, "policy item is `policy t`")
+            return (lineno, "policy", toks[1])
         raise JtSyntaxError(lineno, 1, f"bad theory item {key!r}",
                             expected=["judgement", "rule", "policy"])
     raise JtSyntaxError(lineno, 1, f"{kind} blocks take no items")
@@ -245,13 +246,9 @@ def load_document(doc: TheoryDocument) -> LoadedDocument:
                     if F is not None:
                         T.add_rule(F)
                 else:
-                    nm, variance = v
-                    t = _resolve(out.nats, nm, "transformation", ln, err)
+                    t = _resolve(out.nats, v, "transformation", ln, err)
                     if t is not None:
-                        try:
-                            T.add_policy(t, variance)
-                        except ValueError as e:
-                            err.append(f"line {ln}: {e}")
+                        T.add_policy(t)
             out.theories[d.name] = T
         elif d.kind == "doctrine":
             from .ndt import PowersetDoctrine, ChainDoctrine
@@ -264,7 +261,7 @@ def load_document(doc: TheoryDocument) -> LoadedDocument:
                 err.append(f"line {d.line}: unknown doctrine family "
                            f"{fam!r} with {len(args)} argument(s)")
         elif d.kind == "instance":
-            out.instances[d.name] = (d.head["builtin"], d.head["args"], d.line)
+            out.instances[d.name] = (d.head["builtin"], d.head["args"])
     return out
 
 

@@ -341,9 +341,10 @@ class ConstructorData:
 
     Λ : 𝕏 → 𝕐 relates the introduction premises to the formation
     premises, Φ : 𝕐 → 𝕌 forms the type, Ψ : 𝕏 → 𝕌̇ introduces its
-    terms, and Σ∘Ψ = Φ∘Λ.  In strict mode the square must be a pullback;
-    in weak mode a distinguished elimination functor E with E∘(Λ★Ψ) = id
-    is supplied instead, and the η-rule is not emitted.
+    terms, and Σ∘Ψ = Φ∘Λ.  A strict constructor has no ``section``, and
+    its square must be a pullback; a weak one supplies as its ``section``
+    an elimination functor E with E∘(Λ★Ψ) = id instead, and the η-rule
+    is not emitted.
     """
 
     name: str
@@ -352,8 +353,7 @@ class ConstructorData:
     Lambda: FunctorMap
     Phi: FunctorMap
     Psi: FunctorMap
-    mode: str = "strict"            # "strict" | "weak"
-    section: FunctorMap = None      # weak mode only: E : PB(Φ,Σ) → 𝕏
+    section: FunctorMap = None      # weak only: E : PB(Φ,Σ) → 𝕏
 
 
 @dataclass
@@ -367,8 +367,9 @@ class ConstructorCheck:
 def phi_check(J: JdttData, C: ConstructorData) -> ConstructorCheck:
     """Check the constructor square and produce the eliminator.  Λ must
     land in Φ's domain, Φ in 𝕌 and Ψ in 𝕌̇; when one does not, the square
-    is neither composed nor pulled back.  A weak-mode section must run
-    from PB(Φ,Σ) to 𝕏, or it is not composed with the comparison."""
+    is neither composed nor pulled back.  A weak constructor's section
+    must run from PB(Φ,Σ) to 𝕏, or it is not composed with the
+    comparison."""
     T = J.theory
     bad = []
     bad += validate_functor(C.Lambda)
@@ -393,40 +394,33 @@ def phi_check(J: JdttData, C: ConstructorData) -> ConstructorCheck:
         over = (p, (1, *q), path, h)
     cmp_f = mediating_functor(pb, (pY, pU), [C.Lambda, C.Psi],
                               f"{C.name}★", over)
-    if C.mode == "strict":
+    if C.section is None:
         diag, inv = check_category_iso(cmp_f)
         if diag:
             bad.append(f"{C.name}: upper square is not a pullback: {diag[0]}")
             return ConstructorCheck(pb, cmp_f, None, bad)
-        elim = inv
-    elif C.mode == "weak":
-        if C.section is None:
-            bad.append(f"{C.name}: weak mode requires a distinguished section")
-            return ConstructorCheck(pb, cmp_f, None, bad)
-        elim = C.section
-        bad += validate_functor(elim)
-        bad += [f"{C.name}: {elim.name} does not {where} {c.name}"
-                for where, end, c in (("start at", elim.dom, pb),
-                                      ("land in", elim.cod, C.X))
-                if not same_category(end, c)]
-        if not bad and not same_functor(
-                compose_functors(elim, cmp_f), identity_functor(C.X)):
-            bad.append(f"{C.name}: section does not retract the comparison "
-                       f"(E∘(Λ★Ψ) ≠ id)")
-    else:
-        bad.append(f"{C.name}: unknown mode {C.mode!r}")
-        elim = None
+        return ConstructorCheck(pb, cmp_f, inv, bad)
+    elim = C.section
+    bad += validate_functor(elim)
+    bad += [f"{C.name}: {elim.name} does not {where} {c.name}"
+            for where, end, c in (("start at", elim.dom, pb),
+                                  ("land in", elim.cod, C.X))
+            if not same_category(end, c)]
+    if not bad and not same_functor(
+            compose_functors(elim, cmp_f), identity_functor(C.X)):
+        bad.append(f"{C.name}: section does not retract the comparison "
+                   f"(E∘(Λ★Ψ) ≠ id)")
     return ConstructorCheck(pb, cmp_f, elim, bad)
 
 
 @dataclass
 class DerivedConstructorRules:
-    formation: FunctorMap      # F : 𝕐 → 𝕌
-    introduction: FunctorMap   # I : 𝕏 → 𝕌̇
-    elimination: FunctorMap    # E : PB(Φ,Σ) → 𝕏
-    comparison: FunctorMap     # Λ★Ψ
+    """What deriving a constructor's rules found.  Formation is the
+    constructor's Φ, introduction its Ψ and elimination the eliminator of
+    ``phi_check``; this records whether β and η hold of them."""
+
     beta_holds: bool
-    eta_holds: bool            # only claimed (and required) in strict mode
+    eta_holds: bool            # only claimed (and required) when strict
     has_eta: bool
     diagnostics: list
 
@@ -436,9 +430,7 @@ def phi_derive(J: JdttData, C: ConstructorData) -> DerivedConstructorRules:
     chk = phi_check(J, C)
     bad = list(chk.diagnostics)
     if bad:
-        return DerivedConstructorRules(C.Phi, C.Psi, chk.eliminator,
-                                       chk.comparison, False, False,
-                                       C.mode == "strict", bad)
+        return DerivedConstructorRules(False, False, C.section is None, bad)
     elim, cmp_f = chk.eliminator, chk.comparison
     # β: Ψ∘((Λ−)⟨Ψ−⟩) = Ψ as tables.
     beta = same_functor(compose_functors(C.Psi, compose_functors(elim, cmp_f)),
@@ -446,13 +438,12 @@ def phi_derive(J: JdttData, C: ConstructorData) -> DerivedConstructorRules:
     if not beta:
         bad.append(f"{C.name}: β-identity fails")
     eta_ok = False
-    if C.mode == "strict":
+    if C.section is None:
         eta_ok = same_functor(compose_functors(cmp_f, elim),
                               identity_functor(chk.pullback))
         if not eta_ok:
             bad.append(f"{C.name}: η-identity fails in strict mode")
-    return DerivedConstructorRules(C.Phi, C.Psi, elim, cmp_f, beta, eta_ok,
-                                   C.mode == "strict", bad)
+    return DerivedConstructorRules(beta, eta_ok, C.section is None, bad)
 
 
 # -- canonical constructor squares over a dtt ------------------------------

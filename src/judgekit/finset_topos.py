@@ -76,8 +76,8 @@ def build_finset_topos(n: int = 2) -> JdttData:
     T.add_judgement(u)
     T.add_rule(Sigma)
     J = JdttData(T, udot, u, Sigma, Delta, eta, eps)
-    T.add_policy(eps, "contravariant")
-    T.add_policy(eta, "covariant")
+    T.add_policy(eps)
+    T.add_policy(eta)
     return J
 
 
@@ -135,7 +135,7 @@ def instantiate_constructor(J: JdttData, which: str,
 
 
 def make_weak_constructor_example(J: JdttData) -> ConstructorData:
-    """A weak-mode constructor: the Id square with a doubled formation
+    """A weak constructor: the Id square with a doubled formation
     premise.  The comparison into the pullback is a split mono but not an
     isomorphism, so elimination and β survive while η fails."""
     T = J.theory
@@ -159,5 +159,5 @@ def make_weak_constructor_example(J: JdttData) -> ConstructorData:
                          {((i, y), t): t for ((i, y), t) in pb.objects},
                          {((i, m), tm): tm for ((i, m), tm) in pb.morphisms})
     return ConstructorData("Idw", base.X, Yw, Lambda_w, Phi_w, base.Psi,
-                           mode="weak", section=section)
+                           section)
 

@@ -239,7 +239,6 @@ class DeductionSystem:
     q: FunctorMap             # context of a sequent 𝔼 → ctx
     alpha: NatTrans           # d ⇒ c, the sequent read as a morphism
     pp: FinCategory           # 𝔽 ×ctx 𝔽
-    pp_projs: tuple
     conj: FunctorMap          # ∧ : 𝔽 ×ctx 𝔽 → 𝔽
 
 
@@ -258,15 +257,14 @@ def build_deduction_system(doc) -> DeductionSystem:
     vertical = _vertical(P)
     alpha = NatTrans("α", d, c, {e: vertical(d.obj_map[e], c.obj_map[e])
                                  for e in E.total.objects})
-    T.add_policy(alpha, "covariant")
+    T.add_policy(alpha)
 
-    pp, pp1, pp2 = close_pullback(T, P.proj, P.proj)
+    pp, _, _ = close_pullback(T, P.proj, P.proj)
     conj = thin_rule("∧", pp, P,
                      lambda o: (o[0][0], doc.meet(o[0][0], o[0][1], o[1][1])),
                      (0,), P)
     T.add_rule(conj)
-    return DeductionSystem(doc, T, ctx, P, E, d, c, q, alpha,
-                           pp, (pp1, pp2), conj)
+    return DeductionSystem(doc, T, ctx, P, E, d, c, q, alpha, pp, conj)
 
 
 def validate_system(ds: DeductionSystem) -> list:
@@ -412,9 +410,6 @@ def derive_connectives(ds: DeductionSystem) -> ConnectiveRules:
 
 @dataclass
 class SequentMonad:
-    S: FunctorMap
-    unit: NatTrans
-    mult: NatTrans
     kleisli: FinCategory
     idempotent: bool
     diagnostics: list = field(default_factory=list)
@@ -478,7 +473,7 @@ def sequent_monad(ds: DeductionSystem) -> SequentMonad:
     kleisli = category_from(f"Kl(S;{doc.name})", objs, mors, src, tgt,
                             identity, kleisli_comp)
     bad += validate_category(kleisli)
-    return SequentMonad(S, unit, mult, kleisli, idempotent, bad)
+    return SequentMonad(kleisli, idempotent, bad)
 
 
 # --------------------------------------------------------------------------
@@ -525,10 +520,7 @@ def skeleton_category(cat: FinCategory):
 
 @dataclass
 class PairComparison:
-    pairs: Classifier         # proposition pairs over ctx
-    comparison: FunctorMap    # Kleisli → pairs, full and faithful
     base_embed: FunctorMap    # 𝔽 → pairs restricted to top second components
-    base_embed_inverse: FunctorMap
     comprehension: FunctorMap  # pairs → 𝔼, (φ, φ′) ↦ (φ∧φ′ ⊢ φ)
     skeleton_iso: FunctorMap
     skeleton_iso_inverse: FunctorMap
@@ -570,7 +562,7 @@ def pair_comparison(ds: DeductionSystem, mon: SequentMonad) -> PairComparison:
     base_embed = thin_rule("⊤-pair", ds.P.total, top_cl,
                            lambda o: (o[0], (o[1], doc.top(o[0]))),
                            (), ds.P)
-    ib, base_inv = check_category_iso(base_embed)
+    ib, _ = check_category_iso(base_embed)
     bad += ib
 
     comprehension = thin_rule(
@@ -595,8 +587,8 @@ def pair_comparison(ds: DeductionSystem, mon: SequentMonad) -> PairComparison:
     skeleton_iso = FunctorMap("K̄", sk_kl, sk_sp, iso_obj, iso_mor)
     ib, skeleton_inv = check_category_iso(skeleton_iso)
     bad += ib
-    return PairComparison(sp, comparison, base_embed, base_inv,
-                          comprehension, skeleton_iso, skeleton_inv, bad)
+    return PairComparison(base_embed, comprehension, skeleton_iso,
+                          skeleton_inv, bad)
 
 
 # --------------------------------------------------------------------------
@@ -605,12 +597,10 @@ def pair_comparison(ds: DeductionSystem, mon: SequentMonad) -> PairComparison:
 
 @dataclass
 class QuantifierPackage:
-    y: int
     extension: Classifier
     weaken: FunctorMap        # 𝔽 → 𝔽·y
-    exists_: FunctorMap       # 𝔽·y → 𝔽, left adjoint of weaken
     forall: FunctorMap        # 𝔽·y → 𝔽, right adjoint of weaken
-    left_adjunction: AdjunctionData    # ∃ ⊣ w
+    left_adjunction: AdjunctionData    # ∃ ⊣ w, ∃ : 𝔽·y → 𝔽 its left
     right_adjunction: AdjunctionData   # w ⊣ ∀
     diagnostics: list = field(default_factory=list)
 
@@ -641,8 +631,7 @@ def quantifier_package(ds: DeductionSystem, y: int) -> QuantifierPackage:
     bad += is_cartesian_functor(weaken, P, ext)
     bad += is_cartesian_functor(forall, ext, P)
     bad += is_cartesian_functor(exists_, ext, P)
-    return QuantifierPackage(y, ext, weaken, exists_, forall,
-                             adj_l, adj_r, bad)
+    return QuantifierPackage(ext, weaken, forall, adj_l, adj_r, bad)
 
 
 def hypothesis_classifier(ds: DeductionSystem, y: int) -> Classifier:
@@ -661,8 +650,6 @@ def hypothesis_classifier(ds: DeductionSystem, y: int) -> Classifier:
 
 @dataclass
 class QuantifierRules:
-    y: int
-    hypotheses: Classifier
     intro: FunctorMap         # 𝔸_y → 𝔼 : (Γ, φ) ↦ (Γ ⊢ ∀_y φ)
     resume: FunctorMap        # 𝔼 → 𝔸_y : (Γ ⊢ ψ) ↦ (Γ, w_y ψ)
     invertible: bool          # resume is a section of intro (y ≥ 1)
@@ -687,4 +674,4 @@ def forall_rules(ds: DeductionSystem, y: int) -> QuantifierRules:
     bad += validate_functor(intro) + validate_functor(resume)
     invertible = same_functor(compose_functors(intro, resume),
                               identity_functor(ds.E.total)) if y >= 1 else False
-    return QuantifierRules(y, A, intro, resume, invertible, bad)
+    return QuantifierRules(intro, resume, invertible, bad)

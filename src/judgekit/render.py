@@ -1,10 +1,11 @@
-"""Display of judgements and derived rules as proof figures.
+"""Display of the rules the library derives as proof figures.
 
-Two output targets: plaintext proof trees (premises over a labelled
-inference line) and LaTeX fragments for a standard proof-tree package.
-Each rule's schema writes its judgements in the notation of its calculus:
-``Γ ⊢ a : A`` for the dependent types, ``x; Γ ⊢ ψ`` for the sequents.
-Output is deterministic: the same input always produces the
+A rule is shown by its display schema in ``SCHEMAS``, looked up by
+name.  Two output targets: plaintext proof trees (premises over a
+labelled inference line) and LaTeX fragments for a standard proof-tree
+package.  Each schema writes its judgements in the notation of its
+calculus: ``Γ ⊢ a : A`` for the dependent types, ``x; Γ ⊢ ψ`` for the
+sequents.  Output is deterministic: the same input always produces the
 same bytes.  Setting ``JT_ASCII=1`` in the environment switches every
 mathematical symbol to an ASCII spelling.
 """
@@ -13,8 +14,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-from .theory import DerivedRule
 
 #: ASCII spellings, applied to every emitted character when JT_ASCII=1.
 #: A combining mark is spelled after the letter it follows, so 𝕌̇ reads
@@ -150,12 +149,12 @@ SCHEMAS = {s.name: s for s in [
 ]}
 
 
-def render_rule_tree(rule: DerivedRule, format: str = "text") -> str:
-    """One rule as a proof figure, its premises in their synthetic
-    (aliased) form."""
-    schema = rule.schema
+def render_rule_tree(name: str, format: str = "text") -> str:
+    """The rule ``name`` as a proof figure, its premises in their
+    synthetic (aliased) form."""
+    schema = SCHEMAS.get(name)
     if schema is None:
-        raise ValueError(f"rule {rule.name} has no display schema")
+        raise ValueError(f"rule {name} has no display schema")
     premises = list(schema.premises)
     if format == "text":
         return _text_tree(premises, schema)
@@ -193,10 +192,3 @@ def _latex_tree(premises, schema: RuleSchema) -> str:
     lines.append(f"\\{inf}{{${latex_math(schema.conclusion)}$}}")
     lines.append("\\end{prooftree}")
     return "\n".join(lines)
-
-
-def derived_rule(name: str, premise: str, conclusion: str, underlying,
-                 schema_name: str = None) -> DerivedRule:
-    """Package a validated rule with its standard schema for export."""
-    return DerivedRule(name, premise, conclusion, underlying,
-                       SCHEMAS.get(schema_name or name))

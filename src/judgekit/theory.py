@@ -1,6 +1,6 @@
 """Judgemental theories: a context category, classifiers over it, rules
-between their total categories, and policies (transformations) between
-rules — together with the finite-limit closure of that data.
+between their total categories, and policies (natural transformations)
+between rules — together with the finite-limit closure of that data.
 
 The two workhorses are the closure registry (every derived category is
 recorded under a canonical name, such as ``PB(f,g)``, so re-deriving is
@@ -21,8 +21,6 @@ from .limits import equalizer_category, pullback_category
 from .fibrations import (Classifier, _cartesian, cartesian_lift,
                          factorizations, verify_kind)
 
-VARIANCES = ("covariant", "contravariant", "strict")
-
 
 @dataclass
 class RegistryEntry:
@@ -40,7 +38,7 @@ class PreJudgementalTheory:
     ctx: FinCategory
     judgements: dict = field(default_factory=dict)  # name -> Classifier
     rules: dict = field(default_factory=dict)       # name -> FunctorMap
-    policies: dict = field(default_factory=dict)    # name -> (NatTrans, variance)
+    policies: dict = field(default_factory=dict)    # name -> NatTrans
     registry: dict = field(default_factory=dict)    # canonical name -> RegistryEntry
 
     def add_judgement(self, cl: Classifier):
@@ -53,30 +51,15 @@ class PreJudgementalTheory:
         self.registry[F.name] = RegistryEntry("rule", F)
         return F
 
-    def add_policy(self, t: NatTrans, variance: str):
-        if variance not in VARIANCES:
-            raise ValueError(f"unknown variance {variance!r}")
-        self.policies[t.name] = (t, variance)
-        self.registry[t.name] = RegistryEntry("policy", (t, variance))
+    def add_policy(self, t: NatTrans):
+        self.policies[t.name] = t
+        self.registry[t.name] = RegistryEntry("policy", t)
         return t
 
     def register(self, name: str, entry: RegistryEntry):
         if name not in self.registry:
             self.registry[name] = entry
         return self.registry[name]
-
-
-@dataclass
-class DerivedRule:
-    """A rule packaged for export: where it was derived from, where it
-    lands, the validated functor (or policy) realizing it, and the
-    display schema used by the renderer."""
-
-    name: str
-    premise: str        # registry key of the premise classifier/category
-    conclusion: str     # registry key of the conclusion
-    underlying: object  # FunctorMap or NatTrans
-    schema: object = None
 
 
 def validate_prejt(T: PreJudgementalTheory) -> list:
@@ -102,7 +85,7 @@ def validate_prejt(T: PreJudgementalTheory) -> list:
             if not any(same_functor(r, j.proj) for j in T.judgements.values()):
                 bad.append(f"{T.name}: rule {r.name} lands in ctx but is not "
                            f"the projection of any judgement")
-    for nm, (t, variance) in T.policies.items():
+    for t in T.policies.values():
         bad += validate_nat_trans(t)
     return bad
 
@@ -209,7 +192,6 @@ class SharpLiftResult:
     rule: FunctorMap          # premise → conclusion, (F, H) ↦ (F, H[pol_F])
     policy: NatTrans          # lifted policy, components are cartesian lifts
     premise: FinCategory
-    conclusion: FinCategory
     premise_projs: tuple      # (to 𝔽, to ℍ)
     conclusion_projs: tuple   # (to 𝔽, to ℍ)
     diagnostics: list
@@ -217,7 +199,7 @@ class SharpLiftResult:
 
 def sharp_lift(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap,
                pol: NatTrans, R: Classifier) -> SharpLiftResult:
-    """♯-lift a contravariant policy along a fibration.
+    """♯-lift a policy along a fibration.
 
     Data: two rules f, g : 𝔽 → 𝕏 with policy components
     ``pol_F : g(F) → f(F)``, plus a fibration ``R.proj : ℍ → 𝕏``.  The
@@ -275,7 +257,7 @@ def sharp_lift(T: PreJudgementalTheory, f: FunctorMap, g: FunctorMap,
             _refuse_others(key, (T.registry[key].value,), (rule,))
         elif not bad:
             T.register(key, RegistryEntry("rule", rule))
-    return SharpLiftResult(rule, lifted, P1, P2, (p1f, p1h), (p2g, p2h), bad)
+    return SharpLiftResult(rule, lifted, P1, (p1f, p1h), (p2g, p2h), bad)
 
 
 def check_axioms(T: PreJudgementalTheory) -> list:

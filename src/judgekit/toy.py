@@ -17,7 +17,7 @@ of it; extension takes a subset to a set of its own size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import FunctorMap, NatTrans, identity_functor
 from .fibrations import Classifier
@@ -30,18 +30,11 @@ from .theory import PreJudgementalTheory, SharpLiftResult, sharp_lift
 @dataclass
 class ToyTheory:
     theory: PreJudgementalTheory
-    one: object                    # the context category 𝟙
-    C: object                      # contexts ℂ
     U: Classifier                  # types 𝕌 fibred over ℂ
-    t: Classifier
-    c: Classifier
-    v: Classifier
-    e: FunctorMap
     u: FunctorMap
     ext: FunctorMap
     eps: NatTrans
-    ext_lift: SharpLiftResult = None
-    rules: list = field(default_factory=list)   # DerivedRule exports
+    ext_lift: SharpLiftResult
 
 
 def build_toy_theory() -> ToyTheory:
@@ -76,21 +69,13 @@ def build_toy_theory() -> ToyTheory:
         T.add_judgement(j)
     for r in (e, u, ext, identity_functor(C)):
         T.add_rule(r)
-    T.add_policy(eps, "contravariant")
+    T.add_policy(eps)
 
     # The type classifier again, now over contexts.
     R = Classifier("𝕌/ℂ", u)
     lift = sharp_lift(T, u, ext, eps, R)
 
-    out = ToyTheory(T, one, C, U, t, c, v, e, u, ext, eps, ext_lift=lift)
-    from .render import derived_rule
-    out.rules = [
-        derived_rule("e", "t", "c", e),
-        derived_rule("u", "v", "c", u),
-        derived_rule("ε-ext", lift.premise.name, lift.conclusion.name,
-                     lift.rule, schema_name="ε-ext"),
-    ]
-    return out
+    return ToyTheory(T, U, u, ext, eps, lift)
 
 
 def extension_oracle(toy: ToyTheory) -> list:

@@ -687,12 +687,7 @@ def print_dsl(doc):
                 lines.append(f"  {k} {v[0]} |-> {v[1]}")
             elif k == "at":
                 lines.append(f"  at {v[0]} = {v[1]}")
-            elif d.kind == "adjunction":
+            elif d.kind in ("adjunction", "theory"):
                 lines.append(f"  {k} {v}")
-            elif d.kind == "theory":
-                if k == "policy":
-                    lines.append(f"  policy {v[0]} {v[1]}")
-                else:
-                    lines.append(f"  {k} {v}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

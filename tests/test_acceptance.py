@@ -26,7 +26,7 @@ from judgekit.limits import (bang_functor, equalizer_category,
 from judgekit.ndt import (PowersetDoctrine, derive_connectives,
                           derive_structural, forall_rules, pair_comparison,
                           quantifier_package, sequent_monad)
-from judgekit.render import derived_rule, render_rule_tree
+from judgekit.render import render_rule_tree
 
 from oracles import (all_maps, cut_reindex_oracle, dec, naive_forall,
                      naive_substitute, quantifier_oracle, rule_tables,
@@ -223,11 +223,10 @@ def test_criterion_10_renderer_goldens():
     for name, stem in (("ΠF", "pi_formation"), ("ΠI", "pi_introduction"),
                        ("DTy", "type_dependency"), ("Cut", "cut"),
                        ("∀I", "forall_introduction")):
-        rule = derived_rule(name, "", "", None)
-        if render_rule_tree(rule, "text") + "\n" != \
+        if render_rule_tree(name, "text") + "\n" != \
                 (GOLDEN / f"{stem}.txt").read_text():
             bad.append(f"{stem}.txt differs")
-        if render_rule_tree(rule, "latex") + "\n" != \
+        if render_rule_tree(name, "latex") + "\n" != \
                 (GOLDEN / f"{stem}.tex").read_text():
             bad.append(f"{stem}.tex differs")
     _verdict(10, "proof figures byte-equal to goldens", bad)

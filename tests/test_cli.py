@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -358,8 +359,8 @@ def test_a_declared_kind_is_checked_once_per_classifier(tmp_path, capsys):
     """``top`` picks y, so no morphism lies over a : x → y: Y and P are
     no fibrations.  Declared ``kind functor``, or no kind, expects
     nothing, so their classifier checks pass; B declares a kind it does
-    not have.  As judgements, each is checked again against the variance
-    of its theory."""
+    not have.  As judgements, each is checked again by the closure axioms
+    of its theory, which require every judgement to be a fibration."""
     f = tmp_path / "kinds.jt"
     f.write_text(KINDS_DOC)
     code, out = run(capsys, "check", str(f))
@@ -434,6 +435,37 @@ def test_a_constructor_block_is_a_parse_failure(tmp_path, capsys, mode,
         "status: fail\n")
 
 
+POLICY_DOC = """\
+category C
+  object a
+
+functor F : C -> C
+  object a |-> a
+
+nat t : F => F
+  at a = id_a
+
+theory T over C
+  rule F
+  policy t covariant
+"""
+
+
+def test_a_policy_with_a_variance_is_a_parse_failure(tmp_path, capsys):
+    """A policy item names its transformation and nothing else: the old
+    form with a variance ends in the parse failure of a jt/1 report."""
+    f = tmp_path / "policy.jt"
+    f.write_text(POLICY_DOC)
+    code, out = run(capsys, "check", str(f))
+    assert code == 1
+    assert out == (
+        "report jt/1\n"
+        f"command: check {f}\n"
+        f"check parse {f}: FAIL\n"
+        "  - line 12, column 1: policy item is `policy t`\n"
+        "status: fail\n")
+
+
 def test_demo_toy(capsys):
     code, out = run(capsys, "demo", "toy")
     assert code == 0
@@ -482,6 +514,23 @@ def test_derive_cut(capsys):
                     str(DEMOS / "ndt_powerset.jt"))
     assert code == 0
     assert "(Cut)" in out
+
+
+def test_a_failed_derivation_prints_no_figure(monkeypatch, capsys):
+    """A derivation whose check fails shows the failure and no figure."""
+    import judgekit.ndt
+    derive_structural = judgekit.ndt.derive_structural
+
+    def failing(ds):
+        return replace(derive_structural(ds), diagnostics=["Cut: broken"])
+
+    monkeypatch.setattr(judgekit.ndt, "derive_structural", failing)
+    path = str(DEMOS / "ndt_powerset.jt")
+    code, out = run(capsys, "derive", "--rule", "cut", path)
+    assert code == 1
+    assert out.splitlines()[-3:] == ["check structural derivations: FAIL",
+                                     "  - Cut: broken", "status: fail"]
+    assert "(Cut)" not in out
 
 
 def test_derive_forall(capsys):

@@ -148,18 +148,11 @@ def test_weak_constructor_keeps_beta_loses_eta(topos2):
     assert not out.has_eta and not out.eta_holds
 
 
-def test_weak_mode_requires_section(topos2):
-    C = make_weak_constructor_example(topos2)
-    C.section = None
-    chk = phi_check(topos2, C)
-    assert any("section" in d for d in chk.diagnostics)
-
-
 def test_a_weak_section_off_the_pullback_is_a_diagnostic(topos2):
     """A section that does not start at PB(Φ,Σ) is reported, not composed
     with the comparison."""
     C = instantiate_constructor(topos2, "id")
-    C.mode, C.section = "weak", identity_functor(C.X)
+    C.section = identity_functor(C.X)
     chk = phi_check(topos2, C)
     assert chk.diagnostics == [
         f"Id: {C.section.name} does not start at {chk.pullback.name}"]

@@ -1,5 +1,5 @@
-"""No code under ``src/judgekit/`` is dead, and no setting is idle.
-Three rules check it.
+"""No code under ``src/judgekit/`` is dead, no setting is idle and no
+stored value is unread.  Four rules check it.
 
 The static rule reads the sources.  It covers classes and imports, and
 module-level functions and non-dunder methods too: a definition counts as
@@ -48,6 +48,14 @@ the name it calls, ``f(…)`` or ``x.f(…)``, and a call to a class counts
 for its ``__init__``; a call with ``*args`` or ``**kwargs`` counts as
 setting every parameter.  ``KEPT_DEFAULTS`` names the exceptions, with
 the same staleness checks as ``KEPT``.
+
+The field rule reads ``src/``, ``verdictbench/`` and every test.  Each
+value that a module-level class under ``src/judgekit/`` stores, a
+dataclass field or a ``self.x = …`` in an ``__init__``, must be read
+somewhere there, as an attribute ``….x`` or as ``getattr(…, "x")``: a
+value that nothing reads should not be stored.  As in the settings rule,
+a read is matched by the attribute's name alone.  ``KEPT_FIELDS`` names
+the exceptions, with the same staleness checks as ``KEPT``.
 """
 import ast
 import cProfile
@@ -278,7 +286,7 @@ UNCALLED = {
     "dtt.natural_model_round_trip":
         "the natural-model bridge, as dtt.validate_natural_model",
     "finset_topos.make_weak_constructor_example":
-        "the weak constructor mode, a paper result that waits for a "
+        "the weak constructor, a paper result that waits for a "
         "request (ROADMAP item 7 step a)",
     "fibrations.is_cartesian":
         "the cartesian test of one morphism, reached only from "
@@ -498,3 +506,148 @@ def test_a_call_sets_a_default_only_with_another_value():
     defaulted, unset = _unset_defaults(trees)
     assert len(defaulted) == 7
     assert unset == ["a.unit(name)", "a.pick(name)", "a.Err.at(line)"]
+
+
+# --------------------------------------------------------------------------
+# The field rule.
+# --------------------------------------------------------------------------
+
+#: Where a stored value may be read.  Every test counts, not only the
+#: acceptance gate: a stored value is part of what the library returns,
+#: and a test that reads it checks that result.
+READERS = (ROOT / "src", ROOT / "verdictbench", ROOT / "tests")
+
+#: ``module.Class.field`` of each stored value that nothing scanned reads
+#: by name, with the reason it is kept.
+KEPT_FIELDS = {
+    "core.FinCategory._hom":
+        "the hom index, which FinCategory._indexed reads and fills through "
+        "getattr(self, attr)",
+    "core.FinCategory._into":
+        "the index by target, read as FinCategory._hom",
+    "core.FinCategory._out":
+        "the index by source, read as FinCategory._hom",
+}
+
+
+def _stores(target, this):
+    """The attributes of ``this`` that an assignment target stores."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _stores(element, this)
+    elif isinstance(target, ast.Attribute) and \
+            isinstance(target.value, ast.Name) and target.value.id == this:
+        yield target.attr
+
+
+def _fields(tree):
+    """``(qualname, attribute)`` of every value that a module-level class
+    stores: each field of a dataclass, and each ``self.x = …`` in an
+    ``__init__``."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and \
+                        isinstance(item.target, ast.Name):
+                    yield f"{cls.name}.{item.target.id}", item.target.id
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                this = item.args.args[0].arg
+                for node in ast.walk(item):
+                    if isinstance(node, ast.Assign):
+                        for target in node.targets:
+                            for attr in _stores(target, this):
+                                yield f"{cls.name}.{attr}", attr
+
+
+def _attribute_reads(trees) -> set:
+    """Every attribute name that ``trees`` read: ``x.name`` as a load, or
+    ``getattr(x, "name", …)`` with the name spelled out."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "getattr" and \
+                    len(node.args) >= 2 and \
+                    isinstance(node.args[1], ast.Constant):
+                read.add(node.args[1].value)
+    return read
+
+
+def _unread_fields(trees):
+    """``(stored, unread)``: the ``module.Class.field`` of every value
+    that a class of the package among ``trees`` stores, and of those
+    whose name nothing in ``trees`` reads as an attribute."""
+    read = _attribute_reads(trees)
+    stored, unread = [], []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for qualname, attr in _fields(tree):
+            key = f"{path.stem}.{qualname}"
+            stored.append(key)
+            if attr not in read:
+                unread.append(key)
+    return stored, unread
+
+
+def _readers():
+    return {p: ast.parse(p.read_text(encoding="utf-8"))
+            for s in READERS for p in sorted(s.rglob("*.py"))}
+
+
+def test_every_field_is_read():
+    _, unread = _unread_fields(_readers())
+    assert [k for k in unread if k not in KEPT_FIELDS] == []
+
+
+def test_every_kept_field_is_stored_and_unread():
+    stored, unread = _unread_fields(_readers())
+    assert [k for k in KEPT_FIELDS if k not in stored] == []
+    assert [k for k in KEPT_FIELDS if k not in unread] == []
+
+
+def test_a_field_is_read_only_as_an_attribute_load():
+    """``P.label`` is only written, by a constructor call and an
+    assignment; ``P.where`` is read as an attribute name only through a
+    keyword; and ``Err.col`` only in a message built from the local.
+    ``P.name`` is read by a test, ``P.size`` through ``getattr`` with
+    its name spelled out, and ``Err.line`` and ``Err.hint`` as
+    attributes of the package; a class that is not a dataclass stores
+    nothing outside its ``__init__``."""
+    sources = {
+        PACKAGE / "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class P:\n"
+            "    name: str\n"
+            "    label: str\n"
+            "    size: int = 0\n"
+            "    where: int = 0\n"
+            "class Err(Exception):\n"
+            "    kind = 'syntax'\n"
+            "    def __init__(self, line, col, hint):\n"
+            "        self.line, self.col = line, col\n"
+            "        self.hint = hint\n"
+            "        super().__init__(f'line {line}, column {col}')\n"
+            "    def fix(self):\n"
+            "        self.fixed = True\n"
+            "        return self.hint\n"
+            "def make(p):\n"
+            "    p.label = 'x'\n"
+            "    return (P('p', 'q', where=1), getattr(p, 'size'),\n"
+            "            Err(1, 2, 3).line)\n"),
+        ROOT / "tests" / "test_a.py": (
+            "from judgekit.a import make\n"
+            "assert make(None)[0].name == 'p'\n"),
+    }
+    trees = {p: ast.parse(s) for p, s in sources.items()}
+    stored, unread = _unread_fields(trees)
+    assert stored == ["a.P.name", "a.P.label", "a.P.size", "a.P.where",
+                      "a.Err.line", "a.Err.col", "a.Err.hint"]
+    assert unread == ["a.P.label", "a.P.where", "a.Err.col"]

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from judgekit.render import (SCHEMAS, ascii_enabled, derived_rule, finalize,
-                             latex_math, render_rule_tree)
+from judgekit.render import (SCHEMAS, ascii_enabled, finalize, latex_math,
+                             render_rule_tree)
 
 GOLDEN = Path(__file__).parent / "golden"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "judgekit"
@@ -18,31 +18,27 @@ FIGURES = [
 ]
 
 
-def _rule(name):
-    return derived_rule(name, "", "", None)
-
-
 @pytest.mark.parametrize("name,stem", FIGURES)
 def test_golden_text(name, stem):
-    got = render_rule_tree(_rule(name), "text") + "\n"
+    got = render_rule_tree(name, "text") + "\n"
     assert got == (GOLDEN / f"{stem}.txt").read_text()
 
 
 @pytest.mark.parametrize("name,stem", FIGURES)
 def test_golden_latex(name, stem):
-    got = render_rule_tree(_rule(name), "latex") + "\n"
+    got = render_rule_tree(name, "latex") + "\n"
     assert got == (GOLDEN / f"{stem}.tex").read_text()
 
 
 def test_invertible_rule_gets_a_double_line():
-    txt = render_rule_tree(_rule("∀I"), "text")
+    txt = render_rule_tree("∀I", "text")
     assert "═" in txt and "─" not in txt
-    tex = render_rule_tree(_rule("∀I"), "latex")
+    tex = render_rule_tree("∀I", "latex")
     assert "\\doubleLine" in tex
 
 
 def test_latex_is_bussproofs_shaped():
-    tex = render_rule_tree(_rule("Cut"), "latex")
+    tex = render_rule_tree("Cut", "latex")
     assert tex.startswith("\\begin{prooftree}")
     assert tex.endswith("\\end{prooftree}")
     assert tex.count("\\AxiomC") == 2 and "\\BinaryInfC" in tex
@@ -52,7 +48,7 @@ def test_ascii_mode(monkeypatch):
     monkeypatch.setenv("JT_ASCII", "1")
     assert ascii_enabled()
     assert finalize("Γ ⊢ A") == "Gamma |- A"
-    txt = render_rule_tree(_rule("Cut"), "text")
+    txt = render_rule_tree("Cut", "text")
     assert "⊢" not in txt and "|-" in txt
     # The inference line still spans the widest row.
     lines = txt.splitlines()
@@ -96,6 +92,6 @@ def test_latex_math_table():
 def test_unknown_schema_is_an_error():
     assert "nope" not in SCHEMAS
     with pytest.raises(ValueError):
-        render_rule_tree(_rule("nope"), "text")
+        render_rule_tree("nope", "text")
     with pytest.raises(ValueError):
-        render_rule_tree(_rule("Cut"), "html")
+        render_rule_tree("Cut", "html")
