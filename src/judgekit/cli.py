@@ -241,11 +241,10 @@ def _derive_ndt(ds, which, report):
         return
     if which.startswith("structural:"):
         name = which.split(":", 1)[1]
-        st = derive_structural(ds)
-        ok = report.check("structural derivations", st.diagnostics)
         if name not in ("H", "W", "C", "Sw"):
             report.check(f"rule {name}", [f"unknown structural rule {name!r}"])
-        elif ok:
+        elif report.check("structural derivations",
+                          derive_structural(ds).diagnostics):
             _show_rules(report, [name])
         return
     if which == "forall":

@@ -8,15 +8,19 @@ discreteness, thinness — are decided by exhaustive enumeration.
 A morphism m : E → F over σ : θ → γ is cartesian when every m' : E' → F
 over σ∘g, for a base arrow g : P E' → θ, is m∘h for exactly one h : E' → E
 over g.  ``is_cartesian`` counts those h for every such pair (g, m'),
-reading one index of the total: for each target and source, the
-morphisms between them grouped by the base arrow they lie over.  The
-count reads only the tables, so it is exact for any projection, functor
-or not, and over a faithful one each group holds at most one morphism,
-so it compares one composite per pair (Jacobs, *Categorical Logic and
-Type Theory*, ch. 1).  ``factorizations`` reads the same index, and so
-does ``one_over``, the one lookup of "the morphism E → F over σ" that
-``thin_rule``, Δ and ε of ``finset_topos`` and the vertical morphisms
-and comparisons of ``ndt`` read.
+reading one index of the total on integer codes (``_Coded``): for each
+target and source, the morphisms between them grouped by the base arrow
+they lie over, with composites read from the rows of the numbering that
+``core`` keeps for the total and the base.  An opposite classifier reads
+its original's numbering transposed, so it is never numbered itself.
+The count reads only the tables, so it is exact for any projection,
+functor or not, and over a faithful one each group holds at most one
+morphism, so it compares one composite per pair (Jacobs, *Categorical
+Logic and Type Theory*, ch. 1).  ``factorizations`` reads the same
+index.  ``one_over``, the one lookup of "the morphism E → F over σ" that
+``thin_rule``, Δ and ε of ``finset_topos`` and the vertical morphisms and
+comparisons of ``ndt`` read, keeps an index of identifiers, since it runs
+while those are built, before anything is numbered.
 
 The fibrations that ``ndt`` and ``finset_topos`` construct over a
 context category come from one function, ``thin_classifier``: the
@@ -48,13 +52,15 @@ hold, it answers without the count or the index, and a cleavage takes
 the only candidate over each arrow; when one fails, it counts.  An
 opposite classifier reads the last two premises from its original.
 
-Indexes, groupings, discreteness verdicts and cleavages are kept in the
-check context, per projection, category or classifier they were read
-from, and shared by all the tests of one request; nothing is kept on a
-category or a classifier.  The verdict of the cartesian test on one
-morphism is not kept: a loop over morphisms takes the test once and reads
-the index once.  A cleavage takes, for each object and base arrow, the
-first cartesian candidate in ``sort_key`` order.
+Indexes, discreteness verdicts and cleavages are kept in the check
+context, per projection or classifier they were read from, and shared by
+all the tests of one request; nothing is kept on a category or a
+classifier.  The verdict of the cartesian test on one morphism is not
+kept: a loop over morphisms takes the test once and reads the index
+once.  A cleavage takes, for each object and base arrow, the first
+cartesian candidate in ``sort_key`` order.  ``verify_kind`` decides only
+the kinds a check expects, and classifies fully only to report one that
+is missing.
 """
 
 from __future__ import annotations
@@ -62,8 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FunctorMap, NatTrans, ThinComposition,
-                   _recall, _sound, _validated, along, checking, opposite,
-                   parallel_morphisms, validate_functor)
+                   _codes, _no_lemmas, _recall, _sound, _validated, along,
+                   checking, opposite, parallel_morphisms, validate_functor)
 
 
 @dataclass
@@ -114,33 +120,42 @@ def is_cartesian(cl: Classifier, m) -> bool:
 def _cartesian(cl: Classifier):
     """The cartesian test of cl as a function of the morphism.  When the
     discrete-fibration lemma decides cl (``_by_lemma``), it is true for
-    exactly the morphisms of the total.  Otherwise it reads the index of
-    cl's projection once: for m : E → F it counts, for each required pair
-    (g, m'), the morphisms over g in the index entry of E' and E whose
-    composite with m is m'."""
-    total, base, P = cl.total, cl.base, cl.proj
+    exactly the morphisms of the total.  Otherwise it is ``_count`` on the
+    morphism's code, which reads the coded index of cl's projection once;
+    over an opposite made by ``opposite_classifier`` that index reads the
+    original's numbering with its rows transposed."""
     if _by_lemma(cl):
-        return total.morphisms.__contains__
-    pobj, pmor, composite = P.obj_map, P.mor_map, total.compose.get
-    index, after_in = _kept_index(cl), _recall(dict, "after", base)
+        return cl.total.morphisms.__contains__
+    count, code = _count(cl), _coded(cl).code
+    return lambda m: count(code[m])
 
-    def counted(m):
-        sigma, into_e = pmor[m], index[total.src[m]]
-        for E2, hit in index[total.tgt[m]].items():
-            after = _composites(base, pobj[E2], sigma, after_in)
+
+def _count(cl: Classifier):
+    """The count on codes, as a function of the code of m : E → F: for
+    each required pair (g, m'), the morphisms over g in the index entry of
+    E' and E whose composite with m is m'."""
+    k = _coded(cl)
+    index, s, t, p, pobj, hom, bsrc = k.index, k.s, k.t, k.p, k.pobj, \
+        k.hom, k.bsrc
+
+    def cartesian(i):
+        sigma, into_e, after_m = p[i], index[s[i]], k.after(i)
+        then_sigma = k.then(sigma)
+        for E2, hit in index[t[i]].items():
             lifts = into_e.get(E2, {})
-            for b, m2s in hit.items():
-                for g in after.get(b, ()):
+            for g in hom.get((pobj[E2], bsrc[sigma]), ()):
+                m2s = hit.get(then_sigma(g))
+                if m2s:
                     hs = lifts.get(g, ())
                     for m2 in m2s:
                         n = 0
                         for h in hs:
-                            if composite((m, h)) == m2:
+                            if after_m(h) == m2:
                                 n += 1
                         if n != 1:
                             return False
         return True
-    return counted
+    return cartesian
 
 
 def _by_lemma(cl: Classifier) -> bool:
@@ -151,16 +166,62 @@ def _by_lemma(cl: Classifier) -> bool:
     discreteness from its original, since Pᵒᵖ is a functor exactly when P
     is and a transposed table is sound exactly when its original is."""
     orig = _recall(lambda: None, "opposite of", cl) or cl
-    return _discrete(cl) and _sound(orig.total) and not _validated(orig.proj)
+    return not _no_lemmas.get() and _discrete(cl) and _sound(orig.total) \
+        and not _validated(orig.proj)
 
 
 def factorizations(cl: Classifier, m, g, m2) -> list:
     """The morphisms ``h : src m2 → src m`` over g with ``m∘h = m2``, in
-    ``sort_key`` order, read from the index of cl's projection.  A loop
-    calls it inside one check context, so that the index is built once."""
-    total = cl.total
-    over = _kept_index(cl)[total.src[m]].get(total.src[m2], {})
-    return [h for h in over.get(g, ()) if total.compose.get((m, h)) == m2]
+    ``sort_key`` order, read from the coded index of cl's projection.  A
+    loop calls it inside one check context, so that the index is built
+    once."""
+    k, src = _coded(cl), cl.total.src
+    over = k.index[k.obj[src[m]]].get(k.obj[src[m2]], {}).get(k.bcode[g], ())
+    after_m, want = k.after(k.code[m]), k.code[m2]
+    return [k.mors[h] for h in over if after_m(h) == want]
+
+
+def _coded(cl: Classifier) -> "_Coded":
+    """The ``_Coded`` index of cl, kept in the check context per
+    projection."""
+    return _recall(lambda: _Coded(cl), "coded index", cl.proj)
+
+
+class _Coded:
+    """cl on the codes of ``core._codes`` and of its objects (``obj``):
+    endpoints ``s``, ``t``, base arrows ``p``, base objects ``pobj``, the
+    base's sources ``bsrc`` and hom-sets ``hom[(a, b)]``, and
+    ``index[F][E][σ]``, the morphisms E → F over σ in ``sort_key`` order.
+    ``after(i)`` is h ↦ mors[i]∘mors[h], None when the total lacks it, and
+    ``then(σ)`` is g ↦ σ∘g.  An opposite made by ``opposite_classifier``
+    reads its original's numbering with the rows transposed, so it is
+    never numbered itself."""
+
+    def __init__(self, cl: Classifier):
+        orig = _recall(lambda: None, "opposite of", cl)
+        total, base, P = cl.total, cl.base, cl.proj
+        n, bn = _codes((orig or cl).total), _codes((orig or cl).base)
+        self.mors, self.code, self.bcode = n.mors, n.code, bn.code
+        obj = self.obj = {o: k for k, o in enumerate(total.objects)}
+        bobj = {o: k for k, o in enumerate(base.objects)}
+        self.pobj = [bobj.get(P.obj_map.get(o)) for o in total.objects]
+        self.s = s = [obj[total.src[m]] for m in n.mors]
+        self.t = [obj[total.tgt[m]] for m in n.mors]
+        self.p = p = [bn.code[P.mor_map[m]] for m in n.mors]
+        self.bsrc = [bobj[base.src[g]] for g in bn.mors]
+        self.hom, self.index = {}, [{} for _ in obj]
+        for g, arrow in enumerate(bn.mors):
+            self.hom.setdefault((self.bsrc[g], bobj[base.tgt[arrow]]), []).append(g)
+        for F, f in obj.items():
+            for i in map(n.code.__getitem__, total.into(F)):
+                self.index[f].setdefault(s[i], {}).setdefault(p[i], []).append(i)
+        rows, brows = n.rows, bn.rows
+        if orig is None:
+            self.after = lambda i: lambda h: rows[h].get(i)
+            self.then = lambda sigma: lambda g: brows[g][sigma]
+        else:
+            self.after = lambda i: rows[i].get
+            self.then = lambda sigma: brows[sigma].__getitem__
 
 
 def _kept_index(cl: Classifier) -> dict:
@@ -172,8 +233,9 @@ def _kept_index(cl: Classifier) -> dict:
 
 def one_over(cl: Classifier):
     """The one morphism E → F over σ, as a function of ``(E, F, σ)`` read
-    from the index of cl's projection; it raises when there is not
-    exactly one.  A loop takes it once, so that the index is read once."""
+    from the identifier index of cl's projection; it raises when there is
+    not exactly one.  A loop takes it once, so that the index is read
+    once."""
     index = _kept_index(cl)
 
     def over(E, F, sigma):
@@ -196,18 +258,6 @@ def _index(c: FinCategory, pmor) -> dict:
     return index
 
 
-def _composites(base: FinCategory, a, sigma, kept):
-    """The base arrows ``g : a → src σ`` grouped by ``σ∘g``, kept in
-    ``kept``."""
-    key = (a, sigma)
-    after = kept.get(key)
-    if after is None:
-        after = kept[key] = {}
-        for g in base.hom(a, base.src[sigma]):
-            after.setdefault(base.comp(sigma, g), []).append(g)
-    return after
-
-
 def _over(cl: Classifier, F) -> dict:
     """The arrows into F grouped by their projection, in ``sort_key``
     order within each group."""
@@ -223,17 +273,29 @@ def _lifts(cl: Classifier):
     the cartesian candidate lifts the one with the least ``sort_key`` is
     chosen: candidates are tested in that order and the first cartesian
     one is taken, which over a discrete fibration is the only candidate.
-    ``lift`` is None where there is none."""
+    The count reads its candidates on codes, grouped by base arrow for
+    one F at a time.  ``lift`` is None where there is none."""
     total, base, P = cl.total, cl.base, cl.proj
-    cartesian = _cartesian(cl)
+    if _by_lemma(cl):
+        def candidates(F):
+            over = _over(cl, F)
+            return lambda sigma: over.get(sigma, ())
+    else:
+        k, count = _coded(cl), _count(cl)
+
+        def candidates(F):
+            over = {}
+            for i in map(k.code.__getitem__, total.into(F)):
+                over.setdefault(k.p[i], []).append(i)
+            return lambda sigma: (k.mors[i] for i in
+                                  over.get(k.bcode[sigma], ()) if count(i))
     for F in total.sorted_objects():
-        over = _over(cl, F)
+        lifts = candidates(F)
         for sigma in base.into(P.obj_map[F]):
             if base.is_identity(sigma):
                 yield (F, sigma), total.identity[F]
             else:
-                yield (F, sigma), next((m for m in over.get(sigma, ())
-                                        if cartesian(m)), None)
+                yield (F, sigma), next(iter(lifts(sigma)), None)
 
 
 def _hole(cl: Classifier, F, sigma) -> str:
@@ -315,17 +377,20 @@ def is_thin(cl: Classifier) -> list:
 
 
 def verify_kind(cl: Classifier, expect=None) -> list:
-    """Classify a classifier: fibration / opfibration / discrete, and
-    thin when ``expect`` asks for it.
+    """Check that a classifier is of each kind ``expect`` names, joined by
+    ``+``: fibration, opfibration, discrete or thin.
 
     Validates the projection functor first and stops there when it
     fails, then stops when the base fails its table checks; it does not
-    validate the total or base category further.  The
-    opposite classifier's cleavage is computed only up to its first
-    hole, since the kind and the diagnostic read no more of it.  Returns
-    diagnostics; ``expect`` (if given) adds a diagnostic when the
-    computed kind does not include it.  It runs in one check context,
-    so the opposite classifier reads what was learnt about ``cl``.
+    validate the total or base category further, and with ``expect``
+    None that is all.  It decides only the kinds named, in order, and
+    returns [] once all of them hold.  When one fails, or a word names no
+    kind, it classifies cl as fibration, opfibration, discrete and, when
+    ``expect`` mentions it, thin, and adds a diagnostic for each kind
+    expected and missing.  The opposite classifier's cleavage is computed
+    only up to its first hole, since the kind and the diagnostic read no
+    more of it.  It runs in one check context, so the opposite classifier
+    reads what was learnt about ``cl``.
 
     A discrete classifier whose total is sound is a fibration by the
     discrete-fibration lemma of this module, and its cleavage is read off
@@ -340,25 +405,24 @@ def verify_kind(cl: Classifier, expect=None) -> list:
             return bad
         if not _sound(cl.base):
             return [f"uses category {cl.base.name}, which fails its table checks"]
-        kinds = []
+        is_kind = {"fibration": lambda: not compute_cleavage(cl)[1],
+                   "opfibration": lambda: not _first_hole(opposite_classifier(cl)),
+                   "discrete": lambda: _discrete(cl),
+                   "thin": lambda: not is_thin(cl)}
+        wants = expect.split("+") if expect else []
+        if all(is_kind.get(want, lambda: False)() for want in wants):
+            return []
         fib_bad = compute_cleavage(cl)[1]
-        if not fib_bad:
-            kinds.append("fibration")
         opfib_bad = _first_hole(opposite_classifier(cl))
-        if not opfib_bad:
-            kinds.append("opfibration")
-        if _discrete(cl):
-            kinds.append("discrete")
-        if expect and "thin" in expect:
-            if not is_thin(cl):
-                kinds.append("thin")
-        if expect:
-            kind = "+".join(kinds) if kinds else "functor"
-            for want in expect.split("+"):
-                if want not in kinds:
-                    reason = fib_bad or opfib_bad or [f"{cl.name}: not {want}"]
-                    bad.append(f"{cl.name}: expected {want}, got {kind}: {reason[0]}")
-        return bad
+        kinds = [kind for kind, holds in (
+            ("fibration", not fib_bad), ("opfibration", not opfib_bad),
+            ("discrete", _discrete(cl)),
+            ("thin", "thin" in expect and not is_thin(cl))) if holds]
+        kind = "+".join(kinds) if kinds else "functor"
+        reason = fib_bad or opfib_bad
+        return [f"{cl.name}: expected {want}, got {kind}: "
+                f"{(reason or [f'{cl.name}: not {want}'])[0]}"
+                for want in wants if want not in kinds]
 
 
 def thin_classifier(name, ctx: FinCategory, formulas, restrict,

@@ -10,15 +10,21 @@ of the library's category builders, pullback and opposite, and two
 broken doctrines out of its powerset doctrine.  The brute-force checks of
 the universal properties of pullbacks and equalizers, and the canonical
 printer of the ``.jt`` language, sit at the end; no ``jt`` request needs
-them, so they live with the tests.
+them, so they live with the tests.  So do ``eager_verify_kind``, which
+classifies a classifier fully before it reads the kinds expected, and
+``lemmas_off``, which makes every validator sweep or count.
 """
 
+from contextlib import contextmanager
 from itertools import product
 
+from judgekit import core
 from judgekit.core import (FunctorMap, category_from, compose_functors,
                            make_category, opposite, same_functor, subcategory,
                            validate_functor)
-from judgekit.fibrations import Classifier, opposite_classifier
+from judgekit.fibrations import (Classifier, _discrete, _first_hole,
+                                 compute_cleavage, is_thin,
+                                 opposite_classifier)
 from judgekit.finsets import preimage
 from judgekit.limits import bang_functor, pullback_category, terminal_category
 from judgekit.ndt import PowersetDoctrine
@@ -376,6 +382,49 @@ def naive_cocartesian_lifts(cl):
                          and naive_is_cocartesian(cl, m)]
             for E in tot.objects for sigma in base.morphisms
             if base.src[sigma] == pobj[E]}
+
+
+@contextmanager
+def lemmas_off():
+    """No lemma decides a law inside the block: the category, functor and
+    discrete-fibration lemmas and the soundness of a pullback decline, so
+    every law is swept and every cartesian test counted."""
+    token = core._no_lemmas.set(True)
+    try:
+        yield
+    finally:
+        core._no_lemmas.reset(token)
+
+
+def eager_verify_kind(cl, expect=None):
+    """``verify_kind`` computing every kind of cl: the cleavage, the first
+    hole of the opposite's, discreteness and, when ``expect`` mentions it,
+    thinness, and then one diagnostic per kind expected and missing."""
+    with core.checking():
+        bad = validate_functor(cl.proj)
+        if bad:
+            return bad
+        if not core._sound(cl.base):
+            return [f"uses category {cl.base.name}, which fails its table checks"]
+        kinds = []
+        fib_bad = compute_cleavage(cl)[1]
+        if not fib_bad:
+            kinds.append("fibration")
+        opfib_bad = _first_hole(opposite_classifier(cl))
+        if not opfib_bad:
+            kinds.append("opfibration")
+        if _discrete(cl):
+            kinds.append("discrete")
+        if expect and "thin" in expect:
+            if not is_thin(cl):
+                kinds.append("thin")
+        if expect:
+            kind = "+".join(kinds) if kinds else "functor"
+            for want in expect.split("+"):
+                if want not in kinds:
+                    reason = fib_bad or opfib_bad or [f"{cl.name}: not {want}"]
+                    bad.append(f"{cl.name}: expected {want}, got {kind}: {reason[0]}")
+        return bad
 
 
 # --------------------------------------------------------------------------

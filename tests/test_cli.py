@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from judgekit import core
 from judgekit.cli import REPORT_VERSION, build_parser, main
 
+from oracles import lemmas_off
+
 DEMOS = Path(__file__).parent.parent / "demos"
 
 
@@ -197,15 +199,20 @@ def edited_demos(draw):
 @given(text=edited_demos())
 def test_an_edited_demo_ends_in_a_status_line(text):
     """However a demo is edited, ``jt check`` ends in a report with a
-    ``status:`` line, never in an exception."""
+    ``status:`` line, never in an exception, and the report is the same
+    with the lemmas off: an edited document is where a premise fails."""
+    reports = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edited.jt"
         path.write_text(text, encoding="utf-8")
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["check", str(path)])
+        for switch in (contextlib.nullcontext, lemmas_off):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), switch():
+                reports.append((main(["check", str(path)]), out.getvalue()))
+    code, out = reports[0]
     assert code in (0, 1)
-    assert out.getvalue().splitlines()[-1] in ("status: ok", "status: fail")
+    assert out.splitlines()[-1] in ("status: ok", "status: fail")
+    assert reports[1] == reports[0]
 
 
 def test_check_json(capsys):
@@ -531,6 +538,25 @@ def test_a_failed_derivation_prints_no_figure(monkeypatch, capsys):
     assert out.splitlines()[-3:] == ["check structural derivations: FAIL",
                                      "  - Cut: broken", "status: fail"]
     assert "(Cut)" not in out
+
+
+def test_an_unknown_structural_rule_is_rejected_before_any_derivation(
+        monkeypatch, capsys):
+    """``structural:X`` names its rule before the structural rules are
+    derived, so an unknown X costs no derivation."""
+    import judgekit.ndt
+
+    def never(ds):
+        raise AssertionError("derive_structural called")
+
+    monkeypatch.setattr(judgekit.ndt, "derive_structural", never)
+    code, out = run(capsys, "derive", "--rule", "structural:Foo",
+                    str(DEMOS / "ndt_powerset.jt"))
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "check rule Foo: FAIL", "  - unknown structural rule 'Foo'",
+        "status: fail"]
+    assert "structural derivations" not in out
 
 
 def test_derive_forall(capsys):

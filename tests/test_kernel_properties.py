@@ -24,6 +24,7 @@ from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
                           proposition_classifier)
 
 from oracles import (Antitone, EmptyIdentity, coslice_classifier,
+                     eager_verify_kind, lemmas_off,
                      naive_cartesian_lifts, naive_category_laws,
                      naive_cocartesian_lifts,
                      naive_composition_preserved, naive_factorizations,
@@ -716,10 +717,9 @@ def test_one_over_raises_unless_exactly_one_morphism_lies_over_the_arrow():
 
 
 def _counted_cleavage(cl):
-    """``compute_cleavage`` of cl with the lemma declined, so that every
-    lift is found by counting factorizations."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fibrations, "_by_lemma", lambda cl: False)
+    """``compute_cleavage`` of cl with the lemmas off, so that every lift
+    is found by counting factorizations."""
+    with lemmas_off():
         return compute_cleavage(cl)
 
 
@@ -781,11 +781,19 @@ TOTAL_MUTATIONS = {"none": lambda c, proj, data: (c, proj),
        mutation=st.sampled_from(sorted(TOTAL_MUTATIONS)), data=st.data())
 def test_the_cartesian_test_agrees_with_the_naive_test_on_mutated_totals(
         name, mutation, data):
+    """Over the classifier and over its opposite, whose count reads the
+    classifier's numbering transposed, against the naive cocartesian
+    test."""
     cl = MUTATED_CASES[name]
     total, proj = TOTAL_MUTATIONS[mutation](cl.total, cl.proj, data)
     cl = Classifier(cl.name, proj)
-    for m in sorted(total.morphisms, key=repr):
+    arrows = sorted(total.morphisms, key=repr)
+    for m in arrows:
         assert is_cartesian(cl, m) == naive_is_cartesian(cl, m), m
+    with core.checking():
+        op = opposite_classifier(cl)
+        assert [is_cartesian(op, m) for m in arrows] \
+            == [naive_is_cocartesian(cl, m) for m in arrows]
 
 
 @pytest.mark.parametrize("name", ["𝔽", "dtt u"])
@@ -800,9 +808,9 @@ def test_faithful_projections_are_decided_without_counting(name,
     its opposite, which is not discrete, is counted."""
     cl = MUTATED_CASES[name]
     indexes, swept = [], []
-    real_index, real_sweep = fibrations._index, core._composition_sweep
-    monkeypatch.setattr(fibrations, "_index",
-                        lambda c, pmor: indexes.append((c, real_index(c, pmor)))
+    real_coded, real_sweep = fibrations._Coded, core._composition_sweep
+    monkeypatch.setattr(fibrations, "_Coded",
+                        lambda c: indexes.append((c.total, real_coded(c)))
                         or indexes[-1][1])
     monkeypatch.setattr(core, "_composition_sweep",
                         lambda F: swept.append(F) or real_sweep(F))
@@ -817,10 +825,70 @@ def test_faithful_projections_are_decided_without_counting(name,
         assert len(indexes) == 1
     else:
         assert len(indexes) == 2
-    assert all(len(over) <= 1 for _, index in indexes
-               for into in index.values()
+    assert all(len(over) <= 1 for _, coded in indexes
+               for into in coded.index
                for by in into.values() for over in by.values())
     assert swept == [cl.proj]
+
+
+def test_counting_the_opposite_numbers_no_transposed_category(monkeypatch):
+    """𝔽ᵒᵖ is not discrete, so its cleavage is counted, on the numbering
+    of 𝔽 read transposed: no category with a transposed composition is
+    numbered, and the lifts are the naive cocartesian ones."""
+    cl = MUTATED_CASES["𝔽"]
+    numbered, coded = [], []
+    real_codes, real_coded = core._Codes, fibrations._Coded
+    monkeypatch.setattr(core, "_Codes",
+                        lambda c: numbered.append(c) or real_codes(c))
+    monkeypatch.setattr(fibrations, "_Coded",
+                        lambda c: coded.append(c) or real_coded(c))
+    with core.checking():
+        op = opposite_classifier(cl)
+        cleavage, bad = compute_cleavage(op)
+    assert coded == [op] and numbered
+    assert not [c for c in numbered if isinstance(c.compose, core._Transposed)]
+    lifts = naive_cocartesian_lifts(cl)
+    assert bad == [] and set(cleavage) == set(lifts)
+    assert all(cleavage[key] == min(found, key=sort_key)
+               for key, found in lifts.items() if not cl.base.is_identity(key[1]))
+
+
+# ``verify_kind`` decides only the kinds it is asked about, and classifies
+# fully only when one is missing; its lines are those of the eager
+# classification for every expectation, on every classifier and its
+# opposite, with and without a mutation that declines the lemma.
+EXPECTS = [None, "fibration", "opfibration", "discrete", "thin",
+           "fibration+opfibration+discrete", "fibration+thin", "cartesian"]
+
+
+def _kind_lines(verify, cl, side):
+    lines = []
+    for expect in EXPECTS:
+        with core.checking():
+            asked = cl if side == "classifier" else opposite_classifier(cl)
+            lines.append(verify(asked, expect))
+    return lines
+
+
+@pytest.mark.parametrize("side", sorted(DISCRETE_CASES))
+@pytest.mark.parametrize("name", sorted(CARTESIAN_CASES))
+def test_kinds_on_demand_agree_with_the_eager_classification(name, side):
+    cl = CARTESIAN_CASES[name]()
+    assert _kind_lines(verify_kind, cl, side) \
+        == _kind_lines(eager_verify_kind, cl, side)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(CARTESIAN_CASES)),
+       side=st.sampled_from(sorted(DISCRETE_CASES)),
+       mutation=st.sampled_from(sorted(DECLINING)), data=st.data())
+def test_kinds_on_demand_agree_with_the_eager_classification_when_mutated(
+        name, side, mutation, data):
+    cl = CARTESIAN_CASES[name]()
+    _, proj = DECLINING[mutation](cl.total, cl.proj, data)
+    cl = Classifier(cl.name, proj)
+    assert _kind_lines(verify_kind, cl, side) \
+        == _kind_lines(eager_verify_kind, cl, side)
 
 
 def test_the_opposite_of_a_discrete_fibration_is_neither_swept_nor_numbered(
@@ -832,9 +900,11 @@ def test_the_opposite_of_a_discrete_fibration_is_neither_swept_nor_numbered(
     cl = DTT2.udot
     indexes, swept, numbered = [], [], []
     real_index, real_sweep = fibrations._index, core._composition_sweep
-    real_codes = core._Codes
+    real_codes, real_coded = core._Codes, fibrations._Coded
     monkeypatch.setattr(fibrations, "_index",
                         lambda c, pmor: indexes.append(c) or real_index(c, pmor))
+    monkeypatch.setattr(fibrations, "_Coded",
+                        lambda cl: indexes.append(cl) or real_coded(cl))
     monkeypatch.setattr(core, "_composition_sweep",
                         lambda F: swept.append(F) or real_sweep(F))
     monkeypatch.setattr(core, "_Codes",

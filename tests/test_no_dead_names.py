@@ -264,6 +264,8 @@ UNCALLED = {
         "only when it sweeps one whose premises fail",
     "core._Pairs.__len__":
         "Mapping protocol, as _Pairs.__iter__",
+    "core._Transposed.__getitem__":
+        "Mapping protocol, as _Transposed.__iter__",
     "core._Transposed.__iter__":
         "Mapping protocol: _table_errors walks an opposite's composition "
         "only when it sweeps one whose premises fail",
@@ -327,18 +329,40 @@ def _functions(tree, prefix=""):
             yield from _functions(node, prefix)
 
 
+# A classifier declared a fibration that is none: nothing lies over s.
+NO_LIFT = """\
+category B
+  object b0
+  object b1
+  morphism s : b0 -> b1
+  complete
+category E
+  object e0
+  object e1
+  complete
+functor p : E -> B
+  object e0 |-> b0
+  object e1 |-> b1
+classifier U : p kind fibration
+"""
+
+
 def _trace_requests(tmp: Path) -> list:
     """The argv of every request the trace runs, over documents it writes
     to ``tmp``: the hash-seed requests with dtt-finset 2 in place of 3,
     which reach the same functions in less time; ``check --json`` of the
     toy theory; ``render`` of a dtt rule and an ndt rule in both formats;
-    and ``check`` of the toy theory with ``t`` declared thin, the one
-    request that reaches ``fibrations.is_thin``."""
+    ``check`` of the toy theory with ``t`` declared thin, the one request
+    that reaches ``fibrations.is_thin``, and with ``t`` declared an
+    opfibration, which reaches the opposite classifier; and ``check`` of
+    ``NO_LIFT``, whose classifier fails its kind."""
     toy = (DEMOS / "toy.jt").read_text(encoding="utf-8")
     declared = "classifier t : t kind fibration\n"
     assert declared in toy
-    docs = {**documents(), "toy-thin.jt": toy.replace(
-        declared, "classifier t : t kind fibration+thin\n")}
+    docs = {**documents(), "no-lift.jt": NO_LIFT, **{
+        f"toy-{kind}.jt": toy.replace(
+            declared, f"classifier t : t kind fibration+{kind}\n")
+        for kind in ("thin", "opfibration")}}
     for file, text in docs.items():
         (tmp / file).write_text(text, encoding="utf-8")
     dtt3, dtt2 = str(tmp / "dtt3.jt"), str(tmp / "dtt2.jt")
@@ -347,8 +371,21 @@ def _trace_requests(tmp: Path) -> list:
     out.append(["check", "--json", str(DEMOS / "toy.jt")])
     out += [["render", "--rule", rule, "--format", fmt]
             for rule in ("ΠF", "Cut") for fmt in ("text", "latex")]
-    out.append(["check", str(tmp / "toy-thin.jt")])
+    out += [["check", str(tmp / file)]
+            for file in ("toy-thin.jt", "toy-opfibration.jt", "no-lift.jt")]
     return out
+
+
+def test_the_trace_requests_end_as_declared(tmp_path):
+    """The toy theory with ``t`` an opfibration passes, and the
+    classifier of ``NO_LIFT`` fails its kind at its one hole."""
+    argvs = _trace_requests(tmp_path)
+    code, out = run(argvs[-2])
+    assert code == 0 and out.endswith("status: ok\n")
+    code, out = run(argvs[-1])
+    assert code == 1
+    assert "  - U: expected fibration, got functor: U: no cartesian lift " \
+        "of 's' at 'e1'\n" in out
 
 
 def _uncalled():
