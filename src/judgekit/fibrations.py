@@ -273,29 +273,17 @@ def _lifts(cl: Classifier):
     the cartesian candidate lifts the one with the least ``sort_key`` is
     chosen: candidates are tested in that order and the first cartesian
     one is taken, which over a discrete fibration is the only candidate.
-    The count reads its candidates on codes, grouped by base arrow for
-    one F at a time.  ``lift`` is None where there is none."""
+    ``lift`` is None where there is none."""
     total, base, P = cl.total, cl.base, cl.proj
-    if _by_lemma(cl):
-        def candidates(F):
-            over = _over(cl, F)
-            return lambda sigma: over.get(sigma, ())
-    else:
-        k, count = _coded(cl), _count(cl)
-
-        def candidates(F):
-            over = {}
-            for i in map(k.code.__getitem__, total.into(F)):
-                over.setdefault(k.p[i], []).append(i)
-            return lambda sigma: (k.mors[i] for i in
-                                  over.get(k.bcode[sigma], ()) if count(i))
+    cartesian = _cartesian(cl)
     for F in total.sorted_objects():
-        lifts = candidates(F)
+        over = _over(cl, F)
         for sigma in base.into(P.obj_map[F]):
             if base.is_identity(sigma):
                 yield (F, sigma), total.identity[F]
             else:
-                yield (F, sigma), next(iter(lifts(sigma)), None)
+                yield (F, sigma), next((m for m in over.get(sigma, ())
+                                        if cartesian(m)), None)
 
 
 def _hole(cl: Classifier, F, sigma) -> str:
@@ -387,7 +375,7 @@ def verify_kind(cl: Classifier, expect=None) -> list:
     returns [] once all of them hold.  When one fails, or a word names no
     kind, it classifies cl as fibration, opfibration, discrete and, when
     ``expect`` mentions it, thin, and adds a diagnostic for each kind
-    expected and missing.  The opposite classifier's cleavage is computed
+    expected and missing; each kind is decided at most once.  The opposite classifier's cleavage is computed
     only up to its first hole, since the kind and the diagnostic read no
     more of it.  It runs in one check context, so the opposite classifier
     reads what was learnt about ``cl``.
@@ -405,21 +393,23 @@ def verify_kind(cl: Classifier, expect=None) -> list:
             return bad
         if not _sound(cl.base):
             return [f"uses category {cl.base.name}, which fails its table checks"]
-        is_kind = {"fibration": lambda: not compute_cleavage(cl)[1],
-                   "opfibration": lambda: not _first_hole(opposite_classifier(cl)),
-                   "discrete": lambda: _discrete(cl),
-                   "thin": lambda: not is_thin(cl)}
+        holes, found = {
+            "fibration": lambda: compute_cleavage(cl)[1],
+            "opfibration": lambda: _first_hole(opposite_classifier(cl)),
+            "discrete": lambda: not _discrete(cl),
+            "thin": lambda: is_thin(cl)}, {}
+
+        def missing(kind):
+            if kind not in found:
+                found[kind] = holes[kind]() if kind in holes else True
+            return found[kind]
         wants = expect.split("+") if expect else []
-        if all(is_kind.get(want, lambda: False)() for want in wants):
+        if not any(map(missing, wants)):
             return []
-        fib_bad = compute_cleavage(cl)[1]
-        opfib_bad = _first_hole(opposite_classifier(cl))
-        kinds = [kind for kind, holds in (
-            ("fibration", not fib_bad), ("opfibration", not opfib_bad),
-            ("discrete", _discrete(cl)),
-            ("thin", "thin" in expect and not is_thin(cl))) if holds]
+        kinds = [kind for kind in holes
+                 if (kind != "thin" or "thin" in expect) and not missing(kind)]
         kind = "+".join(kinds) if kinds else "functor"
-        reason = fib_bad or opfib_bad
+        reason = missing("fibration") or missing("opfibration")
         return [f"{cl.name}: expected {want}, got {kind}: "
                 f"{(reason or [f'{cl.name}: not {want}'])[0]}"
                 for want in wants if want not in kinds]
