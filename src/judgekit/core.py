@@ -71,6 +71,17 @@ lie faithfully over their contexts, and every rule between them lies over
 ctx.  A validator uses a lemma only after checking each premise within
 the call; when one fails it runs the sweep, so the laws are decided
 exhaustively either way and the diagnostics are the same.
+
+*Construction lemma.*  Let the index of D along p : D → X file each
+morphism of D under its target, source and image by p, as D's ``src``,
+``tgt`` and p's table give them.  If F's image of each m : a → b of C is
+found in the index at (F b, F a, h(π m)), then it is a morphism of D
+from F a to F b, and p∘F = h∘π.  Proof: the index files a morphism under
+its own endpoints and image.  ``fibrations.thin_rule`` builds each rule
+so, and with the lemmas on a check context records it (``_looked_up``):
+``validate_functor`` then skips the rule's checks of morphism images,
+endpoints and that equation.  The record dies with its context, like a
+verdict, since the lookups read the tables as they were then.
 """
 
 from __future__ import annotations
@@ -604,9 +615,9 @@ class FunctorMap:
     reads its base arrow of a morphism m through h from the component of
     m at ``path`` (see ``along``), so that p∘π_q∘F = h∘π_path.  For the
     empty q, p's domain is F's codomain, and for the empty path, h's
-    domain is F's domain.  ``validate_functor`` may then use
-    the functor lemma; the record is no claim, since every premise is
-    checked."""
+    domain is F's domain.  ``validate_functor`` may then use the functor
+    lemma; the record is no claim, since every premise is checked, and
+    the mark of ``_looked_up`` records checks already made."""
 
     name: str
     dom: FinCategory
@@ -663,9 +674,9 @@ def validate_functor(F: FunctorMap) -> list:
     codomain to the domain of p, and p and h share their codomain X; F's
     domain and codomain and X are sound (every composite exists, with the
     right endpoints); p and h pass ``validate_functor``; p∘π_q is
-    faithful; and p∘π_q∘F = h∘π_path on every morphism.  When a premise fails,
-    composition preservation is swept, so the diagnostics do not depend
-    on ``over``.  The verdict is kept in the check context."""
+    faithful; and p∘π_q∘F = h∘π_path, unless the construction lemma
+    checked it.  When a premise fails, composition preservation is swept,
+    so the diagnostics do not depend on ``over``.  The verdict is kept."""
     with checking():
         return list(_validated(F))
 
@@ -684,25 +695,12 @@ def _functoriality(F: FunctorMap) -> list:
             images.append((o, f"{F.name}: no image for object {o!r}"))
         elif F.obj_map[o] not in d.objects:
             images.append((o, f"{F.name}: object image {F.obj_map[o]!r} not in {d.name}"))
-    bad = _in_order(images) + _in_order(
-        [(m, f"{F.name}: no image for morphism {m!r}")
-         for m in c.morphisms if m not in F.mor_map])
-    if not bad:
-        # An endpoint missing from a table, on either side, is a wrong one.
-        def fits(m, fm):
-            try:
-                return (d.src[fm] == F.obj_map[c.src[m]]
-                        and d.tgt[fm] == F.obj_map[c.tgt[m]])
-            except KeyError:
-                return False
-        ends = []
-        for m in c.morphisms:
-            fm = F.mor_map[m]
-            if fm not in d.morphisms:
-                ends.append((m, f"{F.name}: morphism image {fm!r} not in {d.name}"))
-            elif not fits(m, fm):
-                ends.append((m, f"{F.name}: image of {m!r} has wrong endpoints"))
-        bad = _in_order(ends)
+    bad = _in_order(images)
+    if not _looked_up(F):
+        bad += _in_order([(m, f"{F.name}: no image for morphism {m!r}")
+                          for m in c.morphisms if m not in F.mor_map])
+        if not bad:
+            bad = _endpoints(F)
     if not bad:
         # An identity that is no morphism of c, or an image object without
         # an identity in d, is an identity not preserved.
@@ -715,6 +713,32 @@ def _functoriality(F: FunctorMap) -> list:
         if not (F.over and _reflected(F)):
             bad += _composition_sweep(F)
     return bad
+
+
+def _endpoints(F: FunctorMap) -> list:
+    """The images of F's morphisms, one for each, that are no morphisms of
+    F's codomain or have wrong endpoints, missing from a table included."""
+    c, d, obj = F.dom, F.cod, F.obj_map
+    ends = []
+    for m in c.morphisms:
+        fm = F.mor_map[m]
+        if fm not in d.morphisms:
+            ends.append((m, f"{F.name}: morphism image {fm!r} not in {d.name}"))
+            continue
+        try:
+            fits = d.src[fm] == obj[c.src[m]] and d.tgt[fm] == obj[c.tgt[m]]
+        except KeyError:
+            fits = False
+        if not fits:
+            ends.append((m, f"{F.name}: image of {m!r} has wrong endpoints"))
+    return _in_order(ends)
+
+
+def _looked_up(F: FunctorMap, built=False) -> bool:
+    """Whether F was built in the open check context by the lookups of the
+    construction lemma; ``built`` records that it was, unless the lemmas
+    are off."""
+    return not _no_lemmas.get() and _recall(lambda: built, "looked up", F)
 
 
 def _leaf(c: FinCategory, path):
@@ -745,8 +769,8 @@ def _reflected(F: FunctorMap) -> bool:
         return pm[along(q, m)]
     faithful = next(parallel_morphisms(d, base), None) is None if q \
         else _faithful(p)
-    return faithful and all(base(fm[m]) == hm[along(path, m)]
-                            for m in c.morphisms)
+    return faithful and (_looked_up(F) or all(
+        base(fm[m]) == hm[along(path, m)] for m in c.morphisms))
 
 
 def _composition_sweep(F: FunctorMap) -> list:

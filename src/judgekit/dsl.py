@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import FunctorMap, NatTrans, AdjunctionData, make_category
-from .fibrations import Classifier
+from .fibrations import KINDS, Classifier
 from .theory import PreJudgementalTheory
 
 
@@ -116,6 +116,10 @@ def _parse_head(kind, toks, lineno) -> Decl:
         head = {"proj": toks[3], "kind": None}
         if len(toks) == 6:
             _want(toks[4] == "kind", lineno, "expected `kind`")
+            unknown = [w for w in toks[5].split("+") if w not in KINDS]
+            if unknown and toks[5] != "functor":
+                raise JtSyntaxError(lineno, 1, f"unknown kind {unknown[0]!r}",
+                                    expected=list(KINDS))
             head["kind"] = toks[5]
         return Decl(kind, toks[1], lineno, head)
     if kind == "theory":

@@ -31,7 +31,9 @@ and terms 𝕌̇ of ``finset_topos`` by equality, which makes them
 discrete.  Their totals store no composition table: the composite of
 the morphism over σ with the one over τ is the one over σ∘τ, computed
 through ctx (``core.ThinComposition``).  ``thin_rule`` builds a functor
-into such a classifier from its object map alone.
+into such a classifier from its object map alone; the lookup of each
+image in the target's index proves its endpoints and base arrow (the
+construction lemma of ``core``), so ``validate_functor`` does not.
 
 *Discrete-fibration lemma.*  Let P : E → B be a functor, and let every
 composable pair of E have a composite in E with the right endpoints.
@@ -68,8 +70,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (FinCategory, FunctorMap, NatTrans, ThinComposition,
-                   _codes, _no_lemmas, _recall, _sound, _validated, along,
-                   checking, opposite, parallel_morphisms, validate_functor)
+                   _codes, _looked_up, _no_lemmas, _recall, _sound,
+                   _validated, along, checking, opposite, parallel_morphisms,
+                   validate_functor)
 
 
 @dataclass
@@ -364,6 +367,9 @@ def is_thin(cl: Classifier) -> list:
                                                   cl.proj.mor_map.__getitem__)]
 
 
+KINDS = ("fibration", "opfibration", "discrete", "thin")
+
+
 def verify_kind(cl: Classifier, expect=None) -> list:
     """Check that a classifier is of each kind ``expect`` names, joined by
     ``+``: fibration, opfibration, discrete or thin.
@@ -373,12 +379,12 @@ def verify_kind(cl: Classifier, expect=None) -> list:
     validate the total or base category further, and with ``expect``
     None that is all.  It decides only the kinds named, in order, and
     returns [] once all of them hold.  When one fails, or a word names no
-    kind, it classifies cl as fibration, opfibration, discrete and, when
-    ``expect`` mentions it, thin, and adds a diagnostic for each kind
-    expected and missing; each kind is decided at most once.  The opposite classifier's cleavage is computed
-    only up to its first hole, since the kind and the diagnostic read no
-    more of it.  It runs in one check context, so the opposite classifier
-    reads what was learnt about ``cl``.
+    kind of ``KINDS``, it classifies cl as fibration, opfibration,
+    discrete and, when ``thin`` is expected, thin, and reports each kind
+    expected and missing; each kind is decided at most once.  The opposite
+    classifier's cleavage is computed only up to its first hole, since the
+    kind and the diagnostic read no more of it.  It runs in one check
+    context, so the opposite classifier reads what was learnt about cl.
 
     A discrete classifier whose total is sound is a fibration by the
     discrete-fibration lemma of this module, and its cleavage is read off
@@ -393,11 +399,11 @@ def verify_kind(cl: Classifier, expect=None) -> list:
             return bad
         if not _sound(cl.base):
             return [f"uses category {cl.base.name}, which fails its table checks"]
-        holes, found = {
-            "fibration": lambda: compute_cleavage(cl)[1],
-            "opfibration": lambda: _first_hole(opposite_classifier(cl)),
-            "discrete": lambda: not _discrete(cl),
-            "thin": lambda: is_thin(cl)}, {}
+        holes, found = dict(zip(KINDS, (
+            lambda: compute_cleavage(cl)[1],
+            lambda: _first_hole(opposite_classifier(cl)),
+            lambda: not _discrete(cl),
+            lambda: is_thin(cl)))), {}
 
         def missing(kind):
             if kind not in found:
@@ -406,8 +412,8 @@ def verify_kind(cl: Classifier, expect=None) -> list:
         wants = expect.split("+") if expect else []
         if not any(map(missing, wants)):
             return []
-        kinds = [kind for kind in holes
-                 if (kind != "thin" or "thin" in expect) and not missing(kind)]
+        kinds = [kind for kind in KINDS
+                 if (kind != "thin" or "thin" in wants) and not missing(kind)]
         kind = "+".join(kinds) if kinds else "functor"
         reason = missing("fibration") or missing("opfibration")
         return [f"{cl.name}: expected {want}, got {kind}: "
@@ -455,14 +461,17 @@ def thin_rule(name, dom_cat: FinCategory, target: Classifier,
     ``path`` (``along(path, m)``), and the image of m is the one morphism
     of the target between the images of m's endpoints over that arrow,
     read by ``one_over``.  The rule records ``(target.proj, (), path,
-    source.proj)`` for ``validate_functor``."""
+    source.proj)`` for ``validate_functor``, and a check context records
+    what the lookups proved, by the construction lemma of ``core``."""
     over, base = one_over(target), source.proj.mor_map
     obj_map = {o: obj_fn(o) for o in dom_cat.objects}
     mor_map = {m: over(obj_map[dom_cat.src[m]], obj_map[dom_cat.tgt[m]],
                        base[along(path, m)])
                for m in dom_cat.morphisms}
-    return FunctorMap(name, dom_cat, target.total, obj_map, mor_map,
+    rule = FunctorMap(name, dom_cat, target.total, obj_map, mor_map,
                       over=(target.proj, (), path, source.proj))
+    _looked_up(rule, True)
+    return rule
 
 
 def is_cartesian_functor(F: FunctorMap, cl_dom: Classifier, cl_cod: Classifier) -> list:

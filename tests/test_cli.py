@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from judgekit import core
+from judgekit import core, fibrations, finset_topos, ndt
 from judgekit.cli import REPORT_VERSION, build_parser, main
 
 from oracles import lemmas_off
@@ -394,6 +394,42 @@ def test_a_declared_kind_is_checked_once_per_classifier(tmp_path, capsys):
         "status: fail"]
 
 
+def _toy_with_kind(tmp_path, kind):
+    f = tmp_path / "toy.jt"
+    f.write_text((DEMOS / "toy.jt").read_text(encoding="utf-8").replace(
+        "classifier t : t kind fibration\n",
+        f"classifier t : t kind {kind}\n"), encoding="utf-8")
+    return f
+
+
+def test_a_word_that_is_no_kind_is_a_parse_failure(tmp_path, capsys):
+    """A declared kind is ``functor`` or kinds joined by ``+``, each
+    matched as a whole word: ``thinnest`` is no kind, though it starts
+    with ``thin``."""
+    f = _toy_with_kind(tmp_path, "fibration+thinnest")
+    code, out = run(capsys, "check", str(f))
+    assert code == 1
+    assert out == (
+        "report jt/1\n"
+        f"command: check {f}\n"
+        f"check parse {f}: FAIL\n"
+        "  - line 75, column 1: unknown kind 'thinnest' (expected "
+        "fibration, opfibration, discrete, thin)\n"
+        "status: fail\n")
+
+
+def test_thin_is_decided_when_declared(tmp_path, capsys):
+    """The toy classifier t, the identity of a one-object category, has
+    every kind: declared ``fibration+thin`` it reports as the demo,
+    which declares ``fibration``."""
+    f = _toy_with_kind(tmp_path, "fibration+thin")
+    code, out = run(capsys, "check", str(f))
+    demo_code, demo = run(capsys, "check", str(DEMOS / "toy.jt"))
+    assert (code, out.replace(str(f), "FILE")) \
+        == (demo_code, demo.replace(str(DEMOS / "toy.jt"), "FILE"))
+    assert "check classifier t: ok\n" in out
+
+
 CONSTRUCTOR_DOC = """category X
   object x
 
@@ -720,6 +756,12 @@ DECIDED_OVER_A_BASE = {"Π", "ΠΛ", "λ", "Π★", "Ⅎ", "ℲΛ", "pair", "Ⅎ
 # and u̇ : 𝕌̇ → ctx, Δ : 𝕌 → 𝕌̇, the composites u̇Δ and u̇ΔΣ, and IdE1,
 # which corestricts Iddiag to the equalizer of the two term projections.
 SWEPT_DTT = {"u", "u̇", "Δ", "u̇Δ", "u̇ΔΣ", "IdE1"}
+# The ♯-lift rules a derive request builds: their images come from a
+# cleavage, not from the lookups of ``thin_rule``, so their endpoints are
+# still walked.
+SHARP_RULES = {"sum": {"SHARP(η′,𝕌)", "SHARP(η′,𝕌̇)"},
+               "dty": {"SHARP(η′,𝕌)", "SHARP(η′,𝕌̇)"},
+               "cut": {"SHARP(α,𝔼d)"}}
 
 
 @pytest.mark.parametrize(("doc", "rule"), [
@@ -729,13 +771,26 @@ SWEPT_DTT = {"u", "u̇", "Δ", "u̇Δ", "u̇ΔΣ", "IdE1"}
 def test_rules_over_a_base_are_decided_without_sweeping(tmp_path, capsys,
                                                          monkeypatch, doc,
                                                          rule):
-    swept = []
-    real = core._composition_sweep
+    swept, walked, built = [], [], []
+    real, real_endpoints = core._composition_sweep, core._endpoints
     monkeypatch.setattr(core, "_composition_sweep",
                         lambda F: swept.append(F) or real(F))
+    monkeypatch.setattr(core, "_endpoints",
+                        lambda F: walked.append(F) or real_endpoints(F))
+
+    def thin_rule(*args):
+        built.append(fibrations.thin_rule(*args))
+        return built[-1]
+    monkeypatch.setattr(ndt, "thin_rule", thin_rule)
+    monkeypatch.setattr(finset_topos, "thin_rule", thin_rule)
     (tmp_path / "d.jt").write_text(doc + "\n")
     code, out = run(capsys, "derive", str(tmp_path / "d.jt"), "--rule", rule)
     assert code == 0, out
+    # The lookups that built a thin rule checked its endpoints.
+    assert built and not [F.name for F in walked
+                          if any(F is R for R in built)]
+    assert {F.name for F in walked if F.name.startswith("SHARP(")} \
+        == SHARP_RULES.get(rule, set())
     names = {F.name for F in swept}
     assert not names & DECIDED_OVER_A_BASE
     assert not [F.name for F in swept

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from judgekit.core import validate_category, validate_functor
+from judgekit.fibrations import KINDS
 from judgekit.dsl import (Decl, JtSyntaxError, TheoryDocument, load_document,
                           parse_dsl)
 
@@ -195,6 +196,10 @@ def test_category_load_errors_name_their_line_in_item_order():
 NAME = st.text("abfgxyzAUV_'αβ𝔽𝕌0123", min_size=1, max_size=4)
 NUMS = st.lists(st.integers(0, 40), max_size=3)
 PAIR = st.tuples(NAME, NAME)
+# A declared kind: `functor`, which expects none, or kinds joined by +.
+KIND = st.one_of(st.just("functor"),
+                 st.lists(st.sampled_from(KINDS), min_size=1,
+                          max_size=3).map("+".join))
 
 # One item ``(key, payload)`` of each kind of block that takes items.
 ITEMS = {
@@ -216,7 +221,7 @@ HEADS = {
     "nat": st.fixed_dictionaries({"source": NAME, "target": NAME}),
     "adjunction": st.fixed_dictionaries({"left": NAME, "right": NAME}),
     "classifier": st.fixed_dictionaries(
-        {"proj": NAME, "kind": st.one_of(st.none(), NAME)}),
+        {"proj": NAME, "kind": st.one_of(st.none(), KIND)}),
     "theory": st.fixed_dictionaries({"ctx": NAME}),
     "doctrine": st.fixed_dictionaries(
         {"family": NAME, "args": NUMS.filter(bool)}),

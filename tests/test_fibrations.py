@@ -1,18 +1,21 @@
+from contextlib import nullcontext
 from dataclasses import fields
 
 import pytest
 
-from judgekit.core import (FunctorMap, check_category_iso, identity_functor,
-                           validate_category, validate_functor)
+from judgekit import core
+from judgekit.core import (FunctorMap, check_category_iso, checking,
+                           identity_functor, sort_key, validate_category,
+                           validate_functor)
 from judgekit.fibrations import (Classifier, cartesian_lift,
                                  compute_cleavage, is_cartesian,
                                  is_cartesian_functor, is_discrete, is_thin,
-                                 verify_kind)
+                                 thin_rule, verify_kind)
 from judgekit.finset_topos import build_finset_topos
 from judgekit.finsets import fin_skeleton, preimage, subset_leq, subsets
 from judgekit.limits import terminal_category
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine, SequentDoctrine,
-                          proposition_classifier)
+                          build_deduction_system, proposition_classifier)
 
 from oracles import (Antitone, EmptyIdentity, coslice_classifier,
                      fiber_category, grothendieck_classifier,
@@ -166,6 +169,47 @@ def test_thin_classifier_is_the_grothendieck_construction(name):
     cleavage, bad = compute_cleavage(P)
     assert bad == []
     assert {key: to_ref.mor_map[m] for key, m in cleavage.items()} == split
+
+
+def _sequent_premise(ds):
+    """The thin rule d : 𝔼 → 𝔽 over ctx, as ``build_deduction_system``
+    builds it: a sequent goes to its premise."""
+    return thin_rule("d", ds.E.total, ds.P, lambda e: (e[0], e[1][0]), (),
+                     ds.E)
+
+
+@pytest.mark.parametrize("built_in_a_context", [False, True])
+def test_a_thin_rule_is_walked_outside_the_context_it_was_built_in(
+        built_in_a_context):
+    """The lookups that build a thin rule are recorded only in the check
+    context they ran in: a rule built outside any context, or validated
+    after its context closed, has its images checked, here one changed
+    after the build."""
+    ds = build_deduction_system(ChainDoctrine(1, 1))
+    with checking() if built_in_a_context else nullcontext():
+        d = _sequent_premise(ds)
+    c, e = d.dom, d.cod
+    m = next(m for m in sorted(c.morphisms, key=sort_key)
+             if not c.is_identity(m))
+    ends = (e.src[d.mor_map[m]], e.tgt[d.mor_map[m]])
+    d.mor_map[m] = next(n for n in sorted(e.morphisms, key=sort_key)
+                        if (e.src[n], e.tgt[n]) != ends)
+    assert f"d: image of {m!r} has wrong endpoints" in validate_functor(d)
+
+
+def test_a_thin_rule_built_and_validated_in_one_context_is_not_walked(
+        monkeypatch):
+    walked, real = [], core._endpoints
+    monkeypatch.setattr(core, "_endpoints",
+                        lambda F: walked.append(F.name) or real(F))
+    ds = build_deduction_system(ChainDoctrine(1, 1))
+    with checking():
+        # The projections that the functor lemma reads are walked here.
+        assert validate_functor(ds.E.proj) == validate_functor(ds.P.proj) \
+            == []
+        walked.clear()
+        assert validate_functor(_sequent_premise(ds)) == []
+    assert walked == []
 
 
 def test_slice_and_coslice():

@@ -2,12 +2,14 @@ from dataclasses import replace
 
 import pytest
 
-from judgekit import ndt
+from judgekit import fibrations, finset_topos, ndt
 from judgekit.core import (FunctorMap, along, check_adjunction,
                            check_category_iso, compose_functors,
                            identity_functor, same_functor, subcategory,
                            validate_category, validate_functor)
+from judgekit.dtt import derive_dependency
 from judgekit.fibrations import Classifier, is_cartesian
+from judgekit.finset_topos import build_finset_topos, instantiate_constructor
 from judgekit.finsets import cross_map, preimage
 from judgekit.ndt import (ChainDoctrine, PowersetDoctrine,
                           build_deduction_system, derive_connectives,
@@ -48,26 +50,44 @@ def test_system_reports_a_non_fibration_once():
 THIN_RULES = ["d", "c", "∧", "H", "W", "∧∧", "C", "Sw", "cut∘"]
 
 
-@pytest.mark.parametrize("doc, names", [
-    (ChainDoctrine(2, 2), THIN_RULES),
-    (PowersetDoctrine(2), [*THIN_RULES, "w1", "∀1", "∃1"])],
-    ids=["chain 2 2", "powerset 2"])
+def _structural(doc):
+    derive_structural(build_deduction_system(doc))
+
+
+def _quantifiers(doc):
+    ds = build_deduction_system(doc)
+    derive_structural(ds)
+    quantifier_package(ds, 1)
+
+
+def _dtt_rules(n):
+    J = build_finset_topos(n)
+    dep = derive_dependency(J)
+    for which in ("pi", "id", "sum"):
+        instantiate_constructor(J, which, dep)
+
+
+@pytest.mark.parametrize("build, names", [
+    (lambda: _structural(ChainDoctrine(2, 2)), THIN_RULES),
+    (lambda: _quantifiers(PowersetDoctrine(2)),
+     [*THIN_RULES, "w1", "∀1", "∃1"]),
+    (lambda: _dtt_rules(2), ["Σ", "Π", "λ", "Id", "Ⅎ", "pair"])],
+    ids=["chain 2 2", "powerset 2", "dtt-finset 2"])
 def test_every_thin_rule_takes_the_one_morphism_over_its_base_arrow(
-        doc, names, monkeypatch):
+        build, names, monkeypatch):
     """Each image of a thin rule is the one morphism of its target between
     the images of the endpoints over the rule's base arrow, found here by
-    a scan of the target's hom-set."""
-    built, thin_rule = [], ndt.thin_rule
+    a scan of the target's hom-set.  The lookups that build a rule are its
+    only check of these images, so this scan is their oracle."""
+    built, thin_rule = [], fibrations.thin_rule
 
     def recorded(name, dom_cat, target, obj_fn, path, source):
         rule = thin_rule(name, dom_cat, target, obj_fn, path, source)
         built.append((rule, target, path, source))
         return rule
     monkeypatch.setattr(ndt, "thin_rule", recorded)
-    ds = build_deduction_system(doc)
-    derive_structural(ds)
-    if names != THIN_RULES:
-        quantifier_package(ds, 1)
+    monkeypatch.setattr(finset_topos, "thin_rule", recorded)
+    build()
     assert [rule.name for rule, *_ in built] == names
     for rule, target, path, source in built:
         c, pmor = rule.dom, target.proj.mor_map
